@@ -8,6 +8,11 @@ verbatim for auditing: the two coincide for unit signal-noise covariance and
 differ otherwise, and the gap is reported rather than patched.  The product
 form above is used throughout, so the covariance at time t is never
 inverted.
+
+Kernels and correction paths chain the RK4 step maps of ode.py: those of the
+closed loop A = F - P S for ode, and for printed those of the block system
+[[F, 0], [P S, A]], whose transition holds Phi and Psi on its diagonal and the
+inner integral below it.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ import numpy as np
 
 from .errors import GridMismatch
 from .model import ValidatedModel
-from .ode import RiccatiPath, TransitionCache, _policy_array, _riccati_rhs, _sym
+from .ode import (RiccatiPath, TransitionCache, _backward, _closed_loop_stages,
+                  _policy_array, _propagate, _rk4_step)
 
 KERNELS = ("ode", "printed")
 
@@ -27,51 +33,25 @@ def _check_kernel(kernel: str) -> None:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
 
 
+def _block_stages(F: np.ndarray, PS: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Stages [[F, 0], [P_i S, A_i]] of y1' = F y1, y2' = A y2 + P S y1."""
+    return np.block([[np.broadcast_to(F, A.shape), np.zeros_like(A)], [PS, A]])
+
+
 def _kernel_rows(model: ValidatedModel, riccati: RiccatiPath, t_idx: int):
     """Both kernels as functions of s for fixed t, shape (t_idx+1, n, n).
 
-    One backward sweep in s integrates the closed-loop row, the open-loop
-    row, and the inner impulse-response integral jointly with the
-    covariance, so each row costs O(t_idx) matrix steps.
+    Rows are backward products of step maps: the closed loop's for ode, and
+    the block system's, between [I, -I] and [Q_s; 0], for printed.
     """
     n, dt = model.n, model.grid.dt
-    h = -dt
-    half, sixth = 0.5 * h, h / 6.0
-    Fs, Ss, Qs = model.F, model.S, model.Q
-
-    ode_rows = np.empty((t_idx + 1, n, n))
-    printed_rows = np.empty((t_idx + 1, n, n))
+    _, PS, A = (a[:, :t_idx] for a in _closed_loop_stages(model, riccati))
     eye = np.eye(n)
-    Psi = eye.copy()
-    Phi = eye.copy()
-    Acc = np.zeros((n, n))
-    P = riccati.P[t_idx].copy()
-    ode_rows[t_idx] = Psi
-    printed_rows[t_idx] = (Phi - Acc) @ Qs[model.coeff_index(t_idx)]
-    for j in range(t_idx - 1, -1, -1):
-        F, S, Q = Fs[j], Ss[j], Qs[j]
-
-        def rhs(Pc, Psic, Phic, Accc):
-            A = F - Pc @ S
-            return (_riccati_rhs(Pc, F, S, Q),
-                    -Psic @ A,
-                    -Phic @ F,
-                    -Psic @ (Pc @ S) - Accc @ F)
-
-        k1p, k1s, k1f, k1a = rhs(P, Psi, Phi, Acc)
-        k2p, k2s, k2f, k2a = rhs(P + half * k1p, Psi + half * k1s,
-                                 Phi + half * k1f, Acc + half * k1a)
-        k3p, k3s, k3f, k3a = rhs(P + half * k2p, Psi + half * k2s,
-                                 Phi + half * k2f, Acc + half * k2a)
-        k4p, k4s, k4f, k4a = rhs(P + h * k3p, Psi + h * k3s,
-                                 Phi + h * k3f, Acc + h * k3a)
-        P = _sym(P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p))
-        Psi = Psi + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-        Phi = Phi + sixth * (k1f + 2.0 * (k2f + k3f) + k4f)
-        Acc = Acc + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        ode_rows[j] = Psi
-        printed_rows[j] = (Phi - Acc) @ Q
-    return ode_rows, printed_rows
+    ode_rows = _backward(_rk4_step(A, eye, 0.0, dt), eye)
+    block_maps = _rk4_step(_block_stages(model.F[:t_idx], PS, A), np.eye(2 * n), 0.0, dt)
+    left = _backward(block_maps, np.hstack([eye, -eye]))[:, :, :n]
+    Qs = model.Q[list(range(t_idx)) + [model.coeff_index(t_idx)]]
+    return ode_rows, left @ Qs
 
 
 @dataclass(frozen=True)
@@ -87,8 +67,6 @@ class CorrectionKernel:
 def correction_kernel(model: ValidatedModel, riccati: RiccatiPath,
                       t: float) -> CorrectionKernel:
     """Evaluate both correction kernels at a grid time t."""
-    if riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
     t_idx = model.grid.index_of(t)
     ode_rows, printed_rows = _kernel_rows(model, riccati, t_idx)
     for arr in (ode_rows, printed_rows):
@@ -116,11 +94,7 @@ def correction_term(model: ValidatedModel, riccati: RiccatiPath, theta,
     """Trapezoidal quadrature of int_0^t K(t,s) theta_s ds on the grid."""
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
-    if riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
     t_idx = model.grid.index_of(t)
-    if t_idx == 0:
-        return np.zeros(model.n)
     ode_rows, printed_rows = _kernel_rows(model, riccati, t_idx)
     rows = ode_rows if kernel == "ode" else printed_rows
     nodes = np.concatenate([th, th[-1:]], axis=0)[: t_idx + 1]
@@ -141,50 +115,15 @@ def correction_path(model: ValidatedModel, riccati: RiccatiPath, theta,
     """
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
-    if riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
-    n, k_steps, dt = model.n, model.n_steps, model.grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
-    Fs, Ss, Qs = model.F, model.S, model.Q
-    out = np.empty((k_steps + 1, n))
-    out[0] = 0.0
-    P = riccati.P[0].copy()
+    n, dt = model.n, model.grid.dt
+    _, PS, A = _closed_loop_stages(model, riccati)
     if kernel == "ode":
-        c = np.zeros(n)
-        for k in range(k_steps):
-            F, S, Q, u = Fs[k], Ss[k], Qs[k], th[k]
-
-            def rhs(Pc, cc):
-                return _riccati_rhs(Pc, F, S, Q), (F - Pc @ S) @ cc + u
-
-            k1p, k1c = rhs(P, c)
-            k2p, k2c = rhs(P + half * k1p, c + half * k1c)
-            k3p, k3c = rhs(P + half * k2p, c + half * k2c)
-            k4p, k4c = rhs(P + dt * k3p, c + dt * k3c)
-            P = _sym(P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p))
-            c = c + sixth * (k1c + 2.0 * (k2c + k3c) + k4c)
-            out[k + 1] = c
+        out = _propagate(A, th[:, :, None], dt)[:, :, 0]
     else:
-        y1 = np.zeros(n)
-        y2 = np.zeros(n)
-        for k in range(k_steps):
-            F, S, Q, u = Fs[k], Ss[k], Qs[k], th[k]
-            qu = Q @ u
-
-            def rhs(Pc, y1c, y2c):
-                PS = Pc @ S
-                return (_riccati_rhs(Pc, F, S, Q),
-                        F @ y1c + qu,
-                        (F - PS) @ y2c + PS @ y1c)
-
-            k1p, k11, k12 = rhs(P, y1, y2)
-            k2p, k21, k22 = rhs(P + half * k1p, y1 + half * k11, y2 + half * k12)
-            k3p, k31, k32 = rhs(P + half * k2p, y1 + half * k21, y2 + half * k22)
-            k4p, k41, k42 = rhs(P + dt * k3p, y1 + dt * k31, y2 + dt * k32)
-            P = _sym(P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p))
-            y1 = y1 + sixth * (k11 + 2.0 * (k21 + k31) + k41)
-            y2 = y2 + sixth * (k12 + 2.0 * (k22 + k32) + k42)
-            out[k + 1] = y1 - y2
+        qu = model.Q @ th[:, :, None]
+        y = _propagate(_block_stages(model.F, PS, A),
+                       np.concatenate([qu, np.zeros_like(qu)], axis=1), dt)
+        out = y[:, :n, 0] - y[:, n:, 0]
     out.setflags(write=False)
     return out
 

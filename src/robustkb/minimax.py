@@ -28,7 +28,8 @@ from .model import (
     constant_policy,
     zero_policy,
 )
-from .ode import RiccatiPath, _policy_array, _riccati_rhs, _sym, solve_error_stats, solve_riccati
+from .ode import (RiccatiPath, _closed_loop_stages, _policy_array, _propagate,
+                  solve_error_stats, solve_riccati)
 from .simulate import _simulate_chunk
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
@@ -123,11 +124,10 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
 class _GameCore:
     """Quadratic reduction of the fixed-time game for constant policies."""
 
-    model: ValidatedModel = field(repr=False)
-    riccati: RiccatiPath = field(repr=False)
     t_idx: int
     trace_p: float
     M: np.ndarray = field(repr=False)
+    A: np.ndarray = field(repr=False)  # stage closed loops up to t_idx
 
     def value(self, theta_const: np.ndarray, c: np.ndarray) -> float:
         r = self.M @ theta_const - c
@@ -137,27 +137,9 @@ class _GameCore:
 def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCore:
     """Integrate M_t, the closed-loop response to a unit constant drift."""
     t_idx = model.grid.index_of(t)
-    n, dt = model.n, model.grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
-    Fs, Ss, Qs = model.F, model.S, model.Q
-    eye = np.eye(n)
-    P = riccati.P[0].copy()
-    U = np.zeros((n, n))
-    for k in range(t_idx):
-        F, S, Q = Fs[k], Ss[k], Qs[k]
-
-        def rhs(Pc, Uc):
-            return _riccati_rhs(Pc, F, S, Q), (F - Pc @ S) @ Uc + eye
-
-        k1p, k1u = rhs(P, U)
-        k2p, k2u = rhs(P + half * k1p, U + half * k1u)
-        k3p, k3u = rhs(P + half * k2p, U + half * k2u)
-        k4p, k4u = rhs(P + dt * k3p, U + dt * k3u)
-        P = _sym(P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p))
-        U = U + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-    trace_p = float(np.trace(riccati.P[t_idx]))
-    return _GameCore(model=model, riccati=riccati, t_idx=t_idx,
-                     trace_p=trace_p, M=U)
+    A = _closed_loop_stages(model, riccati)[2][:, :t_idx]
+    M = _propagate(A, np.eye(model.n), model.grid.dt)[-1]
+    return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])), M=M, A=A)
 
 
 def _component_grid(mu_i: float, h: float) -> np.ndarray:
@@ -240,12 +222,8 @@ def _best_constant(core: _GameCore, bound: UncertaintyBound, c: np.ndarray,
 
 
 def _closed_loop_is_diagonal(core: _GameCore) -> bool:
-    model, riccati = core.model, core.riccati
-    if model.n == 1:
-        return True
-    t_idx = core.t_idx
-    A = model.F[:t_idx] - np.einsum("kij,kjl->kil", riccati.P[:t_idx], model.S[:t_idx])
-    off = A - A * np.eye(model.n)
+    A = core.A
+    off = A - A * np.eye(A.shape[-1])
     scale = 1.0 + float(np.max(np.abs(A), initial=0.0))
     return float(np.max(np.abs(off), initial=0.0)) <= 1e-12 * scale
 
@@ -273,9 +251,7 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
     if np.all(th_hat == th_hat[0]):
         c = core.M @ th_hat[0]
     else:
-        from .decomposition import correction_path
-
-        c = correction_path(model, riccati, theta_hat)[core.t_idx]
+        c = _propagate(core.A, th_hat[: core.t_idx, :, None], model.grid.dt)[-1, :, 0]
 
     if adversary == "bang_bang":
         if _closed_loop_is_diagonal(core):
@@ -283,11 +259,8 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
             diag = np.diag(core.M)
             up = np.abs(diag * mu - c)
             down = np.abs(-diag * mu - c)
-            sigma = np.where(up >= down, 1.0, -1.0)
-            theta = sigma * mu
-            r = core.M @ theta - c
-            value = core.trace_p + float(r @ r)
-            return value, clamp_policy(constant_policy(model, theta), bound)
+            theta = np.where(up >= down, mu, -mu)
+            return core.value(theta, c), clamp_policy(constant_policy(model, theta), bound)
         warnings.warn(
             "bang-bang search needs a scalar or diagonal closed loop; "
             "falling back to the constant class",

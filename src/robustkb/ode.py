@@ -1,10 +1,12 @@
 """Deterministic ODE machinery: transition matrices, the error-covariance
 Riccati equation, closed-form scalar oracles, and exact error statistics.
 
-Every integrator is classical fixed-step RK4 on the model grid.  Schedules
-are piecewise constant, so all four stages inside step k use the interval-k
-coefficients.  Covariance iterates are symmetrized after each step to stop
-asymmetry drift.
+Every ODE is stepped with classical fixed-step RK4 on the model grid, all four
+stages of step k using the interval-k coefficients; covariance iterates are
+symmetrized after each step.  Only solve_riccati integrates the covariance.
+Every other quantity solves a linear ODE driven by the stage closed loops
+F - P_i S, whose RK4 steps are affine maps y -> T_k y + e_k built for all
+intervals at once; Sigma keeps its own loop over the same stages.
 """
 from __future__ import annotations
 
@@ -31,8 +33,67 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _riccati_rhs(P, F, S, Q):
-    return F @ P + P @ F.T - P @ S @ P + Q
+def _riccati_rhs(P, F, Ft, S, Q):
+    """Riccati right-hand side; Ft is F transposed, also for stacked F."""
+    return F @ P + P @ Ft - P @ S @ P + Q
+
+
+def _closed_loop_stages(model: ValidatedModel, riccati: RiccatiPath):
+    """RK4 stage covariances P_i of every interval, P_i S and F - P_i S.
+
+    Each has shape (4, n_steps, n, n).  One batched pass recomputes the
+    stages from the node path with the arithmetic of solve_riccati.
+    """
+    if riccati.grid != model.grid:
+        raise GridMismatch("covariance path grid differs from model grid")
+    dt = model.grid.dt
+    F, Ft, S, Q = model.F, np.swapaxes(model.F, -1, -2), model.S, model.Q
+    P1 = riccati.P[:-1]
+    P2 = P1 + 0.5 * dt * _riccati_rhs(P1, F, Ft, S, Q)
+    P3 = P1 + 0.5 * dt * _riccati_rhs(P2, F, Ft, S, Q)
+    P4 = P1 + dt * _riccati_rhs(P3, F, Ft, S, Q)
+    P = np.stack([P1, P2, P3, P4])
+    PS = P @ S
+    return P, PS, F - PS
+
+
+def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
+    """One RK4 step of dY = A_i Y + U_k on every interval k at once.
+
+    A holds the stages, shape (4, K, d, d).  Y = I, U = 0 gives the step maps
+    T_k; Y = 0 gives the forced terms e_k of the affine step Y -> T_k Y + e_k.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = A[0] @ Y + U
+    k2 = A[1] @ (Y + half * k1) + U
+    k3 = A[2] @ (Y + half * k2) + U
+    k4 = A[3] @ (Y + dt * k3) + U
+    return Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _forward(T, y0, e=None) -> np.ndarray:
+    """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape."""
+    out = np.empty((len(T) + 1,) + y0.shape)
+    y = out[0] = y0
+    for k in range(len(T)):
+        y = out[k + 1] = T[k] @ y if e is None else T[k] @ y + e[k]
+    return out
+
+
+def _backward(T, last) -> np.ndarray:
+    """Rows R_j = R_{j+1} T_j from R_K = last down to R_0, shape (K+1,) + last.shape."""
+    out = np.empty((len(T) + 1,) + last.shape)
+    r = out[-1] = last
+    for j in range(len(T) - 1, -1, -1):
+        r = out[j] = r @ T[j]
+    return out
+
+
+def _propagate(A, U, dt: float) -> np.ndarray:
+    """RK4 solution of dy = A_i y + U_k from y = 0, at every node."""
+    T = _rk4_step(A, np.eye(A.shape[-1]), 0.0, dt)
+    e = _rk4_step(A, np.zeros_like(U), U, dt)
+    return _forward(T, np.zeros(e.shape[1:]), e)
 
 
 @dataclass(frozen=True)
@@ -66,10 +127,11 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     path[0] = P
     for k in range(k_steps):
         F, S, Q = Fs[k], Ss[k], Qs[k]
-        k1 = _riccati_rhs(P, F, S, Q)
-        k2 = _riccati_rhs(P + half * k1, F, S, Q)
-        k3 = _riccati_rhs(P + half * k2, F, S, Q)
-        k4 = _riccati_rhs(P + dt * k3, F, S, Q)
+        Ft = F.T
+        k1 = _riccati_rhs(P, F, Ft, S, Q)
+        k2 = _riccati_rhs(P + half * k1, F, Ft, S, Q)
+        k3 = _riccati_rhs(P + half * k2, F, Ft, S, Q)
+        k4 = _riccati_rhs(P + dt * k3, F, Ft, S, Q)
         P = _sym(P + sixth * (k1 + 2.0 * (k2 + k3) + k4))
         path[k + 1] = P
     eigs = np.linalg.eigvalsh(path)
@@ -150,14 +212,14 @@ class TransitionCache:
                  riccati: RiccatiPath | None = None):
         if generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}, got {generator!r}")
-        if generator == "closed_loop":
-            if riccati is None:
-                raise MissingRiccati("closed_loop transitions need a covariance path")
-            if riccati.grid != model.grid:
-                raise GridMismatch("covariance path grid differs from model grid")
+        if generator == "closed_loop" and riccati is None:
+            raise MissingRiccati("closed_loop transitions need a covariance path")
         self.model = model
         self.generator = generator
         self.riccati = riccati
+        A = (np.broadcast_to(model.F, (4,) + model.F.shape) if generator == "state"
+             else _closed_loop_stages(model, riccati)[2])
+        self._maps = _rk4_step(A, np.eye(model.n), 0.0, model.grid.dt)
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -169,7 +231,7 @@ class TransitionCache:
             cached = self._rows.get(s_index)
         if cached is not None:
             return cached
-        traj = self._integrate(s_index)
+        traj = _forward(self._maps[s_index:], np.eye(self.model.n))
         traj.setflags(write=False)
         with self._lock:
             self._rows.setdefault(s_index, traj)
@@ -182,45 +244,6 @@ class TransitionCache:
         if t_index > self.model.n_steps:
             raise OutOfGrid(f"node {t_index} outside 0..{self.model.n_steps}")
         return self.trajectory(s_index)[t_index - s_index]
-
-    def _integrate(self, s: int) -> np.ndarray:
-        model = self.model
-        n, dt = model.n, model.grid.dt
-        half, sixth = 0.5 * dt, dt / 6.0
-        steps = model.n_steps - s
-        out = np.empty((steps + 1, n, n))
-        Phi = np.eye(n)
-        out[0] = Phi
-        if self.generator == "state":
-            Fs = model.F
-            for k in range(s, model.n_steps):
-                F = Fs[k]
-                k1 = F @ Phi
-                k2 = F @ (Phi + half * k1)
-                k3 = F @ (Phi + half * k2)
-                k4 = F @ (Phi + dt * k3)
-                Phi = Phi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                out[k - s + 1] = Phi
-        else:
-            Fs, Ss, Qs = model.F, model.S, model.Q
-            P = self.riccati.P[s].copy()
-            for k in range(s, model.n_steps):
-                F, S, Q = Fs[k], Ss[k], Qs[k]
-                k1p = _riccati_rhs(P, F, S, Q)
-                k1f = (F - P @ S) @ Phi
-                P2 = P + half * k1p
-                k2p = _riccati_rhs(P2, F, S, Q)
-                k2f = (F - P2 @ S) @ (Phi + half * k1f)
-                P3 = P + half * k2p
-                k3p = _riccati_rhs(P3, F, S, Q)
-                k3f = (F - P3 @ S) @ (Phi + half * k2f)
-                P4 = P + dt * k3p
-                k4p = _riccati_rhs(P4, F, S, Q)
-                k4f = (F - P4 @ S) @ (Phi + dt * k3f)
-                P = _sym(P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p))
-                Phi = Phi + sixth * (k1f + 2.0 * (k2f + k3f) + k4f)
-                out[k - s + 1] = Phi
-        return out
 
 
 def transition(model: ValidatedModel, s: float, t: float, generator: str = "state",
@@ -264,45 +287,30 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     paths are generated under theta_true.
 
     The bias solves db = (F - PG'R^-1G) b + (theta_true - theta_hat);
-    the second moment solves dSigma = A Sigma + Sigma A' + Q + PSP.  The
-    covariance is integrated jointly so the published identity Sigma = P can
-    be checked against solve_riccati output to integrator accuracy.
+    the second moment solves dSigma = A Sigma + Sigma A' + Q + PSP.  Both
+    step through the RK4 stage covariances of solve_riccati, so the
+    published identity Sigma = P holds to rounding.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
-    if riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
-    n, k_steps, dt = model.n, model.n_steps, model.grid.dt
+    dt = model.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
-    Fs, Ss, Qs = model.F, model.S, model.Q
-    delta = th_true - th_hat
+    P, PS, A = _closed_loop_stages(model, riccati)
+    bias = _propagate(A, (th_true - th_hat)[:, :, None], dt)[:, :, 0]
 
-    bias = np.empty((k_steps + 1, n))
-    Sig = np.empty((k_steps + 1, n, n))
-    P = riccati.P[0].copy()
-    Sg = np.zeros((n, n))
-    b = np.zeros(n)
-    bias[0] = b
-    Sig[0] = Sg
-    for k in range(k_steps):
-        F, S, Q, d = Fs[k], Ss[k], Qs[k], delta[k]
+    W = model.Q + PS @ P
+    Sig = np.empty_like(riccati.P)
+    Sg = Sig[0] = np.zeros((model.n, model.n))
 
-        def rhs(Pc, Sc, bc):
-            A = F - Pc @ S
-            forcing = Pc @ S @ Pc
-            return (_riccati_rhs(Pc, F, S, Q),
-                    A @ Sc + Sc @ A.T + Q + forcing,
-                    A @ bc + d)
+    def rhs(i, k, Sc):
+        return A[i, k] @ Sc + Sc @ A[i, k].T + W[i, k]
 
-        k1p, k1s, k1b = rhs(P, Sg, b)
-        k2p, k2s, k2b = rhs(P + half * k1p, Sg + half * k1s, b + half * k1b)
-        k3p, k3s, k3b = rhs(P + half * k2p, Sg + half * k2s, b + half * k2b)
-        k4p, k4s, k4b = rhs(P + dt * k3p, Sg + dt * k3s, b + dt * k3b)
-        P = _sym(P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p))
-        Sg = _sym(Sg + sixth * (k1s + 2.0 * (k2s + k3s) + k4s))
-        b = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-        bias[k + 1] = b
-        Sig[k + 1] = Sg
+    for k in range(model.n_steps):
+        k1 = rhs(0, k, Sg)
+        k2 = rhs(1, k, Sg + half * k1)
+        k3 = rhs(2, k, Sg + half * k2)
+        k4 = rhs(3, k, Sg + dt * k3)
+        Sg = Sig[k + 1] = _sym(Sg + sixth * (k1 + 2.0 * (k2 + k3) + k4))
     eigs = np.linalg.eigvalsh(Sig)
     min_eig = float(eigs.min())
     if min_eig < RICCATI_EIG_FLOOR:

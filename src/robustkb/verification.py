@@ -16,7 +16,12 @@ import numpy as np
 from .config import ScenarioConfig
 from .decomposition import correction_path, correction_term
 from .errors import RobustKBError, UnsupportedTilt
-from .filtering import _filter_batch, innovation_diagnostics, run_robust_filter
+from .filtering import (
+    _filter_batch,
+    filter_gains,
+    innovation_diagnostics,
+    run_robust_filter,
+)
 from .minimax import _mse_mc_multi, g_profile, saddle_report
 from .model import (
     DriftPolicy,
@@ -187,16 +192,27 @@ def check_riccati_steady_state(config: ScenarioConfig, seed: int,
 
 def check_reduction_identity(config: ScenarioConfig, seed: int,
                              threads: int = 1) -> CheckResult:
-    """Zero drift correction must reproduce the classical filter bitwise."""
+    """Zero drift correction must reproduce the classical filter bitwise.
+
+    The reference is the classical recursion written out here with no drift
+    term at all, so a filter that mishandles a zero correction fails.
+    """
     name = "reduction_identity"
     model = config.model
     riccati = solve_riccati(model)
     ens = simulate_paths(model, zero_policy(model), 100, seed + 11,
                          threads=threads)
     dm = np.diff(ens.m, axis=1)
-    zeros = np.zeros((model.n_steps, model.n))
-    x_rob, i_rob = _filter_batch(model, riccati, dm, zeros)
-    x_cls, i_cls = _filter_batch(model, riccati, dm, zeros.copy())
+    x_rob, i_rob = _filter_batch(model, riccati, dm,
+                                 np.zeros((model.n_steps, model.n)))
+    gains, dt = filter_gains(model, riccati), model.grid.dt
+    x_cls = np.empty_like(x_rob)
+    i_cls = np.empty_like(i_rob)
+    x_cls[:, 0] = model.x0
+    for k in range(model.n_steps):
+        xk = x_cls[:, k]
+        di = i_cls[:, k] = dm[:, k] - (xk @ model.G[k].T + model.g[k]) * dt
+        x_cls[:, k + 1] = xk + (xk @ model.F[k].T + model.f[k]) * dt + di @ gains[k].T
     same = bool(np.array_equal(x_rob, x_cls) and np.array_equal(i_rob, i_cls))
     one = run_robust_filter(model, riccati, zero_policy(model), ens.m[0])
     same_single = bool(np.array_equal(one.xhat, x_rob[0])

@@ -31,6 +31,23 @@ def wide_model():
                           horizon=2.0, n_steps=200)
 
 
+def _time_varying_n3_model():
+    """n=3, m=2 model whose F and non-identity Q vary on every interval."""
+    n_steps = 400
+    grid = rk.TimeGrid(2.0, n_steps)
+    phase = np.pi * grid.times[:-1]
+    F0 = np.array([[-1.0, 0.3, 0.0], [0.0, -0.5, 0.2], [0.1, 0.0, -2.0]])
+    E = np.array([[0.1, -0.2, 0.05], [0.15, 0.0, -0.1], [-0.05, 0.2, 0.1]])
+    Q0 = np.array([[1.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 0.8]])
+    schedule = rk.ModelSchedule(
+        F=F0 + np.sin(phase)[:, None, None] * E, f=np.zeros((n_steps, 3)),
+        G=np.tile([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], (n_steps, 1, 1)),
+        g=np.zeros((n_steps, 2)),
+        Q=Q0 * (1.0 + 0.3 * np.cos(phase))[:, None, None],
+        R=np.tile([[1.0, 0.1], [0.1, 2.0]], (n_steps, 1, 1)), x0=np.zeros(3))
+    return rk.validate_model(schedule, grid)
+
+
 def test_kernel_values_on_the_diagonal(fast_model, fast_riccati):
     kern = correction_kernel(fast_model, fast_riccati, 1.0)
     assert kern.t_index == 100
@@ -48,6 +65,18 @@ def test_printed_kernel_is_q_times_ode(fast_model, fast_riccati, wide_model):
     assert np.max(np.abs(kern2.printed - 2.0 * kern2.ode)) <= 1e-9
     # Away from the diagonal the two kernels are far apart here.
     assert np.max(np.abs(kern2.printed - kern2.ode)) >= 0.1
+
+    # n=3 with time-varying F and Q.  X = Phi(t,s) - Acc(t,s) - Psi(t,s)
+    # solves dX/ds = -X F with X(t,t) = 0, so printed(t,s) = Psi(t,s) Q(s).
+    model3 = _time_varying_n3_model()
+    ric3 = solve_riccati(model3)
+    kern3 = correction_kernel(model3, ric3, 1.5)
+    q_nodes = model3.Q[[*range(kern3.t_index), model3.coeff_index(kern3.t_index)]]
+    assert np.max(np.abs(kern3.printed - kern3.ode @ q_nodes)) <= 1e-9
+    theta = np.random.default_rng(3).uniform(-1.0, 1.0, (model3.n_steps, 3))
+    printed = correction_path(model3, ric3, theta, "printed")
+    ode = correction_path(model3, ric3, np.einsum("kij,kj->ki", model3.Q, theta), "ode")
+    assert np.max(np.abs(printed - ode)) <= 1e-12
 
 
 def test_zero_drift_gives_zero_correction(fast_model, fast_riccati):

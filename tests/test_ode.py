@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import robustkb as rk
 from robustkb import (
@@ -26,6 +27,7 @@ from robustkb import (
     transition,
     validate_model,
 )
+from robustkb.minimax import _game_core
 
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
 
@@ -158,6 +160,97 @@ def test_error_stats_2d_matches_independent_integrator():
     assert np.max(np.abs(stats.Sigma[-1] - ref[6:].reshape(2, 2))) <= 1e-9
     want_mse = ref[6] + ref[9] + ref[4] ** 2 + ref[5] ** 2
     assert abs(stats.mse[-1] - want_mse) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for an n=3, m=2 model with constant coefficients:
+# non-diagonal F, non-identity Q, correlated R.
+
+N3_F = np.array([[-1.0, 0.3, 0.0], [0.0, -0.5, 0.2], [0.1, 0.0, -2.0]])
+N3_G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+N3_Q = np.array([[1.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 0.8]])
+N3_R = np.array([[1.0, 0.1], [0.1, 2.0]])
+N3_CHECK_TIMES = (0.5, 1.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def n3_model():
+    return constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q, N3_R,
+                          np.zeros(3), horizon=2.0, n_steps=2000)
+
+
+@pytest.fixture(scope="module")
+def n3_riccati(n3_model):
+    return solve_riccati(n3_model)
+
+
+@pytest.fixture(scope="module")
+def n3_joint_reference():
+    """P, Psi(t, 0), M_t, the unit-drift bias and Sigma from one DOP853 run
+    of the joint ODE, at each of N3_CHECK_TIMES."""
+    S = N3_G.T @ np.linalg.solve(N3_R, N3_G)
+    eye = np.eye(3)
+    sizes = (9, 9, 9, 3, 9)
+
+    def rhs(_t, y):
+        P, Psi, M, b, Sig = np.split(y, np.cumsum(sizes)[:-1])
+        P, Psi, M, Sig = (a.reshape(3, 3) for a in (P, Psi, M, Sig))
+        A = N3_F - P @ S
+        return np.concatenate([
+            (N3_F @ P + P @ N3_F.T - P @ S @ P + N3_Q).ravel(),
+            (A @ Psi).ravel(),
+            (A @ M + eye).ravel(),
+            A @ b + 1.0,
+            (A @ Sig + Sig @ A.T + N3_Q + P @ S @ P).ravel(),
+        ])
+
+    y0 = np.concatenate([np.zeros(9), eye.ravel(), np.zeros(9 + 3 + 9)])
+    sol = solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-13, t_eval=N3_CHECK_TIMES)
+    out = {}
+    for j, t in enumerate(N3_CHECK_TIMES):
+        P, Psi, M, b, Sig = np.split(sol.y[:, j], np.cumsum(sizes)[:-1])
+        out[t] = {"P": P.reshape(3, 3), "Psi": Psi.reshape(3, 3),
+                  "M": M.reshape(3, 3), "bias": b, "Sigma": Sig.reshape(3, 3)}
+    return out
+
+
+def test_riccati_n3_matches_hamiltonian_exponential(n3_model, n3_riccati):
+    # P = Y X^-1 with [X; Y](t) = expm(H t) [I; 0], H = [[-F', S], [Q, F]].
+    S = n3_model.S[0]
+    H = np.block([[-N3_F.T, S], [N3_Q, N3_F]])
+    for t in N3_CHECK_TIMES:
+        XY = expm(H * t)[:, :3]
+        want = np.linalg.solve(XY[:3].T, XY[3:].T).T
+        got = n3_riccati.at(t)
+        assert np.max(np.abs(got - want)) <= 1e-8, t
+
+
+def test_state_transition_n3_matches_expm(n3_model):
+    cache = TransitionCache(n3_model)
+    for s, t in [(0.0, 2.0), (0.5, 1.0), (1.25, 2.0)]:
+        got = transition(n3_model, s, t, cache=cache)
+        want = expm(N3_F * (t - s))
+        assert np.max(np.abs(got - want)) <= 1e-8, (s, t)
+
+
+def test_n3_moments_match_joint_integrator(n3_model, n3_riccati,
+                                           n3_joint_reference):
+    ones = np.ones((n3_model.n_steps, 3))
+    stats = solve_error_stats(n3_model, ones, np.zeros_like(ones), n3_riccati)
+    cache = TransitionCache(n3_model, "closed_loop", n3_riccati)
+    for t, ref in n3_joint_reference.items():
+        k = n3_model.grid.index_of(t)
+        got = {
+            "P": n3_riccati.P[k],
+            "Psi": cache.matrix(0, k),
+            "M": _game_core(n3_model, n3_riccati, t).M,
+            "bias": stats.bias[k],
+            "Sigma": stats.Sigma[k],
+        }
+        for name, value in got.items():
+            err = np.max(np.abs(value - ref[name]))
+            assert err <= 1e-8, (t, name, err)
 
 
 # ---------------------------------------------------------------------------
