@@ -18,6 +18,7 @@ from .decomposition import (
     impulse_response,
 )
 from .errors import (
+    BoxTooLarge,
     ConfigError,
     DegenerateG,
     DimensionMismatch,
@@ -80,6 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADVERSARY_CLASSES",
+    "BoxTooLarge",
     "CheckResult",
     "ConfigError",
     "CorrectionKernel",

@@ -223,7 +223,7 @@ def cmd_minimax(args) -> int:
             t = model.grid.horizon
     riccati = solve_riccati(model)
     report = saddle_report(model, bound, t, adversary=args.adversary_class,
-                           resolution=args.grid_resolution, riccati=riccati)
+                           riccati=riccati)
     payload = report.to_dict()
     payload["config_sha256"] = digest
     payload["seed"] = args.seed
@@ -245,7 +245,7 @@ def cmd_minimax(args) -> int:
     write_json(json_path, payload)
 
     prof = g_profile(model, bound, t, center=report.theta_hat_star.theta[0],
-                     resolution=args.grid_resolution, riccati=riccati)
+                     riccati=riccati)
     rows = []
     for comp, values, gs in prof:
         for v, gval in zip(values, gs):
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation time (default 1.0 if on the grid, else T)")
     p.add_argument("--class", dest="adversary_class", default="constant",
                    choices=["constant", "bang_bang"])
-    p.add_argument("--grid-resolution", type=float, default=None)
     p.add_argument("--paths", type=int, default=0,
                    help="Monte-Carlo cross-check sample size (0 = skip)")
     p.set_defaults(func=cmd_minimax)

@@ -38,20 +38,23 @@ def _block_stages(F: np.ndarray, PS: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.block([[np.broadcast_to(F, A.shape), np.zeros_like(A)], [PS, A]])
 
 
-def _kernel_rows(model: ValidatedModel, riccati: RiccatiPath, t_idx: int):
-    """Both kernels as functions of s for fixed t, shape (t_idx+1, n, n).
+def _kernel_rows(model: ValidatedModel, stages, t_idx: int,
+                 kernel: str) -> np.ndarray:
+    """One kernel as a function of s for fixed t, shape (t_idx+1, n, n).
 
-    Rows are backward products of step maps: the closed loop's for ode, and
-    the block system's, between [I, -I] and [Q_s; 0], for printed.
+    Rows are backward products of step maps over the closed-loop stages: the
+    closed loop's for ode, and the block system's, between [I, -I] and
+    [Q_s; 0], for printed.
     """
     n, dt = model.n, model.grid.dt
-    _, PS, A = (a[:, :t_idx] for a in _closed_loop_stages(model, riccati))
+    _, PS, A = (a[:, :t_idx] for a in stages)
     eye = np.eye(n)
-    ode_rows = _backward(_rk4_step(A, eye, 0.0, dt), eye)
+    if kernel == "ode":
+        return _backward(_rk4_step(A, eye, 0.0, dt), eye)
     block_maps = _rk4_step(_block_stages(model.F[:t_idx], PS, A), np.eye(2 * n), 0.0, dt)
     left = _backward(block_maps, np.hstack([eye, -eye]))[:, :, :n]
     Qs = model.Q[list(range(t_idx)) + [model.coeff_index(t_idx)]]
-    return ode_rows, left @ Qs
+    return left @ Qs
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,8 @@ def correction_kernel(model: ValidatedModel, riccati: RiccatiPath,
                       t: float) -> CorrectionKernel:
     """Evaluate both correction kernels at a grid time t."""
     t_idx = model.grid.index_of(t)
-    ode_rows, printed_rows = _kernel_rows(model, riccati, t_idx)
+    stages = _closed_loop_stages(model, riccati)
+    ode_rows, printed_rows = (_kernel_rows(model, stages, t_idx, k) for k in KERNELS)
     for arr in (ode_rows, printed_rows):
         arr.setflags(write=False)
     return CorrectionKernel(t_index=t_idx, s_times=model.grid.times[: t_idx + 1],
@@ -95,8 +99,7 @@ def correction_term(model: ValidatedModel, riccati: RiccatiPath, theta,
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
     t_idx = model.grid.index_of(t)
-    ode_rows, printed_rows = _kernel_rows(model, riccati, t_idx)
-    rows = ode_rows if kernel == "ode" else printed_rows
+    rows = _kernel_rows(model, _closed_loop_stages(model, riccati), t_idx, kernel)
     nodes = np.concatenate([th, th[-1:]], axis=0)[: t_idx + 1]
     vals = np.einsum("kij,kj->ki", rows, nodes)
     return model.grid.dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))

@@ -45,6 +45,10 @@ class UnsupportedTilt(RobustKBError):
     """A drift tilt acts along directions with no signal noise."""
 
 
+class BoxTooLarge(RobustKBError):
+    """An uncertainty box has too many vertices to enumerate."""
+
+
 class ConfigError(RobustKBError):
     """A scenario config file failed to parse; the message names the JSON path."""
 

@@ -6,9 +6,10 @@ The estimator class is the drift-corrected filter parametrized by a constant
 theta_hat per component; the adversary ranges over constant or bang-bang
 drifts in the box.  For a fixed evaluation time the objective is
 trace(P_t) + |M_t (theta - theta_hat)|^2 with M_t the integrated closed-loop
-response, so the search works on a tiny quadratic model fed by one ODE
-solve.  The restriction to deterministic policies is deliberate; the duality
-gap it induces is reported, not hidden.
+response.  The game has a closed form: the adversary's best reply is a box
+vertex, and the worst case is convex and even in theta_hat, so the robust
+filter drift is exactly 0.  The restriction to deterministic policies is
+deliberate; the duality gap it induces is reported, not hidden.
 """
 from __future__ import annotations
 
@@ -18,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedClassWarning
+from .errors import BoxTooLarge, UnsupportedClassWarning
 from .filtering import _filter_batch
 from .model import (
     DriftPolicy,
     UncertaintyBound,
     ValidatedModel,
-    clamp_policy,
     constant_policy,
     zero_policy,
 )
@@ -34,8 +34,10 @@ from .simulate import _simulate_chunk
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
 
+# Most components with a positive radius whose 2^k box vertices are enumerated.
+_MAX_VERTEX_COMPONENTS = 20
+
 _MC_CHUNK = 1024
-_GOLDEN_ITERS = 80
 
 
 def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
@@ -129,10 +131,6 @@ class _GameCore:
     M: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)  # stage closed loops up to t_idx
 
-    def value(self, theta_const: np.ndarray, c: np.ndarray) -> float:
-        r = self.M @ theta_const - c
-        return self.trace_p + float(r @ r)
-
 
 def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCore:
     """Integrate M_t, the closed-loop response to a unit constant drift."""
@@ -142,83 +140,26 @@ def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCo
     return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])), M=M, A=A)
 
 
-def _component_grid(mu_i: float, h: float) -> np.ndarray:
-    """Descending grid over [-mu, mu]; ties at evaluation prefer +mu."""
-    if mu_i == 0.0:
-        return np.zeros(1)
-    half_pts = max(1, int(round(mu_i / h)))
-    return np.linspace(mu_i, -mu_i, 2 * half_pts + 1)
+def _vertices(bound: UncertaintyBound) -> np.ndarray:
+    """Box corners, shape (2^k, n) for the k components with mu_i > 0, each
+    taking +mu_i before -mu_i so argmax ties go to +mu; raises BoxTooLarge."""
+    k = int(np.count_nonzero(bound.mu > 0.0))
+    if k > _MAX_VERTEX_COMPONENTS:
+        raise BoxTooLarge(
+            f"box has {k} components with a positive radius; vertex "
+            f"enumeration is capped at {_MAX_VERTEX_COMPONENTS} (2^{k} vertices)"
+        )
+    axes = [(np.array([m, -m]) if m > 0.0 else np.zeros(1)) for m in bound.mu]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([a.ravel() for a in mesh], axis=1)
 
 
-def _golden(f, lo: float, hi: float, maximize: bool):
-    """Golden-section scan; returns (x, f(x)) at the final bracket midpoint."""
-    sign = -1.0 if maximize else 1.0
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = sign * f(x1), sign * f(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = sign * f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = sign * f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _resolutions(bound: UncertaintyBound, resolution: float | None) -> np.ndarray:
-    if resolution is not None:
-        if resolution <= 0.0:
-            raise ValueError(f"resolution must be positive, got {resolution}")
-        return np.full(bound.dim, float(resolution))
-    return np.where(bound.mu > 0.0, bound.mu / 100.0, 1.0)
-
-
-def _best_constant(core: _GameCore, bound: UncertaintyBound, c: np.ndarray,
-                   resolution: float | None):
-    """Maximize the quadratic objective over constant drifts in the box.
-
-    Candidates are the per-component grid for a scalar model and the box
-    vertices otherwise (the objective is convex, so the box maximum sits at
-    a vertex); one golden-section pass per component then polishes against
-    grid quantization.
-    """
-    mu = bound.mu
-    n = mu.shape[0]
-    hs = _resolutions(bound, resolution)
-    if n == 1:
-        cand = _component_grid(mu[0], hs[0])[:, None]
-    else:
-        axes = [(np.array([m, -m]) if m > 0.0 else np.zeros(1)) for m in mu]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([a.ravel() for a in mesh], axis=1)
-    resid = cand @ core.M.T - c
+def _best_vertex(core: _GameCore, vertices: np.ndarray, c) -> tuple[float, np.ndarray]:
+    """Max of trace(P_t) + |M_t v - c|^2 over the vertices v, with the argmax."""
+    resid = vertices @ core.M.T - c
     vals = core.trace_p + np.einsum("bi,bi->b", resid, resid)
     best = int(np.argmax(vals))
-    theta = cand[best].copy()
-    value = float(vals[best])
-
-    for i in range(n):
-        if mu[i] == 0.0:
-            continue
-        lo = max(-mu[i], theta[i] - hs[i])
-        hi = min(mu[i], theta[i] + hs[i])
-
-        def f(v: float) -> float:
-            trial = theta.copy()
-            trial[i] = v
-            return core.value(trial, c)
-
-        x, fx = _golden(f, lo, hi, maximize=True)
-        if fx > value:
-            theta[i] = x
-            value = fx
-    return value, theta
+    return float(vals[best]), vertices[best].copy()
 
 
 def _closed_loop_is_diagonal(core: _GameCore) -> bool:
@@ -230,20 +171,20 @@ def _closed_loop_is_diagonal(core: _GameCore) -> bool:
 
 def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
                    t: float, adversary: str = "constant",
-                   resolution: float | None = None,
                    riccati: RiccatiPath | None = None):
     """Supremum of the exact MSE over the adversary class, with argmax.
 
-    Returns (value, DriftPolicy).  For "bang_bang" the closed loop must be
-    scalar or diagonal; otherwise the search falls back to the constant
-    class with an UnsupportedClassWarning.  Since the closed-loop kernel of
-    a diagonal system is positive, the bang-bang optimum is itself constant
-    per component with sign ties broken toward +mu.
+    Returns (value, DriftPolicy).  The MSE of a constant drift v is the
+    convex quadratic trace(P_t) + |M_t v - c|^2, with c the response to
+    theta_hat, so it peaks at a box vertex.  For "bang_bang" the closed loop
+    must be scalar or diagonal, whose positive kernel makes that vertex the
+    bang-bang optimum too; otherwise an UnsupportedClassWarning is issued.
     """
     if adversary not in ADVERSARY_CLASSES:
         raise ValueError(f"adversary must be one of {ADVERSARY_CLASSES}, got {adversary!r}")
     if bound.dim != model.n:
         raise ValueError(f"bound dim {bound.dim} does not match model dim {model.n}")
+    vertices = _vertices(bound)
     if riccati is None:
         riccati = solve_riccati(model)
     core = _game_core(model, riccati, t)
@@ -253,96 +194,49 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
     else:
         c = _propagate(core.A, th_hat[: core.t_idx, :, None], model.grid.dt)[-1, :, 0]
 
-    if adversary == "bang_bang":
-        if _closed_loop_is_diagonal(core):
-            mu = bound.mu
-            diag = np.diag(core.M)
-            up = np.abs(diag * mu - c)
-            down = np.abs(-diag * mu - c)
-            theta = np.where(up >= down, mu, -mu)
-            return core.value(theta, c), clamp_policy(constant_policy(model, theta), bound)
+    if adversary == "bang_bang" and not _closed_loop_is_diagonal(core):
         warnings.warn(
             "bang-bang search needs a scalar or diagonal closed loop; "
             "falling back to the constant class",
             UnsupportedClassWarning,
             stacklevel=2,
         )
-    value, theta = _best_constant(core, bound, c, resolution)
-    return value, clamp_policy(constant_policy(model, theta), bound)
+    value, theta = _best_vertex(core, vertices, c)
+    return value, constant_policy(model, theta)
 
 
 def best_response_theta(model: ValidatedModel, bound: UncertaintyBound,
                         theta_hat, t: float, adversary: str = "constant",
-                        resolution: float | None = None,
                         riccati: RiccatiPath | None = None) -> DriftPolicy:
     """Adversary drift maximizing the exact MSE against a fixed filter drift."""
-    _, theta = worst_case_mse(model, bound, theta_hat, t, adversary,
-                              resolution, riccati)
+    _, theta = worst_case_mse(model, bound, theta_hat, t, adversary, riccati)
     return theta
 
 
 def robust_theta_hat(model: ValidatedModel, bound: UncertaintyBound, t: float,
-                     adversary: str = "constant",
-                     resolution: float | None = None,
                      riccati: RiccatiPath | None = None):
-    """Constant filter drift minimizing the worst-case MSE.
+    """Constant filter drift minimizing the worst-case MSE, in closed form.
 
-    Nested search: the worst case for each candidate is itself a box search;
-    the outer minimization runs a per-component grid plus one golden-section
-    pass.  The objective is a maximum of convex quadratics in theta_hat,
-    hence convex, so the grid certifies the minimum to its resolution.
-    Returns (DriftPolicy, upper_value).
+    The worst case g(th) = trace(P_t) + max_{v in box} |M_t (v - th)|^2 is a
+    maximum of convex quadratics, hence convex, and even because the box is
+    symmetric.  So its minimizer is exactly 0.  Returns (DriftPolicy, g(0)).
     """
+    vertices = _vertices(bound)
     if riccati is None:
         riccati = solve_riccati(model)
-    core = _game_core(model, riccati, t)
-    mu = bound.mu
-    hs = _resolutions(bound, resolution)
-
-    def g(th_hat: np.ndarray) -> float:
-        value, _ = _best_constant(core, bound, core.M @ th_hat, resolution)
-        return value
-
-    theta_hat = np.zeros(model.n)
-    value = g(theta_hat)
-    sweeps = 1 if model.n == 1 else 2
-    for _ in range(sweeps):
-        for i in range(model.n):
-            if mu[i] == 0.0:
-                continue
-            grid = _component_grid(mu[i], hs[i])
-            trials = np.tile(theta_hat, (grid.size, 1))
-            trials[:, i] = grid
-            vals = np.array([g(tr) for tr in trials])
-            best = int(np.argmin(vals))
-            xi, vi = grid[best], float(vals[best])
-            lo = max(-mu[i], xi - hs[i])
-            hi = min(mu[i], xi + hs[i])
-
-            def f(v: float) -> float:
-                trial = theta_hat.copy()
-                trial[i] = v
-                return g(trial)
-
-            x, fx = _golden(f, lo, hi, maximize=False)
-            if fx < vi:
-                xi, vi = x, fx
-            theta_hat = theta_hat.copy()
-            theta_hat[i] = xi
-            value = vi
-    policy = clamp_policy(constant_policy(model, theta_hat), bound)
-    return policy, float(value)
+    value, _ = _best_vertex(_game_core(model, riccati, t), vertices, 0.0)
+    return constant_policy(model, 0.0), value
 
 
 def g_profile(model: ValidatedModel, bound: UncertaintyBound, t: float,
               center=None, n_points: int = 11,
-              resolution: float | None = None,
               riccati: RiccatiPath | None = None):
-    """Worst-case MSE along each component of theta_hat through a center.
+    """Worst-case MSE g(th) along each component of th through a center.
 
     Returns a list of (component, values, g_values) with values of length
     n_points spanning [-mu_i, mu_i]; used for convexity audits and plots.
     """
+    vertices = _vertices(bound)
     if riccati is None:
         riccati = solve_riccati(model)
     core = _game_core(model, riccati, t)
@@ -354,7 +248,7 @@ def g_profile(model: ValidatedModel, bound: UncertaintyBound, t: float,
         for j, v in enumerate(values):
             th = center.copy()
             th[i] = v
-            gs[j], _ = _best_constant(core, bound, core.M @ th, resolution)
+            gs[j], _ = _best_vertex(core, vertices, core.M @ th)
         out.append((i, values, gs))
     return out
 
@@ -400,18 +294,15 @@ _SADDLE_NOTES = (
 
 def saddle_report(model: ValidatedModel, bound: UncertaintyBound, t: float,
                   adversary: str = "constant",
-                  resolution: float | None = None,
                   riccati: RiccatiPath | None = None) -> SaddleReport:
     """Assemble the restricted-game report at time t."""
+    _vertices(bound)  # BoxTooLarge before any ODE work
     if riccati is None:
         riccati = solve_riccati(model)
     t_idx = model.grid.index_of(t)
-    theta_hat_star, upper = robust_theta_hat(model, bound, t, adversary="constant",
-                                             resolution=resolution, riccati=riccati)
-    value_star, theta_star = worst_case_mse(model, bound, theta_hat_star, t,
-                                            adversary=adversary,
-                                            resolution=resolution, riccati=riccati)
-    upper = max(upper, value_star)
+    theta_hat_star, _ = robust_theta_hat(model, bound, t, riccati=riccati)
+    upper, theta_star = worst_case_mse(model, bound, theta_hat_star, t,
+                                       adversary=adversary, riccati=riccati)
     lower = mse_exact(model, zero_policy(model), zero_policy(model), t, riccati)
     return SaddleReport(
         t=float(model.grid.times[t_idx]),

@@ -269,6 +269,18 @@ def test_minimax_defaults_to_horizon_when_one_is_off_grid(tmp_path):
     assert payload["t"] == 0.75
 
 
+def test_minimax_rejects_an_oversized_box(tmp_path, capsys):
+    n = 21
+    cfg = _write_cfg(tmp_path, T=0.1, n_steps=1, mu=[1.0] * n, n=n,
+                     F=(-np.eye(n)).tolist(), f=[0.0] * n, G=np.eye(1, n).tolist(),
+                     Q=np.eye(n).tolist(), x0=[0.0] * n)
+    out = tmp_path / "out"
+    rc = main(["minimax", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "capped at 20" in capsys.readouterr().err
+    assert not (out / "saddle_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

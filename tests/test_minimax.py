@@ -1,19 +1,25 @@
 """Worst-case MSE search and the restricted saddle report."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustkb as rk
 from robustkb import (
+    BoxTooLarge,
     OutOfGrid,
     UncertaintyBound,
     UnsupportedClassWarning,
     clamp_policy,
     constant_model,
+    constant_policy,
     g_profile,
+    minimax,
     mse_exact,
     mse_monte_carlo,
     robust_theta_hat,
@@ -147,9 +153,6 @@ def test_worst_case_guards(fast_model, fast_riccati):
     with pytest.raises(ValueError, match="dim"):
         worst_case_mse(fast_model, UncertaintyBound(np.ones(2)), zeros, 1.0,
                        riccati=fast_riccati)
-    with pytest.raises(ValueError, match="resolution"):
-        worst_case_mse(fast_model, bound, zeros, 1.0, resolution=-0.1,
-                       riccati=fast_riccati)
     with pytest.raises(OutOfGrid):
         worst_case_mse(fast_model, bound, zeros, 0.00123, riccati=fast_riccati)
 
@@ -222,3 +225,136 @@ def test_g_profile_is_convex_and_symmetric(fast_model, fast_riccati):
     mid = gs[1:-1]
     assert np.all(gs[:-2] + gs[2:] - 2.0 * mid >= -1e-9)
     assert np.max(np.abs(gs - gs[::-1])) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Brute-force vertex oracle on an n=3, m=2 model with a non-diagonal loop
+# (the constant coefficients of bench/minimax_n3.json on a coarser grid).
+# mse_exact integrates the bias and Sigma moment ODEs, not M_t, so it is an
+# independent reference for the vertex maximum.
+
+N3_F = np.array([[-1.0, 0.3, 0.0], [0.0, -0.5, 0.2], [0.1, 0.0, -2.0]])
+N3_G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+N3_Q = np.array([[1.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 0.8]])
+N3_R = np.array([[1.0, 0.1], [0.1, 2.0]])
+N3_MU = np.array([1.0, 0.5, 0.8])
+
+
+@pytest.fixture(scope="module")
+def n3_game():
+    model = constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q, N3_R,
+                           np.zeros(3), horizon=1.0, n_steps=200)
+    return model, UncertaintyBound(N3_MU), solve_riccati(model)
+
+
+def _vertex_oracle(model, riccati, theta_hat, t):
+    """(max MSE, argmax vertex) over the 8 box vertices via mse_exact."""
+    best = None
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        v = np.array(signs) * N3_MU
+        val = mse_exact(model, constant_policy(model, v), theta_hat, t, riccati)
+        if best is None or val > best[0]:
+            best = (val, v)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["constant", "time_varying"])
+def test_worst_case_matches_vertex_oracle_n3(n3_game, kind):
+    model, bound, riccati = n3_game
+    if kind == "constant":
+        theta_hat = constant_policy(model, [0.3, -0.2, 0.1])
+    else:
+        rng = np.random.default_rng(11)
+        theta_hat = rng.uniform(-1.0, 1.0, (model.n_steps, 3)) * N3_MU
+    value, policy = worst_case_mse(model, bound, theta_hat, 1.0, riccati=riccati)
+    want, vertex = _vertex_oracle(model, riccati, theta_hat, 1.0)
+    assert abs(value - want) <= 1e-9
+    assert np.array_equal(policy.theta, np.tile(vertex, (model.n_steps, 1)))
+
+
+def test_robust_drift_matches_vertex_oracle_n3(n3_game):
+    model, bound, riccati = n3_game
+    policy, upper = robust_theta_hat(model, bound, 1.0, riccati=riccati)
+    assert np.all(policy.theta == 0.0)
+    want, _ = _vertex_oracle(model, riccati, zero_policy(model), 1.0)
+    assert abs(upper - want) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Oversized boxes
+
+
+def test_oversized_box_raises_before_any_ode_work(monkeypatch):
+    n = 21
+    model = constant_model(-np.eye(n), np.zeros(n), np.eye(1, n), 0.0,
+                           np.eye(n), 1.0, np.zeros(n), horizon=0.1, n_steps=1)
+    bound = UncertaintyBound(np.ones(n))
+
+    def no_ode_work(*args, **kwargs):
+        raise AssertionError("ODE work ran before the box check")
+
+    monkeypatch.setattr(minimax, "solve_riccati", no_ode_work)
+    monkeypatch.setattr(minimax, "_closed_loop_stages", no_ode_work)
+    calls = [
+        lambda: worst_case_mse(model, bound, zero_policy(model), 0.1),
+        lambda: robust_theta_hat(model, bound, 0.1),
+        lambda: g_profile(model, bound, 0.1),
+        lambda: saddle_report(model, bound, 0.1),
+    ]
+    for call in calls:
+        with pytest.raises(BoxTooLarge, match=r"21 .*capped at 20"):
+            call()
+    assert issubclass(BoxTooLarge, rk.RobustKBError)
+
+
+def test_zero_radii_do_not_count_toward_the_vertex_cap():
+    n = 21
+    model = constant_model(-np.eye(n), np.zeros(n), np.eye(1, n), 0.0,
+                           np.eye(n), 1.0, np.zeros(n), horizon=0.1, n_steps=1)
+    mu = np.zeros(n)
+    mu[[0, 7]] = [1.0, 0.5]
+    value, policy = worst_case_mse(model, UncertaintyBound(mu), zero_policy(model), 0.1)
+    assert np.all(np.abs(policy.theta) == mu)
+    assert value >= np.trace(solve_riccati(model).P[-1])
+
+
+# ---------------------------------------------------------------------------
+# Properties of the game over random stable models
+
+
+@st.composite
+def _games(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+    unit = st.floats(-1.0, 1.0)
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(unit, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    # Gershgorin: the coupling moves eigenvalues by at most 0.9 < 1.
+    F = -draw(st.floats(1.0, 2.0)) * np.eye(n) + 0.3 * matrix(n, n)
+    G = np.eye(m, n) + 0.5 * matrix(m, n)
+    Q = np.diag(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    mu = draw(st.lists(st.just(0.0) | st.floats(0.0, 2.0), min_size=n, max_size=n))
+    model = constant_model(F, np.zeros(n), G, np.zeros(m), Q, np.eye(m),
+                           np.zeros(n), horizon=1.0, n_steps=20)
+    drifts = matrix(5, n) * np.array(mu)
+    return model, UncertaintyBound(np.array(mu)), drifts
+
+
+@settings(max_examples=25, deadline=None)
+@given(game=_games())
+def test_game_is_even_convex_and_centered(game):
+    model, bound, drifts = game
+    riccati = solve_riccati(model)
+    for _, values, gs in g_profile(model, bound, 1.0, riccati=riccati):
+        assert np.max(np.abs(gs - gs[::-1])) <= 1e-12
+        assert np.all(gs[:-2] + gs[2:] - 2.0 * gs[1:-1] >= -1e-9)
+    zeros = zero_policy(model)
+    worst, _ = worst_case_mse(model, bound, zeros, 1.0, riccati=riccati)
+    for v in drifts:
+        assert worst >= mse_exact(model, constant_policy(model, v), zeros, 1.0,
+                                  riccati) - 1e-9
+    report = saddle_report(model, bound, 1.0, riccati=riccati)
+    assert np.all(report.theta_hat_star.theta == 0.0)
