@@ -2,13 +2,22 @@
 
 Layout is gnuplot-friendly: t first, then value columns.  Floats are written
 with repr, which round-trips exactly; reruns with the same inputs produce
-byte-identical files.
+byte-identical files.  The CSV writer streams blocks of _BLOCK_ROWS rows and
+formats each block column by column, with one map per column: float.__repr__
+or int.__repr__ where every value of the column has that exact type, _cell
+otherwise.  The bytes are those of _cell applied to every value in turn.
 """
 from __future__ import annotations
 
 import json
 
 import numpy as np
+
+from .errors import DimensionMismatch
+
+_BLOCK_ROWS = 4096
+
+_FLOAT_TYPES = {float, np.float64}
 
 
 def _cell(x) -> str:
@@ -25,16 +34,42 @@ def vector_labels(prefix: str, dim: int) -> list[str]:
     return [f"{prefix}_{i}" for i in range(dim)]
 
 
+def _column_cells(col):
+    """Cells of one column: a C-level repr where its types allow, else _cell."""
+    types = set(map(type, col))
+    if types <= _FLOAT_TYPES:
+        return map(float.__repr__, col)
+    if types <= {int}:
+        return map(int.__repr__, col)
+    return map(_cell, col)
+
+
 def write_csv(path, columns, rows, comment: str | None = None) -> None:
-    """Write rows of numbers as CSV with an optional leading comment line."""
-    lines = []
-    if comment is not None:
-        lines.append(f"# {comment}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+    """Write rows of numbers as CSV with an optional leading comment line.
+
+    rows is a 2-D array or a sequence of rows; a row whose width differs
+    from the header raises DimensionMismatch before the file is opened.
+    """
+    width = len(columns)
+    if not width:
+        raise DimensionMismatch("a CSV needs at least one column")
+    is_array = isinstance(rows, np.ndarray)
+    if is_array and len(rows) and (rows.ndim != 2 or rows.shape[1] != width):
+        raise DimensionMismatch(
+            f"row 0 has shape {rows.shape[1:]}, header has {width} columns")
+    if not is_array and set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise DimensionMismatch(
+            f"row {i} has {len(rows[i])} cells, header has {width} columns")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            cols = block.T.tolist() if is_array else zip(*block)
+            cells = [_column_cells(col) for col in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path, obj) -> None:

@@ -123,17 +123,35 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     half, sixth = 0.5 * dt, dt / 6.0
     Fs, Ss, Qs = model.F, model.S, model.Q
     path = np.empty((k_steps + 1, n, n))
-    P = np.zeros((n, n))
-    path[0] = P
-    for k in range(k_steps):
-        F, S, Q = Fs[k], Ss[k], Qs[k]
-        Ft = F.T
-        k1 = _riccati_rhs(P, F, Ft, S, Q)
-        k2 = _riccati_rhs(P + half * k1, F, Ft, S, Q)
-        k3 = _riccati_rhs(P + half * k2, F, Ft, S, Q)
-        k4 = _riccati_rhs(P + dt * k3, F, Ft, S, Q)
-        P = _sym(P + sixth * (k1 + 2.0 * (k2 + k3) + k4))
-        path[k + 1] = P
+    if n == 1:
+        # The same RK4 arithmetic on Python floats, in the operation order of
+        # _riccati_rhs; _sym is the identity on a 1x1 matrix.
+        p = 0.0
+        ps = [p]
+        for F, S, Q in zip(Fs[:, 0, 0].tolist(), Ss[:, 0, 0].tolist(),
+                           Qs[:, 0, 0].tolist()):
+            k1 = F * p + p * F - p * S * p + Q
+            q = p + half * k1
+            k2 = F * q + q * F - q * S * q + Q
+            q = p + half * k2
+            k3 = F * q + q * F - q * S * q + Q
+            q = p + dt * k3
+            k4 = F * q + q * F - q * S * q + Q
+            p = p + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            ps.append(p)
+        path[:, 0, 0] = ps
+    else:
+        P = np.zeros((n, n))
+        path[0] = P
+        for k in range(k_steps):
+            F, S, Q = Fs[k], Ss[k], Qs[k]
+            Ft = F.T
+            k1 = _riccati_rhs(P, F, Ft, S, Q)
+            k2 = _riccati_rhs(P + half * k1, F, Ft, S, Q)
+            k3 = _riccati_rhs(P + half * k2, F, Ft, S, Q)
+            k4 = _riccati_rhs(P + dt * k3, F, Ft, S, Q)
+            P = _sym(P + sixth * (k1 + 2.0 * (k2 + k3) + k4))
+            path[k + 1] = P
     eigs = np.linalg.eigvalsh(path)
     min_eig = float(eigs.min())
     if min_eig < RICCATI_EIG_FLOOR:

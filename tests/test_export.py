@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import robustkb as rk
 from robustkb.export import (
+    _BLOCK_ROWS,
+    _cell,
     ensemble_rows,
     filter_run_rows,
     matrix_labels,
@@ -116,3 +118,123 @@ def test_csv_reruns_are_byte_identical(fast_model, fast_riccati, tmp_path):
     write_csv(a, cols, rows, comment="same")
     write_csv(b, cols, rows, comment="same")
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# block-streamed writer against the per-cell reference
+
+
+def _reference_csv(columns, rows, comment=None) -> bytes:
+    """The per-cell writer: _cell on every value of every row in turn."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_cell(x) for x in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                   5e-324, 1e16, 1e-5, 0.1, -2.5e-17]
+_FLOATS = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+_INTS = st.integers(-(2 ** 63), 2 ** 63 - 1)
+_MIXED = st.one_of(
+    _FLOATS,
+    _INTS,
+    _INTS.map(np.int64),
+    st.booleans(),
+    (st.sampled_from(_SPECIAL_FLOATS) | st.floats(width=32)).map(np.float32),
+    _FLOATS.map(np.float64),
+)
+
+
+_ROW_COUNTS = st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               _BLOCK_ROWS + 1])
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows) as a float or int ndarray, an object ndarray with int
+    and float columns, or a list of tuples whose columns hold floats, ints,
+    bools or a mix of scalar types.  Each column repeats a small drawn pool
+    of values in a drawn order."""
+    kind = draw(st.sampled_from(["array", "object", "tuples"]))
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(_ROW_COUNTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pools = []
+    for _ in range(n_cols):
+        if kind == "tuples":
+            values = draw(st.sampled_from([_MIXED, _FLOATS, _INTS,
+                                           st.booleans()]))
+        elif kind == "object":
+            values = draw(st.sampled_from([_FLOATS, _INTS]))
+        else:
+            values = _FLOATS
+        pools.append(draw(st.lists(values, min_size=1, max_size=6)))
+    cols = [[pool[i] for i in rng.integers(0, len(pool), n_rows)]
+            for pool in pools]
+    columns = [f"c{j}" for j in range(n_cols)]
+    if kind == "tuples":
+        return columns, list(zip(*cols))
+    if kind == "object":
+        rows = np.empty((n_rows, n_cols), dtype=object)
+        for j, col in enumerate(cols):
+            rows[:, j] = col
+        return columns, rows
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    if dtype is np.int64:
+        return columns, rng.integers(-10 ** 12, 10 ** 12, (n_rows, n_cols))
+    with np.errstate(over="ignore"):
+        return columns, np.array(cols, dtype=float).T.astype(dtype)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables(), comment=st.none() | st.just("robustkb x seed=1"))
+def test_block_writer_matches_per_cell_reference(tmp_path, table, comment):
+    columns, rows = table
+    path = tmp_path / "out.csv"
+    write_csv(path, columns, rows, comment=comment)
+    assert path.read_bytes() == _reference_csv(columns, rows, comment)
+
+
+def test_cli_ensemble_matches_per_cell_reference(default_model, tmp_path,
+                                                 capsys):
+    import hashlib
+    from importlib import resources
+
+    from robustkb.cli import main
+
+    out = tmp_path / "out"
+    assert main(["simulate", "--paths", "3", "--seed", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    blob = (resources.files("robustkb") / "data"
+            / "default_scenario.json").read_bytes()
+    comment = (f"robustkb {rk.__version__} "
+               f"config_sha256={hashlib.sha256(blob).hexdigest()} seed=7")
+    ens = rk.simulate_paths(default_model, np.zeros((default_model.n_steps, 1)),
+                            3, 7)
+    cols, rows = ensemble_rows(ens)
+    # 3 x 2001 rows: a block boundary falls inside a path.
+    assert len(rows) == 6003
+    assert (out / "ensemble.csv").read_bytes() == _reference_csv(cols, rows,
+                                                                 comment)
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([(1.0, 2.0), (3.0,), (4.0, 5.0)], 1),
+    ([(1.0, 2.0)] * _BLOCK_ROWS + [(1.0, 2.0, 3.0)], _BLOCK_ROWS),
+    (np.zeros((3, 3)), 0),
+    (np.zeros(3), 0),
+])
+def test_ragged_rows_raise(tmp_path, rows, bad):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(rk.DimensionMismatch, match=f"row {bad} "):
+        write_csv(path, ["a", "b"], rows)
+    assert not path.exists()
+
+
+def test_csv_needs_a_column(tmp_path):
+    with pytest.raises(rk.DimensionMismatch):
+        write_csv(tmp_path / "none.csv", [], [()])

@@ -50,6 +50,31 @@ def test_unit_drift_mse_hits_frozen_value(default_model, default_riccati):
     assert abs(got - UPPER_ONE) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_mse_exact_equals_the_full_grid_moments(n):
+    # mse_exact integrates only up to t; the nodes it reads are unchanged.
+    if n == 1:
+        model = constant_model(-1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+                               horizon=2.0, n_steps=200)
+    else:
+        model = constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q,
+                               N3_R, np.zeros(3), horizon=2.0, n_steps=200)
+    riccati = solve_riccati(model)
+    rng = np.random.default_rng(5)
+    theta_true = rng.normal(size=(model.n_steps, n))
+    theta_hat = rk.DriftPolicy(rng.normal(size=(model.n_steps, n)))
+    full = rk.solve_error_stats(model, theta_true, theta_hat, riccati).mse
+    for k in (0, 1, 73, model.n_steps):
+        t = float(model.grid.times[k])
+        for ric in (riccati, None):
+            got = mse_exact(model, theta_true, theta_hat, t, ric)
+            assert got.hex() == float(full[k]).hex(), (k, ric is None)
+    # A path on a longer grid with the same step is still a foreign grid.
+    longer = model.truncate(100)
+    with pytest.raises(rk.GridMismatch):
+        mse_exact(longer, theta_true[:100], theta_true[:100], 0.5, riccati)
+
+
 def test_monte_carlo_agrees_with_exact(fast_model, fast_riccati):
     theta = np.full((200, 1), 0.5)
     zeros = np.zeros_like(theta)

@@ -82,6 +82,40 @@ def test_riccati_converges_at_fourth_order():
     assert errs[0] / errs[1] >= 8.0, errs
 
 
+def test_scalar_riccati_matches_the_matrix_loop():
+    # n = 1 runs on Python floats; it must equal the matrix RK4 loop bitwise.
+    n_steps = 1000
+    grid = TimeGrid(10.0, n_steps)
+    t = grid.times[:-1]
+    col = lambda a: a.reshape(n_steps, 1, 1)
+    zeros = np.zeros((n_steps, 1))
+    schedule = ModelSchedule(
+        F=col(-0.4 + 1.3 * np.sin(3.0 * t)), f=zeros,
+        G=col(0.8 + 0.5 * np.cos(t)), g=zeros,
+        Q=col(0.7 + 0.4 * np.sin(5.0 * t) ** 2), R=col(0.5 + 0.2 * t),
+        x0=np.zeros(1))
+    model = validate_model(schedule, grid)
+    dt = grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def rhs(P, k):
+        F, S, Q = model.F[k], model.S[k], model.Q[k]
+        return F @ P + P @ F.T - P @ S @ P + Q
+
+    want = np.empty((n_steps + 1, 1, 1))
+    P = want[0] = np.zeros((1, 1))
+    for k in range(n_steps):
+        k1 = rhs(P, k)
+        k2 = rhs(P + half * k1, k)
+        k3 = rhs(P + half * k2, k)
+        k4 = rhs(P + dt * k3, k)
+        P = P + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        P = want[k + 1] = 0.5 * (P + P.T)
+    got = solve_riccati(model)
+    assert got.P.tobytes() == want.tobytes()
+    assert got.min_eigenvalue == float(want.min())
+
+
 def test_riccati_reports_lost_positivity():
     # Stiff instance (S = 20) on a dt = 0.5 grid; RK4 overshoots below zero.
     model = constant_model(0.0, 0.0, 1.0, 0.0, 1.0, 0.05, 0.0,
