@@ -23,6 +23,7 @@ from .errors import (
     DegenerateG,
     DimensionMismatch,
     GridMismatch,
+    InvalidSeed,
     LostPositivity,
     MissingRiccati,
     NonFinite,
@@ -91,6 +92,7 @@ __all__ = [
     "ErrorStats",
     "FilterRun",
     "GridMismatch",
+    "InvalidSeed",
     "KERNELS",
     "LostPositivity",
     "MissingRiccati",

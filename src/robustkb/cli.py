@@ -284,7 +284,8 @@ def _common(sub: argparse.ArgumentParser) -> None:
                      help="scenario JSON (defaults to the bundled scenario)")
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (results never depend on this)")
+                     help="accepted for compatibility; work runs on one "
+                          "thread and results never depend on this")
     sub.add_argument("--out", default=".", help="output directory")
 
 

@@ -45,6 +45,10 @@ class UnsupportedTilt(RobustKBError):
     """A drift tilt acts along directions with no signal noise."""
 
 
+class InvalidSeed(RobustKBError, ValueError):
+    """A master seed or path offset is not a non-negative integer."""
+
+
 class BoxTooLarge(RobustKBError):
     """An uncertainty box has too many vertices to enumerate."""
 

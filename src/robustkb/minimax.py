@@ -14,7 +14,6 @@ deliberate; the duality gap it induces is reported, not hidden.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from .model import (
 )
 from .ode import (RiccatiPath, _closed_loop_stages, _policy_array, _propagate,
                   solve_error_stats, solve_riccati)
-from .simulate import _simulate_chunk
+from .simulate import _check_seed, _simulate_chunk
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
 
@@ -66,9 +65,10 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
                   threads: int = 1):
     """Sample MSE at several grid nodes from one simulated ensemble.
 
-    Paths are processed in fixed-size chunks and accumulated by chunk index,
-    so the result is independent of thread count.  Returns (means, stderrs)
-    over the requested nodes.
+    Paths are processed in fixed-size chunks whose sums are kept per chunk
+    and added in chunk order.  threads is accepted for compatibility and
+    does not change the work or the result.  Returns (means, stderrs) over
+    the requested nodes.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
@@ -83,12 +83,10 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     th_true = th_true[:last]
     th_hat = th_hat[:last]
 
-    starts = list(range(0, n_paths, _MC_CHUNK))
+    starts = range(0, n_paths, _MC_CHUNK)
     sq_sum = np.zeros((len(starts), idx.size))
     sq_sumsq = np.zeros((len(starts), idx.size))
-
-    def run(ci: int):
-        j0 = starts[ci]
+    for ci, j0 in enumerate(starts):
         count = min(_MC_CHUNK, n_paths - j0)
         x, obs, _, _, _ = _simulate_chunk(sub, th_true, seed, j0, count, 0,
                                           need_density=False)
@@ -97,13 +95,6 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
         sq = np.einsum("bki,bki->bk", err, err)
         sq_sum[ci] = sq.sum(axis=0)
         sq_sumsq[ci] = (sq * sq).sum(axis=0)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(starts))))
-    else:
-        for ci in range(len(starts)):
-            run(ci)
 
     total = sq_sum.sum(axis=0)
     total_sq = sq_sumsq.sum(axis=0)
@@ -126,6 +117,7 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
     Returns (estimate, standard error); the standard error is NaN for a
     single path.
     """
+    seed = _check_seed("seed", seed)
     if riccati is None:
         riccati = solve_riccati(model)
     t_idx = model.grid.index_of(t)

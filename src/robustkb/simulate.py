@@ -1,18 +1,23 @@
 """Euler-Maruyama path simulation under a drift perturbation, with exact
 per-path likelihood ratios for change-of-measure reweighting.
 
-Randomness is drawn from one stream per (path, noise source), keyed by
-(master_seed, path_index, stream_tag).  Results therefore depend only on the
-master seed and absolute path indices, never on chunking or thread count.
+Randomness is drawn from one stream per (path, noise source): the stream of
+path i is ``np.random.default_rng(SeedSequence((master_seed, i, tag)))``.
+Results therefore depend only on the master seed and absolute path indices,
+never on chunking.  The streams are seeded a chunk at a time: `_seed_states`
+repeats NumPy's SeedSequence hash on uint32 arrays for a whole chunk of path
+indices, and one reused PCG64 generator is set to each path's starting state
+in turn, which gives the same bits as one SeedSequence and generator per
+stream.  The ``threads`` arguments are accepted but split no work; all
+chunks run in turn on the calling thread.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, UnsupportedTilt
+from .errors import DimensionMismatch, GridMismatch, InvalidSeed, UnsupportedTilt
 from .model import DriftPolicy, ValidatedModel
 from .ode import _policy_array
 
@@ -23,10 +28,127 @@ _CHUNK = 2048
 # Signal-noise directions with variance below this carry no tilt.
 _TILT_EIG_FLOOR = 1e-10
 
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier; NumPy's stream-compatibility policy fixes both.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-def _path_rng(master_seed: int, path_index: int, tag: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=(int(master_seed), int(path_index), int(tag)))
-    return np.random.default_rng(seq)
+
+def _check_seed(name: str, value) -> int:
+    """A master seed or path offset as a non-negative Python int."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, np.integer)) or value < 0):
+        raise InvalidSeed(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of an int, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64), one row per entry.
+
+    entropy holds the uint32 entropy words as columns of equal length; the
+    hash constants do not depend on the data, so every row mixes in step.
+    The uint32 array arithmetic wraps mod 2**32, as the C code's does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((zero.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(master_seed: int, first: int, count: int, tag: int) -> np.ndarray:
+    """SeedSequence((master_seed, i, tag)).generate_state(4, np.uint64) for
+    i = first .. first+count-1, as a (count, 4) array.
+
+    An index takes one entropy word below 2**32 and more above, so the
+    indices are handled in runs that share their high words.
+    """
+    master_seed = _check_seed("master_seed", master_seed)
+    first = _check_seed("path index", first)
+    out = np.empty((count, 4), dtype=np.uint64)
+    j = 0
+    while j < count:
+        start = first + j
+        high = start >> 32
+        run = min(count - j, ((high + 1) << 32) - start)
+        low = start & _MASK32
+        entropy = [np.full(run, w, dtype=np.uint32)
+                   for w in _uint32_words(master_seed)]
+        entropy.append(np.arange(low, low + run, dtype=np.uint32))
+        entropy += [np.full(run, w, dtype=np.uint32)
+                    for w in (_uint32_words(high) if high else []) + _uint32_words(tag)]
+        out[j:j + run] = _pool_states(entropy)
+        j += run
+    return out
+
+
+def _standard_normals(master_seed: int, first: int, count: int, tag: int,
+                      shape: tuple) -> np.ndarray:
+    """Standard normals of shape (count, *shape); row j holds the first
+    draws of ``default_rng(SeedSequence((master_seed, first + j, tag)))``."""
+    out = np.empty((count, *shape))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    rows = _seed_states(master_seed, first, count, tag).tolist()
+    for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(rows):
+        # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps around
+        # adding the initial state.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        seeded = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        state["state"] = {"state": seeded, "inc": inc}
+        bitgen.state = state
+        gen.standard_normal(out=out[j])
+    return out
+
+
+def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
+                  count: int) -> np.ndarray:
+    """Untilted signal increments Q^(1/2) dB of paths first..first+count-1."""
+    xi = _standard_normals(master_seed, first, count, _SIGNAL_TAG,
+                           (model.n_steps, model.n))
+    return np.einsum("kij,bkj->bki", model.Q_sqrt, xi) * np.sqrt(model.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -85,8 +207,13 @@ def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
     if active.size == 0:
         return out
     th = theta[active]
-    dw_std = np.linalg.solve(chol, dw[:, active, :, None])[..., 0]
-    out += np.einsum("kj,bkj->b", th, dw_std)
+    # theta_k' L_k^-1 dw_k = u_k' dw_k with u_k = L_k^-T theta_k: one solve
+    # per interval instead of one per path and interval.  The increments are
+    # copied interval-major, the layout the per-path solves produced, so the
+    # sum runs in the same order and Q = I gives the same bits.
+    u = np.linalg.solve(np.swapaxes(chol, -1, -2), th[..., None])[..., 0]
+    dw_kb = np.ascontiguousarray(np.swapaxes(dw, 0, 1)[active])
+    out += np.einsum("kj,bkj->b", u, np.swapaxes(dw_kb, 0, 1))
     out -= 0.5 * dt * float(np.einsum("kj,kj->", th, th))
     return out
 
@@ -110,13 +237,9 @@ def _simulate_chunk(model: ValidatedModel, theta: np.ndarray, master_seed: int,
     dt = model.grid.dt
     sqrt_dt = np.sqrt(dt)
 
-    xi = np.empty((count, k_steps, n))
-    eta = np.empty((count, k_steps, m))
-    for j in range(count):
-        idx = path_offset + j0 + j
-        xi[j] = _path_rng(master_seed, idx, _SIGNAL_TAG).standard_normal((k_steps, n))
-        eta[j] = _path_rng(master_seed, idx, _OBS_TAG).standard_normal((k_steps, m))
-    dw_tilt = np.einsum("kij,bkj->bki", model.Q_sqrt, xi) * sqrt_dt
+    first = path_offset + j0
+    dw_tilt = _signal_noise(model, master_seed, first, count)
+    eta = _standard_normals(master_seed, first, count, _OBS_TAG, (k_steps, m))
     dv = np.einsum("kij,bkj->bki", model.R_chol, eta) * sqrt_dt
 
     x = np.empty((count, k_steps + 1, n))
@@ -140,8 +263,11 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
 
     Paths are generated in fixed chunks; path_offset shifts the absolute
     path indices so a large run can be split across calls and still match a
-    monolithic run bitwise.
+    monolithic run bitwise.  threads is accepted for compatibility and does
+    not change the work or the result.
     """
+    master_seed = _check_seed("master_seed", master_seed)
+    path_offset = _check_seed("path_offset", path_offset)
     th = _policy_array(theta, model, "theta")
     policy = theta if isinstance(theta, DriftPolicy) else DriftPolicy(th)
     if n_paths < 1:
@@ -153,27 +279,16 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     dw = np.empty((n_paths, k_steps, n))
     dv = np.empty((n_paths, k_steps, m))
     logw = np.empty(n_paths)
-
-    starts = range(0, n_paths, _CHUNK)
-
-    def run(j0: int):
+    for j0 in range(0, n_paths, _CHUNK):
         count = min(_CHUNK, n_paths - j0)
-        cx, cm, cdw, cdv, clw = _simulate_chunk(model, th, master_seed, j0,
-                                                count, path_offset)
         sl = slice(j0, j0 + count)
-        x[sl], obs[sl], dw[sl], dv[sl], logw[sl] = cx, cm, cdw, cdv, clw
-
-    if threads > 1 and n_paths > _CHUNK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for j0 in starts:
-            run(j0)
+        x[sl], obs[sl], dw[sl], dv[sl], logw[sl] = _simulate_chunk(
+            model, th, master_seed, j0, count, path_offset)
 
     for arr in (x, obs, dw, dv, logw):
         arr.setflags(write=False)
-    return PathEnsemble(model=model, policy=policy, master_seed=int(master_seed),
-                        path_offset=int(path_offset), x=x, m=obs, dw=dw, dv=dv,
+    return PathEnsemble(model=model, policy=policy, master_seed=master_seed,
+                        path_offset=path_offset, x=x, m=obs, dw=dw, dv=dv,
                         log_density=logw)
 
 

@@ -40,7 +40,7 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import _log_density_batch, simulate_paths
+from .simulate import _log_density_batch, _signal_noise, simulate_paths
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
@@ -315,10 +315,10 @@ def check_girsanov(config: ScenarioConfig, seed: int,
     zetas = np.empty(n_paths)
     for j0 in range(0, n_paths, block):
         count = min(block, n_paths - j0)
-        ens = simulate_paths(sub, zero_policy(sub), count, seed + 53,
-                             path_offset=j0, threads=threads)
+        # Only the untilted signal streams: x, m and dv would go unused.
+        dw = _signal_noise(sub, seed + 53, j0, count)
         try:
-            zetas[j0:j0 + count] = _log_density_batch(theta.theta, ens.dw, sub)
+            zetas[j0:j0 + count] = _log_density_batch(theta.theta, dw, sub)
         except UnsupportedTilt as exc:
             return CheckResult(name, False, False, str(exc))
 
@@ -533,6 +533,8 @@ def check_determinism(config: ScenarioConfig, seed: int,
         return b"".join(a.tobytes() for a in (ens.x, ens.m, ens.dw, ens.dv,
                                               ens.log_density))
 
+    # threads splits no work, so the threads and mc flags compare reruns
+    # made through the threads argument.
     base = simulate_paths(sub, theta, 3000, seed + 97, threads=1)
     rerun = simulate_paths(sub, theta, 3000, seed + 97, threads=1)
     wide = simulate_paths(sub, theta, 3000, seed + 97, threads=4)

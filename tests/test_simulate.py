@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 import robustkb as rk
 from robustkb import (
     DimensionMismatch,
     GridMismatch,
+    InvalidSeed,
     ModelSchedule,
     TimeGrid,
     UnsupportedTilt,
@@ -16,6 +20,7 @@ from robustkb import (
     simulate_paths,
     validate_model,
 )
+from robustkb.simulate import _log_density_batch, _signal_noise
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +98,104 @@ def test_rejects_empty_request(free_model):
         simulate_paths(free_model, np.zeros((7, 1)), 5, master_seed=1)
 
 
+def _coupled_model(n_steps=6):
+    """n=2, m=1, non-diagonal Q and a non-unit R."""
+    F = np.array([[-0.5, 0.3], [0.0, -1.0]])
+    Q = np.array([[1.5, 0.4], [0.4, 0.7]])
+    return constant_model(F, np.zeros(2), np.array([[1.0, 0.5]]), np.zeros(1),
+                          Q, np.array([[0.6]]), np.zeros(2),
+                          horizon=n_steps * 0.05, n_steps=n_steps)
+
+
+def _reference_noise(model, theta, n_paths, seed, offset):
+    """dw and dv rebuilt from one NumPy generator per stream."""
+    k_steps, dt = model.n_steps, model.grid.dt
+
+    def draws(tag, width):
+        return np.array([
+            np.random.default_rng(np.random.SeedSequence((seed, offset + j, tag)))
+            .standard_normal((k_steps, width)) for j in range(n_paths)])
+
+    dw = (np.einsum("kij,bkj->bki", model.Q_sqrt, draws(0, model.n)) * np.sqrt(dt)
+          + theta * dt)
+    dv = np.einsum("kij,bkj->bki", model.R_chol, draws(1, model.m)) * np.sqrt(dt)
+    return dw, dv
+
+
+def _assert_streams_match(seed, offset, n_paths):
+    model = _coupled_model()
+    theta = np.tile([0.3, -0.2], (model.n_steps, 1))
+    ens = simulate_paths(model, theta, n_paths, master_seed=seed,
+                         path_offset=offset)
+    dw, dv = _reference_noise(model, theta, n_paths, seed, offset)
+    assert np.array_equal(ens.dw, dw)
+    assert np.array_equal(ens.dv, dv)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70 + 3])
+@pytest.mark.parametrize("offset", [0, 2**32 - 3, 2**64 - 2])
+def test_streams_match_numpy_seed_sequence(seed, offset):
+    """Batched seeding equals one SeedSequence and generator per stream,
+    across path indices that need one, two and three 32-bit words."""
+    _assert_streams_match(seed, offset, 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**80),
+       offset=st.one_of(st.integers(0, 2**70),
+                        st.integers(2**32 - 4, 2**32 + 4)),
+       n_paths=st.integers(1, 5))
+def test_streams_match_numpy_seed_sequence_random(seed, offset, n_paths):
+    _assert_streams_match(seed, offset, n_paths)
+
+
+def test_signal_noise_is_the_untilted_dw(free_model):
+    ens = simulate_paths(free_model, _const_theta(free_model, 0.0), 7,
+                         master_seed=4, path_offset=3)
+    assert np.array_equal(_signal_noise(free_model, 4, 3, 7), ens.dw)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"master_seed": 2.5}, {"master_seed": 3.0}, {"master_seed": -1},
+    {"master_seed": True}, {"master_seed": np.float64(2.0)},
+    {"master_seed": "3"}, {"master_seed": 1, "path_offset": -4},
+    {"master_seed": 1, "path_offset": 1.0}, {"master_seed": 1, "path_offset": False},
+])
+def test_invalid_seed_raises_before_allocation(free_model, kwargs):
+    # 10**12 paths cannot be allocated: the seed must be refused first.
+    with pytest.raises(InvalidSeed) as info:
+        simulate_paths(free_model, _const_theta(free_model, 0.0), 10**12, **kwargs)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, rk.RobustKBError)
+
+
+def test_numpy_integer_seeds_are_accepted(free_model):
+    theta = _const_theta(free_model, 0.0)
+    a = simulate_paths(free_model, theta, 3, master_seed=np.int64(8),
+                       path_offset=np.uint32(2))
+    b = simulate_paths(free_model, theta, 3, master_seed=8, path_offset=2)
+    assert np.array_equal(a.x, b.x)
+    assert type(a.master_seed) is int and type(a.path_offset) is int
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_monte_carlo_rejects_invalid_seed(fast_model, monkeypatch, seed):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(rk.minimax, "solve_riccati", no_work)
+    monkeypatch.setattr(rk.minimax, "_simulate_chunk", no_work)
+    theta = np.zeros((fast_model.n_steps, 1))
+    with pytest.raises(InvalidSeed):
+        rk.mse_monte_carlo(fast_model, theta, theta, 1.0, n_paths=10**12,
+                           seed=seed)
+
+
+def test_signal_streams_reject_a_negative_seed(free_model):
+    with pytest.raises(InvalidSeed):
+        _signal_noise(free_model, -7, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # Exactness and law checks
 
@@ -128,6 +231,64 @@ def test_zero_tilt_log_density_is_exactly_zero(free_model):
     assert np.array_equal(ens.log_density, np.zeros(10))
     assert girsanov_log_density(_const_theta(free_model, 0.0), ens.dw[0],
                                 free_model) == 0.0
+
+
+def _varying_q_model(n_steps=40):
+    """n=3, m=2 with a time-varying, non-diagonal Q."""
+    grid = TimeGrid(1.0, n_steps)
+    t = grid.times[:-1]
+    base = np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.6]])
+    Q = base[None] * (1.0 + 0.5 * np.sin(4.0 * t))[:, None, None]
+    Q[:, 0, 1] = Q[:, 1, 0] = 0.3 * np.cos(3.0 * t)
+    F = np.tile(-np.eye(3), (n_steps, 1, 1))
+    G = np.tile(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]), (n_steps, 1, 1))
+    R = np.tile(np.eye(2) * 0.5, (n_steps, 1, 1))
+    return validate_model(
+        ModelSchedule(F=F, f=np.zeros((n_steps, 3)), G=G, g=np.zeros((n_steps, 2)),
+                      Q=Q, R=R, x0=np.zeros(3)), grid)
+
+
+def test_contracted_log_density_matches_triangular_solves():
+    model = _varying_q_model()
+    rng = np.random.default_rng(12)
+    k_steps, dt = model.n_steps, model.grid.dt
+    theta = rng.normal(size=(k_steps, 3))
+    theta[5:9] = 0.0  # inactive intervals take the subset path
+    dw = rng.normal(scale=np.sqrt(dt), size=(6, k_steps, 3))
+    want = np.empty(6)
+    for b in range(6):
+        total = 0.0
+        for k in range(k_steps):
+            chol = np.linalg.cholesky(model.Q[k])
+            total += theta[k] @ solve_triangular(chol, dw[b, k], lower=True)
+        want[b] = total - 0.5 * dt * np.sum(theta * theta)
+    got = _log_density_batch(theta, dw, model)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for b in range(6):
+        assert abs(girsanov_log_density(theta, dw[b], model) - want[b]) <= 1e-12
+    full = rng.normal(size=(k_steps, 3))
+    want_full = [sum(full[k] @ solve_triangular(np.linalg.cholesky(model.Q[k]),
+                                                dw[b, k], lower=True)
+                     for k in range(k_steps)) - 0.5 * dt * np.sum(full * full)
+                 for b in range(6)]
+    assert np.max(np.abs(_log_density_batch(full, dw, model) - want_full)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_paths", [1, 5, 2048])
+def test_unit_q_log_density_matches_per_path_solves_bitwise(default_model, n_paths):
+    """With Q = 1 the contraction gives the bits of one batched solve per
+    path and interval."""
+    rng = np.random.default_rng(5)
+    k_steps, dt = default_model.n_steps, default_model.grid.dt
+    theta = np.full((k_steps, 1), 0.5)
+    theta[:7] = 0.0
+    dw = rng.normal(scale=np.sqrt(dt), size=(n_paths, k_steps, 1))
+    active = np.arange(7, k_steps)
+    chol = np.linalg.cholesky(default_model.Q[active])
+    dw_std = np.linalg.solve(chol, dw[:, active, :, None])[..., 0]
+    want = (np.einsum("kj,bkj->b", theta[active], dw_std)
+            - 0.5 * dt * float(np.einsum("kj,kj->", theta[active], theta[active])))
+    assert np.array_equal(_log_density_batch(theta, dw, default_model), want)
 
 
 def test_log_density_shape_guard(free_model):
