@@ -49,6 +49,10 @@ class InvalidSeed(RobustKBError, ValueError):
     """A master seed or path offset is not a non-negative integer."""
 
 
+class InvalidPathCount(RobustKBError, ValueError):
+    """A path count is not a positive integer, or too large to run."""
+
+
 class BoxTooLarge(RobustKBError):
     """An uncertainty box has too many vertices to enumerate."""
 

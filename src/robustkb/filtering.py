@@ -4,6 +4,11 @@ whiteness diagnostics.
 Both filters run the same explicit Euler recursion on observation increments
 with the gain frozen at the left endpoint of each interval; the classical
 filter is the zero-drift special case, so the two agree bitwise there.
+
+One interval of the recursion is `_filter_step`, applied to time-major
+(batch, n) slices.  `_filter_batch` (and so `run_robust_filter`) runs it over
+a whole path, and the Monte-Carlo MSE (`minimax._mse_mc_multi`) runs it in
+step with the simulation, so both estimate with the same code.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch
-from .model import DriftPolicy, ValidatedModel, zero_policy
+from .model import DriftPolicy, ValidatedModel, _steps, _Steps, zero_policy
 from .ode import RiccatiPath, _policy_array
 
 
@@ -34,26 +39,39 @@ def filter_gains(model: ValidatedModel, riccati: RiccatiPath) -> np.ndarray:
     return np.einsum("kij,kmj,kml->kil", riccati.P[:-1], model.G, model.Rinv)
 
 
+def _filter_step(steps: _Steps, k: int, xhat, dm_k, theta_k, gain_k):
+    """One interval of the recursion on time-major step slices.
+
+    Returns (xhat_{k+1}, dI_k); theta_k and gain_k are in the layout of
+    `steps.per_interval`.
+    """
+    dt = steps.dt
+    di = dm_k - (steps.apply(xhat, steps.G[k]) + steps.g[k]) * dt
+    return (xhat + (steps.apply(xhat, steps.F[k]) + steps.f[k] + theta_k) * dt
+            + steps.apply(di, gain_k)), di
+
+
 def _filter_batch(model: ValidatedModel, riccati: RiccatiPath, dm: np.ndarray,
                   theta: np.ndarray):
     """Run the filter recursion on a batch of observation increment paths.
 
     dm has shape (batch, n_steps, m); returns estimates (batch, n_steps+1, n)
-    and innovation increments (batch, n_steps, m).
+    and innovation increments (batch, n_steps, m), as views of time-major
+    arrays.
     """
-    n, k_steps, dt = model.n, model.n_steps, model.grid.dt
+    n, m, k_steps = model.n, model.m, model.n_steps
     batch = dm.shape[0]
-    gains = filter_gains(model, riccati)
-    xhat = np.empty((batch, k_steps + 1, n))
-    innov = np.empty_like(dm)
-    xhat[:, 0] = model.x0
-    Fs, fs, Gs, gs = model.F, model.f, model.G, model.g
+    steps = _steps(model)
+    gains = steps.per_interval(filter_gains(model, riccati))
+    th = steps.per_interval(theta)
+    dm = steps.slices(np.ascontiguousarray(np.swapaxes(dm, 0, 1)))
+    xhat = np.empty((k_steps + 1, batch, n))
+    innov = np.empty((k_steps, batch, m))
+    xs, di = steps.slices(xhat), steps.slices(innov)
+    xs[0] = model.x0
     for k in range(k_steps):
-        xk = xhat[:, k]
-        di = dm[:, k] - (xk @ Gs[k].T + gs[k]) * dt
-        innov[:, k] = di
-        xhat[:, k + 1] = xk + (xk @ Fs[k].T + fs[k] + theta[k]) * dt + di @ gains[k].T
-    return xhat, innov
+        xs[k + 1], di[k] = _filter_step(steps, k, xs[k], dm[k], th[k], gains[k])
+    return np.swapaxes(xhat, 0, 1), np.swapaxes(innov, 0, 1)
 
 
 def _check_obs(model: ValidatedModel, obs) -> np.ndarray:

@@ -19,17 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoxTooLarge, GridMismatch, UnsupportedClassWarning
-from .filtering import _filter_batch
+from .filtering import _filter_step, filter_gains
 from .model import (
     DriftPolicy,
     UncertaintyBound,
     ValidatedModel,
+    _steps,
     constant_policy,
     zero_policy,
 )
 from .ode import (RiccatiPath, _closed_loop_stages, _policy_array, _propagate,
                   solve_error_stats, solve_riccati)
-from .simulate import _check_seed, _simulate_chunk
+from .simulate import _check_n_paths, _check_seed, _simulate_chunk
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
 
@@ -37,6 +38,8 @@ ADVERSARY_CLASSES = ("constant", "bang_bang")
 _MAX_VERTEX_COMPONENTS = 20
 
 _MC_CHUNK = 1024
+# Most paths mse_monte_carlo runs: 10^4 chunks.
+_MAX_MC_PATHS = 10**7
 
 
 def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
@@ -66,9 +69,11 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     """Sample MSE at several grid nodes from one simulated ensemble.
 
     Paths are processed in fixed-size chunks whose sums are kept per chunk
-    and added in chunk order.  threads is accepted for compatibility and
-    does not change the work or the result.  Returns (means, stderrs) over
-    the requested nodes.
+    and added in chunk order.  Within a chunk the filter steps along with
+    the simulation on time-major slices, fed obs_{k+1} - obs_k (the bits of
+    np.diff), and only the states at the requested nodes are kept.
+    threads is accepted for compatibility and does not change the work or
+    the result.  Returns (means, stderrs) over the requested nodes.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
@@ -81,17 +86,35 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     sub = model.truncate(last) if last < model.n_steps else model
     sub_ric = riccati.prefix(last) if last < model.n_steps else riccati
     th_true = th_true[:last]
-    th_hat = th_hat[:last]
+    steps = _steps(sub)
+    th_hat = steps.per_interval(th_hat[:last])
+    gains = steps.per_interval(filter_gains(sub, sub_ric))
+    slots = {}
+    for pos, node in enumerate(idx.tolist()):
+        slots.setdefault(node, []).append(pos)
 
     starts = range(0, n_paths, _MC_CHUNK)
     sq_sum = np.zeros((len(starts), idx.size))
     sq_sumsq = np.zeros((len(starts), idx.size))
     for ci, j0 in enumerate(starts):
         count = min(_MC_CHUNK, n_paths - j0)
-        x, obs, _, _, _ = _simulate_chunk(sub, th_true, seed, j0, count, 0,
-                                          need_density=False)
-        xhat, _ = _filter_batch(sub, sub_ric, np.diff(obs, axis=1), th_hat)
-        err = x[:, idx] - xhat[:, idx]
+        _, _, states = _simulate_chunk(sub, th_true, seed, j0, count, 0)
+        x_at = np.empty((idx.size, count, sub.n))
+        xhat_at = np.empty_like(x_at)
+        xs_at, xh_at = steps.slices(x_at), steps.slices(xhat_at)
+        for k, (xk, obs_k) in enumerate(states):
+            if k == 0:
+                xhat = xk  # both start at x0; no slice is written in place
+            else:
+                xhat, _ = _filter_step(steps, k - 1, xhat, obs_k - obs_prev,
+                                       th_hat[k - 1], gains[k - 1])
+            obs_prev = obs_k
+            for pos in slots.get(k, ()):
+                xs_at[pos] = xk
+                xh_at[pos] = xhat
+        # (count, nodes, n) in the layout x[:, idx] had, so the sums below
+        # keep their order.
+        err = np.swapaxes(x_at - xhat_at, 0, 1)
         sq = np.einsum("bki,bki->bk", err, err)
         sq_sum[ci] = sq.sum(axis=0)
         sq_sumsq[ci] = (sq * sq).sum(axis=0)
@@ -115,9 +138,11 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
     with theta_hat, average the squared error over n_paths.
 
     Returns (estimate, standard error); the standard error is NaN for a
-    single path.
+    single path.  n_paths must be a positive integer of at most 10**7, else
+    InvalidPathCount is raised before any work.
     """
     seed = _check_seed("seed", seed)
+    n_paths = _check_n_paths(n_paths, _MAX_MC_PATHS, "the Monte-Carlo path cap")
     if riccati is None:
         riccati = solve_riccati(model)
     t_idx = model.grid.index_of(t)

@@ -337,3 +337,46 @@ def clamp_policy(policy: DriftPolicy, bound: UncertaintyBound) -> DriftPolicy:
             f"bound has dim {bound.dim}, policy has dim {policy.dim}"
         )
     return DriftPolicy(np.clip(policy.theta, -bound.mu, bound.mu))
+
+
+def _per_interval(a: np.ndarray, scalar: bool):
+    """A (K, d) or (K, d, e) schedule as the step loops index it: Python
+    floats for a scalar model, vectors as they are, matrices transposed."""
+    if scalar:
+        return a.reshape(len(a)).tolist()
+    return np.swapaxes(a, 1, 2) if a.ndim == 3 else a
+
+
+@dataclass(frozen=True)
+class _Steps:
+    """Per-interval coefficients in the layout of the time-major step loops.
+
+    For n = m = 1 a state slice is a (batch,) array and every coefficient a
+    Python float, applied with *; otherwise slices are (batch, n) or
+    (batch, m) arrays and every matrix is kept transposed and applied with
+    @.  A 1x1 product has a single term, so both give the bits of
+    x_k @ F_k'.
+    """
+
+    scalar: bool
+    dt: float
+    F: object  # F_k'
+    f: object
+    G: object  # G_k'
+    g: object
+
+    def apply(self, x, a):
+        return x * a if self.scalar else x @ a
+
+    def per_interval(self, a: np.ndarray):
+        return _per_interval(a, self.scalar)
+
+    def slices(self, a: np.ndarray) -> np.ndarray:
+        """View of a time-major (K, batch, d) array whose [k] is a step slice."""
+        return a[..., 0] if self.scalar else a
+
+
+def _steps(model: ValidatedModel) -> _Steps:
+    scalar = model.n == 1 and model.m == 1
+    return _Steps(scalar, model.grid.dt,
+                  *(_per_interval(a, scalar) for a in (model.F, model.f, model.G, model.g)))

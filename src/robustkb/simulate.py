@@ -10,6 +10,14 @@ indices, and one reused PCG64 generator is set to each path's starting state
 in turn, which gives the same bits as one SeedSequence and generator per
 stream.  The ``threads`` arguments are accepted but split no work; all
 chunks run in turn on the calling thread.
+
+Inside a chunk every array is time-major: the noise increments are
+(K, batch, d) and the Euler loop steps contiguous (batch, d) slices, one
+per interval, through `_euler_step`.  Every product and sum is the one the
+path-major loop took, in the same order, so the layout never changes a
+bit.  `simulate_paths` copies each chunk back into the path-major arrays of
+`PathEnsemble`; the Monte-Carlo MSE (`minimax._mse_mc_multi`) consumes the
+states one step at a time and keeps only the nodes it reads.
 """
 from __future__ import annotations
 
@@ -17,13 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, InvalidSeed, UnsupportedTilt
-from .model import DriftPolicy, ValidatedModel
+from .errors import (DimensionMismatch, GridMismatch, InvalidPathCount, InvalidSeed,
+                     UnsupportedTilt)
+from .model import DriftPolicy, ValidatedModel, _steps, _Steps
 from .ode import _policy_array
 
 _SIGNAL_TAG = 0
 _OBS_TAG = 1
 _CHUNK = 2048
+
+# Largest ensemble simulate_paths returns: x, m, dw, dv and log_density.
+_MAX_ENSEMBLE_BYTES = 4 << 30
 
 # Signal-noise directions with variance below this carry no tilt.
 _TILT_EIG_FLOOR = 1e-10
@@ -45,6 +57,18 @@ def _check_seed(name: str, value) -> int:
             or not isinstance(value, (int, np.integer)) or value < 0):
         raise InvalidSeed(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _check_n_paths(n_paths, limit: int, what: str) -> int:
+    """A path count as a Python int in 1..limit; raises InvalidPathCount."""
+    if (isinstance(n_paths, (bool, np.bool_))
+            or not isinstance(n_paths, (int, np.integer))):
+        raise InvalidPathCount(f"n_paths must be an integer, got {n_paths!r}")
+    if n_paths < 1:
+        raise InvalidPathCount(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths > limit:
+        raise InvalidPathCount(f"n_paths = {n_paths} exceeds {limit}, {what}")
+    return int(n_paths)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -143,12 +167,48 @@ def _standard_normals(master_seed: int, first: int, count: int, tag: int,
     return out
 
 
+def _lane_sum(terms: list) -> np.ndarray:
+    """sum(terms) in the order of NumPy's 128-bit einsum kernel for fewer
+    than 8 terms: the even-indexed terms in turn, plus the odd-indexed ones
+    in turn."""
+    even, odd = terms[0], terms[1] if len(terms) > 1 else 0.0
+    for t in terms[2::2]:
+        even = even + t
+    for t in terms[3::2]:
+        odd = odd + t
+    return even + odd
+
+
+def _increments(model: ValidatedModel, master_seed: int, first: int,
+                count: int, tag: int, factor: np.ndarray) -> np.ndarray:
+    """factor_k times the standard normals of stream tag, times sqrt(dt):
+    time-major (K, count, d) increments of paths first..first+count-1.
+
+    The products are summed over j as einsum("kij,bkj->bki") sums them, so
+    the bits do not depend on the layout.  For 2 <= d < 8 the sum runs as
+    whole-array multiply-adds over a component-major copy of the draws,
+    which skips einsum's per-entry overhead.
+    """
+    d = factor.shape[-1]
+    xi = _standard_normals(master_seed, first, count, tag, (model.n_steps, d))
+    if d == 1 or d >= 8:
+        out = np.einsum("kij,kbj->kbi", factor, np.swapaxes(xi, 0, 1))
+    else:
+        cols = np.ascontiguousarray(xi.transpose(2, 1, 0))  # (d, K, count)
+        out = np.empty((model.n_steps, count, d))
+        for i in range(d):
+            out[..., i] = _lane_sum([factor[:, i, j, None] * cols[j] for j in range(d)])
+        out += 0.0  # einsum adds its sum to a zeroed output: no -0.0
+    out *= np.sqrt(model.grid.dt)
+    return out
+
+
 def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
                   count: int) -> np.ndarray:
-    """Untilted signal increments Q^(1/2) dB of paths first..first+count-1."""
-    xi = _standard_normals(master_seed, first, count, _SIGNAL_TAG,
-                           (model.n_steps, model.n))
-    return np.einsum("kij,bkj->bki", model.Q_sqrt, xi) * np.sqrt(model.grid.dt)
+    """Untilted signal increments Q^(1/2) dB of paths first..first+count-1,
+    as a path-major (count, K, n) view."""
+    return np.swapaxes(_increments(model, master_seed, first, count,
+                                   _SIGNAL_TAG, model.Q_sqrt), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -194,25 +254,32 @@ def _tilt_factors(theta: np.ndarray, model: ValidatedModel):
 
 def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
                        model: ValidatedModel) -> np.ndarray:
-    """Log likelihood ratio sum_k theta_k' dw_std_k - 0.5 sum_k |theta_k|^2 dt.
+    """Log likelihood ratio sum_k theta_k' dw_std_k - 0.5 sum_k |theta_k|^2 dt
+    of path-major increments dw (batch, K, n).
 
     Increments are standardized by the Cholesky factor of Q per interval;
     theta itself is read as a tilt of the standardized noise, which for
     identity Q coincides with the state-equation drift.  Intervals with zero
     tilt contribute exactly zero whatever Q is.
     """
+    return _log_density_tm(theta, np.swapaxes(dw, 0, 1), model)
+
+
+def _log_density_tm(theta: np.ndarray, dw: np.ndarray,
+                    model: ValidatedModel) -> np.ndarray:
+    """_log_density_batch of time-major increments dw (K, batch, n)."""
     dt = model.grid.dt
     active, chol = _tilt_factors(theta, model)
-    out = np.zeros(dw.shape[0])
+    out = np.zeros(dw.shape[1])
     if active.size == 0:
         return out
     th = theta[active]
     # theta_k' L_k^-1 dw_k = u_k' dw_k with u_k = L_k^-T theta_k: one solve
-    # per interval instead of one per path and interval.  The increments are
-    # copied interval-major, the layout the per-path solves produced, so the
-    # sum runs in the same order and Q = I gives the same bits.
+    # per interval instead of one per path and interval.  The sum always
+    # runs over an interval-major copy, so the layout of dw never changes
+    # its order, and Q = I gives the bits of the per-path solves.
     u = np.linalg.solve(np.swapaxes(chol, -1, -2), th[..., None])[..., 0]
-    dw_kb = np.ascontiguousarray(np.swapaxes(dw, 0, 1)[active])
+    dw_kb = np.ascontiguousarray(dw[active])
     out += np.einsum("kj,bkj->b", u, np.swapaxes(dw_kb, 0, 1))
     out -= 0.5 * dt * float(np.einsum("kj,kj->", th, th))
     return out
@@ -229,32 +296,49 @@ def girsanov_log_density(theta, dw: np.ndarray, model: ValidatedModel) -> float:
     return float(_log_density_batch(th, dw[None], model)[0])
 
 
+def _euler_step(steps: _Steps, k: int, x, obs, theta_k, dw_k, dv_k):
+    """One Euler-Maruyama interval on time-major slices: (x_{k+1}, obs_{k+1})."""
+    dt = steps.dt
+    return (x + (steps.apply(x, steps.F[k]) + steps.f[k] + theta_k) * dt + dw_k,
+            obs + (steps.apply(x, steps.G[k]) + steps.g[k]) * dt + dv_k)
+
+
+def _initial_state(steps: _Steps, value: np.ndarray, count: int) -> np.ndarray:
+    """A contiguous step slice holding value on every path."""
+    out = np.empty((count, value.shape[0]))
+    out[:] = value
+    return out[:, 0] if steps.scalar else out
+
+
+def _euler_states(model: ValidatedModel, steps: _Steps, theta: np.ndarray,
+                  dw_tilt: np.ndarray, dv: np.ndarray):
+    """Yield the states (x_k, obs_k), k = 0..K, driven by the time-major
+    increments dw_tilt and dv, as fresh step slices."""
+    count = dw_tilt.shape[1]
+    x = _initial_state(steps, model.x0, count)
+    obs = _initial_state(steps, np.zeros(model.m), count)
+    yield x, obs
+    theta = steps.per_interval(theta)
+    dw_tilt, dv = steps.slices(dw_tilt), steps.slices(dv)
+    for k in range(model.n_steps):
+        x, obs = _euler_step(steps, k, x, obs, theta[k], dw_tilt[k], dv[k])
+        yield x, obs
+
+
 def _simulate_chunk(model: ValidatedModel, theta: np.ndarray, master_seed: int,
-                    j0: int, count: int, path_offset: int,
-                    need_density: bool = True):
-    """Simulate paths with absolute indices j0..j0+count-1."""
-    n, m, k_steps = model.n, model.m, model.n_steps
-    dt = model.grid.dt
-    sqrt_dt = np.sqrt(dt)
+                    j0: int, count: int, path_offset: int):
+    """Noise and Euler states of the paths with absolute indices
+    path_offset + j0 .. path_offset + j0 + count - 1, time-major.
 
+    Returns (dw_tilt, dv, states): the untilted signal increments
+    (K, count, n), the observation increments (K, count, m), and a
+    generator of the states (x_k, obs_k), k = 0..K, as slices in the layout
+    of `model._steps`.
+    """
     first = path_offset + j0
-    dw_tilt = _signal_noise(model, master_seed, first, count)
-    eta = _standard_normals(master_seed, first, count, _OBS_TAG, (k_steps, m))
-    dv = np.einsum("kij,bkj->bki", model.R_chol, eta) * sqrt_dt
-
-    x = np.empty((count, k_steps + 1, n))
-    obs = np.empty((count, k_steps + 1, m))
-    x[:, 0] = model.x0
-    obs[:, 0] = 0.0
-    Fs, fs, Gs, gs = model.F, model.f, model.G, model.g
-    for k in range(k_steps):
-        xk = x[:, k]
-        x[:, k + 1] = xk + (xk @ Fs[k].T + fs[k] + theta[k]) * dt + dw_tilt[:, k]
-        obs[:, k + 1] = obs[:, k] + (xk @ Gs[k].T + gs[k]) * dt + dv[:, k]
-
-    dw = dw_tilt + theta * dt
-    logw = _log_density_batch(theta, dw, model) if need_density else np.zeros(count)
-    return x, obs, dw, dv, logw
+    dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
+    dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol)
+    return dw_tilt, dv, _euler_states(model, _steps(model), theta, dw_tilt, dv)
 
 
 def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
@@ -264,15 +348,21 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     Paths are generated in fixed chunks; path_offset shifts the absolute
     path indices so a large run can be split across calls and still match a
     monolithic run bitwise.  threads is accepted for compatibility and does
-    not change the work or the result.
+    not change the work or the result.  n_paths must be a positive integer
+    whose ensemble fits in 4 GiB, else InvalidPathCount is raised before
+    any allocation.
     """
     master_seed = _check_seed("master_seed", master_seed)
     path_offset = _check_seed("path_offset", path_offset)
     th = _policy_array(theta, model, "theta")
     policy = theta if isinstance(theta, DriftPolicy) else DriftPolicy(th)
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n, m, k_steps = model.n, model.m, model.n_steps
+    path_bytes = 8 * ((2 * k_steps + 1) * (n + m) + 1)
+    n_paths = _check_n_paths(n_paths, _MAX_ENSEMBLE_BYTES // path_bytes,
+                             f"the most whose ensemble fits in "
+                             f"{_MAX_ENSEMBLE_BYTES >> 30} GiB")
+    steps = _steps(model)
+    tilt = th[:, None] * model.grid.dt
 
     x = np.empty((n_paths, k_steps + 1, n))
     obs = np.empty((n_paths, k_steps + 1, m))
@@ -282,8 +372,18 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     for j0 in range(0, n_paths, _CHUNK):
         count = min(_CHUNK, n_paths - j0)
         sl = slice(j0, j0 + count)
-        x[sl], obs[sl], dw[sl], dv[sl], logw[sl] = _simulate_chunk(
-            model, th, master_seed, j0, count, path_offset)
+        dw_tilt, dv_c, states = _simulate_chunk(model, th, master_seed, j0,
+                                                count, path_offset)
+        x_c = np.empty((k_steps + 1, count, n))
+        obs_c = np.empty((k_steps + 1, count, m))
+        xs, ms = steps.slices(x_c), steps.slices(obs_c)
+        for k, (xk, obs_k) in enumerate(states):
+            xs[k] = xk
+            ms[k] = obs_k
+        dw_c = dw_tilt + tilt
+        logw[sl] = _log_density_tm(th, dw_c, model)
+        for out, chunk in ((x, x_c), (obs, obs_c), (dw, dw_c), (dv, dv_c)):
+            out[sl] = np.swapaxes(chunk, 0, 1)
 
     for arr in (x, obs, dw, dv, logw):
         arr.setflags(write=False)
