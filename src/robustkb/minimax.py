@@ -26,7 +26,6 @@ from .model import (
     ValidatedModel,
     _steps,
     constant_policy,
-    zero_policy,
 )
 from .ode import (RiccatiPath, _closed_loop_stages, _policy_array, _propagate,
                   solve_error_stats, solve_riccati)
@@ -332,7 +331,9 @@ def saddle_report(model: ValidatedModel, bound: UncertaintyBound, t: float,
     theta_hat_star, _ = robust_theta_hat(model, bound, t, riccati=riccati)
     upper, theta_star = worst_case_mse(model, bound, theta_hat_star, t,
                                        adversary=adversary, riccati=riccati)
-    lower = mse_exact(model, zero_policy(model), zero_policy(model), t, riccati)
+    # Matched drifts leave the error covariance at P: the lower value is
+    # tr P_t, read off the covariance path.
+    lower = float(np.trace(riccati.P[t_idx]))
     return SaddleReport(
         t=float(model.grid.times[t_idx]),
         estimator_class="constant",
@@ -340,8 +341,8 @@ def saddle_report(model: ValidatedModel, bound: UncertaintyBound, t: float,
         theta_hat_star=theta_hat_star,
         theta_star=theta_star,
         upper_value=float(upper),
-        lower_value=float(lower),
+        lower_value=lower,
         duality_gap=float(upper - lower),
-        baseline_trace_p=float(np.trace(riccati.P[t_idx])),
+        baseline_trace_p=lower,
         notes=_SADDLE_NOTES,
     )
