@@ -262,11 +262,16 @@ def cmd_minimax(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, digest = _load_config(args)
-    report = run_verification(cfg, args.seed, threads=args.threads)
+    timings = [] if args.timings else None
+    report = run_verification(cfg, args.seed, threads=args.threads,
+                              timings=timings)
     payload = report.to_dict()
     payload["config_sha256"] = digest
     json_path = _out_path(args, "verify_report.json")
     write_json(json_path, payload)
+    if timings is not None:
+        write_json(args.timings, {"seed": args.seed, "config_sha256": digest,
+                                  "checks": timings})
     width = max(len(r.name) for r in report.results)
     for r in report.results:
         status = "PASS" if r.passed else ("SKIP" if not r.applicable else "FAIL")
@@ -338,6 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the full verification suite")
     _common(p)
+    p.add_argument("--timings", default=None, metavar="FILE",
+                   help="also write per-check wall time, paths and "
+                        "path-steps to this JSON file")
     p.set_defaults(func=cmd_verify)
     return parser
 

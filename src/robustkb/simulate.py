@@ -37,6 +37,15 @@ _CHUNK = 2048
 # Largest ensemble simulate_paths returns: x, m, dw, dv and log_density.
 _MAX_ENSEMBLE_BYTES = 4 << 30
 
+# Paths and path-steps simulated so far in this process; verification reads
+# the counts around each check for its timings sidecar.
+_work = {"paths": 0, "path_steps": 0}
+
+
+def _count_work(model: ValidatedModel, count: int) -> None:
+    _work["paths"] += count
+    _work["path_steps"] += count * model.n_steps
+
 # Signal-noise directions with variance below this carry no tilt.
 _TILT_EIG_FLOOR = 1e-10
 
@@ -207,6 +216,7 @@ def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
                   count: int) -> np.ndarray:
     """Untilted signal increments Q^(1/2) dB of paths first..first+count-1,
     as a path-major (count, K, n) view."""
+    _count_work(model, count)
     return np.swapaxes(_increments(model, master_seed, first, count,
                                    _SIGNAL_TAG, model.Q_sqrt), 0, 1)
 
@@ -335,6 +345,7 @@ def _simulate_chunk(model: ValidatedModel, theta: np.ndarray, master_seed: int,
     generator of the states (x_k, obs_k), k = 0..K, as slices in the layout
     of `model._steps`.
     """
+    _count_work(model, count)
     first = path_offset + j0
     dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
     dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol)

@@ -9,6 +9,7 @@ whatever the parallelism.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import _log_density_batch, _signal_noise, simulate_paths
+from .simulate import _log_density_batch, _signal_noise, _work, simulate_paths
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
@@ -575,8 +576,22 @@ ALL_CHECKS = (
 )
 
 
-def run_verification(config: ScenarioConfig, seed: int,
-                     threads: int = 1) -> VerificationReport:
-    """Run every check against one scenario."""
-    results = tuple(chk(config, seed, threads) for chk in ALL_CHECKS)
-    return VerificationReport(seed=int(seed), results=results)
+def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
+                     timings: list | None = None) -> VerificationReport:
+    """Run every check against one scenario.
+
+    If timings is a list, one dict per check is appended to it: the check's
+    name, its wall time in seconds, and the paths and path-steps it
+    simulated.  None of it enters the report.
+    """
+    results = []
+    for chk in ALL_CHECKS:
+        paths, path_steps = _work["paths"], _work["path_steps"]
+        start = time.perf_counter()
+        results.append(chk(config, seed, threads))
+        if timings is not None:
+            timings.append({"name": results[-1].name,
+                            "wall_s": time.perf_counter() - start,
+                            "paths": _work["paths"] - paths,
+                            "path_steps": _work["path_steps"] - path_steps})
+    return VerificationReport(seed=int(seed), results=tuple(results))

@@ -299,6 +299,29 @@ def test_verify_fails_on_a_coarse_grid(tmp_path, capsys):
     assert "riccati_transient" in names or "riccati_steady_state" in names
 
 
+def test_verify_timings_sidecar_leaves_the_report_alone(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, T=2.0, n_steps=4)
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    sidecar = tmp_path / "timings.json"
+    assert main(["verify", "--config", cfg, "--out", str(plain)]) == 1
+    out_plain = capsys.readouterr().out
+    assert main(["verify", "--config", cfg, "--out", str(timed),
+                 "--timings", str(sidecar)]) == 1
+    out_timed = capsys.readouterr().out
+    assert out_timed.replace(str(timed), str(plain)) == out_plain
+    report = (plain / "verify_report.json").read_bytes()
+    assert (timed / "verify_report.json").read_bytes() == report
+    names = [c["name"] for c in json.loads(report)["checks"]]
+    checks = json.loads(sidecar.read_text())["checks"]
+    assert [c["name"] for c in checks] == names
+    assert all(c["wall_s"] >= 0.0 for c in checks)
+    by_name = {c["name"]: c for c in checks}
+    # matched_mse runs 10_000 paths over all 4 steps; the Riccati check none.
+    assert (by_name["matched_mse"]["paths"], by_name["matched_mse"]["path_steps"]) \
+        == (10_000, 40_000)
+    assert by_name["riccati_steady_state"]["paths"] == 0
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -321,3 +344,5 @@ def test_usage_errors(tmp_path, capsys):
                "--out", out])
     assert rc == 2
     assert "nope.json" in capsys.readouterr().err
+    assert main(["simulate", "--paths", "0", "--out", out]) == 2
+    assert "n_paths must be >= 1" in capsys.readouterr().err

@@ -29,6 +29,7 @@ from robustkb import (
     zero_policy,
 )
 
+import path_major
 from oracles import UPPER_ONE
 
 
@@ -101,6 +102,51 @@ def test_monte_carlo_is_deterministic(fast_model, fast_riccati):
     b = mse_monte_carlo(fast_model, theta, theta, 1.0, n_paths=500, seed=9,
                         riccati=fast_riccati, threads=4)
     assert a == b
+
+
+LAYOUT_MODELS = path_major.layout_models()
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+@pytest.mark.parametrize("n_paths", [1, 1024, 1025, 2049])
+def test_monte_carlo_matches_the_path_major_loop(name, n_paths):
+    """The time-major MC with its rolling state gives the bits of the
+    path-major simulate, np.diff and filter chunks."""
+    model = LAYOUT_MODELS[name]
+    riccati = solve_riccati(model)
+    k = np.arange(model.n_steps)[:, None]
+    theta_true = 0.5 * np.sin(k + np.arange(model.n))
+    theta_hat = np.full((model.n_steps, model.n), -0.2)
+    K = model.n_steps
+    for idx in ([0, K], [K // 2], [3, 0, K, 3], [0]):
+        got = minimax._mse_mc_multi(model, riccati, theta_true, theta_hat, idx,
+                                    n_paths, 12)
+        want = path_major.mse_mc(model, riccati, theta_true, theta_hat, idx,
+                                 n_paths, 12)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), (idx, g, w)
+
+
+@pytest.mark.parametrize("n_paths", [10**12, minimax._MAX_MC_PATHS + 1, 0, 2.5,
+                                     True, np.float64(3.0)])
+def test_monte_carlo_rejects_bad_path_counts(fast_model, monkeypatch, n_paths):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before n_paths was checked")
+
+    monkeypatch.setattr(minimax, "solve_riccati", no_work)
+    monkeypatch.setattr(minimax, "_simulate_chunk", no_work)
+    theta = np.zeros((fast_model.n_steps, 1))
+    with pytest.raises(rk.InvalidPathCount, match="n_paths") as info:
+        mse_monte_carlo(fast_model, theta, theta, 1.0, n_paths=n_paths, seed=0)
+    assert isinstance(info.value, ValueError)
+
+
+def test_monte_carlo_accepts_numpy_path_counts(fast_model, fast_riccati):
+    theta = np.zeros((fast_model.n_steps, 1))
+    a = mse_monte_carlo(fast_model, theta, theta, 0.5, n_paths=np.int32(40),
+                        seed=2, riccati=fast_riccati)
+    assert a == mse_monte_carlo(fast_model, theta, theta, 0.5, n_paths=40,
+                                seed=2, riccati=fast_riccati)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import robustkb as rk
 from robustkb import (
     DimensionMismatch,
     GridMismatch,
+    InvalidPathCount,
     InvalidSeed,
     ModelSchedule,
     TimeGrid,
@@ -20,7 +21,10 @@ from robustkb import (
     simulate_paths,
     validate_model,
 )
-from robustkb.simulate import _log_density_batch, _signal_noise
+from robustkb.filtering import _filter_batch
+from robustkb.simulate import _increments, _log_density_batch, _signal_noise
+
+import path_major
 
 
 @pytest.fixture(scope="module")
@@ -191,9 +195,105 @@ def test_monte_carlo_rejects_invalid_seed(fast_model, monkeypatch, seed):
                            seed=seed)
 
 
+@pytest.mark.parametrize("n_paths", [10**12, 0, -3, 2.0, True, np.float64(5), "5"])
+def test_bad_path_count_raises_before_allocation(free_model, monkeypatch, n_paths):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before n_paths was checked")
+
+    monkeypatch.setattr(rk.simulate, "_simulate_chunk", no_work)
+    # A count that passed the check would reach np.empty and fail there.
+    with pytest.raises(InvalidPathCount, match="n_paths") as info:
+        simulate_paths(free_model, _const_theta(free_model, 0.0), n_paths,
+                       master_seed=1)
+    assert isinstance(info.value, ValueError)
+
+
+def test_path_count_cap_is_the_ensemble_size(free_model):
+    # 50 steps, n = m = 1: 8 * (101 * 2 + 1) bytes per path.
+    cap = rk.simulate._MAX_ENSEMBLE_BYTES // (8 * 203)
+    with pytest.raises(InvalidPathCount, match=str(cap)):
+        simulate_paths(free_model, _const_theta(free_model, 0.0), cap + 1,
+                       master_seed=1)
+    ens = simulate_paths(free_model, _const_theta(free_model, 0.0), np.int64(3),
+                         master_seed=1)
+    assert ens.n_paths == 3
+
+
 def test_signal_streams_reject_a_negative_seed(free_model):
     with pytest.raises(InvalidSeed):
         _signal_noise(free_model, -7, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Time-major layout against the path-major loops
+
+
+LAYOUT_MODELS = path_major.layout_models()
+
+
+def _layout_tilt(model):
+    k = np.arange(model.n_steps)[:, None]
+    return 0.4 * np.cos(k + np.arange(model.n)) - 0.1
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+@pytest.mark.parametrize("n_paths", [1, 1024, 1025, 2049])
+@pytest.mark.parametrize("offset", [0, 1025])
+def test_simulation_matches_the_path_major_loop(name, n_paths, offset):
+    model = LAYOUT_MODELS[name]
+    theta = _layout_tilt(model)
+    ens = simulate_paths(model, theta, n_paths, master_seed=21, path_offset=offset)
+    want = path_major.simulate(model, theta, n_paths, 21, offset)
+    for field, ref in zip(("x", "m", "dw", "dv", "log_density"), want):
+        assert _same_bits(getattr(ens, field), ref), field
+
+
+@pytest.mark.xfail(strict=True, reason="the log-density einsum sums in an order "
+                   "that depends on the chunk's path count")
+def test_log_density_ignores_the_chunking():
+    model = LAYOUT_MODELS["n2"]
+    theta = _layout_tilt(model)
+    whole = simulate_paths(model, theta, 2049, master_seed=4)
+    parts = [simulate_paths(model, theta, count, master_seed=4, path_offset=off)
+             for off, count in ((0, 1025), (1025, 1024))]
+    assert _same_bits(np.concatenate([p.x for p in parts]), whole.x)
+    assert _same_bits(np.concatenate([p.log_density for p in parts]),
+                      whole.log_density)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+def test_filter_matches_the_path_major_loop(name):
+    model = LAYOUT_MODELS[name]
+    riccati = rk.solve_riccati(model)
+    ens = simulate_paths(model, _layout_tilt(model), 7, master_seed=8)
+    dm = np.diff(ens.m, axis=1)
+    theta_hat = -0.5 * _layout_tilt(model)
+    want_x, want_i = path_major.filter_paths(model, riccati, dm, theta_hat)
+    got_x, got_i = _filter_batch(model, riccati, dm, theta_hat)
+    assert _same_bits(got_x, want_x) and _same_bits(got_i, want_i)
+    # One path runs as a batch of one, whose products may round differently.
+    one_x, one_i = path_major.filter_paths(model, riccati, dm[4:5], theta_hat)
+    run = rk.run_robust_filter(model, riccati, theta_hat, ens.m[4])
+    assert _same_bits(run.xhat, one_x[0]) and _same_bits(run.innovations, one_i[0])
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_noise_increments_sum_in_einsum_order(free_model, d):
+    """The multiply-adds give einsum's bits, zero factor entries included."""
+    rng = np.random.default_rng(d)
+    factor = rng.normal(size=(free_model.n_steps, d, d))
+    factor[::3] = 0.0
+    factor[1::3, :, 0] = 0.0
+    xi = rk.simulate._standard_normals(6, 2, 9, 1, (free_model.n_steps, d))
+    want = (np.einsum("kij,bkj->bki", factor, xi)
+            * np.sqrt(free_model.grid.dt))
+    got = _increments(free_model, 6, 2, 9, 1, factor)
+    assert _same_bits(np.ascontiguousarray(np.swapaxes(got, 0, 1)), want)
 
 
 # ---------------------------------------------------------------------------
