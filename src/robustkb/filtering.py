@@ -67,10 +67,10 @@ def _filter_batch(model: ValidatedModel, riccati: RiccatiPath, dm: np.ndarray,
     dm = steps.slices(np.ascontiguousarray(np.swapaxes(dm, 0, 1)))
     xhat = np.empty((k_steps + 1, batch, n))
     innov = np.empty((k_steps, batch, m))
-    xs, di = steps.slices(xhat), steps.slices(innov)
+    xs, dis = steps.slices(xhat), steps.slices(innov)
     xs[0] = model.x0
     for k in range(k_steps):
-        xs[k + 1], di[k] = _filter_step(steps, k, xs[k], dm[k], th[k], gains[k])
+        xs[k + 1], dis[k] = _filter_step(steps, k, xs[k], dm[k], th[k], gains[k])
     return np.swapaxes(xhat, 0, 1), np.swapaxes(innov, 0, 1)
 
 
