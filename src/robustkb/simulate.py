@@ -177,10 +177,10 @@ def _standard_normals(master_seed: int, first: int, count: int, tag: int,
 
 
 def _lane_sum(terms: list) -> np.ndarray:
-    """sum(terms) in the order of NumPy's 128-bit einsum kernel for fewer
-    than 8 terms: the even-indexed terms in turn, plus the odd-indexed ones
-    in turn."""
-    even, odd = terms[0], terms[1] if len(terms) > 1 else 0.0
+    """sum(terms) in the order of NumPy's 128-bit einsum kernel for 2 to 7
+    terms: the even-indexed terms in turn, plus the odd-indexed ones in
+    turn."""
+    even, odd = terms[0], terms[1]
     for t in terms[2::2]:
         even = even + t
     for t in terms[3::2]:
