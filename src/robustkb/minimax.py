@@ -37,7 +37,9 @@ ADVERSARY_CLASSES = ("constant", "bang_bang")
 _MAX_VERTEX_COMPONENTS = 20
 
 _MC_CHUNK = 1024
-# Most paths mse_monte_carlo runs: 10^4 chunks.
+# Most paths mse_monte_carlo runs: 10^4 chunks.  A fixed policy limit, not a
+# reading of the machine: a chunk's memory does not grow with n_paths, and
+# the largest Monte-Carlo run in this package (verification) uses 10^4 paths.
 _MAX_MC_PATHS = 10**7
 
 
@@ -84,8 +86,8 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
         return zeros, (zeros.copy() if n_paths > 1 else np.full(idx.size, np.nan))
     sub = model.truncate(last) if last < model.n_steps else model
     sub_ric = riccati.prefix(last) if last < model.n_steps else riccati
-    th_true = th_true[:last]
     steps = _steps(sub)
+    th_true = steps.per_interval(th_true[:last])
     th_hat = steps.per_interval(th_hat[:last])
     gains = steps.per_interval(filter_gains(sub, sub_ric))
     slots = {}
@@ -97,7 +99,7 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     sq_sumsq = np.zeros((len(starts), idx.size))
     for ci, j0 in enumerate(starts):
         count = min(_MC_CHUNK, n_paths - j0)
-        _, _, states = _simulate_chunk(sub, th_true, seed, j0, count, 0)
+        _, _, states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)
         x_at = np.empty((idx.size, count, sub.n))
         xhat_at = np.empty_like(x_at)
         xs_at, xh_at = steps.slices(x_at), steps.slices(xhat_at)
@@ -137,8 +139,9 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
     with theta_hat, average the squared error over n_paths.
 
     Returns (estimate, standard error); the standard error is NaN for a
-    single path.  n_paths must be a positive integer of at most 10**7, else
-    InvalidPathCount is raised before any work.
+    single path.  n_paths must be a positive integer of at most 10**7, a
+    fixed policy limit on the run time, else InvalidPathCount is raised
+    before any work.
     """
     seed = _check_seed("seed", seed)
     n_paths = _check_n_paths(n_paths, _MAX_MC_PATHS, "the Monte-Carlo path cap")

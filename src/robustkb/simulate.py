@@ -21,6 +21,7 @@ states one step at a time and keeps only the nodes it reads.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,10 @@ _SIGNAL_TAG = 0
 _OBS_TAG = 1
 _CHUNK = 2048
 
-# Largest ensemble simulate_paths returns: x, m, dw, dv and log_density.
+# Largest ensemble simulate_paths returns: x, m, dw, dv and log_density.  A
+# fixed policy limit, not a reading of the machine's memory: it turns a
+# runaway n_paths into a named error, far above the 3000 paths of the
+# largest call in this package (verification's determinism check).
 _MAX_ENSEMBLE_BYTES = 4 << 30
 
 # Paths and path-steps simulated so far in this process; verification reads
@@ -176,16 +180,49 @@ def _standard_normals(master_seed: int, first: int, count: int, tag: int,
     return out
 
 
-def _lane_sum(terms: list) -> np.ndarray:
-    """sum(terms) in the order of NumPy's 128-bit einsum kernel for 2 to 7
-    terms: the even-indexed terms in turn, plus the odd-indexed ones in
-    turn."""
-    even, odd = terms[0], terms[1]
-    for t in terms[2::2]:
-        even = even + t
-    for t in terms[3::2]:
-        odd = odd + t
-    return even + odd
+def _lane_sum(factor_i: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_j factor_i[:, j] * cols[j] over 2 to 7 terms in the order of a
+    128-bit einsum reduction: the even-indexed products in turn, plus the
+    odd-indexed ones in turn."""
+    lanes = [factor_i[:, j, None] * cols[j] for j in (0, 1)]
+    for j in range(2, len(cols)):
+        lanes[j % 2] += factor_i[:, j, None] * cols[j]
+    lanes[0] += lanes[1]
+    return lanes[0]
+
+
+def _lane_products(factor: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """einsum("kij,bkj->kbi") of factor and draws xi, for 2 <= d < 8, as
+    whole-array multiply-adds over the component-major draws
+    cols = xi.transpose(2, 1, 0), contiguous."""
+    d, k_steps, count = cols.shape
+    out = np.empty((k_steps, count, d))
+    for i in range(d):
+        out[..., i] = _lane_sum(factor[:, i], cols)
+    out += 0.0  # einsum adds its sum to a zeroed output: no -0.0
+    return out
+
+
+@functools.cache
+def _lane_sum_is_einsum() -> bool:
+    """Whether `_lane_products` gives this NumPy build's einsum bits.
+
+    It does where einsum's reduction adds in two 128-bit lanes with separate
+    multiplies and adds, as the x86-64 baseline build does; a fused or wider
+    kernel (NEON, say) sums differently, and `_increments` then calls
+    einsum for every d.
+    """
+    rng = np.random.default_rng(0)
+    for d in range(2, 8):
+        factor = rng.normal(size=(3, d, d))
+        factor[0] = 0.0
+        factor[1, :, 0] = 0.0
+        xi = rng.normal(size=(5, 3, d))
+        want = np.einsum("kij,bkj->bki", factor, xi)
+        got = _lane_products(factor, np.ascontiguousarray(xi.transpose(2, 1, 0)))
+        if np.swapaxes(got, 0, 1).tobytes() != want.tobytes():
+            return False
+    return True
 
 
 def _increments(model: ValidatedModel, master_seed: int, first: int,
@@ -194,20 +231,18 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     time-major (K, count, d) increments of paths first..first+count-1.
 
     The products are summed over j as einsum("kij,bkj->bki") sums them, so
-    the bits do not depend on the layout.  For 2 <= d < 8 the sum runs as
-    whole-array multiply-adds over a component-major copy of the draws,
-    which skips einsum's per-entry overhead.
+    the bits do not depend on the layout.  For 2 <= d < 8, on a build where
+    `_lane_sum_is_einsum`, the sum runs as whole-array multiply-adds, which
+    skips einsum's per-entry call overhead.
     """
     d = factor.shape[-1]
     xi = _standard_normals(master_seed, first, count, tag, (model.n_steps, d))
-    if d == 1 or d >= 8:
-        out = np.einsum("kij,kbj->kbi", factor, np.swapaxes(xi, 0, 1))
+    if 2 <= d < 8 and _lane_sum_is_einsum():
+        cols = np.ascontiguousarray(xi.transpose(2, 1, 0))
+        del xi  # the draws live on as cols only
+        out = _lane_products(factor, cols)
     else:
-        cols = np.ascontiguousarray(xi.transpose(2, 1, 0))  # (d, K, count)
-        out = np.empty((model.n_steps, count, d))
-        for i in range(d):
-            out[..., i] = _lane_sum([factor[:, i, j, None] * cols[j] for j in range(d)])
-        out += 0.0  # einsum adds its sum to a zeroed output: no -0.0
+        out = np.einsum("kij,kbj->kbi", factor, np.swapaxes(xi, 0, 1))
     out *= np.sqrt(model.grid.dt)
     return out
 
@@ -320,36 +355,37 @@ def _initial_state(steps: _Steps, value: np.ndarray, count: int) -> np.ndarray:
     return out[:, 0] if steps.scalar else out
 
 
-def _euler_states(model: ValidatedModel, steps: _Steps, theta: np.ndarray,
+def _euler_states(model: ValidatedModel, steps: _Steps, theta,
                   dw_tilt: np.ndarray, dv: np.ndarray):
     """Yield the states (x_k, obs_k), k = 0..K, driven by the time-major
-    increments dw_tilt and dv, as fresh step slices."""
+    increments dw_tilt and dv, as fresh step slices; theta is the tilt as
+    `steps.per_interval` lays it out."""
     count = dw_tilt.shape[1]
     x = _initial_state(steps, model.x0, count)
     obs = _initial_state(steps, np.zeros(model.m), count)
     yield x, obs
-    theta = steps.per_interval(theta)
     dw_tilt, dv = steps.slices(dw_tilt), steps.slices(dv)
     for k in range(model.n_steps):
         x, obs = _euler_step(steps, k, x, obs, theta[k], dw_tilt[k], dv[k])
         yield x, obs
 
 
-def _simulate_chunk(model: ValidatedModel, theta: np.ndarray, master_seed: int,
-                    j0: int, count: int, path_offset: int):
+def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
+                    master_seed: int, j0: int, count: int, path_offset: int):
     """Noise and Euler states of the paths with absolute indices
     path_offset + j0 .. path_offset + j0 + count - 1, time-major.
 
-    Returns (dw_tilt, dv, states): the untilted signal increments
-    (K, count, n), the observation increments (K, count, m), and a
-    generator of the states (x_k, obs_k), k = 0..K, as slices in the layout
-    of `model._steps`.
+    steps is `_steps(model)` and theta the tilt laid out by its
+    `per_interval`, both built once per call of the caller.  Returns
+    (dw_tilt, dv, states): the untilted signal increments (K, count, n),
+    the observation increments (K, count, m), and a generator of the
+    states (x_k, obs_k), k = 0..K, as step slices.
     """
     _count_work(model, count)
     first = path_offset + j0
     dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
     dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol)
-    return dw_tilt, dv, _euler_states(model, _steps(model), theta, dw_tilt, dv)
+    return dw_tilt, dv, _euler_states(model, steps, theta, dw_tilt, dv)
 
 
 def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
@@ -361,7 +397,8 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     monolithic run bitwise.  threads is accepted for compatibility and does
     not change the work or the result.  n_paths must be a positive integer
     whose ensemble fits in 4 GiB, else InvalidPathCount is raised before
-    any allocation.
+    any allocation; the bound is a fixed policy limit that does not depend
+    on the memory available.
     """
     master_seed = _check_seed("master_seed", master_seed)
     path_offset = _check_seed("path_offset", path_offset)
@@ -373,6 +410,7 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
                              f"the most whose ensemble fits in "
                              f"{_MAX_ENSEMBLE_BYTES >> 30} GiB")
     steps = _steps(model)
+    th_steps = steps.per_interval(th)
     tilt = th[:, None] * model.grid.dt
 
     x = np.empty((n_paths, k_steps + 1, n))
@@ -383,8 +421,8 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     for j0 in range(0, n_paths, _CHUNK):
         count = min(_CHUNK, n_paths - j0)
         sl = slice(j0, j0 + count)
-        dw_tilt, dv_c, states = _simulate_chunk(model, th, master_seed, j0,
-                                                count, path_offset)
+        dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps, master_seed,
+                                                j0, count, path_offset)
         x_c = np.empty((k_steps + 1, count, n))
         obs_c = np.empty((k_steps + 1, count, m))
         xs, ms = steps.slices(x_c), steps.slices(obs_c)

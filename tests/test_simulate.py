@@ -296,6 +296,32 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
     assert _same_bits(np.ascontiguousarray(np.swapaxes(got, 0, 1)), want)
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_lane_sum_adds_even_and_odd_terms_apart(d):
+    rng = np.random.default_rng(d)
+    factor_i = rng.normal(size=(4, d))
+    cols = rng.normal(size=(d, 4, 5))
+    terms = [factor_i[:, j, None] * cols[j] for j in range(d)]
+    even, odd = terms[0], terms[1]
+    for j in range(2, d):
+        if j % 2:
+            odd = odd + terms[j]
+        else:
+            even = even + terms[j]
+    assert _same_bits(rk.simulate._lane_sum(factor_i, cols), even + odd)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_noise_increments_fall_back_to_einsum(free_model, monkeypatch, d):
+    """A build whose einsum the lane sum does not reproduce runs einsum."""
+    assert isinstance(rk.simulate._lane_sum_is_einsum(), bool)
+    factor = np.random.default_rng(d).normal(size=(free_model.n_steps, d, d))
+    want = _increments(free_model, 6, 2, 9, 1, factor)
+    monkeypatch.setattr(rk.simulate, "_lane_sum_is_einsum", lambda: False)
+    monkeypatch.setattr(rk.simulate, "_lane_products", None)
+    assert _same_bits(_increments(free_model, 6, 2, 9, 1, factor), want)
+
+
 # ---------------------------------------------------------------------------
 # Exactness and law checks
 
