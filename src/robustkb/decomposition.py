@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import GridMismatch
 from .model import ValidatedModel
-from .ode import (RiccatiPath, TransitionCache, _backward, _closed_loop_stages,
-                  _policy_array, _propagate, _rk4_step)
+from .ode import (_UNFORCED, RiccatiPath, TransitionCache, _backward,
+                  _closed_loop_stages, _policy_array, _propagate, _rk4_step)
 
 KERNELS = ("ode", "printed")
 
@@ -50,8 +50,9 @@ def _kernel_rows(model: ValidatedModel, stages, t_idx: int,
     _, PS, A = (a[:, :t_idx] for a in stages)
     eye = np.eye(n)
     if kernel == "ode":
-        return _backward(_rk4_step(A, eye, 0.0, dt), eye)
-    block_maps = _rk4_step(_block_stages(model.F[:t_idx], PS, A), np.eye(2 * n), 0.0, dt)
+        return _backward(_rk4_step(A, eye, _UNFORCED, dt), eye)
+    block_maps = _rk4_step(_block_stages(model.F[:t_idx], PS, A), np.eye(2 * n),
+                           _UNFORCED, dt)
     left = _backward(block_maps, np.hstack([eye, -eye]))[:, :, :n]
     Qs = model.Q[list(range(t_idx)) + [model.coeff_index(t_idx)]]
     return left @ Qs

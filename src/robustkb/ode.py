@@ -2,11 +2,14 @@
 Riccati equation, closed-form scalar oracles, and exact error statistics.
 
 Every ODE is stepped with classical fixed-step RK4 on the model grid, all four
-stages of step k using the interval-k coefficients; covariance iterates are
-symmetrized after each step.  Only solve_riccati integrates the covariance.
-Every other quantity solves a linear ODE driven by the stage closed loops
-F - P_i S, whose RK4 steps are affine maps y -> T_k y + e_k built for all
-intervals at once; Sigma keeps its own loop over the same stages.
+stages of step k using the interval-k coefficients.  Only solve_riccati
+integrates the covariance, in a loop of its own, symmetrizing after each
+step.  Every other quantity solves a linear ODE driven by the stage closed
+loops F - P_i S, whose RK4 steps are affine maps y -> T_k y + e_k built for
+many intervals at once and applied by one forward (or backward) sweep.  The
+error covariance Sigma is one such ODE in row-major vec form, with the
+n^2 x n^2 generators A_i (x) I + I (x) A_i; its maps are built and applied a
+block of intervals at a time, and the path is symmetrized once at the end.
 """
 from __future__ import annotations
 
@@ -28,9 +31,18 @@ RICCATI_EIG_FLOOR = -1e-9
 
 GENERATORS = ("state", "closed_loop")
 
+# Intervals per block of the Sigma propagator.  Its generators and step maps
+# are (4, block, n^2, n^2) arrays, so a fixed block keeps their memory from
+# growing with the grid.
+_SIGMA_BLOCK = 64
+
+# Stage forcing of the homogeneous step maps T_k.
+_UNFORCED = (0.0,) * 4
+
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _riccati_rhs(P, F, Ft, S, Q):
@@ -58,16 +70,17 @@ def _closed_loop_stages(model: ValidatedModel, riccati: RiccatiPath):
 
 
 def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
-    """One RK4 step of dY = A_i Y + U_k on every interval k at once.
+    """One RK4 step of dY = A_i Y + U_i on every interval k at once.
 
-    A holds the stages, shape (4, K, d, d).  Y = I, U = 0 gives the step maps
-    T_k; Y = 0 gives the forced terms e_k of the affine step Y -> T_k Y + e_k.
+    A holds the stages, shape (4, K, d, d), and U[i] the forcing of stage i.
+    Y = I, U = _UNFORCED gives the step maps T_k; Y = 0 gives the forced terms
+    e_k of the affine step Y -> T_k Y + e_k.
     """
     half, sixth = 0.5 * dt, dt / 6.0
-    k1 = A[0] @ Y + U
-    k2 = A[1] @ (Y + half * k1) + U
-    k3 = A[2] @ (Y + half * k2) + U
-    k4 = A[3] @ (Y + dt * k3) + U
+    k1 = A[0] @ Y + U[0]
+    k2 = A[1] @ (Y + half * k1) + U[1]
+    k3 = A[2] @ (Y + half * k2) + U[2]
+    k4 = A[3] @ (Y + dt * k3) + U[3]
     return Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -91,9 +104,42 @@ def _backward(T, last) -> np.ndarray:
 
 def _propagate(A, U, dt: float) -> np.ndarray:
     """RK4 solution of dy = A_i y + U_k from y = 0, at every node."""
-    T = _rk4_step(A, np.eye(A.shape[-1]), 0.0, dt)
-    e = _rk4_step(A, np.zeros_like(U), U, dt)
+    T = _rk4_step(A, np.eye(A.shape[-1]), _UNFORCED, dt)
+    e = _rk4_step(A, np.zeros_like(U), (U,) * 4, dt)
     return _forward(T, np.zeros(e.shape[1:]), e)
+
+
+def _kron_sum(A) -> np.ndarray:
+    """Generators A (x) I + I (x) A of S -> A S + S A' on row-major vec(S),
+    for stacked A of shape (..., n, n); shape (..., n^2, n^2)."""
+    n = A.shape[-1]
+    L = np.zeros(A.shape[:-2] + (n,) * 4)
+    for j in range(n):
+        L[..., :, j, :, j] = A  # (A S)[i, j] = A[i, k] S[k, j]
+    for i in range(n):
+        L[..., i, :, i, :] += A  # (S A')[i, j] = S[i, l] A[j, l]
+    return L.reshape(A.shape[:-2] + (n * n, n * n))
+
+
+def _lyapunov_path(Q, P, PS, A, dt: float) -> np.ndarray:
+    """RK4 solution of dSigma = A_i Sigma + Sigma A_i' + Q_k + P_i S P_i from
+    Sigma = 0 at every node, shape (K+1, n, n), not symmetrized.
+
+    The vec(Sigma) step maps and forced terms are built and applied
+    _SIGMA_BLOCK intervals at a time.
+    """
+    k_steps, n = A.shape[1], A.shape[-1]
+    eye = np.eye(n * n)
+    out = np.empty((k_steps + 1, n * n, 1))
+    out[0] = 0.0
+    for s in range(0, k_steps, _SIGMA_BLOCK):
+        blk = slice(s, s + _SIGMA_BLOCK)
+        L = _kron_sum(A[:, blk])
+        W = (Q[blk] + PS[:, blk] @ P[:, blk]).reshape(L.shape[:2] + (n * n, 1))
+        T = _rk4_step(L, eye, _UNFORCED, dt)
+        e = _rk4_step(L, np.zeros(W.shape[1:]), W, dt)
+        out[s: s + len(T) + 1] = _forward(T, out[s], e)
+    return out.reshape(k_steps + 1, n, n)
 
 
 @dataclass(frozen=True)
@@ -237,7 +283,7 @@ class TransitionCache:
         self.riccati = riccati
         A = (np.broadcast_to(model.F, (4,) + model.F.shape) if generator == "state"
              else _closed_loop_stages(model, riccati)[2])
-        self._maps = _rk4_step(A, np.eye(model.n), 0.0, model.grid.dt)
+        self._maps = _rk4_step(A, np.eye(model.n), _UNFORCED, model.grid.dt)
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -307,28 +353,17 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     The bias solves db = (F - PG'R^-1G) b + (theta_true - theta_hat);
     the second moment solves dSigma = A Sigma + Sigma A' + Q + PSP.  Both
     step through the RK4 stage covariances of solve_riccati, so the
-    published identity Sigma = P holds to rounding.
+    published identity Sigma = P holds to rounding; Sigma is its own
+    integration, never read from the covariance path.  It runs as the linear
+    ODE of vec(Sigma) on the step-map layer, a block of intervals at a time,
+    and is symmetrized once over the whole path.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
     dt = model.grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
     P, PS, A = _closed_loop_stages(model, riccati)
     bias = _propagate(A, (th_true - th_hat)[:, :, None], dt)[:, :, 0]
-
-    W = model.Q + PS @ P
-    Sig = np.empty_like(riccati.P)
-    Sg = Sig[0] = np.zeros((model.n, model.n))
-
-    def rhs(i, k, Sc):
-        return A[i, k] @ Sc + Sc @ A[i, k].T + W[i, k]
-
-    for k in range(model.n_steps):
-        k1 = rhs(0, k, Sg)
-        k2 = rhs(1, k, Sg + half * k1)
-        k3 = rhs(2, k, Sg + half * k2)
-        k4 = rhs(3, k, Sg + dt * k3)
-        Sg = Sig[k + 1] = _sym(Sg + sixth * (k1 + 2.0 * (k2 + k3) + k4))
+    Sig = _sym(_lyapunov_path(model.Q, P, PS, A, dt))
     eigs = np.linalg.eigvalsh(Sig)
     min_eig = float(eigs.min())
     if min_eig < RICCATI_EIG_FLOOR:

@@ -11,13 +11,17 @@ in turn, which gives the same bits as one SeedSequence and generator per
 stream.  The ``threads`` arguments are accepted but split no work; all
 chunks run in turn on the calling thread.
 
-Inside a chunk every array is time-major: the noise increments are
-(K, batch, d) and the Euler loop steps contiguous (batch, d) slices, one
-per interval, through `_euler_step`.  Every product and sum is the one the
-path-major loop took, in the same order, so the layout never changes a
-bit.  `simulate_paths` copies each chunk back into the path-major arrays of
-`PathEnsemble`; the Monte-Carlo MSE (`minimax._mse_mc_multi`) consumes the
-states one step at a time and keeps only the nodes it reads.
+Inside a chunk every array is indexed time-major: the noise increments are
+(K, batch, d) and the Euler loop steps (batch, d) slices, one per interval,
+through `_euler_step`.  The states are contiguous step slices, and so are
+the increments of the lane-sum transform (2 <= d < 8).  The einsum
+transform (d = 1, d >= 8, or a build whose einsum sums in another order)
+keeps the draws' path-major memory order, so its slices are strided views.
+Every product and sum is the one the path-major loop took, in the same
+order, so the layout never changes a bit.  `simulate_paths` copies each
+chunk back into the path-major arrays of `PathEnsemble`; the Monte-Carlo MSE
+(`minimax._mse_mc_multi`) consumes the states one step at a time and keeps
+only the nodes it reads.
 """
 from __future__ import annotations
 
@@ -233,7 +237,11 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     The products are summed over j as einsum("kij,bkj->bki") sums them, so
     the bits do not depend on the layout.  For 2 <= d < 8, on a build where
     `_lane_sum_is_einsum`, the sum runs as whole-array multiply-adds, which
-    skips einsum's per-entry call overhead.
+    skips einsum's per-entry call overhead, into a C-contiguous array.
+    Otherwise einsum keeps the memory order of the path-major draws: the
+    result has strides (d, K * d, 1) in items, so a time slice is not
+    contiguous.  Writing einsum into a C-order buffer gives the same bits
+    but makes the einsum itself slower.
     """
     d = factor.shape[-1]
     xi = _standard_normals(master_seed, first, count, tag, (model.n_steps, d))

@@ -102,11 +102,10 @@ def mse_mc(model, riccati, theta_true, theta_hat, t_indices, n_paths, seed):
     return mean, np.full(idx.size, np.nan)
 
 
-def layout_models():
+def layout_models(k_steps=12):
     """Models the layout tests run on: n = m = 1, n = 1 with m = 2, and n = 2
     with non-diagonal Q and R and time-varying F and G; every drift and
-    offset term is nonzero."""
-    k_steps = 12
+    offset term is nonzero.  The horizon is 0.3 for any k_steps."""
     grid = TimeGrid(0.3, k_steps)
     wave = np.sin(np.arange(k_steps) * 0.7)[:, None, None]
     F = np.array([[-0.8, 0.4], [-0.3, -1.2]]) + 0.3 * wave * np.array([[1.0, -0.5], [0.2, 0.4]])

@@ -1,6 +1,7 @@
 """Riccati path, transition matrices and exact error moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,11 @@ from robustkb import (
     validate_model,
 )
 from robustkb.minimax import _game_core
+from robustkb.ode import _SIGMA_BLOCK, RiccatiPath, _closed_loop_stages, _propagate
 
+import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
+from per_step import sigma_per_step
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +557,120 @@ def test_error_stats_grid_guards(fast_model, fast_riccati):
         solve_error_stats(fast_model, good, good, small)
     with pytest.raises(OutOfGrid):
         solve_error_stats(fast_model, good, good, fast_riccati).mse_at(0.12345)
+
+
+# ---------------------------------------------------------------------------
+# The blocked vec-Lyapunov Sigma against the per-step loop
+
+
+def _moments_n3_model(n_steps=2000):
+    """A seeded time-varying schedule over the N3 coefficients, built the way
+    the moments-n3 benchmark builds its model."""
+    grid = TimeGrid(2.0, n_steps)
+    rng = np.random.default_rng(51)
+    E = 0.2 * rng.standard_normal((3, 3))
+    phase = 2.0 * np.pi * grid.times[:-1] / grid.horizon
+    return validate_model(ModelSchedule(
+        F=N3_F + np.sin(phase)[:, None, None] * E,
+        f=np.zeros((n_steps, 3)), G=np.broadcast_to(N3_G, (n_steps, 2, 3)),
+        g=np.zeros((n_steps, 2)),
+        Q=N3_Q * (1.0 + 0.3 * np.cos(phase))[:, None, None],
+        R=np.broadcast_to(N3_R, (n_steps, 2, 2)), x0=np.zeros(3)), grid)
+
+
+# Grid sizes per model: K = 1, a K below the block size and a K that is not
+# a multiple of it.
+SIGMA_SIZES = {"n1": (1, 50, 2000), "n2": (1, 12, 600), "n3": (1, 40, 2000)}
+
+
+@pytest.fixture(scope="module", params=sorted(SIGMA_SIZES))
+def sigma_case(request):
+    """The bundled scenario, the n = 2 layout model and the n = 3 schedule."""
+    model = {
+        "n1": lambda: request.getfixturevalue("default_model"),
+        "n2": lambda: path_major.layout_models(600)["n2"],
+        "n3": _moments_n3_model,
+    }[request.param]()
+    return model, solve_riccati(model), SIGMA_SIZES[request.param]
+
+
+def test_sigma_sizes_straddle_the_block():
+    sizes = [k for ks in SIGMA_SIZES.values() for k in ks]
+    assert all(k < _SIGMA_BLOCK or k % _SIGMA_BLOCK for k in sizes)
+    assert any(k > _SIGMA_BLOCK for k in sizes)
+
+
+def test_sigma_matches_the_per_step_loop(sigma_case):
+    full_model, full_riccati, sizes = sigma_case
+    rng = np.random.default_rng(7)
+    for k_steps in sizes:
+        model = full_model.truncate(k_steps)
+        riccati = full_riccati.prefix(k_steps)
+        pairs = [rng.uniform(-1.0, 1.0, (2, k_steps, model.n)) for _ in range(2)]
+        a, b = (solve_error_stats(model, th, th_hat, riccati) for th, th_hat in pairs)
+        want = sigma_per_step(model, riccati)
+        err = np.max(np.abs(a.Sigma - want))
+        assert err <= 1e-13 * (1.0 + np.max(np.abs(riccati.P))), (k_steps, err)
+        assert np.array_equal(a.Sigma, np.swapaxes(a.Sigma, 1, 2))
+        assert a.Sigma.tobytes() == b.Sigma.tobytes()
+        A = _closed_loop_stages(model, riccati)[2]
+        th, th_hat = pairs[0]
+        bias = _propagate(A, (th - th_hat)[:, :, None], model.grid.dt)[:, :, 0]
+        assert a.bias.tobytes() == bias.tobytes()
+
+
+def test_sigma_bits_ignore_the_block_size(monkeypatch):
+    model = _moments_n3_model(300)
+    riccati = solve_riccati(model)
+    zeros = np.zeros((model.n_steps, 3))
+    want = solve_error_stats(model, zeros, zeros, riccati).Sigma
+    for block in (1, 7, 300, 1000):
+        monkeypatch.setattr(rk.ode, "_SIGMA_BLOCK", block)
+        got = solve_error_stats(model, zeros, zeros, riccati).Sigma
+        assert got.tobytes() == want.tobytes(), block
+
+
+def test_sigma_is_integrated_not_read_from_the_covariance_path():
+    # Halving the covariance path detunes the gain, so Sigma solves a
+    # Lyapunov equation whose solution is not the path it was given.
+    model = _moments_n3_model(400)
+    riccati = solve_riccati(model)
+    half = RiccatiPath(model.grid, 0.5 * riccati.P, 0.5 * riccati.min_eigenvalue)
+    zeros = np.zeros((model.n_steps, 3))
+    got = solve_error_stats(model, zeros, zeros, half).Sigma
+    want = sigma_per_step(model, half)
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+    assert np.max(np.abs(got - riccati.P)) > 1e-3
+    assert np.max(np.abs(got - half.P)) > 1e-3
+
+
+def test_sigma_reports_lost_positivity():
+    # An antisymmetric "covariance" makes W = Q + P S P indefinite.
+    model = _moments_n3_model()
+    node = np.array([[0.0, 3.0, 0.0], [-3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    fake = RiccatiPath(model.grid, np.broadcast_to(node, (model.n_steps + 1, 3, 3)),
+                       0.0)
+    zeros = np.zeros((model.n_steps, 3))
+    with pytest.raises(LostPositivity, match="error covariance at node 1 "):
+        solve_error_stats(model, zeros, zeros, fake)
+
+
+def test_error_stats_memory_stays_near_the_stages():
+    # Sigma is built a block at a time: its traced peak stays within 1.5x of
+    # the stage arrays alone, which one (4, K, n^2, n^2) generator would not.
+    model = constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q, N3_R,
+                           np.zeros(3), horizon=2.0, n_steps=20000)
+    riccati = solve_riccati(model)
+    zeros = np.zeros((model.n_steps, 3))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (lambda: _closed_loop_stages(model, riccati),
+                     lambda: solve_error_stats(model, zeros, zeros, riccati)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
