@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from importlib import resources
@@ -20,11 +21,11 @@ from .config import ScenarioConfig, load_scenario, scenario_from_dict
 from .decomposition import correction_path
 from .errors import ConfigError, RobustKBError
 from .export import (
-    ensemble_rows,
     filter_run_rows,
     riccati_rows,
     vector_labels,
     write_csv,
+    write_ensemble_csv,
     write_json,
 )
 from .filtering import run_robust_filter
@@ -98,33 +99,56 @@ def _read_obs(path: str, cfg: ScenarioConfig) -> np.ndarray:
     """Observation path from a CSV with a t column and m_* columns.
 
     Accepts the simulate command's long-format output as long as it holds a
-    single path (a 'path' column with one distinct value).
+    single path (a 'path' column with one distinct value).  Rows are parsed
+    one at a time and only the first n_steps + 1 are kept, so a second path
+    is refused at its first row and a long file is only counted.
     """
     model = cfg.model
+    n_rows = model.n_steps + 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = (ln.strip() for ln in fh
+                     if ln.strip() and not ln.startswith("#"))
+            first_line = next(lines, None)
+            if first_line is None:
+                raise ConfigError(f"{path}: empty observation file")
+            header = [tok.strip() for tok in first_line.split(",")]
+            wanted = vector_labels("m", model.m)
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise ConfigError(f"{path}: missing columns {missing}")
+            cols = [header.index(c) for c in wanted]
+            id_col = header.index("path") if "path" in header else None
+            obs, first_id, count = [], None, 0
+            for count, ln in enumerate(lines, 1):
+                if count > n_rows and id_col is None:
+                    continue
+                cells = ln.split(",")
+                if len(cells) != len(header):
+                    raise ConfigError(
+                        f"{path}: data row {count} has {len(cells)} cells, "
+                        f"header has {len(header)} columns")
+                try:
+                    if count <= n_rows:
+                        obs.append([float(cells[c]) for c in cols])
+                    if id_col is not None:
+                        path_id = float(cells[id_col])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: data row {count}: {exc}") from exc
+                if id_col is None:
+                    continue
+                if first_id is None:
+                    first_id = path_id
+                elif path_id != first_id and not (math.isnan(path_id)
+                                                  and math.isnan(first_id)):
+                    raise ConfigError(
+                        f"{path}: contains multiple paths; filter needs one")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"{path}: empty observation file")
-    header = [tok.strip() for tok in lines[0].split(",")]
-    wanted = vector_labels("m", model.m)
-    missing = [c for c in wanted if c not in header]
-    if missing:
-        raise ConfigError(f"{path}: missing columns {missing}")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    if "path" in header:
-        ids = data[:, header.index("path")]
-        if np.unique(ids).size != 1:
-            raise ConfigError(f"{path}: contains multiple paths; filter needs one")
-    obs = data[:, [header.index(c) for c in wanted]]
-    if obs.shape[0] != model.n_steps + 1:
+    if count != n_rows:
         raise ConfigError(
-            f"{path}: expected {model.n_steps + 1} rows on the model grid, "
-            f"got {obs.shape[0]}"
-        )
-    return obs
+            f"{path}: expected {n_rows} rows on the model grid, got {count}")
+    return np.array(obs)
 
 
 def cmd_simulate(args) -> int:
@@ -132,9 +156,8 @@ def cmd_simulate(args) -> int:
     policy, theta_text = _parse_policy(args.theta, cfg, np.zeros(cfg.model.n))
     ens = simulate_paths(cfg.model, policy, args.paths, args.seed,
                          threads=args.threads)
-    cols, rows = ensemble_rows(ens)
     csv_path = _out_path(args, "ensemble.csv")
-    write_csv(csv_path, cols, rows, comment=_header(args, digest))
+    write_ensemble_csv(csv_path, ens, comment=_header(args, digest))
     manifest = {
         "command": "simulate",
         "version": __version__,

@@ -10,6 +10,7 @@ otherwise.  The bytes are those of _cell applied to every value in turn.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -105,16 +106,28 @@ def filter_run_rows(run) -> tuple[list[str], np.ndarray]:
     return cols, rows
 
 
-def ensemble_rows(ensemble) -> tuple[list[str], np.ndarray]:
-    """Long-format ensemble CSV: path id, t, states, observations, logw."""
-    n_paths, k, n = ensemble.x.shape
-    m = ensemble.m.shape[2]
-    cols = (["path", "t"] + vector_labels("x", n) + vector_labels("m", m)
-            + ["logw"])
-    rows = np.empty((n_paths * k, len(cols)), dtype=object)
-    rows[:, 0] = np.repeat(np.arange(n_paths) + ensemble.path_offset, k)
-    rows[:, 1] = np.tile(ensemble.model.grid.times, n_paths)
-    rows[:, 2:2 + n] = ensemble.x.reshape(n_paths * k, n)
-    rows[:, 2 + n:2 + n + m] = ensemble.m.reshape(n_paths * k, m)
-    rows[:, -1] = np.repeat(ensemble.log_density, k)
-    return cols, rows
+def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
+    """Long-format ensemble CSV, one path at a time: path, t, x_*, m_*, logw.
+
+    The bytes are those of write_csv on the full table, but the grid times
+    are formatted once per call and the path id and logw once per path, so
+    only the x and m cells are formatted per row and no more than one path's
+    rows are held at once.
+    """
+    n = ensemble.x.shape[2]
+    columns = (["path", "t"] + vector_labels("x", n)
+               + vector_labels("m", ensemble.m.shape[2]) + ["logw"])
+    times = list(map(float.__repr__, ensemble.model.grid.times.tolist()))
+    first = ensemble.path_offset
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for p, logw in enumerate(ensemble.log_density.tolist()):
+            cells = [repeat(str(first + p)), times]
+            cells += [map(float.__repr__, col)
+                      for col in ensemble.x[p].T.tolist()]
+            cells += [map(float.__repr__, col)
+                      for col in ensemble.m[p].T.tolist()]
+            cells.append(repeat(float.__repr__(logw)))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

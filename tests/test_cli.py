@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import robustkb as rk
-from robustkb.cli import main
+from robustkb.cli import _read_obs, main
+from robustkb.export import write_ensemble_csv
 
 
 def _write_cfg(tmp_path, name="scenario.json", T=1.0, n_steps=100, mu=1.0,
@@ -182,6 +184,52 @@ def test_filter_rejects_wrong_grid(tmp_path, capsys):
                comments="")
     assert main(["filter", "--config", cfg, "--obs", str(missing),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_read_obs_keeps_the_bits_of_a_one_path_ensemble(default_cfg,
+                                                         tmp_path):
+    model = default_cfg.model
+    ens = rk.simulate_paths(model, rk.constant_policy(model, 0.5), 1, 4,
+                            path_offset=7)
+    path = tmp_path / "one.csv"
+    write_ensemble_csv(path, ens, comment="one path")
+    obs = _read_obs(str(path), default_cfg)
+    assert obs.dtype == np.float64
+    assert np.array_equal(obs, ens.m[0])
+
+
+def test_filter_refuses_an_ensemble_without_reading_it_all(default_cfg,
+                                                           tmp_path):
+    """A 200-path ensemble is refused at its second path: the traced peak
+    stays near one path's rows, not the whole file's."""
+    model = default_cfg.model
+    ens = rk.simulate_paths(model, rk.zero_policy(model), 200, 3)
+    path = tmp_path / "ensemble.csv"
+    write_ensemble_csv(path, ens)
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.ConfigError, match="multiple paths"):
+            _read_obs(str(path), default_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+@pytest.mark.parametrize("body, message", [
+    ("".join(f"{k},0.0\n" for k in range(30)), "expected 21 rows on the "
+                                                 "model grid, got 30"),
+    ("0,0.0\n1,0.0,2.0\n", "data row 2 has 3 cells, header has 2 columns"),
+    ("0,0.0\n1,zero\n", "data row 2: could not convert"),
+    ("", "expected 21 rows on the model grid, got 0"),
+])
+def test_filter_names_bad_observation_rows(tmp_path, capsys, body, message):
+    cfg = _write_cfg(tmp_path, n_steps=20)
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,m_0\n" + body)
+    assert main(["filter", "--config", cfg, "--obs", str(obs),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CSV/JSON writers: exact round-trips and byte-stable layout."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ import robustkb as rk
 from robustkb.export import (
     _BLOCK_ROWS,
     _cell,
-    ensemble_rows,
     filter_run_rows,
     matrix_labels,
     riccati_rows,
     vector_labels,
     write_csv,
+    write_ensemble_csv,
     write_json,
 )
 
@@ -90,26 +91,52 @@ def test_filter_run_rows_layout(fast_model, fast_riccati):
     assert np.array_equal(rows[:-1, 2], run.innovations[:, 0])
 
 
-def test_ensemble_rows_long_format(fast_model):
+def _csv_table(path):
+    """Header and data rows of a CSV written without a comment line."""
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_ensemble_rows_long_format(fast_model, tmp_path):
     ens = rk.simulate_paths(fast_model, np.full((200, 1), 0.5), 2,
                             master_seed=3, path_offset=10)
-    cols, rows = ensemble_rows(ens)
+    path = tmp_path / "ens.csv"
+    write_ensemble_csv(path, ens)
+    cols, rows = _csv_table(path)
     assert cols == ["path", "t", "x_0", "m_0", "logw"]
-    assert rows.shape == (2 * 201, 5)
-    assert [rows[0, 0], rows[201, 0]] == [10, 11]
-    assert isinstance(rows[0, 0], (int, np.integer))
-    assert rows[0, 1] == 0.0 and rows[200, 1] == 2.0
-    assert rows[0, 2] == ens.x[0, 0, 0]
-    assert rows[200, 4] == ens.log_density[0]
+    assert len(rows) == 2 * 201
+    assert [rows[0][0], rows[201][0]] == ["10", "11"]
+    assert rows[0][1] == "0.0" and rows[200][1] == "2.0"
+    assert [row[1] for row in rows[201:]] == [row[1] for row in rows[:201]]
+    assert float(rows[0][2]) == ens.x[0, 0, 0]
+    assert float(rows[200][3]) == ens.m[0, 200, 0]
+    for p in range(2):
+        block = rows[201 * p:201 * (p + 1)]
+        assert {row[0] for row in block} == {str(10 + p)}
+        assert {row[4] for row in block} == {repr(float(ens.log_density[p]))}
 
 
 def test_ensemble_csv_path_ids_are_integers(fast_model, tmp_path):
     ens = rk.simulate_paths(fast_model, np.zeros((200, 1)), 1, master_seed=5)
-    cols, rows = ensemble_rows(ens)
     path = tmp_path / "ens.csv"
-    write_csv(path, cols, rows)
-    first_data = path.read_text().splitlines()[1]
-    assert first_data.split(",")[0] == "0"
+    write_ensemble_csv(path, ens)
+    _, rows = _csv_table(path)
+    assert rows[0][0] == "0"
+    assert {row[0] for row in rows} == {"0"}
+
+
+def test_ensemble_csv_holds_one_path_at_a_time(default_model, tmp_path):
+    """The writer's traced peak stays far below the ensemble's own arrays,
+    so no whole-table array or line list can come back unnoticed."""
+    ens = rk.simulate_paths(default_model, np.zeros((default_model.n_steps, 1)),
+                            200, 3)
+    tracemalloc.start()
+    try:
+        write_ensemble_csv(tmp_path / "ens.csv", ens, comment="memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * (ens.x.nbytes + ens.m.nbytes)
 
 
 def test_csv_reruns_are_byte_identical(fast_model, fast_riccati, tmp_path):
@@ -131,6 +158,22 @@ def _reference_csv(columns, rows, comment=None) -> bytes:
     for row in rows:
         lines.append(",".join(_cell(x) for x in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_ensemble_rows(ensemble) -> tuple[list[str], np.ndarray]:
+    """The long-format ensemble table as one object array: Python int path
+    ids and Python floats, one object per cell."""
+    n_paths, k, n = ensemble.x.shape
+    m = ensemble.m.shape[2]
+    cols = (["path", "t"] + vector_labels("x", n) + vector_labels("m", m)
+            + ["logw"])
+    rows = np.empty((n_paths * k, len(cols)), dtype=object)
+    rows[:, 0] = np.repeat(np.arange(n_paths) + ensemble.path_offset, k)
+    rows[:, 1] = np.tile(ensemble.model.grid.times, n_paths)
+    rows[:, 2:2 + n] = ensemble.x.reshape(n_paths * k, n)
+    rows[:, 2 + n:2 + n + m] = ensemble.m.reshape(n_paths * k, m)
+    rows[:, -1] = np.repeat(ensemble.log_density, k)
+    return cols, rows
 
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
@@ -215,11 +258,46 @@ def test_cli_ensemble_matches_per_cell_reference(default_model, tmp_path,
                f"config_sha256={hashlib.sha256(blob).hexdigest()} seed=7")
     ens = rk.simulate_paths(default_model, np.zeros((default_model.n_steps, 1)),
                             3, 7)
-    cols, rows = ensemble_rows(ens)
+    cols, rows = _reference_ensemble_rows(ens)
     # 3 x 2001 rows: a block boundary falls inside a path.
     assert len(rows) == 6003
     assert (out / "ensemble.csv").read_bytes() == _reference_csv(cols, rows,
                                                                  comment)
+
+
+@st.composite
+def _ensembles(draw):
+    """Hand-built PathEnsembles: n, m in 1..3, 1..4 paths, 1..5 steps, a
+    path_offset up to 2**40, and x, m and logw drawn with the special
+    floats (signed zeros, nan, infinities, subnormals)."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_paths, n_steps = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    horizon = draw(st.floats(1e-3, 1e3))
+    model = rk.constant_model(-np.eye(n), np.zeros(n), np.ones((m, n)),
+                              np.zeros(m), np.eye(n), np.eye(m), np.zeros(n),
+                              horizon=horizon, n_steps=n_steps)
+
+    def values(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    return rk.PathEnsemble(
+        model=model, policy=rk.zero_policy(model), master_seed=0,
+        path_offset=draw(st.integers(0, 2 ** 40)),
+        x=values(n_paths, n_steps + 1, n), m=values(n_paths, n_steps + 1, m),
+        dw=np.zeros((n_paths, n_steps, n)), dv=np.zeros((n_paths, n_steps, m)),
+        log_density=values(n_paths))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ens=_ensembles(), comment=st.none() | st.just("robustkb x seed=1"))
+def test_ensemble_writer_matches_object_array_reference(tmp_path, ens, comment):
+    path = tmp_path / "ens.csv"
+    write_ensemble_csv(path, ens, comment=comment)
+    cols, rows = _reference_ensemble_rows(ens)
+    assert path.read_bytes() == _reference_csv(cols, rows, comment)
 
 
 @pytest.mark.parametrize("rows, bad", [
