@@ -119,7 +119,7 @@ def _read_obs(path: str, cfg: ScenarioConfig) -> np.ndarray:
                 raise ConfigError(f"{path}: missing columns {missing}")
             cols = [header.index(c) for c in wanted]
             id_col = header.index("path") if "path" in header else None
-            obs, first_id, count = [], None, 0
+            obs, count = [], 0
             for count, ln in enumerate(lines, 1):
                 if count > n_rows and id_col is None:
                     continue
@@ -131,13 +131,10 @@ def _read_obs(path: str, cfg: ScenarioConfig) -> np.ndarray:
                 try:
                     if count <= n_rows:
                         obs.append([float(cells[c]) for c in cols])
-                    if id_col is not None:
-                        path_id = float(cells[id_col])
+                    path_id = None if id_col is None else float(cells[id_col])
                 except ValueError as exc:
                     raise ConfigError(f"{path}: data row {count}: {exc}") from exc
-                if id_col is None:
-                    continue
-                if first_id is None:
+                if count == 1:
                     first_id = path_id
                 elif path_id != first_id and not (math.isnan(path_id)
                                                   and math.isnan(first_id)):

@@ -6,6 +6,12 @@ byte-identical files.  The CSV writer streams blocks of _BLOCK_ROWS rows and
 formats each block column by column, with one map per column: float.__repr__
 or int.__repr__ where every value of the column has that exact type, _cell
 otherwise.  The bytes are those of _cell applied to every value in turn.
+
+The long-format ensemble (path, t, x_*, m_*, logw) has its own writer,
+write_ensemble_csv, which reads the ensemble's float arrays directly and
+writes one path at a time: the grid times are formatted once per file, the
+path id and logw once per path, and only x and m once per row.  Its bytes are
+those write_csv gives for the same table with int path ids.
 """
 from __future__ import annotations
 
@@ -107,13 +113,9 @@ def filter_run_rows(run) -> tuple[list[str], np.ndarray]:
 
 
 def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
-    """Long-format ensemble CSV, one path at a time: path, t, x_*, m_*, logw.
-
-    The bytes are those of write_csv on the full table, but the grid times
-    are formatted once per call and the path id and logw once per path, so
-    only the x and m cells are formatted per row and no more than one path's
-    rows are held at once.
-    """
+    """Long-format ensemble CSV (path, t, x_*, m_*, logw), written one path
+    at a time, with the same header and comment line as write_csv; never
+    more than one path's cells are held at once."""
     n = ensemble.x.shape[2]
     columns = (["path", "t"] + vector_labels("x", n)
                + vector_labels("m", ensemble.m.shape[2]) + ["logw"])
@@ -125,9 +127,7 @@ def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
         fh.write(",".join(columns) + "\n")
         for p, logw in enumerate(ensemble.log_density.tolist()):
             cells = [repeat(str(first + p)), times]
-            cells += [map(float.__repr__, col)
-                      for col in ensemble.x[p].T.tolist()]
-            cells += [map(float.__repr__, col)
-                      for col in ensemble.m[p].T.tolist()]
+            cells += [map(float.__repr__, col) for col in
+                      ensemble.x[p].T.tolist() + ensemble.m[p].T.tolist()]
             cells.append(repeat(float.__repr__(logw)))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
