@@ -1,12 +1,12 @@
 """Before/after record of the benchmark: alternate runs on two revisions.
 
     python3 tools/bench_compare.py PARENT_REV --workload NAME --pairs N --seed S
-        [--workload NAME ...] [--change REV] [--seconds S] [--out FILE]
+        [--workload NAME ...] [--out FILE]
 
-Both revisions (the change defaults to HEAD) are checked out with
-``git worktree`` under a temporary directory outside the repository, and the
-worktrees are removed when the script ends.  Pair i runs ``bench/run.py
---workload NAME --seed S+i --seconds S --trace 0`` once in each checkout,
+PARENT_REV and HEAD are checked out with ``git worktree`` under a temporary
+directory outside the repository, and the worktrees are removed when the
+script ends.  Pair i runs ``bench/run.py --workload NAME --seed S+i --trace 0``
+once in each checkout, for the ``run_seconds`` of HEAD's ``BENCHMARK.json``,
 parent first on even pairs and change first on odd pairs, so that a slow
 drift of the machine does not favour one side.  The JSON written to FILE
 (default ``BENCH.json`` at the repository root) holds, for every workload
@@ -71,13 +71,12 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
                   for side in trees}
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(series["parent"], series["change"]))
-        parent_median = statistics.median(series["parent"])
         metrics[name] = {
             "unit": m["unit"], "better": m["better"],
             "parent": _quartiles(series["parent"]),
             "change": _quartiles(series["change"]),
             "median_change_frac": statistics.median(series["change"])
-            / parent_median - 1.0,
+            / statistics.median(series["parent"]) - 1.0,
             "wins": wins, "pairs": pairs,
         }
     return {
@@ -92,11 +91,9 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_REV")
-    parser.add_argument("--change", default="HEAD", metavar="REV")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH.json"))
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -107,31 +104,32 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     shas = {"parent": _git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
-            "change": _git("rev-parse", "--verify", f"{args.change}^{{commit}}")}
-    scratch = tempfile.mkdtemp(prefix="robustkb-bench-")
+            "change": _git("rev-parse", "--verify", "HEAD^{commit}")}
+    tmp_root = tempfile.mkdtemp(prefix="robustkb-bench-")
     trees = {}
     try:
         for side, sha in shas.items():
-            trees[side] = os.path.join(scratch, side)
+            trees[side] = os.path.join(tmp_root, side)
             _git("worktree", "add", "--detach", trees[side], sha)
         with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
-            spec = json.load(fh)["end_to_end"]
+            bench = json.load(fh)
+        seconds = bench["run_seconds"]
         record = {
             "parent": {"rev": args.parent, "sha": shas["parent"]},
-            "change": {"rev": args.change, "sha": shas["change"]},
+            "change": {"rev": "HEAD", "sha": shas["change"]},
             "numpy": np.__version__,
             "python": platform.python_version(),
             "cores": os.cpu_count(),
-            "seconds": args.seconds,
+            "seconds": seconds,
             "workloads": {w: compare(trees, w, args.pairs, args.seed,
-                                     args.seconds, spec)
+                                     seconds, bench["end_to_end"])
                           for w in args.workload},
         }
     finally:
         for tree in trees.values():
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
                             tree], capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(tmp_root, ignore_errors=True)
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
                        capture_output=True)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
