@@ -12,7 +12,10 @@ inverted.
 Kernels and correction paths chain the RK4 step maps of ode.py: those of the
 closed loop A = F - P S for ode, and for printed those of the block system
 [[F, 0], [P S, A]], whose transition holds Phi and Psi on its diagonal and the
-inner integral below it.
+inner integral below it.  Both sets of step maps come from the closed-loop
+memo of the covariance path (ode._closed_loop), so they are built once per
+model and path: a kernel is a backward sweep over a slice of them, and a
+correction path only forms its forced terms e_k and sweeps forward.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ import numpy as np
 
 from .errors import GridMismatch
 from .model import ValidatedModel
-from .ode import (_UNFORCED, RiccatiPath, TransitionCache, _backward,
-                  _closed_loop_stages, _policy_array, _propagate, _rk4_step)
+from .ode import (RiccatiPath, TransitionCache, _backward, _closed_loop,
+                  _ClosedLoop, _policy_array, _propagate)
 
 KERNELS = ("ode", "printed")
 
@@ -33,27 +36,18 @@ def _check_kernel(kernel: str) -> None:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
 
 
-def _block_stages(F: np.ndarray, PS: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Stages [[F, 0], [P_i S, A_i]] of y1' = F y1, y2' = A y2 + P S y1."""
-    return np.block([[np.broadcast_to(F, A.shape), np.zeros_like(A)], [PS, A]])
-
-
-def _kernel_rows(model: ValidatedModel, stages, t_idx: int,
+def _kernel_rows(model: ValidatedModel, loop: _ClosedLoop, t_idx: int,
                  kernel: str) -> np.ndarray:
     """One kernel as a function of s for fixed t, shape (t_idx+1, n, n).
 
-    Rows are backward products of step maps over the closed-loop stages: the
-    closed loop's for ode, and the block system's, between [I, -I] and
-    [Q_s; 0], for printed.
+    Rows are backward products of the first t_idx step maps: the closed
+    loop's for ode, and the block system's, between [I, -I] and [Q_s; 0],
+    for printed.
     """
-    n, dt = model.n, model.grid.dt
-    _, PS, A = (a[:, :t_idx] for a in stages)
-    eye = np.eye(n)
+    eye = np.eye(model.n)
     if kernel == "ode":
-        return _backward(_rk4_step(A, eye, _UNFORCED, dt), eye)
-    block_maps = _rk4_step(_block_stages(model.F[:t_idx], PS, A), np.eye(2 * n),
-                           _UNFORCED, dt)
-    left = _backward(block_maps, np.hstack([eye, -eye]))[:, :, :n]
+        return _backward(loop.T[:t_idx], eye)
+    left = _backward(loop.block_maps[:t_idx], np.hstack([eye, -eye]))[:, :, :model.n]
     Qs = model.Q[list(range(t_idx)) + [model.coeff_index(t_idx)]]
     return left @ Qs
 
@@ -72,8 +66,8 @@ def correction_kernel(model: ValidatedModel, riccati: RiccatiPath,
                       t: float) -> CorrectionKernel:
     """Evaluate both correction kernels at a grid time t."""
     t_idx = model.grid.index_of(t)
-    stages = _closed_loop_stages(model, riccati)
-    ode_rows, printed_rows = (_kernel_rows(model, stages, t_idx, k) for k in KERNELS)
+    loop = _closed_loop(model, riccati)
+    ode_rows, printed_rows = (_kernel_rows(model, loop, t_idx, k) for k in KERNELS)
     for arr in (ode_rows, printed_rows):
         arr.setflags(write=False)
     return CorrectionKernel(t_index=t_idx, s_times=model.grid.times[: t_idx + 1],
@@ -100,7 +94,7 @@ def correction_term(model: ValidatedModel, riccati: RiccatiPath, theta,
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
     t_idx = model.grid.index_of(t)
-    rows = _kernel_rows(model, _closed_loop_stages(model, riccati), t_idx, kernel)
+    rows = _kernel_rows(model, _closed_loop(model, riccati), t_idx, kernel)
     nodes = np.concatenate([th, th[-1:]], axis=0)[: t_idx + 1]
     vals = np.einsum("kij,kj->ki", rows, nodes)
     return model.grid.dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))
@@ -120,13 +114,14 @@ def correction_path(model: ValidatedModel, riccati: RiccatiPath, theta,
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
     n, dt = model.n, model.grid.dt
-    _, PS, A = _closed_loop_stages(model, riccati)
+    loop = _closed_loop(model, riccati)
     if kernel == "ode":
-        out = _propagate(A, th[:, :, None], dt)[:, :, 0]
+        out = _propagate(loop.A, th[:, :, None], dt, loop.T)[:, :, 0]
     else:
         qu = model.Q @ th[:, :, None]
-        y = _propagate(_block_stages(model.F, PS, A),
-                       np.concatenate([qu, np.zeros_like(qu)], axis=1), dt)
+        y = _propagate(loop.block_stages(),
+                       np.concatenate([qu, np.zeros_like(qu)], axis=1), dt,
+                       loop.block_maps)
         out = y[:, :n, 0] - y[:, n:, 0]
     out.setflags(write=False)
     return out

@@ -27,7 +27,7 @@ from .model import (
     _steps,
     constant_policy,
 )
-from .ode import (RiccatiPath, _closed_loop_stages, _policy_array, _propagate,
+from .ode import (RiccatiPath, _closed_loop, _policy_array, _propagate,
                   solve_error_stats, solve_riccati)
 from .simulate import _check_n_paths, _check_seed, _simulate_chunk
 
@@ -161,14 +161,17 @@ class _GameCore:
     trace_p: float
     M: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)  # stage closed loops up to t_idx
+    T: np.ndarray = field(repr=False)  # their step maps
 
 
 def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCore:
     """Integrate M_t, the closed-loop response to a unit constant drift."""
     t_idx = model.grid.index_of(t)
-    A = _closed_loop_stages(model, riccati)[2][:, :t_idx]
-    M = _propagate(A, np.eye(model.n), model.grid.dt)[-1]
-    return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])), M=M, A=A)
+    loop = _closed_loop(model, riccati)
+    A, T = loop.A[:, :t_idx], loop.T[:t_idx]
+    M = _propagate(A, np.eye(model.n), model.grid.dt, T)[-1]
+    return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])),
+                     M=M, A=A, T=T)
 
 
 def _vertices(bound: UncertaintyBound) -> np.ndarray:
@@ -223,7 +226,8 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
     if np.all(th_hat == th_hat[0]):
         c = core.M @ th_hat[0]
     else:
-        c = _propagate(core.A, th_hat[: core.t_idx, :, None], model.grid.dt)[-1, :, 0]
+        c = _propagate(core.A, th_hat[: core.t_idx, :, None], model.grid.dt,
+                       core.T)[-1, :, 0]
 
     if adversary == "bang_bang" and not _closed_loop_is_diagonal(core):
         warnings.warn(

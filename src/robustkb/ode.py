@@ -10,11 +10,22 @@ many intervals at once and applied by one forward (or backward) sweep.  The
 error covariance Sigma is one such ODE in row-major vec form, with the
 n^2 x n^2 generators A_i (x) I + I (x) A_i; its maps are built and applied a
 block of intervals at a time, and the path is symmetrized once at the end.
+
+Only the forcing depends on a drift policy.  The policy-independent work of
+one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
+per model: the stage arrays P_i, P_i S and A_i, and, each built the first
+time it is read, the step maps T_k, the step maps of the printed kernel's
+block system and the symmetrized Sigma path.  Every array in it is
+read-only, a LostPositivity is raised again on every call rather than
+cached, and the memo is freed with the path.  A path's P must therefore not
+change once a moment, kernel or transition has been computed from it;
+solve_riccati returns P read-only.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,9 +113,13 @@ def _backward(T, last) -> np.ndarray:
     return out
 
 
-def _propagate(A, U, dt: float) -> np.ndarray:
-    """RK4 solution of dy = A_i y + U_k from y = 0, at every node."""
-    T = _rk4_step(A, np.eye(A.shape[-1]), _UNFORCED, dt)
+def _propagate(A, U, dt: float, T=None) -> np.ndarray:
+    """RK4 solution of dy = A_i y + U_k from y = 0, at every node.
+
+    T, when given, holds the step maps of A, as _rk4_step builds them.
+    """
+    if T is None:
+        T = _rk4_step(A, np.eye(A.shape[-1]), _UNFORCED, dt)
     e = _rk4_step(A, np.zeros_like(U), (U,) * 4, dt)
     return _forward(T, np.zeros(e.shape[1:]), e)
 
@@ -149,6 +164,9 @@ class RiccatiPath:
     grid: TimeGrid
     P: np.ndarray
     min_eigenvalue: float
+    # _ClosedLoop per model, keyed by id(model); see _closed_loop.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def at(self, t: float) -> np.ndarray:
         return self.P[self.grid.index_of(t)]
@@ -157,6 +175,74 @@ class RiccatiPath:
         """Restriction to the first n_steps intervals; values are shared."""
         return RiccatiPath(self.grid.prefix(n_steps), self.P[: n_steps + 1],
                            self.min_eigenvalue)
+
+
+def _readonly(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class _ClosedLoop:
+    """Policy-independent work of the closed loop F - P S of one model on one
+    covariance path: the stage arrays, and the step maps and Sigma built
+    from them on first use.  Every array is read-only."""
+
+    def __init__(self, model: ValidatedModel, riccati: RiccatiPath):
+        self.model = model
+        self.P, self.PS, self.A = _closed_loop_stages(model, riccati)
+        _readonly(self.P, self.PS, self.A)
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """Step maps T_k of the closed loop, shape (K, n, n)."""
+        T = _rk4_step(self.A, np.eye(self.model.n), _UNFORCED, self.model.grid.dt)
+        _readonly(T)
+        return T
+
+    def block_stages(self) -> np.ndarray:
+        """Stages [[F, 0], [P_i S, A_i]] of the printed kernel's block system
+        y1' = F y1, y2' = A y2 + P S y1, built anew on every call."""
+        A = self.A
+        return np.block([[np.broadcast_to(self.model.F, A.shape), np.zeros_like(A)],
+                         [self.PS, A]])
+
+    @cached_property
+    def block_maps(self) -> np.ndarray:
+        """Step maps of the block system, shape (K, 2n, 2n)."""
+        T = _rk4_step(self.block_stages(), np.eye(2 * self.model.n), _UNFORCED,
+                      self.model.grid.dt)
+        _readonly(T)
+        return T
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Symmetrized error covariance at every node; LostPositivity is
+        raised, and nothing is cached, if it is indefinite."""
+        Sig = _sym(_lyapunov_path(self.model.Q, self.P, self.PS, self.A,
+                                  self.model.grid.dt))
+        eigs = np.linalg.eigvalsh(Sig)
+        min_eig = float(eigs.min())
+        if min_eig < RICCATI_EIG_FLOOR:
+            node = int(np.argwhere(eigs.min(axis=1) < RICCATI_EIG_FLOOR)[0, 0])
+            raise LostPositivity(
+                f"error covariance at node {node} has eigenvalue {min_eig:.3e}"
+            )
+        _readonly(Sig)
+        return Sig
+
+
+def _closed_loop(model: ValidatedModel, riccati: RiccatiPath) -> _ClosedLoop:
+    """The memoized closed loop of model on riccati.
+
+    The memo is keyed by id(model) and its entry holds the model, so the id
+    cannot be reused while the path lives.  The grid check runs on every call.
+    """
+    if riccati.grid != model.grid:
+        raise GridMismatch("covariance path grid differs from model grid")
+    loop = riccati._memo.get(id(model))
+    if loop is None:
+        loop = riccati._memo.setdefault(id(model), _ClosedLoop(model, riccati))
+    return loop
 
 
 def solve_riccati(model: ValidatedModel) -> RiccatiPath:
@@ -281,9 +367,11 @@ class TransitionCache:
         self.model = model
         self.generator = generator
         self.riccati = riccati
-        A = (np.broadcast_to(model.F, (4,) + model.F.shape) if generator == "state"
-             else _closed_loop_stages(model, riccati)[2])
-        self._maps = _rk4_step(A, np.eye(model.n), _UNFORCED, model.grid.dt)
+        if generator == "state":
+            A = np.broadcast_to(model.F, (4,) + model.F.shape)
+            self._maps = _rk4_step(A, np.eye(model.n), _UNFORCED, model.grid.dt)
+        else:
+            self._maps = _closed_loop(model, riccati).T
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -356,22 +444,15 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     published identity Sigma = P holds to rounding; Sigma is its own
     integration, never read from the covariance path.  It runs as the linear
     ODE of vec(Sigma) on the step-map layer, a block of intervals at a time,
-    and is symmetrized once over the whole path.
+    and is symmetrized once over the whole path.  Sigma does not depend on
+    the policies: it is computed once per model and path and shared.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
-    dt = model.grid.dt
-    P, PS, A = _closed_loop_stages(model, riccati)
-    bias = _propagate(A, (th_true - th_hat)[:, :, None], dt)[:, :, 0]
-    Sig = _sym(_lyapunov_path(model.Q, P, PS, A, dt))
-    eigs = np.linalg.eigvalsh(Sig)
-    min_eig = float(eigs.min())
-    if min_eig < RICCATI_EIG_FLOOR:
-        node = int(np.argwhere(eigs.min(axis=1) < RICCATI_EIG_FLOOR)[0, 0])
-        raise LostPositivity(
-            f"error covariance at node {node} has eigenvalue {min_eig:.3e}"
-        )
+    loop = _closed_loop(model, riccati)
+    Sig = loop.sigma
+    bias = _propagate(loop.A, (th_true - th_hat)[:, :, None], model.grid.dt,
+                      loop.T)[:, :, 0]
     mse = np.einsum("kii->k", Sig) + np.einsum("ki,ki->k", bias, bias)
-    for arr in (bias, Sig, mse):
-        arr.setflags(write=False)
+    _readonly(bias, mse)
     return ErrorStats(grid=model.grid, bias=bias, Sigma=Sig, mse=mse)

@@ -1,0 +1,41 @@
+"""The before/after recorder's statistics, on canned runs."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "bench_compare.py")
+
+
+@pytest.fixture(scope="module")
+def bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_ratios_cancel_a_step_in_machine_speed(bench_compare, monkeypatch):
+    # The machine gets 1.5x faster after pair 2; the change is 20% faster
+    # throughout.  Each side's spread shows the step, each pair's ratio not.
+    speed = [1.0, 1.0, 1.5, 1.5]
+    order = []
+
+    def fake_run(tree, workload, seed, seconds):
+        order.append(tree)
+        base = 2.0 / speed[seed]
+        value = base if tree == "p" else 0.8 * base
+        return {"metrics": {"wall_s": {"value": value}}, "failed": 0,
+                "attempted": 1}
+
+    monkeypatch.setattr(bench_compare, "_bench_run", fake_run)
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    res = bench_compare.compare({"parent": "p", "change": "c"}, "w", 4, 0, 1, spec)
+    assert order == ["p", "c", "c", "p", "p", "c", "c", "p"]
+    wall = res["metrics"]["wall_s"]
+    assert wall["pair_ratio"]["runs"] == pytest.approx([0.8] * 4)
+    assert wall["pair_ratio"]["q3"] - wall["pair_ratio"]["q1"] == pytest.approx(0.0)
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] > 0.3
+    assert wall["wins"] == 4

@@ -206,3 +206,68 @@ def test_decomposition_guards(fast_model, fast_riccati):
     classical = run_classical_filter(fast_model, fast_riccati, ens.m[0])
     with pytest.raises(GridMismatch, match="correction"):
         decomposed_estimate(classical, np.zeros((10, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The closed-loop memo on the covariance path
+
+
+@pytest.fixture(scope="module", params=["n1", "n3"])
+def memo_case(request):
+    """The bundled scalar scenario and a time-varying n = 3 schedule."""
+    model = (request.getfixturevalue("default_model") if request.param == "n1"
+             else _time_varying_n3_model())
+    return model, solve_riccati(model)
+
+
+def _decomposition_outputs(model, riccati):
+    """Every array the decomposition memo callers return, for two policies."""
+    rng = np.random.default_rng(21)
+    out = []
+    for t in (0.5, 2.0):
+        theta = rng.uniform(-1.0, 1.0, (model.n_steps, model.n))
+        for kernel in ("ode", "printed"):
+            out.append(correction_path(model, riccati, theta, kernel))
+            out.append(correction_term(model, riccati, theta, t, kernel))
+        kern = correction_kernel(model, riccati, t)
+        out += [kern.ode, kern.printed]
+    return out
+
+
+def test_memo_hits_match_a_fresh_path(memo_case):
+    model, riccati = memo_case
+    fresh = rk.RiccatiPath(riccati.grid, riccati.P, riccati.min_eigenvalue)
+    cold = _decomposition_outputs(model, fresh)
+    _decomposition_outputs(model, riccati)
+    assert {"T", "block_maps"} <= set(vars(riccati._memo[id(model)]))
+    hot = _decomposition_outputs(model, riccati)
+    assert [a.tobytes() for a in hot] == [a.tobytes() for a in cold]
+
+
+def test_one_sweep_builds_the_stages_once(monkeypatch):
+    # The moments-n3 benchmark sweep, scaled down: every call shares one
+    # closed loop, where each used to rebuild its stages.
+    calls = []
+    build = rk.ode._closed_loop_stages
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(rk.ode, "_closed_loop_stages", counted)
+    model = _time_varying_n3_model()
+    riccati = solve_riccati(model)
+    zero = rk.zero_policy(model)
+    rng = np.random.default_rng(22)
+    for t in (0.5, 1.0, 1.5, 2.0):
+        theta = rng.uniform(-1.0, 1.0, (model.n_steps, 3))
+        solve_error_stats(model, theta, zero, riccati)
+        correction_path(model, riccati, theta, "ode")
+        correction_path(model, riccati, theta, "printed")
+        correction_term(model, riccati, theta, t, "ode")
+    for t in (0.5, 1.0, 1.5, 2.0):
+        correction_kernel(model, riccati, t)
+    cache = TransitionCache(model, "closed_loop", riccati)
+    for s in (0, 100, 200, 300):
+        cache.trajectory(s)
+    assert len(calls) == 1

@@ -365,7 +365,7 @@ def test_oversized_box_raises_before_any_ode_work(monkeypatch):
         raise AssertionError("ODE work ran before the box check")
 
     monkeypatch.setattr(minimax, "solve_riccati", no_ode_work)
-    monkeypatch.setattr(minimax, "_closed_loop_stages", no_ode_work)
+    monkeypatch.setattr(minimax, "_closed_loop", no_ode_work)
     calls = [
         lambda: worst_case_mse(model, bound, zero_policy(model), 0.1),
         lambda: robust_theta_hat(model, bound, 0.1),

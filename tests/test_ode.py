@@ -29,7 +29,8 @@ from robustkb import (
     validate_model,
 )
 from robustkb.minimax import _game_core
-from robustkb.ode import _SIGMA_BLOCK, RiccatiPath, _closed_loop_stages, _propagate
+from robustkb.ode import (_SIGMA_BLOCK, RiccatiPath, _closed_loop, _closed_loop_stages,
+                          _propagate)
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
@@ -563,6 +564,11 @@ def test_error_stats_grid_guards(fast_model, fast_riccati):
 # The blocked vec-Lyapunov Sigma against the per-step loop
 
 
+def _fresh(riccati):
+    """The same covariance path with an empty closed-loop memo."""
+    return RiccatiPath(riccati.grid, riccati.P, riccati.min_eigenvalue)
+
+
 def _moments_n3_model(n_steps=2000):
     """A seeded time-varying schedule over the N3 coefficients, built the way
     the moments-n3 benchmark builds its model."""
@@ -626,7 +632,8 @@ def test_sigma_bits_ignore_the_block_size(monkeypatch):
     want = solve_error_stats(model, zeros, zeros, riccati).Sigma
     for block in (1, 7, 300, 1000):
         monkeypatch.setattr(rk.ode, "_SIGMA_BLOCK", block)
-        got = solve_error_stats(model, zeros, zeros, riccati).Sigma
+        # A fresh path: the memo of riccati already holds Sigma.
+        got = solve_error_stats(model, zeros, zeros, _fresh(riccati)).Sigma
         assert got.tobytes() == want.tobytes(), block
 
 
@@ -651,8 +658,9 @@ def test_sigma_reports_lost_positivity():
     fake = RiccatiPath(model.grid, np.broadcast_to(node, (model.n_steps + 1, 3, 3)),
                        0.0)
     zeros = np.zeros((model.n_steps, 3))
-    with pytest.raises(LostPositivity, match="error covariance at node 1 "):
-        solve_error_stats(model, zeros, zeros, fake)
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(LostPositivity, match="error covariance at node 1 "):
+            solve_error_stats(model, zeros, zeros, fake)
 
 
 def test_error_stats_memory_stays_near_the_stages():
@@ -674,3 +682,135 @@ def test_error_stats_memory_stays_near_the_stages():
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# The closed-loop memo on the covariance path
+
+
+@pytest.fixture(scope="module", params=["n1", "n3"])
+def memo_case(request):
+    """The bundled scalar scenario and the time-varying n = 3 schedule."""
+    model = (request.getfixturevalue("default_model") if request.param == "n1"
+             else _moments_n3_model(400))
+    return model, solve_riccati(model)
+
+
+def _memo_outputs(model, riccati):
+    """Every array the ode-layer memo callers return, for two policies."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(2):
+        th = rng.uniform(-1.0, 1.0, (model.n_steps, model.n))
+        th_hat = rng.uniform(-1.0, 1.0, (model.n_steps, model.n))
+        stats = solve_error_stats(model, th, th_hat, riccati)
+        out += [stats.bias, stats.Sigma, stats.mse]
+    cache = TransitionCache(model, "closed_loop", riccati)
+    out += [cache.trajectory(s) for s in (0, model.n_steps // 3)]
+    bound = rk.UncertaintyBound(np.linspace(1.0, 0.5, model.n))
+    for theta_hat in (np.zeros((model.n_steps, model.n)), th_hat):
+        value, policy = rk.worst_case_mse(model, bound, theta_hat, 1.0,
+                                          riccati=riccati)
+        out += [np.array(value), policy.theta]
+    return out
+
+
+def test_memo_hits_match_a_fresh_path(memo_case):
+    model, riccati = memo_case
+    cold = _memo_outputs(model, _fresh(riccati))
+    _memo_outputs(model, riccati)
+    loop = riccati._memo[id(model)]
+    assert {"T", "sigma"} <= set(vars(loop))
+    hot = _memo_outputs(model, riccati)
+    assert riccati._memo == {id(model): loop}
+    assert [a.tobytes() for a in hot] == [a.tobytes() for a in cold]
+
+
+def test_memo_arrays_are_read_only(memo_case):
+    model, riccati = memo_case
+    loop = _closed_loop(model, riccati)
+    for name in ("P", "PS", "A", "T", "block_maps", "sigma"):
+        arr = getattr(loop, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    zeros = np.zeros((model.n_steps, model.n))
+    stats = solve_error_stats(model, zeros, zeros, riccati)
+    assert stats.Sigma is loop.sigma
+
+
+def test_memo_keeps_one_closed_loop_per_model():
+    first = _moments_n3_model(300)
+    second = validate_model(ModelSchedule(
+        F=first.F + 0.5 * np.eye(3), f=first.f, G=first.G, g=first.g,
+        Q=first.Q, R=first.R, x0=first.x0), first.grid)
+    riccati = solve_riccati(first)
+    th = np.random.default_rng(12).uniform(-1.0, 1.0, (300, 3))
+    zeros = np.zeros_like(th)
+    a, b = (solve_error_stats(m, th, zeros, riccati) for m in (first, second))
+    assert set(riccati._memo) == {id(first), id(second)}
+    assert riccati._memo[id(second)].model is second
+    assert not np.array_equal(riccati._memo[id(first)].A, riccati._memo[id(second)].A)
+    assert np.max(np.abs(a.bias - b.bias)) > 1e-3
+    want = solve_error_stats(second, th, zeros, _fresh(riccati))
+    for got, ref in ((b.bias, want.bias), (b.Sigma, want.Sigma), (b.mse, want.mse)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_memo_guards_run_on_every_call(fast_model, fast_riccati):
+    riccati = _fresh(fast_riccati)
+    zeros = np.zeros((fast_model.n_steps, 1))
+    solve_error_stats(fast_model, zeros, zeros, riccati)
+    before = dict(riccati._memo)
+    other = fast_model.truncate(100)
+    for _ in range(2):
+        with pytest.raises(GridMismatch):
+            solve_error_stats(other, zeros[:100], zeros[:100], riccati)
+        with pytest.raises(GridMismatch):
+            TransitionCache(other, "closed_loop", riccati)
+    assert riccati._memo == before
+    # The check runs before the lookup, so even an entry filed under the
+    # wrong model is never returned for a foreign grid.
+    riccati._memo[id(other)] = riccati._memo[id(fast_model)]
+    with pytest.raises(GridMismatch):
+        _closed_loop(other, riccati)
+
+
+def test_prefix_has_its_own_memo():
+    model = _moments_n3_model(300)
+    riccati = solve_riccati(model)
+    zeros = np.zeros((300, 3))
+    solve_error_stats(model, zeros, zeros, riccati)
+    before = dict(riccati._memo)
+    short, pre = model.truncate(120), riccati.prefix(120)
+    stats = solve_error_stats(short, zeros[:120], zeros[:120], pre)
+    loop = pre._memo[id(short)]
+    assert riccati._memo == before
+    assert loop.A.shape == (4, 120, 3, 3) and loop.T.shape == (120, 3, 3)
+    assert loop.sigma.shape == stats.Sigma.shape == (121, 3, 3)
+    assert loop.block_maps.shape == (120, 6, 6)
+    full = riccati._memo[id(model)]
+    assert loop.T.tobytes() == full.T[:120].tobytes()
+
+
+def test_memo_retains_at_most_twice_the_stages():
+    # The memo keeps the stages, both sets of step maps and Sigma while the
+    # path lives, and nothing once it is gone.
+    model = constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q, N3_R,
+                           np.zeros(3), horizon=2.0, n_steps=20000)
+    riccati = solve_riccati(model)
+    theta = np.full((model.n_steps, 3), 0.5)
+    stage_bytes = 3 * 4 * model.n_steps * 9 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_error_stats(model, theta, np.zeros_like(theta), riccati)
+        for kernel in ("ode", "printed"):
+            rk.correction_path(model, riccati, theta, kernel)
+        rk.correction_term(model, riccati, theta, 1.0)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        del riccati
+        freed = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert stage_bytes <= retained <= 2 * stage_bytes, (retained, stage_bytes)
+    assert freed <= 0.01 * stage_bytes, freed

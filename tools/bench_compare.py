@@ -11,9 +11,12 @@ parent first on even pairs and change first on odd pairs, so that a slow
 drift of the machine does not favour one side.  The JSON written to FILE
 (default ``BENCH.json`` at the repository root) holds, for every workload
 and every end-to-end metric of ``BENCHMARK.json``, each side's runs, median
-and quartiles, and the number of pairs the change wins; also both SHAs, the
-numpy and Python versions, and the core count.  The exit code is 1 if any
-run failed its gates.
+and quartiles, the change/parent ratio of every pair with their median and
+quartiles, and the number of pairs the change wins; also both SHAs, the
+numpy and Python versions, and the core count.  Both runs of a pair are
+taken back to back, so a step in the machine's speed during the session
+moves both and leaves their ratio alone, where it would widen each side's
+quartiles.  The exit code is 1 if any run failed its gates.
 """
 from __future__ import annotations
 
@@ -75,6 +78,8 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
             "unit": m["unit"], "better": m["better"],
             "parent": _quartiles(series["parent"]),
             "change": _quartiles(series["change"]),
+            "pair_ratio": _quartiles([c / p for p, c in zip(series["parent"],
+                                                            series["change"])]),
             "median_change_frac": statistics.median(series["change"])
             / statistics.median(series["parent"]) - 1.0,
             "wins": wins, "pairs": pairs,
@@ -137,10 +142,12 @@ def main(argv=None) -> int:
         fh.write("\n")
     for w, res in record["workloads"].items():
         for name, m in res["metrics"].items():
+            ratio = m["pair_ratio"]
             print(f"{w} {name}: parent {m['parent']['median']:.4g} "
                   f"change {m['change']['median']:.4g} {m['unit']} "
-                  f"({m['median_change_frac']:+.1%}), change wins "
-                  f"{m['wins']}/{m['pairs']}")
+                  f"({m['median_change_frac']:+.1%}), pair ratio "
+                  f"{ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}], "
+                  f"change wins {m['wins']}/{m['pairs']}")
     print(f"wrote {args.out}")
     failed = any(sum(res["failed"].values()) for res in record["workloads"].values())
     return 1 if failed else 0
