@@ -254,7 +254,9 @@ def test_one_sweep_builds_the_stages_once(monkeypatch):
         calls.append(1)
         return build(*args)
 
-    monkeypatch.setattr(rk.ode, "_closed_loop_stages", counted)
+    # Wherever a module could bind the builder, so no caller goes uncounted.
+    for module in (rk.ode, rk.decomposition, rk.minimax):
+        monkeypatch.setattr(module, "_closed_loop_stages", counted, raising=False)
     model = _time_varying_n3_model()
     riccati = solve_riccati(model)
     zero = rk.zero_policy(model)

@@ -1,5 +1,6 @@
 """Riccati path, transition matrices and exact error moments."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -790,6 +791,7 @@ def test_prefix_has_its_own_memo():
     assert loop.block_maps.shape == (120, 6, 6)
     full = riccati._memo[id(model)]
     assert loop.T.tobytes() == full.T[:120].tobytes()
+    assert dataclasses.replace(riccati)._memo == {}
 
 
 def test_memo_retains_at_most_twice_the_stages():
