@@ -33,7 +33,7 @@ from .minimax import g_profile, mse_monte_carlo, saddle_report
 from .model import DriftPolicy, constant_policy, zero_policy
 from .ode import solve_riccati, steady_state_scalar
 from .simulate import simulate_paths
-from .verification import run_verification
+from .verification import _probe_time, _scalar_constants, run_verification
 
 _DEFAULT_SCENARIO = "default_scenario.json"
 
@@ -178,14 +178,11 @@ def cmd_riccati(args) -> int:
     final_trace = float(np.trace(path.P[-1]))
     print(f"wrote {csv_path}")
     print(f"final trace P(T) = {final_trace!r}")
-    model = cfg.model
-    if model.n == 1 and model.m == 1 and model.is_time_constant():
-        F, G = float(model.F[0, 0, 0]), float(model.G[0, 0, 0])
-        Q, R = float(model.Q[0, 0, 0]), float(model.R[0, 0, 0])
-        if G != 0.0:
-            root = steady_state_scalar(F, G, Q, R)
-            print(f"algebraic steady state = {root!r} "
-                  f"(gap {abs(final_trace - root):.3e})")
+    consts = _scalar_constants(cfg.model)
+    if consts is not None and consts[1] != 0.0:
+        root = steady_state_scalar(*consts)
+        print(f"algebraic steady state = {root!r} "
+              f"(gap {abs(final_trace - root):.3e})")
     return 0
 
 
@@ -234,13 +231,7 @@ def cmd_decompose(args) -> int:
 def cmd_minimax(args) -> int:
     cfg, digest = _load_config(args)
     model, bound = cfg.model, cfg.bound
-    t = args.t
-    if t is None:
-        try:
-            model.grid.index_of(1.0)
-            t = 1.0
-        except RobustKBError:
-            t = model.grid.horizon
+    t = _probe_time(model) if args.t is None else args.t
     riccati = solve_riccati(model)
     report = saddle_report(model, bound, t, adversary=args.adversary_class,
                            riccati=riccati)

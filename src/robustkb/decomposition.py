@@ -3,19 +3,17 @@ plus a deterministic drift correction, under two correction kernels.
 
 The ode kernel is the closed-loop transition Psi(t,s); it follows from
 subtracting the two filter recursions and is the module's ground truth.  The
-printed kernel Phi(t,s)Q(s) - int_s^t A(t,r) G_r Phi(r,s) Q(s) dr is kept
-verbatim for auditing: the two coincide for unit signal-noise covariance and
-differ otherwise, and the gap is reported rather than patched.  The product
-form above is used throughout, so the covariance at time t is never
-inverted.
+printed kernel Phi(t,s)Q(s) - int_s^t Psi(t,r) P_r S_r Phi(r,s) Q(s) dr is
+kept for auditing: the two coincide for unit signal-noise covariance and
+differ otherwise, and the gap is reported rather than patched.
 
-Kernels and correction paths chain the RK4 step maps of ode.py: those of the
-closed loop A = F - P S for ode, and for printed those of the block system
-[[F, 0], [P S, A]], whose transition holds Phi and Psi on its diagonal and the
-inner integral below it.  Both sets of step maps come from the closed-loop
-memo of the covariance path (ode._closed_loop), so they are built once per
-model and path: a kernel is a backward sweep over a slice of them, and a
-correction path only forms its forced terms e_k and sweeps forward.
+The printed kernel is evaluated in its closed form Psi(t,s) Q(s):
+X = Phi - int Psi P S Phi - Psi solves dX/ds = -X F with X(t,t) = 0, so X
+vanishes, and the RK4 scheme keeps the identity stage by stage.  Both kernels
+therefore chain the closed-loop step maps of ode.py, which the closed-loop
+memo of the covariance path (ode._closed_loop) builds once per model and
+path: a kernel is a backward sweep over a slice of them, and a correction
+path only forms its forced terms e_k and sweeps forward.
 """
 from __future__ import annotations
 
@@ -40,16 +38,18 @@ def _kernel_rows(model: ValidatedModel, loop: _ClosedLoop, t_idx: int,
                  kernel: str) -> np.ndarray:
     """One kernel as a function of s for fixed t, shape (t_idx+1, n, n).
 
-    Rows are backward products of the first t_idx step maps: the closed
-    loop's for ode, and the block system's, between [I, -I] and [Q_s; 0],
-    for printed.
+    The ode rows Psi(t,s) are backward products of the first t_idx closed-loop
+    step maps; the printed rows are the ode rows times Q(s).
     """
-    eye = np.eye(model.n)
-    if kernel == "ode":
-        return _backward(loop.T[:t_idx], eye)
-    left = _backward(loop.block_maps[:t_idx], np.hstack([eye, -eye]))[:, :, :model.n]
-    Qs = model.Q[list(range(t_idx)) + [model.coeff_index(t_idx)]]
-    return left @ Qs
+    rows = _backward(loop.T[:t_idx], np.eye(model.n))
+    return rows if kernel == "ode" else _printed_rows(model, rows)
+
+
+def _printed_rows(model: ValidatedModel, ode_rows: np.ndarray) -> np.ndarray:
+    """Printed kernel rows Psi(t,s) Q(s) from the ode rows, with Q at node s
+    read from interval model.coeff_index(s)."""
+    t_idx = len(ode_rows) - 1
+    return ode_rows @ model.Q[list(range(t_idx)) + [model.coeff_index(t_idx)]]
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def correction_kernel(model: ValidatedModel, riccati: RiccatiPath,
                       t: float) -> CorrectionKernel:
     """Evaluate both correction kernels at a grid time t."""
     t_idx = model.grid.index_of(t)
-    loop = _closed_loop(model, riccati)
-    ode_rows, printed_rows = (_kernel_rows(model, loop, t_idx, k) for k in KERNELS)
+    ode_rows = _kernel_rows(model, _closed_loop(model, riccati), t_idx, "ode")
+    printed_rows = _printed_rows(model, ode_rows)
     for arr in (ode_rows, printed_rows):
         arr.setflags(write=False)
     return CorrectionKernel(t_index=t_idx, s_times=model.grid.times[: t_idx + 1],
@@ -105,24 +105,15 @@ def correction_path(model: ValidatedModel, riccati: RiccatiPath, theta,
     """Correction at every grid node via forward ODEs, shape (n_steps+1, n).
 
     The ode-kernel correction solves dc = (F - PG'R^-1G) c + theta.  The
-    printed-kernel correction is evaluated by swapping the order of its
-    double integral, which turns it into the pair of forward equations
-    dy1 = F y1 + Q theta and dy2 = (F - PG'R^-1G) y2 + PG'R^-1G y1 with
-    value y1 - y2.  Spot values agree with correction_term up to the
-    difference between trapezoidal quadrature and the integrator.
+    printed kernel is the ode kernel times Q, so its correction solves the
+    same equation driven by Q theta.  Spot values agree with correction_term
+    up to the difference between trapezoidal quadrature and the integrator.
     """
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
-    n, dt = model.n, model.grid.dt
     loop = _closed_loop(model, riccati)
-    if kernel == "ode":
-        out = _propagate(loop.A, th[:, :, None], dt, loop.T)[:, :, 0]
-    else:
-        qu = model.Q @ th[:, :, None]
-        y = _propagate(loop.block_stages(),
-                       np.concatenate([qu, np.zeros_like(qu)], axis=1), dt,
-                       loop.block_maps)
-        out = y[:, :n, 0] - y[:, n:, 0]
+    drive = th[:, :, None] if kernel == "ode" else model.Q @ th[:, :, None]
+    out = _propagate(loop.A, drive, model.grid.dt, loop.T)[:, :, 0]
     out.setflags(write=False)
     return out
 

@@ -14,16 +14,14 @@ block of intervals at a time, and the path is symmetrized once at the end.
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
 per model: the stage arrays P_i, P_i S and A_i, and, each built the first
-time it is read, the step maps T_k, the step maps of the printed kernel's
-block system and the symmetrized Sigma path.  Every array in it is
-read-only, a LostPositivity is raised again on every call rather than
-cached, and the memo is freed with the path.  A path's P must therefore not
-change once a moment, kernel or transition has been computed from it;
-solve_riccati returns P read-only.
+time it is read, the step maps T_k and the symmetrized Sigma path.  Every
+array in it is read-only, a LostPositivity is raised again on every call
+rather than cached, and the memo is freed with the path.  A path's P must
+therefore not change once a moment, kernel or transition has been computed
+from it; solve_riccati returns P read-only.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,21 +197,6 @@ class _ClosedLoop:
         _readonly(T)
         return T
 
-    def block_stages(self) -> np.ndarray:
-        """Stages [[F, 0], [P_i S, A_i]] of the printed kernel's block system
-        y1' = F y1, y2' = A y2 + P S y1, built anew on every call."""
-        A = self.A
-        return np.block([[np.broadcast_to(self.model.F, A.shape), np.zeros_like(A)],
-                         [self.PS, A]])
-
-    @cached_property
-    def block_maps(self) -> np.ndarray:
-        """Step maps of the block system, shape (K, 2n, 2n)."""
-        T = _rk4_step(self.block_stages(), np.eye(2 * self.model.n), _UNFORCED,
-                      self.model.grid.dt)
-        _readonly(T)
-        return T
-
     @cached_property
     def sigma(self) -> np.ndarray:
         """Symmetrized error covariance at every node; LostPositivity is
@@ -373,20 +356,16 @@ class TransitionCache:
         else:
             self._maps = _closed_loop(model, riccati).T
         self._rows: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def trajectory(self, s_index: int) -> np.ndarray:
         """Matrices mapping node s to every node j >= s; entry [j - s]."""
         if not 0 <= s_index <= self.model.n_steps:
             raise OutOfGrid(f"start node {s_index} outside 0..{self.model.n_steps}")
-        with self._lock:
-            cached = self._rows.get(s_index)
-        if cached is not None:
-            return cached
-        traj = _forward(self._maps[s_index:], np.eye(self.model.n))
-        traj.setflags(write=False)
-        with self._lock:
-            self._rows.setdefault(s_index, traj)
+        traj = self._rows.get(s_index)
+        if traj is None:
+            traj = self._rows[s_index] = _forward(self._maps[s_index:],
+                                                  np.eye(self.model.n))
+            traj.setflags(write=False)
         return traj
 
     def matrix(self, s_index: int, t_index: int) -> np.ndarray:

@@ -39,3 +39,17 @@ def test_pair_ratios_cancel_a_step_in_machine_speed(bench_compare, monkeypatch):
     assert wall["pair_ratio"]["q3"] - wall["pair_ratio"]["q1"] == pytest.approx(0.0)
     assert wall["parent"]["q3"] - wall["parent"]["q1"] > 0.3
     assert wall["wins"] == 4
+
+
+def test_loc_change_parses_numstat(bench_compare):
+    numstat = ("3\t12\tsrc/robustkb/decomposition.py\n"
+               "0\t17\tsrc/robustkb/ode.py\n"
+               "-\t-\tsrc/robustkb/data/blob.bin\n"
+               "5\t1\tsrc/robustkb/{old.py => new.py}\n")
+    loc = bench_compare.loc_change(numstat)
+    assert loc["path"] == "src/robustkb"
+    assert (loc["added"], loc["deleted"], loc["net"]) == (8, 30, -22)
+    assert loc["files"]["src/robustkb/ode.py"] == {"added": 0, "deleted": 17}
+    assert loc["files"]["src/robustkb/data/blob.bin"] == {"added": 0, "deleted": 0}
+    assert len(loc["files"]) == 4
+    assert bench_compare.loc_change("")["net"] == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import block_system
 import robustkb as rk
 from robustkb import (
     GridMismatch,
@@ -59,24 +60,39 @@ def test_kernel_values_on_the_diagonal(fast_model, fast_riccati):
 
 
 def test_printed_kernel_is_q_times_ode(fast_model, fast_riccati, wide_model):
+    # The closed form Psi(t,s) Q(s) against the block-system reference.
+    # X = Phi(t,s) - Acc(t,s) - Psi(t,s) solves dX/ds = -X F with X(t,t) = 0,
+    # so the two agree to rounding, for any F and Q.
     kern = correction_kernel(fast_model, fast_riccati, 1.5)
-    assert np.max(np.abs(kern.printed - kern.ode)) <= 1e-9
-    kern2 = correction_kernel(wide_model, solve_riccati(wide_model), 1.5)
+    ref = block_system.printed_kernel_rows(fast_model, fast_riccati, kern.t_index)
+    assert np.max(np.abs(kern.printed - ref)) <= 1e-9
+    assert np.array_equal(kern.printed, kern.ode)
+    wide_ric = solve_riccati(wide_model)
+    kern2 = correction_kernel(wide_model, wide_ric, 1.5)
+    ref2 = block_system.printed_kernel_rows(wide_model, wide_ric, kern2.t_index)
+    assert np.max(np.abs(kern2.printed - ref2)) <= 1e-9
     assert np.max(np.abs(kern2.printed - 2.0 * kern2.ode)) <= 1e-9
     # Away from the diagonal the two kernels are far apart here.
     assert np.max(np.abs(kern2.printed - kern2.ode)) >= 0.1
 
-    # n=3 with time-varying F and Q.  X = Phi(t,s) - Acc(t,s) - Psi(t,s)
-    # solves dX/ds = -X F with X(t,t) = 0, so printed(t,s) = Psi(t,s) Q(s).
+    # n=3 with time-varying F and Q.
     model3 = _time_varying_n3_model()
     ric3 = solve_riccati(model3)
     kern3 = correction_kernel(model3, ric3, 1.5)
+    ref3 = block_system.printed_kernel_rows(model3, ric3, kern3.t_index)
+    assert np.max(np.abs(kern3.printed - ref3)) <= 1e-9
     q_nodes = model3.Q[[*range(kern3.t_index), model3.coeff_index(kern3.t_index)]]
     assert np.max(np.abs(kern3.printed - kern3.ode @ q_nodes)) <= 1e-9
     theta = np.random.default_rng(3).uniform(-1.0, 1.0, (model3.n_steps, 3))
     printed = correction_path(model3, ric3, theta, "printed")
+    ref_path = block_system.printed_correction_path(model3, ric3, theta)
+    assert np.max(np.abs(printed - ref_path)) <= 1e-12
     ode = correction_path(model3, ric3, np.einsum("kij,kj->ki", model3.Q, theta), "ode")
     assert np.max(np.abs(printed - ode)) <= 1e-12
+    term = correction_term(model3, ric3, theta, 1.5, "printed")
+    ref_term = block_system.printed_correction_term(model3, ric3, theta,
+                                                    kern3.t_index)
+    assert np.max(np.abs(term - ref_term)) <= 1e-9
 
 
 def test_zero_drift_gives_zero_correction(fast_model, fast_riccati):
@@ -117,7 +133,10 @@ def test_unit_diffusion_collapses_the_pair(fast_model, fast_riccati):
     theta = np.full((200, 1), 0.8)
     ode = correction_path(fast_model, fast_riccati, theta, "ode")
     printed = correction_path(fast_model, fast_riccati, theta, "printed")
-    assert np.max(np.abs(ode - printed)) <= 1e-12
+    ref = block_system.printed_correction_path(fast_model, fast_riccati, theta)
+    assert np.max(np.abs(printed - ref)) <= 1e-12
+    # Q = 1 exactly, so Q theta is theta and the two paths share every bit.
+    assert np.array_equal(ode, printed)
 
 
 def test_doubled_diffusion_separates_the_pair(wide_model):
@@ -125,6 +144,8 @@ def test_doubled_diffusion_separates_the_pair(wide_model):
     theta = np.full((200, 1), 0.8)
     ode = correction_path(wide_model, riccati, theta, "ode")
     printed = correction_path(wide_model, riccati, theta, "printed")
+    ref = block_system.printed_correction_path(wide_model, riccati, theta)
+    assert np.max(np.abs(printed - ref)) <= 1e-12
     assert np.max(np.abs(printed - 2.0 * ode)) <= 1e-9 * np.max(np.abs(printed))
     assert np.max(np.abs(printed - ode)) >= 0.1
 
@@ -239,7 +260,7 @@ def test_memo_hits_match_a_fresh_path(memo_case):
     fresh = rk.RiccatiPath(riccati.grid, riccati.P, riccati.min_eigenvalue)
     cold = _decomposition_outputs(model, fresh)
     _decomposition_outputs(model, riccati)
-    assert {"T", "block_maps"} <= set(vars(riccati._memo[id(model)]))
+    assert "T" in vars(riccati._memo[id(model)])
     hot = _decomposition_outputs(model, riccati)
     assert [a.tobytes() for a in hot] == [a.tobytes() for a in cold]
 

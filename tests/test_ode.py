@@ -730,7 +730,7 @@ def test_memo_hits_match_a_fresh_path(memo_case):
 def test_memo_arrays_are_read_only(memo_case):
     model, riccati = memo_case
     loop = _closed_loop(model, riccati)
-    for name in ("P", "PS", "A", "T", "block_maps", "sigma"):
+    for name in ("P", "PS", "A", "T", "sigma"):
         arr = getattr(loop, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
@@ -788,15 +788,14 @@ def test_prefix_has_its_own_memo():
     assert riccati._memo == before
     assert loop.A.shape == (4, 120, 3, 3) and loop.T.shape == (120, 3, 3)
     assert loop.sigma.shape == stats.Sigma.shape == (121, 3, 3)
-    assert loop.block_maps.shape == (120, 6, 6)
     full = riccati._memo[id(model)]
     assert loop.T.tobytes() == full.T[:120].tobytes()
     assert dataclasses.replace(riccati)._memo == {}
 
 
 def test_memo_retains_at_most_twice_the_stages():
-    # The memo keeps the stages, both sets of step maps and Sigma while the
-    # path lives, and nothing once it is gone.
+    # The memo keeps the stages, the step maps and Sigma while the path
+    # lives, and nothing once it is gone.
     model = constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q, N3_R,
                            np.zeros(3), horizon=2.0, n_steps=20000)
     riccati = solve_riccati(model)

@@ -5,9 +5,12 @@ import json
 import pytest
 
 import robustkb as rk
+from robustkb.simulate import _TILT_EIG_FLOOR
 from robustkb.verification import (
     CheckResult,
+    _matched_tilt,
     check_girsanov,
+    check_printed_kernel,
     check_riccati_steady_state,
     check_saddle,
     run_verification,
@@ -95,6 +98,35 @@ def test_girsanov_check_skips_singular_diffusion():
     result = check_girsanov(cfg, 0)
     assert not result.applicable
     assert "singular" in result.detail
+
+
+def test_tilt_floor_is_the_simulator_floor():
+    # Just below the floor the simulator raises UnsupportedTilt; verification
+    # must refuse the tilt there and keep it just above.
+    below = _scalar_cfg(50, T=1.0, Q=0.5 * _TILT_EIG_FLOOR)
+    above = _scalar_cfg(50, T=1.0, Q=2.0 * _TILT_EIG_FLOOR)
+    assert not _matched_tilt(below.model, below.bound).any()
+    assert _matched_tilt(above.model, above.bound)[0] == 0.5
+    assert not check_girsanov(below, 0).applicable
+    with pytest.raises(rk.UnsupportedTilt):
+        rk.simulate_paths(below.model, rk.constant_policy(below.model, 0.5), 1, 0)
+
+
+@pytest.mark.parametrize("mutant", ["drop_q", "double_q"])
+def test_printed_kernel_audit_catches_a_wrong_printed_kernel(default_cfg,
+                                                             monkeypatch, mutant):
+    # The audit evaluates the published integral itself, so a library
+    # printed kernel that loses Q (printed = ode) or doubles it must fail.
+    assert check_printed_kernel(default_cfg, 0).passed
+    right = rk.decomposition._printed_rows
+    wrong = {"drop_q": lambda model, ode_rows: ode_rows,
+             "double_q": lambda model, ode_rows: 2.0 * right(model, ode_rows)}
+    monkeypatch.setattr(rk.decomposition, "_printed_rows", wrong[mutant])
+    result = check_printed_kernel(default_cfg, 0)
+    assert result.applicable
+    assert not result.passed
+    errs = result.measured["printed_err"]
+    assert max(errs.values()) > 10.0 * result.measured["printed_bound"]
 
 
 def test_saddle_gap_closes_without_uncertainty():

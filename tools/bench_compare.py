@@ -13,10 +13,11 @@ drift of the machine does not favour one side.  The JSON written to FILE
 and every end-to-end metric of ``BENCHMARK.json``, each side's runs, median
 and quartiles, the change/parent ratio of every pair with their median and
 quartiles, and the number of pairs the change wins; also both SHAs, the
-numpy and Python versions, and the core count.  Both runs of a pair are
-taken back to back, so a step in the machine's speed during the session
-moves both and leaves their ratio alone, where it would widen each side's
-quartiles.  The exit code is 1 if any run failed its gates.
+numpy and Python versions, the core count, and the lines added, deleted and
+net under ``src/robustkb`` between the two SHAs (``git diff --numstat``).
+Both runs of a pair are taken back to back, so a step in the machine's speed
+during the session moves both and leaves their ratio alone, where it would
+widen each side's quartiles.  The exit code is 1 if any run failed its gates.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LOC_PATH = "src/robustkb"
 
 
 def _git(*args: str) -> str:
@@ -43,6 +45,23 @@ def _git(*args: str) -> str:
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def loc_change(numstat: str) -> dict:
+    """Lines added, deleted and net, in total and per file, from the output
+    of ``git diff --numstat``; binary files (``-`` counts) add no lines."""
+    files = {}
+    for line in numstat.splitlines():
+        if not line.strip():
+            continue
+        added, deleted, path = line.split("\t", 2)
+        if added == "-":
+            added = deleted = "0"
+        files[path] = {"added": int(added), "deleted": int(deleted)}
+    added = sum(f["added"] for f in files.values())
+    deleted = sum(f["deleted"] for f in files.values())
+    return {"path": LOC_PATH, "added": added, "deleted": deleted,
+            "net": added - deleted, "files": files}
 
 
 def _bench_run(tree: str, workload: str, seed: int, seconds: int) -> dict:
@@ -126,6 +145,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "cores": os.cpu_count(),
             "seconds": seconds,
+            "loc": loc_change(_git("diff", "--numstat", shas["parent"],
+                                   shas["change"], "--", LOC_PATH)),
             "workloads": {w: compare(trees, w, args.pairs, args.seed,
                                      seconds, bench["end_to_end"])
                           for w in args.workload},
@@ -148,6 +169,9 @@ def main(argv=None) -> int:
                   f"({m['median_change_frac']:+.1%}), pair ratio "
                   f"{ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}], "
                   f"change wins {m['wins']}/{m['pairs']}")
+    loc = record["loc"]
+    print(f"{LOC_PATH}: +{loc['added']} -{loc['deleted']} lines "
+          f"(net {loc['net']:+d})")
     print(f"wrote {args.out}")
     failed = any(sum(res["failed"].values()) for res in record["workloads"].values())
     return 1 if failed else 0
