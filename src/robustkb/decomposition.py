@@ -12,8 +12,9 @@ X = Phi - int Psi P S Phi - Psi solves dX/ds = -X F with X(t,t) = 0, so X
 vanishes, and the RK4 scheme keeps the identity stage by stage.  Both kernels
 therefore chain the closed-loop step maps of ode.py, which the closed-loop
 memo of the covariance path (ode._closed_loop) builds once per model and
-path: a kernel is a backward sweep over a slice of them, and a correction
-path only forms its forced terms e_k and sweeps forward.
+path: a kernel is a backward doubling scan over a slice of them, and a
+correction path only forms its forced terms e_k and scans forward, in
+ceil(log2 K) batched products either way.
 """
 from __future__ import annotations
 
@@ -94,8 +95,14 @@ def correction_term(model: ValidatedModel, riccati: RiccatiPath, theta,
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
     t_idx = model.grid.index_of(t)
-    rows = _kernel_rows(model, _closed_loop(model, riccati), t_idx, kernel)
-    nodes = np.concatenate([th, th[-1:]], axis=0)[: t_idx + 1]
+    return _kernel_term(model, _kernel_rows(model, _closed_loop(model, riccati),
+                                            t_idx, kernel), th)
+
+
+def _kernel_term(model: ValidatedModel, rows: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Trapezoidal int_0^t K(t,s) theta_s ds over the kernel rows K(t, s),
+    s = 0..t_idx, with theta the (n_steps, n) policy array."""
+    nodes = np.concatenate([th, th[-1:]], axis=0)[: len(rows)]
     vals = np.einsum("kij,kj->ki", rows, nodes)
     return model.grid.dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxTooLarge, GridMismatch, UnsupportedClassWarning
+from .errors import BoxTooLarge, UnsupportedClassWarning
 from .filtering import _filter_step, filter_gains
 from .model import (
     DriftPolicy,
@@ -47,21 +47,16 @@ def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
               riccati: RiccatiPath | None = None) -> float:
     """Exact mean-square estimation error at time t via the moment ODEs.
 
-    The moments are integrated over the intervals up to t only.
+    The moments are read at t from the full-horizon solution, whose
+    policy-independent work is memoized on the covariance path; every moment
+    ODE is causal, so they equal the moments integrated up to t only.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
     t_idx = model.grid.index_of(t)
-    k = max(t_idx, 1)
-    if riccati is not None and riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
-    if k < model.n_steps:
-        model = model.truncate(k)
-        riccati = riccati.prefix(k) if riccati is not None else None
     if riccati is None:
         riccati = solve_riccati(model)
-    stats = solve_error_stats(model, th_true[:k], th_hat[:k], riccati)
-    return float(stats.mse[t_idx])
+    return float(solve_error_stats(model, th_true, th_hat, riccati).mse[t_idx])
 
 
 def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,

@@ -6,10 +6,13 @@ stages of step k using the interval-k coefficients.  Only solve_riccati
 integrates the covariance, in a loop of its own, symmetrizing after each
 step.  Every other quantity solves a linear ODE driven by the stage closed
 loops F - P_i S, whose RK4 steps are affine maps y -> T_k y + e_k built for
-many intervals at once and applied by one forward (or backward) sweep.  The
-error covariance Sigma is one such ODE in row-major vec form, with the
-n^2 x n^2 generators A_i (x) I + I (x) A_i; its maps are built and applied a
-block of intervals at a time, and the path is symmetrized once at the end.
+many intervals at once.  A forward (or backward) sweep over them is a
+doubling scan: ceil(log2 K) batched products of window compositions, each
+row reading only its own prefix (or suffix) of the maps.  The error
+covariance Sigma is one such ODE in row-major vec form, with the n^2 x n^2
+generators A_i (x) I + I (x) A_i; its maps are built a block of intervals at
+a time and applied by a sequential loop, so that its bits do not depend on
+the block size, and the path is symmetrized once at the end.
 
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
@@ -94,20 +97,45 @@ def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
 
 
 def _forward(T, y0, e=None) -> np.ndarray:
-    """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape."""
-    out = np.empty((len(T) + 1,) + y0.shape)
-    y = out[0] = y0
-    for k in range(len(T)):
-        y = out[k + 1] = T[k] @ y if e is None else T[k] @ y + e[k]
+    """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape.
+
+    A doubling scan: each level doubles the window w, M[k] holding the
+    product T_k ... T_{k-w+1} (cut at T_0) and v[k] the forcing those maps
+    carry, so ceil(log2 K) levels of batched products compose every prefix.
+    Row k reads T[:k+1] and e[:k+1] only, so a prefix of T gives a prefix of
+    the output bitwise.
+    """
+    if y0.ndim == 1:
+        return _forward(T, y0[:, None], None if e is None else e[..., None])[..., 0]
+    M = np.array(T, dtype=float)
+    v = None if e is None else np.array(e, dtype=float)
+    span = 1
+    while span < len(M):
+        if v is not None:
+            v[span:] += M[span:] @ v[:-span]
+        M[span:] = M[span:] @ M[:-span]
+        span *= 2
+    out = np.empty((len(M) + 1,) + y0.shape)
+    out[0] = y0
+    out[1:] = M @ y0 if v is None else M @ y0 + v
     return out
 
 
 def _backward(T, last) -> np.ndarray:
-    """Rows R_j = R_{j+1} T_j from R_K = last down to R_0, shape (K+1,) + last.shape."""
-    out = np.empty((len(T) + 1,) + last.shape)
-    r = out[-1] = last
-    for j in range(len(T) - 1, -1, -1):
-        r = out[j] = r @ T[j]
+    """Rows R_j = R_{j+1} T_j from R_K = last down to R_0, shape (K+1,) + last.shape.
+
+    The doubling scan of _forward run from the end: R[j] becomes the product
+    T_{K-1} ... T_j, so a suffix of T gives a suffix of the rows bitwise, and
+    the last row is last itself.
+    """
+    R = np.array(T, dtype=float)
+    span = 1
+    while span < len(R):
+        R[:-span] = R[span:] @ R[:-span]
+        span *= 2
+    out = np.empty((len(R) + 1,) + last.shape)
+    out[-1] = last
+    out[:-1] = last @ R
     return out
 
 
@@ -138,8 +166,9 @@ def _lyapunov_path(Q, P, PS, A, dt: float) -> np.ndarray:
     """RK4 solution of dSigma = A_i Sigma + Sigma A_i' + Q_k + P_i S P_i from
     Sigma = 0 at every node, shape (K+1, n, n), not symmetrized.
 
-    The vec(Sigma) step maps and forced terms are built and applied
-    _SIGMA_BLOCK intervals at a time.
+    The vec(Sigma) step maps and forced terms are built _SIGMA_BLOCK
+    intervals at a time and applied one interval after another, so the path
+    does not depend on the block size.
     """
     k_steps, n = A.shape[1], A.shape[-1]
     eye = np.eye(n * n)
@@ -151,7 +180,8 @@ def _lyapunov_path(Q, P, PS, A, dt: float) -> np.ndarray:
         W = (Q[blk] + PS[:, blk] @ P[:, blk]).reshape(L.shape[:2] + (n * n, 1))
         T = _rk4_step(L, eye, _UNFORCED, dt)
         e = _rk4_step(L, np.zeros(W.shape[1:]), W, dt)
-        out[s: s + len(T) + 1] = _forward(T, out[s], e)
+        for k in range(len(T)):
+            out[s + k + 1] = T[k] @ out[s + k] + e[k]
     return out.reshape(k_steps + 1, n, n)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScenarioConfig
-from .decomposition import correction_kernel, correction_path, correction_term
+from .decomposition import _kernel_term, correction_kernel, correction_path
 from .errors import RobustKBError, UnsupportedTilt
 from .filtering import (
     _filter_batch,
@@ -386,19 +386,19 @@ def check_decomposition_identity(config: ScenarioConfig, seed: int,
     })
 
 
-def _published_term(model: ValidatedModel, riccati, theta, t: float) -> np.ndarray:
+def _published_term(model: ValidatedModel, riccati, theta, psi: np.ndarray) -> np.ndarray:
     """The printed correction at t from the published double integral
     int_0^t [Phi(t,s)Q(s) - int_s^t Psi(t,r) P_r S_r Phi(r,s) Q(s) dr] theta_s ds,
-    never from the identity printed = Psi Q.  Swapping the order of
-    integration gives y1(t) - int_0^t Psi(t,r) P_r S_r y1(r) dr with
+    never from the identity printed = Psi Q.  psi holds the ode kernel rows
+    Psi(t, r), r = 0..t_idx, as correction_kernel gives them.  Swapping the
+    order of integration gives y1(t) - int_0^t Psi(t,r) P_r S_r y1(r) dr with
     dy1 = F y1 + Q theta, y1(0) = 0: y1 from the state's RK4 step maps, the
     integral in r by the trapezoid rule.
     """
-    t_idx = model.grid.index_of(t)
+    t_idx = len(psi) - 1
     F, Q = model.F[:t_idx], model.Q[:t_idx]
     y1 = _propagate(np.broadcast_to(F, (4,) + F.shape),
                     Q @ theta.theta[:t_idx, :, None], model.grid.dt)[:, :, 0]
-    psi = correction_kernel(model, riccati, t).ode
     S = model.S[list(range(t_idx)) + [model.coeff_index(t_idx)]]
     vals = np.einsum("rij,rjk,rkl,rl->ri", psi, riccati.P[: t_idx + 1], S, y1)
     return y1[-1] - model.grid.dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))
@@ -428,9 +428,11 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
     for key, mdl in cases.items():
         ric = solve_riccati(mdl)
         th = constant_policy(mdl, value)
-        pub = _published_term(mdl, ric, th, t)
-        c_ode = correction_term(mdl, ric, th, t, kernel="ode")
-        c_pr = correction_term(mdl, ric, th, t, kernel="printed")
+        # One backward sweep per model serves all three terms.
+        kern = correction_kernel(mdl, ric, t)
+        pub = _published_term(mdl, ric, th, kern.ode)
+        c_ode = _kernel_term(mdl, kern.ode, th.theta)
+        c_pr = _kernel_term(mdl, kern.printed, th.theta)
         gap[key] = float(np.max(np.abs(pub - c_ode)))
         err[key] = float(np.max(np.abs(pub - c_pr)))
         ode_norm[key] = float(np.max(np.abs(c_ode)))

@@ -1,9 +1,13 @@
-"""The per-step error-covariance loop, written out as a reference for the
-blocked vec-Lyapunov propagator of `solve_error_stats`.
+"""Per-step loops, written out as references for the library's propagators.
 
-It repeats the loop the library ran: one RK4 step of
+`sigma_per_step` is the reference for the blocked vec-Lyapunov propagator of
+`solve_error_stats`.  It repeats the loop the library ran: one RK4 step of
 dSigma = A_i Sigma + Sigma A_i' + Q + P_i S P_i per interval, over the stage
 covariances of `_closed_loop_stages`, symmetrized after every step.
+
+`forward_per_step` and `backward_per_step` are the references for the
+doubling scans `ode._forward` and `ode._backward`: the sequential sweeps the
+library ran, one map per step.
 """
 
 import numpy as np
@@ -31,3 +35,21 @@ def sigma_per_step(model, riccati):
         step = Sg + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         Sg = Sig[k + 1] = 0.5 * (step + step.T)
     return Sig
+
+
+def forward_per_step(T, y0, e=None):
+    """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape."""
+    out = np.empty((len(T) + 1,) + y0.shape)
+    y = out[0] = y0
+    for k in range(len(T)):
+        y = out[k + 1] = T[k] @ y if e is None else T[k] @ y + e[k]
+    return out
+
+
+def backward_per_step(T, last):
+    """Rows R_j = R_{j+1} T_j from R_K = last down to R_0, shape (K+1,) + last.shape."""
+    out = np.empty((len(T) + 1,) + last.shape)
+    r = out[-1] = last
+    for j in range(len(T) - 1, -1, -1):
+        r = out[j] = r @ T[j]
+    return out

@@ -14,6 +14,7 @@ import numpy as np
 import robustkb as rk
 from robustkb.cli import main
 from robustkb.simulate import _log_density_batch
+from robustkb.verification import _published_term
 
 from oracles import UPPER_ONE
 
@@ -154,12 +155,28 @@ def _kernel_term_gap(q: float, n_steps: int) -> float:
     return float(np.max(np.abs(printed - ode)))
 
 
+def _unit_printed_gap(n_steps: int) -> float:
+    """Library printed term against the published double integral at Q = 1,
+    where the library printed term equals the ode term bit for bit."""
+    model = rk.constant_model(-1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+                              horizon=2.0, n_steps=n_steps)
+    riccati = rk.solve_riccati(model)
+    theta = rk.constant_policy(model, 1.0)
+    printed = rk.correction_term(model, riccati, theta, 1.0, kernel="printed")
+    published = _published_term(model, riccati, theta,
+                                 rk.correction_kernel(model, riccati, 1.0).ode)
+    return float(np.max(np.abs(printed - published)))
+
+
+def _printed_kernel_audit():
+    """(unit gap, doubled-diffusion gap, its drift under refinement)."""
+    gap_two = _kernel_term_gap(2.0, 2000)
+    return _unit_printed_gap(2000), gap_two, abs(gap_two - _kernel_term_gap(2.0, 4000))
+
+
 def test_07_printed_kernel_audit(capfd):
     dt = 1e-3
-    gap_unit = _kernel_term_gap(1.0, 2000)
-    gap_two = _kernel_term_gap(2.0, 2000)
-    gap_two_fine = _kernel_term_gap(2.0, 4000)
-    drift = abs(gap_two - gap_two_fine)
+    gap_unit, gap_two, drift = _printed_kernel_audit()
     ok = (gap_unit <= 5.0 * dt
           and gap_two > 0.1
           and drift <= 0.05 * gap_two)
@@ -169,6 +186,18 @@ def test_07_printed_kernel_audit(capfd):
     assert gap_unit <= 5.0 * dt
     assert gap_two > 0.1
     assert drift <= 0.05 * gap_two
+
+
+def test_07_fails_on_a_doubled_printed_term(monkeypatch):
+    right = rk.correction_term
+
+    def doubled(*args, kernel="ode", **kwargs):
+        term = right(*args, kernel=kernel, **kwargs)
+        return 2.0 * term if kernel == "printed" else term
+
+    monkeypatch.setattr(rk, "correction_term", doubled)
+    gap_unit, _, _ = _printed_kernel_audit()
+    assert gap_unit > 5.0 * 1e-3
 
 
 def test_08_saddle_report_scalar_default(capfd, default_model, default_bound,

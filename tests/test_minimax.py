@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_unit_drift_mse_hits_frozen_value(default_model, default_riccati):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_mse_exact_equals_the_full_grid_moments(n):
-    # mse_exact integrates only up to t; the nodes it reads are unchanged.
+    # mse_exact reads the full-grid moments at t, with or without a path.
     if n == 1:
         model = constant_model(-1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0,
                                horizon=2.0, n_steps=200)
@@ -74,6 +75,44 @@ def test_mse_exact_equals_the_full_grid_moments(n):
     longer = model.truncate(100)
     with pytest.raises(rk.GridMismatch):
         mse_exact(longer, theta_true[:100], theta_true[:100], 0.5, riccati)
+
+
+BENCH_N3 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "minimax_n3.json")
+
+
+def _moments_n3_schedule(seed=4242):
+    """The time-varying n = 3 schedule the moments-n3 benchmark builds."""
+    base = rk.load_scenario(BENCH_N3).model
+    rng = np.random.default_rng(seed)
+    E = 0.2 * rng.standard_normal((3, 3))
+    phase = 2.0 * np.pi * base.grid.times[:-1] / base.grid.horizon
+    return rk.validate_model(rk.ModelSchedule(
+        F=base.F[0] + np.sin(phase)[:, None, None] * E, f=base.f, G=base.G,
+        g=base.g, Q=base.Q[0] * (1.0 + 0.3 * np.cos(phase))[:, None, None],
+        R=base.R, x0=base.x0), base.grid)
+
+
+@pytest.mark.parametrize("which", ["n1", "minimax-n3", "moments-n3"])
+def test_truncated_moments_equal_the_sliced_full_horizon(which, default_model):
+    # mse_exact reads the full-horizon moments at t: the truncated model on
+    # the prefix path must give the same bits as the slice of the full one.
+    model = {"n1": lambda: default_model,
+             "minimax-n3": lambda: rk.load_scenario(BENCH_N3).model,
+             "moments-n3": _moments_n3_schedule}[which]()
+    riccati = solve_riccati(model)
+    rng = np.random.default_rng(11)
+    th_true, th_hat = rng.uniform(-1.0, 1.0, (2, model.n_steps, model.n))
+    full = rk.solve_error_stats(model, th_true, th_hat, riccati)
+    for t in (0.5, 1.0, 1.5):
+        k = model.grid.index_of(t)
+        sub = model.truncate(k)
+        sub_ric = solve_riccati(sub)
+        assert sub_ric.P.tobytes() == riccati.P[: k + 1].tobytes(), t
+        part = rk.solve_error_stats(sub, th_true[:k], th_hat[:k], riccati.prefix(k))
+        for name in ("bias", "Sigma", "mse"):
+            got, want = getattr(part, name), getattr(full, name)[: k + 1]
+            assert got.tobytes() == want.tobytes(), (t, name)
 
 
 def test_monte_carlo_agrees_with_exact(fast_model, fast_riccati):

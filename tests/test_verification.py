@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import robustkb as rk
@@ -9,6 +10,8 @@ from robustkb.simulate import _TILT_EIG_FLOOR
 from robustkb.verification import (
     CheckResult,
     _matched_tilt,
+    _probe_value,
+    _published_term,
     check_girsanov,
     check_printed_kernel,
     check_riccati_steady_state,
@@ -127,6 +130,27 @@ def test_printed_kernel_audit_catches_a_wrong_printed_kernel(default_cfg,
     assert not result.passed
     errs = result.measured["printed_err"]
     assert max(errs.values()) > 10.0 * result.measured["printed_bound"]
+
+
+def test_printed_kernel_audit_sweeps_each_model_once(default_cfg, monkeypatch):
+    # One backward sweep per model serves the published, ode and printed
+    # terms, with the bits of the library's one-kernel-at-a-time terms.
+    model, t = default_cfg.model, 1.0
+    riccati = rk.solve_riccati(model)
+    theta = rk.constant_policy(model, _probe_value(default_cfg.bound))
+    pub = _published_term(model, riccati, theta,
+                          rk.correction_kernel(model, riccati, t).ode)
+    terms = {kernel: rk.correction_term(model, riccati, theta, t, kernel=kernel)
+             for kernel in rk.KERNELS}
+    sweeps = []
+    backward = rk.decomposition._backward
+    monkeypatch.setattr(rk.decomposition, "_backward",
+                        lambda *args: sweeps.append(1) or backward(*args))
+    result = check_printed_kernel(default_cfg, 0)
+    assert len(sweeps) == 3  # unit Q, doubled Q and doubled Q at dt / 2
+    assert result.measured["unit_q_gap"] == float(np.max(np.abs(pub - terms["ode"])))
+    assert result.measured["printed_err"]["unit_q"] == float(
+        np.max(np.abs(pub - terms["printed"])))
 
 
 def test_saddle_gap_closes_without_uncertainty():
