@@ -1,7 +1,9 @@
-"""The before/after recorder's statistics, on canned runs."""
+"""The before/after recorder: its statistics on canned runs, and its export
+of a commit."""
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -53,3 +55,19 @@ def test_loc_change_parses_numstat(bench_compare):
     assert loc["files"]["src/robustkb/data/blob.bin"] == {"added": 0, "deleted": 0}
     assert len(loc["files"]) == 4
     assert bench_compare.loc_change("")["net"] == 0
+
+
+def test_export_writes_the_committed_files(bench_compare, tmp_path):
+    # Each side runs in a plain export of one commit, outside the repository.
+    git = ["git", "-C", os.path.dirname(TOOL)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    tree = str(tmp_path / "head")
+    bench_compare.export(head.stdout.strip(), tree)
+    committed = subprocess.run(git + ["show", "HEAD:BENCHMARK.json"], check=True,
+                               capture_output=True).stdout
+    with open(os.path.join(tree, "BENCHMARK.json"), "rb") as fh:
+        assert fh.read() == committed
+    assert os.path.isfile(os.path.join(tree, "bench", "run.py"))
+    assert not os.path.exists(os.path.join(tree, ".git"))

@@ -3,9 +3,10 @@
     python3 tools/bench_compare.py PARENT_REV --workload NAME --pairs N --seed S
         [--workload NAME ...] [--out FILE]
 
-PARENT_REV and HEAD are checked out with ``git worktree`` under a temporary
-directory outside the repository, and the worktrees are removed when the
-script ends.  Pair i runs ``bench/run.py --workload NAME --seed S+i --trace 0``
+The committed files of PARENT_REV and HEAD are exported with ``git archive``
+into two new directories under a temporary directory outside the
+repository, which is removed when the script ends; the repository's own
+``.git`` is only read.  Pair i runs ``bench/run.py --workload NAME --seed S+i --trace 0``
 once in each checkout, for the ``run_seconds`` of HEAD's ``BENCHMARK.json``,
 parent first on even pairs and change first on odd pairs, so that a slow
 drift of the machine does not favour one side.  The JSON written to FILE
@@ -22,6 +23,7 @@ widen each side's quartiles.  The exit code is 1 if any run failed its gates.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -29,6 +31,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
@@ -62,6 +65,15 @@ def loc_change(numstat: str) -> dict:
     deleted = sum(f["deleted"] for f in files.values())
     return {"path": LOC_PATH, "added": added, "deleted": deleted,
             "net": added - deleted, "files": files}
+
+
+def export(sha: str, tree: str) -> None:
+    """Write the files committed at sha into the new directory tree."""
+    blob = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", sha],
+                          check=True, capture_output=True).stdout
+    os.makedirs(tree)
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(tree, filter="data")
 
 
 def _bench_run(tree: str, workload: str, seed: int, seconds: int) -> dict:
@@ -134,7 +146,7 @@ def main(argv=None) -> int:
     try:
         for side, sha in shas.items():
             trees[side] = os.path.join(tmp_root, side)
-            _git("worktree", "add", "--detach", trees[side], sha)
+            export(sha, trees[side])
         with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
             bench = json.load(fh)
         seconds = bench["run_seconds"]
@@ -152,12 +164,7 @@ def main(argv=None) -> int:
                           for w in args.workload},
         }
     finally:
-        for tree in trees.values():
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                            tree], capture_output=True)
         shutil.rmtree(tmp_root, ignore_errors=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
-                       capture_output=True)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
