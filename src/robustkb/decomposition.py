@@ -12,9 +12,10 @@ X = Phi - int Psi P S Phi - Psi solves dX/ds = -X F with X(t,t) = 0, so X
 vanishes, and the RK4 scheme keeps the identity stage by stage.  Both kernels
 therefore chain the closed-loop step maps of ode.py, which the closed-loop
 memo of the covariance path (ode._closed_loop) builds once per model and
-path: a kernel is a backward doubling scan over a slice of them, and a
-correction path only forms its forced terms e_k and scans forward, in
-ceil(log2 K) batched products either way.
+path, with their input maps D_k: a kernel is a backward scan over a slice of
+the step maps, and a correction path only forms its forced terms D_k theta_k
+(D_k Q_k theta_k for the printed kernel) and scans forward, in about 2K
+batched products either way.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ def correction_path(model: ValidatedModel, riccati: RiccatiPath, theta,
     th = _policy_array(theta, model, "theta")
     loop = _closed_loop(model, riccati)
     drive = th[:, :, None] if kernel == "ode" else model.Q @ th[:, :, None]
-    out = _propagate(loop.A, drive, model.grid.dt, loop.T)[:, :, 0]
+    out = _propagate(loop.A, drive, model.grid.dt, loop.T, loop.D)[:, :, 0]
     out.setflags(write=False)
     return out
 

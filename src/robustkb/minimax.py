@@ -157,16 +157,17 @@ class _GameCore:
     M: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)  # stage closed loops up to t_idx
     T: np.ndarray = field(repr=False)  # their step maps
+    D: np.ndarray = field(repr=False)  # and input maps
 
 
 def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCore:
     """Integrate M_t, the closed-loop response to a unit constant drift."""
     t_idx = model.grid.index_of(t)
     loop = _closed_loop(model, riccati)
-    A, T = loop.A[:, :t_idx], loop.T[:t_idx]
-    M = _propagate(A, np.eye(model.n), model.grid.dt, T)[-1]
+    A, T, D = loop.A[:, :t_idx], loop.T[:t_idx], loop.D[:t_idx]
+    M = _propagate(A, np.eye(model.n), model.grid.dt, T, D)[-1]
     return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])),
-                     M=M, A=A, T=T)
+                     M=M, A=A, T=T, D=D)
 
 
 def _vertices(bound: UncertaintyBound) -> np.ndarray:
@@ -222,7 +223,7 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
         c = core.M @ th_hat[0]
     else:
         c = _propagate(core.A, th_hat[: core.t_idx, :, None], model.grid.dt,
-                       core.T)[-1, :, 0]
+                       core.T, core.D)[-1, :, 0]
 
     if adversary == "bang_bang" and not _closed_loop_is_diagonal(core):
         warnings.warn(

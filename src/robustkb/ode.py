@@ -6,22 +6,25 @@ stages of step k using the interval-k coefficients.  Only solve_riccati
 integrates the covariance, in a loop of its own, symmetrizing after each
 step.  Every other quantity solves a linear ODE driven by the stage closed
 loops F - P_i S, whose RK4 steps are affine maps y -> T_k y + e_k built for
-many intervals at once.  A forward (or backward) sweep over them is a
-doubling scan: ceil(log2 K) batched products of window compositions, each
-row reading only its own prefix (or suffix) of the maps.  The error
+many intervals at once; an input u_k held over interval k gives the forced
+term e_k = D_k u_k.  A forward sweep over them is a work-efficient scan, an
+up-sweep and a down-sweep of about 2K batched products, each row reading
+only its own prefix of the maps; a backward sweep is the same scan over the
+reversed, transposed maps, each row reading its own suffix.  The error
 covariance Sigma is one such ODE in row-major vec form, with the n^2 x n^2
-generators A_i (x) I + I (x) A_i; its maps are built a block of intervals at
-a time and applied by a sequential loop, so that its bits do not depend on
-the block size, and the path is symmetrized once at the end.
+generators A_i (x) I + I (x) A_i and a forcing that differs by stage; its
+maps are built a block of intervals at a time and applied by a sequential
+loop, so that its bits do not depend on the block size, and the path is
+symmetrized once at the end.
 
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
 per model: the stage arrays P_i, P_i S and A_i, and, each built the first
-time it is read, the step maps T_k and the symmetrized Sigma path.  Every
-array in it is read-only, a LostPositivity is raised again on every call
-rather than cached, and the memo is freed with the path.  A path's P must
-therefore not change once a moment, kernel or transition has been computed
-from it; solve_riccati returns P read-only.
+time it is read, the step maps T_k, the input maps D_k and the symmetrized
+Sigma path.  Every array in it is read-only, a LostPositivity is raised
+again on every call rather than cached, and the memo is freed with the path.
+A path's P must therefore not change once a moment, kernel or transition has
+been computed from it; solve_riccati returns P read-only.
 """
 from __future__ import annotations
 
@@ -99,54 +102,63 @@ def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
 def _forward(T, y0, e=None) -> np.ndarray:
     """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape.
 
-    A doubling scan: each level doubles the window w, M[k] holding the
-    product T_k ... T_{k-w+1} (cut at T_0) and v[k] the forcing those maps
-    carry, so ceil(log2 K) levels of batched products compose every prefix.
-    Row k reads T[:k+1] and e[:k+1] only, so a prefix of T gives a prefix of
+    A work-efficient scan (Blelloch's up-sweep and down-sweep) of about 2K
+    batched products.  The up-sweep composes neighbouring pairs level by
+    level: item i of level l holds the maps T_{(i+1)w-1} ... T_{iw}, w = 2^l,
+    and the forcing they carry, and an odd item left over is not paired.  The
+    down-sweep then fills, from the top level down, the nodes at odd
+    multiples of w from those at even multiples.  Node k's formula depends on
+    k alone and reads T[:k] and e[:k] only, so a prefix of T gives a prefix of
     the output bitwise.
     """
     if y0.ndim == 1:
         return _forward(T, y0[:, None], None if e is None else e[..., None])[..., 0]
-    M = np.array(T, dtype=float)
-    v = None if e is None else np.array(e, dtype=float)
-    span = 1
-    while span < len(M):
+    M, v = np.asarray(T, dtype=float), e
+    levels = [(M, v)]
+    while len(M) > 1:
+        h = len(M) // 2
         if v is not None:
-            v[span:] += M[span:] @ v[:-span]
-        M[span:] = M[span:] @ M[:-span]
-        span *= 2
-    out = np.empty((len(M) + 1,) + y0.shape)
+            v = M[1 : 2 * h : 2] @ v[0 : 2 * h : 2] + v[1 : 2 * h : 2]
+        M = M[1 : 2 * h : 2] @ M[0 : 2 * h : 2]
+        levels.append((M, v))
+    out = np.empty((len(T) + 1,) + y0.shape)
     out[0] = y0
-    out[1:] = M @ y0 if v is None else M @ y0 + v
+    for level in range(len(levels) - 1, -1, -1):
+        M, v = levels[level]
+        w = 2**level
+        y = M[0::2] @ out[0 :: 2 * w][: (len(M) + 1) // 2]
+        out[w :: 2 * w] = y if v is None else y + v[0::2]
     return out
 
 
 def _backward(T, last) -> np.ndarray:
     """Rows R_j = R_{j+1} T_j from R_K = last down to R_0, shape (K+1,) + last.shape.
 
-    The doubling scan of _forward run from the end: R[j] becomes the product
-    T_{K-1} ... T_j, so a suffix of T gives a suffix of the rows bitwise, and
-    the last row is last itself.
+    _forward over the reversed, transposed maps, as R_j' = T_j' R_{j+1}': a
+    suffix of T gives a suffix of the rows bitwise, and the last row is last
+    itself.
     """
-    R = np.array(T, dtype=float)
-    span = 1
-    while span < len(R):
-        R[:-span] = R[span:] @ R[:-span]
-        span *= 2
-    out = np.empty((len(R) + 1,) + last.shape)
-    out[-1] = last
-    out[:-1] = last @ R
-    return out
+    rows = _forward(np.swapaxes(T[::-1], 1, 2), last.T)[::-1]
+    return rows if last.ndim == 1 else np.swapaxes(rows, 1, 2)
 
 
-def _propagate(A, U, dt: float, T=None) -> np.ndarray:
+def _input_maps(A, dt: float) -> np.ndarray:
+    """Input maps D_k of dy = A_i y + u, shape (K, d, d): an input u held
+    over interval k gives the forced term e_k = D_k u of its RK4 step."""
+    eye = np.eye(A.shape[-1])
+    return _rk4_step(A, np.zeros_like(eye), (eye,) * 4, dt)
+
+
+def _propagate(A, U, dt: float, T=None, D=None) -> np.ndarray:
     """RK4 solution of dy = A_i y + U_k from y = 0, at every node.
 
-    T, when given, holds the step maps of A, as _rk4_step builds them.
+    T and D, when given, hold the step maps and the input maps of A.
     """
     if T is None:
         T = _rk4_step(A, np.eye(A.shape[-1]), _UNFORCED, dt)
-    e = _rk4_step(A, np.zeros_like(U), (U,) * 4, dt)
+    if D is None:
+        D = _input_maps(A, dt)
+    e = D @ U
     return _forward(T, np.zeros(e.shape[1:]), e)
 
 
@@ -212,8 +224,8 @@ def _readonly(*arrays: np.ndarray) -> None:
 
 class _ClosedLoop:
     """Policy-independent work of the closed loop F - P S of one model on one
-    covariance path: the stage arrays, and the step maps and Sigma built
-    from them on first use.  Every array is read-only."""
+    covariance path: the stage arrays, and the step maps, input maps and
+    Sigma built from them on first use.  Every array is read-only."""
 
     def __init__(self, model: ValidatedModel, riccati: RiccatiPath):
         self.model = model
@@ -226,6 +238,13 @@ class _ClosedLoop:
         T = _rk4_step(self.A, np.eye(self.model.n), _UNFORCED, self.model.grid.dt)
         _readonly(T)
         return T
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Input maps D_k of the closed loop, shape (K, n, n)."""
+        D = _input_maps(self.A, self.model.grid.dt)
+        _readonly(D)
+        return D
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -461,7 +480,7 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     loop = _closed_loop(model, riccati)
     Sig = loop.sigma
     bias = _propagate(loop.A, (th_true - th_hat)[:, :, None], model.grid.dt,
-                      loop.T)[:, :, 0]
+                      loop.T, loop.D)[:, :, 0]
     mse = np.einsum("kii->k", Sig) + np.einsum("ki,ki->k", bias, bias)
     _readonly(bias, mse)
     return ErrorStats(grid=model.grid, bias=bias, Sigma=Sig, mse=mse)

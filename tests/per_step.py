@@ -6,13 +6,17 @@ dSigma = A_i Sigma + Sigma A_i' + Q + P_i S P_i per interval, over the stage
 covariances of `_closed_loop_stages`, symmetrized after every step.
 
 `forward_per_step` and `backward_per_step` are the references for the
-doubling scans `ode._forward` and `ode._backward`: the sequential sweeps the
-library ran, one map per step.
+up-sweep/down-sweep scans `ode._forward` and `ode._backward`: the sequential
+sweeps the library ran, one map per step.
+
+`forced_terms_per_stage` is the reference for the input maps `ode._input_maps`:
+the forced terms e_k built by one RK4 step from zero with the forcing in
+every stage, where the library now multiplies the input maps D_k by it.
 """
 
 import numpy as np
 
-from robustkb.ode import _closed_loop_stages
+from robustkb.ode import _closed_loop_stages, _rk4_step
 
 
 def sigma_per_step(model, riccati):
@@ -53,3 +57,8 @@ def backward_per_step(T, last):
     for j in range(len(T) - 1, -1, -1):
         r = out[j] = r @ T[j]
     return out
+
+
+def forced_terms_per_stage(A, U, dt):
+    """Forced terms e_k of dy = A_i y + U_k over each interval, shape U.shape."""
+    return _rk4_step(A, np.zeros_like(U), (U,) * 4, dt)

@@ -35,7 +35,7 @@ from robustkb.ode import (_SIGMA_BLOCK, RiccatiPath, _closed_loop, _closed_loop_
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
-from per_step import sigma_per_step
+from per_step import forced_terms_per_stage, sigma_per_step
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +626,17 @@ def test_sigma_matches_the_per_step_loop(sigma_case):
         assert a.bias.tobytes() == bias.tobytes()
 
 
+def test_input_maps_match_the_per_stage_forcing(sigma_case):
+    model, riccati, _ = sigma_case
+    loop = _closed_loop(model, riccati)
+    rng = np.random.default_rng(8)
+    for shape in ((model.n, 1), (model.n, model.n)):
+        U = rng.uniform(-1.0, 1.0, (model.n_steps,) + shape)
+        want = forced_terms_per_stage(loop.A, U, model.grid.dt)
+        err = np.max(np.abs(loop.D @ U - want))
+        assert err <= 1e-14 * np.max(np.abs(want)), (shape, err)
+
+
 def test_sigma_bits_ignore_the_block_size(monkeypatch):
     model = _moments_n3_model(300)
     riccati = solve_riccati(model)
@@ -721,7 +732,7 @@ def test_memo_hits_match_a_fresh_path(memo_case):
     cold = _memo_outputs(model, _fresh(riccati))
     _memo_outputs(model, riccati)
     loop = riccati._memo[id(model)]
-    assert {"T", "sigma"} <= set(vars(loop))
+    assert {"T", "D", "sigma"} <= set(vars(loop))
     hot = _memo_outputs(model, riccati)
     assert riccati._memo == {id(model): loop}
     assert [a.tobytes() for a in hot] == [a.tobytes() for a in cold]
@@ -730,7 +741,7 @@ def test_memo_hits_match_a_fresh_path(memo_case):
 def test_memo_arrays_are_read_only(memo_case):
     model, riccati = memo_case
     loop = _closed_loop(model, riccati)
-    for name in ("P", "PS", "A", "T", "sigma"):
+    for name in ("P", "PS", "A", "T", "D", "sigma"):
         arr = getattr(loop, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkb as rk
+from robustkb.ode import _backward, _forward
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -72,3 +73,18 @@ def test_decomposition_gap_is_first_order(case):
     coarse = _decomposition_gap(spec, theta, 50)
     fine = _decomposition_gap(spec, theta, 100)
     assert 1.8 <= coarse / fine <= 2.2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_scans_are_prefix_and_suffix_bitwise(k_steps, where, seed):
+    # Row k of a forward scan depends on the first k maps only, and row j of
+    # a backward scan on the maps from j on, whatever the horizon.
+    cut = round(where * k_steps)
+    rng = np.random.default_rng(seed)
+    T = np.eye(3) + 0.01 * rng.standard_normal((k_steps, 3, 3))
+    y0, e = rng.standard_normal(3), 0.01 * rng.standard_normal((k_steps, 3))
+    assert (_forward(T[:cut], y0, e[:cut]).tobytes()
+            == _forward(T, y0, e)[: cut + 1].tobytes())
+    last = rng.standard_normal((2, 3))
+    assert _backward(T[cut:], last).tobytes() == _backward(T, last)[cut:].tobytes()

@@ -1,6 +1,6 @@
-"""The doubling scans ode._forward and ode._backward against the per-step
-sweeps they replace, and the prefix and suffix causality that lets a slice of
-the step maps give a slice of the output bit for bit."""
+"""The up-sweep/down-sweep scans ode._forward and ode._backward against the
+per-step sweeps they replace, and the prefix and suffix causality that lets a
+slice of the step maps give a slice of the output bit for bit."""
 
 import numpy as np
 import pytest
@@ -73,3 +73,21 @@ def test_backward_scan_matches_the_per_step_sweep(k_steps, last_shape):
         assert _backward(T[j:], last).tobytes() == got[j:].tobytes(), j
     assert T.tobytes() == T_bytes
 
+
+
+def test_scans_hold_over_a_long_horizon():
+    # 2^15 + 1 contracting maps: sixteen levels, and the last map, left
+    # unpaired, carries node 2^15 to the last node.
+    k_steps = 2**15 + 1
+    T = 0.97 * _maps(k_steps, seed=15)
+    rng = np.random.default_rng(15)
+    y0 = rng.standard_normal(N)
+    e = 0.01 * rng.standard_normal((k_steps, N))
+    got = _forward(T, y0, e)
+    _close(got, forward_per_step(T, y0, e))
+    for k in _cut_points(k_steps):
+        assert _forward(T[:k], y0, e[:k]).tobytes() == got[: k + 1].tobytes(), k
+    rows = _backward(T, np.eye(N))
+    _close(rows, backward_per_step(T, np.eye(N)))
+    for j in _cut_points(k_steps):
+        assert _backward(T[j:], np.eye(N)).tobytes() == rows[j:].tobytes(), j
