@@ -10,8 +10,8 @@ up-sweep/down-sweep scans `ode._forward` and `ode._backward`: the sequential
 sweeps the library ran, one map per step.
 
 `forced_terms_per_stage` is the reference for the input maps `ode._input_maps`:
-the forced terms e_k built by one RK4 step from zero with the forcing in
-every stage, where the library now multiplies the input maps D_k by it.
+the forced terms e_k as the library built them, one RK4 step from zero with
+the forcing in every stage, where it now forms them as D_k U_k.
 """
 
 import numpy as np

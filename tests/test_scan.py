@@ -74,7 +74,6 @@ def test_backward_scan_matches_the_per_step_sweep(k_steps, last_shape):
     assert T.tobytes() == T_bytes
 
 
-
 def test_scans_hold_over_a_long_horizon():
     # 2^15 + 1 contracting maps: sixteen levels, and the last map, left
     # unpaired, carries node 2^15 to the last node.
