@@ -355,7 +355,9 @@ class _Steps:
     Python float, applied with *; otherwise slices are (batch, n) or
     (batch, m) arrays and every matrix is kept transposed and applied with
     @.  A 1x1 product has a single term, so both give the bits of
-    x_k @ F_k'.
+    x_k @ F_k'.  A one-row batch is multiplied as the first row of a
+    two-row one: NumPy takes another kernel for a single row, which can
+    round differently, and a path's bits must not depend on its batch.
     """
 
     scalar: bool
@@ -366,7 +368,11 @@ class _Steps:
     g: object
 
     def apply(self, x, a):
-        return x * a if self.scalar else x @ a
+        if self.scalar:
+            return x * a
+        if len(x) == 1:
+            return (np.concatenate((x, x)) @ a)[:1]
+        return x @ a
 
     def per_interval(self, a: np.ndarray):
         return _per_interval(a, self.scalar)

@@ -19,10 +19,11 @@ symmetrized once at the end.
 
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
-per model: the stage arrays P_i, P_i S and A_i, and, each built the first
-time it is read, the step maps T_k, the input maps D_k and the symmetrized
-Sigma path.  Every array in it is read-only, a LostPositivity is raised
-again on every call rather than cached, and the memo is freed with the path.
+per model: the stage closed loops A_i, and, each built the first time it
+is read, the step maps T_k, the input maps D_k and the symmetrized Sigma
+path, which recomputes the stage covariances P_i that only it reads.  Every
+array in it is read-only, a LostPositivity is raised again on every call
+rather than cached, and the memo is freed with the path.
 A path's P must therefore not change once a moment, kernel or transition has
 been computed from it; solve_riccati returns P read-only.
 """
@@ -65,23 +66,27 @@ def _riccati_rhs(P, F, Ft, S, Q):
     return F @ P + P @ Ft - P @ S @ P + Q
 
 
-def _closed_loop_stages(model: ValidatedModel, riccati: RiccatiPath):
-    """RK4 stage covariances P_i of every interval, P_i S and F - P_i S.
-
-    Each has shape (4, n_steps, n, n).  One batched pass recomputes the
-    stages from the node path with the arithmetic of solve_riccati.
-    """
-    if riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
+def _stage_covariances(model: ValidatedModel, nodes: np.ndarray) -> np.ndarray:
+    """RK4 stage covariances P_i of every interval, shape (4, n_steps, n, n),
+    recomputed in one batched pass from the node covariances with the
+    arithmetic of solve_riccati."""
     dt = model.grid.dt
     F, Ft, S, Q = model.F, np.swapaxes(model.F, -1, -2), model.S, model.Q
-    P1 = riccati.P[:-1]
+    P1 = nodes[:-1]
     P2 = P1 + 0.5 * dt * _riccati_rhs(P1, F, Ft, S, Q)
     P3 = P1 + 0.5 * dt * _riccati_rhs(P2, F, Ft, S, Q)
     P4 = P1 + dt * _riccati_rhs(P3, F, Ft, S, Q)
-    P = np.stack([P1, P2, P3, P4])
-    PS = P @ S
-    return P, PS, F - PS
+    return np.stack([P1, P2, P3, P4])
+
+
+def _closed_loop_stages(model: ValidatedModel, riccati: RiccatiPath):
+    """RK4 stage covariances P_i of every interval, P_i S and F - P_i S,
+    each of shape (4, n_steps, n, n)."""
+    if riccati.grid != model.grid:
+        raise GridMismatch("covariance path grid differs from model grid")
+    P = _stage_covariances(model, riccati.P)
+    PS = P @ model.S
+    return P, PS, model.F - PS
 
 
 def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
@@ -224,13 +229,16 @@ def _readonly(*arrays: np.ndarray) -> None:
 
 class _ClosedLoop:
     """Policy-independent work of the closed loop F - P S of one model on one
-    covariance path: the stage arrays, and the step maps, input maps and
-    Sigma built from them on first use.  Every array is read-only."""
+    covariance path: the stages A_i = F - P_i S, and the step maps, input
+    maps and Sigma built from them on first use.  Every array is read-only.
+    Only Sigma reads the stage covariances P_i, so it recomputes them rather
+    than the memo keeping them."""
 
     def __init__(self, model: ValidatedModel, riccati: RiccatiPath):
         self.model = model
-        self.P, self.PS, self.A = _closed_loop_stages(model, riccati)
-        _readonly(self.P, self.PS, self.A)
+        self.nodes = riccati.P
+        self.A = _closed_loop_stages(model, riccati)[2]
+        _readonly(self.A)
 
     @cached_property
     def T(self) -> np.ndarray:
@@ -250,7 +258,8 @@ class _ClosedLoop:
     def sigma(self) -> np.ndarray:
         """Symmetrized error covariance at every node; LostPositivity is
         raised, and nothing is cached, if it is indefinite."""
-        Sig = _sym(_lyapunov_path(self.model.Q, self.P, self.PS, self.A,
+        P = _stage_covariances(self.model, self.nodes)
+        Sig = _sym(_lyapunov_path(self.model.Q, P, P @ self.model.S, self.A,
                                   self.model.grid.dt))
         eigs = np.linalg.eigvalsh(Sig)
         min_eig = float(eigs.min())

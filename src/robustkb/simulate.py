@@ -11,21 +11,22 @@ in turn, which gives the same bits as one SeedSequence and generator per
 stream.  The ``threads`` arguments are accepted but split no work; all
 chunks run in turn on the calling thread.
 
-Inside a chunk every array is indexed time-major: the noise increments are
-(K, batch, d) and the Euler loop steps (batch, d) slices, one per interval,
-through `_euler_step`.  The states are contiguous step slices, and so are
-the increments of the lane-sum transform (2 <= d < 8).  The einsum
-transform (d = 1, d >= 8, or a build whose einsum sums in another order)
-keeps the draws' path-major memory order, so its slices are strided views.
-Every product and sum is the one the path-major loop took, in the same
-order, so the layout never changes a bit.  `simulate_paths` copies each
-chunk back into the path-major arrays of `PathEnsemble`; the Monte-Carlo MSE
-(`minimax._mse_mc_multi`) consumes the states one step at a time and keeps
-only the nodes it reads.
+The noise transform and the log density each sum in one fixed order,
+written out here, whatever the chunk, the batch size or the NumPy build: the
+increments are j-ordered multiply-adds over the path-major (count, K, d)
+draws, and the log density adds, per path and in k order, the j-ordered
+terms theta_k' L_k^-1 dw_k.  The Euler loop steps (batch, d) slices of one
+time-major copy of the increments through `_euler_step`.  Its products
+x_k F_k' are batched matmuls, whose rows do not depend on the batch size
+from two rows on, and a one-path batch multiplies as the first row of a
+two-path one (see `model._Steps`).  So a path's bits depend on its index
+alone, however the paths are chunked.  `simulate_paths` keeps the
+path-major increments and copies the time-major states back into the arrays
+of `PathEnsemble`; the Monte-Carlo MSE (`minimax._mse_mc_multi`) consumes
+the states one step at a time and keeps only the nodes it reads.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,73 +185,25 @@ def _standard_normals(master_seed: int, first: int, count: int, tag: int,
     return out
 
 
-def _lane_sum(factor_i: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum_j factor_i[:, j] * cols[j] over 2 to 7 terms in the order of a
-    128-bit einsum reduction: the even-indexed products in turn, plus the
-    odd-indexed ones in turn."""
-    lanes = [factor_i[:, j, None] * cols[j] for j in (0, 1)]
-    for j in range(2, len(cols)):
-        lanes[j % 2] += factor_i[:, j, None] * cols[j]
-    lanes[0] += lanes[1]
-    return lanes[0]
-
-
-def _lane_products(factor: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """einsum("kij,bkj->kbi") of factor and draws xi, for 2 <= d < 8, as
-    whole-array multiply-adds over the component-major draws
-    cols = xi.transpose(2, 1, 0), contiguous."""
-    d, k_steps, count = cols.shape
-    out = np.empty((k_steps, count, d))
-    for i in range(d):
-        out[..., i] = _lane_sum(factor[:, i], cols)
-    out += 0.0  # einsum adds its sum to a zeroed output: no -0.0
-    return out
-
-
-@functools.cache
-def _lane_sum_is_einsum() -> bool:
-    """Whether `_lane_products` gives this NumPy build's einsum bits.
-
-    It does where einsum's reduction adds in two 128-bit lanes with separate
-    multiplies and adds, as the x86-64 baseline build does; a fused or wider
-    kernel (NEON, say) sums differently, and `_increments` then calls
-    einsum for every d.
-    """
-    rng = np.random.default_rng(0)
-    for d in range(2, 8):
-        factor = rng.normal(size=(3, d, d))
-        factor[0] = 0.0
-        factor[1, :, 0] = 0.0
-        xi = rng.normal(size=(5, 3, d))
-        want = np.einsum("kij,bkj->bki", factor, xi)
-        got = _lane_products(factor, np.ascontiguousarray(xi.transpose(2, 1, 0)))
-        if np.swapaxes(got, 0, 1).tobytes() != want.tobytes():
-            return False
-    return True
-
-
 def _increments(model: ValidatedModel, master_seed: int, first: int,
                 count: int, tag: int, factor: np.ndarray) -> np.ndarray:
     """factor_k times the standard normals of stream tag, times sqrt(dt):
-    time-major (K, count, d) increments of paths first..first+count-1.
+    path-major (count, K, d) increments of paths first..first+count-1.
 
-    The products are summed over j as einsum("kij,bkj->bki") sums them, so
-    the bits do not depend on the layout.  For 2 <= d < 8, on a build where
-    `_lane_sum_is_einsum`, the sum runs as whole-array multiply-adds, which
-    skips einsum's per-entry call overhead, into a C-contiguous array.
-    Otherwise einsum keeps the memory order of the path-major draws: the
-    result has strides (d, K * d, 1) in items, so a time slice is not
-    contiguous.  Writing einsum into a C-order buffer gives the same bits
-    but makes the einsum itself slower.
+    Component i is 0 + factor_ki0 xi_0 + factor_ki1 xi_1 + ..., added in j
+    order by whole-array multiply-adds, then scaled by sqrt(dt).  The order
+    is written out here, so neither the batch size nor the NumPy build can
+    change a bit.
     """
-    d = factor.shape[-1]
-    xi = _standard_normals(master_seed, first, count, tag, (model.n_steps, d))
-    if 2 <= d < 8 and _lane_sum_is_einsum():
-        cols = np.ascontiguousarray(xi.transpose(2, 1, 0))
-        del xi  # the draws live on as cols only
-        out = _lane_products(factor, cols)
-    else:
-        out = np.einsum("kij,kbj->kbi", factor, np.swapaxes(xi, 0, 1))
+    xi = _standard_normals(master_seed, first, count, tag,
+                           (model.n_steps, factor.shape[-1]))
+    out = np.empty(xi.shape)
+    for i in range(xi.shape[-1]):
+        acc = out[..., i]
+        np.multiply(factor[:, i, 0], xi[..., 0], out=acc)
+        for j in range(1, xi.shape[-1]):
+            acc += factor[:, i, j] * xi[..., j]
+    out += 0.0  # the sum starts from +0.0: no -0.0 entries
     out *= np.sqrt(model.grid.dt)
     return out
 
@@ -258,10 +211,9 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
 def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
                   count: int) -> np.ndarray:
     """Untilted signal increments Q^(1/2) dB of paths first..first+count-1,
-    as a path-major (count, K, n) view."""
+    path-major (count, K, n)."""
     _count_work(model, count)
-    return np.swapaxes(_increments(model, master_seed, first, count,
-                                   _SIGNAL_TAG, model.Q_sqrt), 0, 1)
+    return _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
 
 
 @dataclass(frozen=True)
@@ -314,27 +266,31 @@ def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
     theta itself is read as a tilt of the standardized noise, which for
     identity Q coincides with the state-equation drift.  Intervals with zero
     tilt contribute exactly zero whatever Q is.
+
+    theta_k' L_k^-1 dw_k = u_k' dw_k with u_k = L_k^-T theta_k, one solve per
+    interval.  Each term u_k' dw_k is summed in j order, and each path adds
+    its terms in k order, one interval at a time; |theta_k|^2 is summed the
+    same way.  So a path's value depends on its own increments only, and
+    Q = I gives the bits of per-path solves.
     """
-    return _log_density_tm(theta, np.swapaxes(dw, 0, 1), model)
-
-
-def _log_density_tm(theta: np.ndarray, dw: np.ndarray,
-                    model: ValidatedModel) -> np.ndarray:
-    """_log_density_batch of time-major increments dw (K, batch, n)."""
-    dt = model.grid.dt
     active, chol = _tilt_factors(theta, model)
-    out = np.zeros(dw.shape[1])
+    out = np.zeros(dw.shape[0])
     if active.size == 0:
         return out
     th = theta[active]
-    # theta_k' L_k^-1 dw_k = u_k' dw_k with u_k = L_k^-T theta_k: one solve
-    # per interval instead of one per path and interval.  The sum always
-    # runs over an interval-major copy, so the layout of dw never changes
-    # its order, and Q = I gives the bits of the per-path solves.
-    u = np.linalg.solve(np.swapaxes(chol, -1, -2), th[..., None])[..., 0]
-    dw_kb = np.ascontiguousarray(dw[active])
-    out += np.einsum("kj,bkj->b", u, np.swapaxes(dw_kb, 0, 1))
-    out -= 0.5 * dt * float(np.einsum("kj,kj->", th, th))
+    u = np.zeros(theta.shape)
+    u[active] = np.linalg.solve(np.swapaxes(chol, -1, -2), th[..., None])[..., 0]
+    terms = u[:, 0] * dw[..., 0]
+    norms = th[:, 0] * th[:, 0]
+    for j in range(1, th.shape[1]):
+        terms += u[:, j] * dw[..., j]
+        norms += th[:, j] * th[:, j]
+    for k in active.tolist():
+        out += terms[:, k]
+    total = 0.0
+    for value in norms.tolist():
+        total += value
+    out -= 0.5 * model.grid.dt * total
     return out
 
 
@@ -381,19 +337,21 @@ def _euler_states(model: ValidatedModel, steps: _Steps, theta,
 def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
                     master_seed: int, j0: int, count: int, path_offset: int):
     """Noise and Euler states of the paths with absolute indices
-    path_offset + j0 .. path_offset + j0 + count - 1, time-major.
+    path_offset + j0 .. path_offset + j0 + count - 1.
 
     steps is `_steps(model)` and theta the tilt laid out by its
     `per_interval`, both built once per call of the caller.  Returns
-    (dw_tilt, dv, states): the untilted signal increments (K, count, n),
-    the observation increments (K, count, m), and a generator of the
-    states (x_k, obs_k), k = 0..K, as step slices.
+    (dw_tilt, dv, states): the untilted signal increments (count, K, n) and
+    the observation increments (count, K, m), path-major, and a generator of
+    the states (x_k, obs_k), k = 0..K, as step slices, stepped over one
+    time-major copy of the increments.
     """
     _count_work(model, count)
     first = path_offset + j0
     dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
     dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol)
-    return dw_tilt, dv, _euler_states(model, steps, theta, dw_tilt, dv)
+    time_major = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (dw_tilt, dv))
+    return dw_tilt, dv, _euler_states(model, steps, theta, *time_major)
 
 
 def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
@@ -419,7 +377,7 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
                              f"{_MAX_ENSEMBLE_BYTES >> 30} GiB")
     steps = _steps(model)
     th_steps = steps.per_interval(th)
-    tilt = th[:, None] * model.grid.dt
+    tilt = th * model.grid.dt
 
     x = np.empty((n_paths, k_steps + 1, n))
     obs = np.empty((n_paths, k_steps + 1, m))
@@ -437,10 +395,11 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
         for k, (xk, obs_k) in enumerate(states):
             xs[k] = xk
             ms[k] = obs_k
-        dw_c = dw_tilt + tilt
-        logw[sl] = _log_density_tm(th, dw_c, model)
-        for out, chunk in ((x, x_c), (obs, obs_c), (dw, dw_c), (dv, dv_c)):
-            out[sl] = np.swapaxes(chunk, 0, 1)
+        x[sl] = np.swapaxes(x_c, 0, 1)
+        obs[sl] = np.swapaxes(obs_c, 0, 1)
+        np.add(dw_tilt, tilt, out=dw[sl])
+        dv[sl] = dv_c
+        logw[sl] = _log_density_batch(th, dw[sl], model)
 
     for arr in (x, obs, dw, dv, logw):
         arr.setflags(write=False)

@@ -553,9 +553,10 @@ def check_determinism(config: ScenarioConfig, seed: int,
     riccati = solve_riccati(sub)
     theta = zero_policy(sub)
 
-    def blob(ens) -> bytes:
-        return b"".join(a.tobytes() for a in (ens.x, ens.m, ens.dw, ens.dv,
-                                              ens.log_density))
+    def blob(*parts) -> bytes:
+        """The five arrays of the ensembles parts, each joined along the paths."""
+        return b"".join(np.concatenate([getattr(e, field) for e in parts]).tobytes()
+                        for field in ("x", "m", "dw", "dv", "log_density"))
 
     # threads splits no work, so the threads and mc flags compare reruns
     # made through the threads argument.
@@ -567,8 +568,7 @@ def check_determinism(config: ScenarioConfig, seed: int,
 
     split = [simulate_paths(sub, theta, 1500, seed + 97, path_offset=off)
              for off in (0, 1500)]
-    ok_split = (np.array_equal(np.vstack([e.x for e in split]), base.x)
-                and np.array_equal(np.vstack([e.dw for e in split]), base.dw))
+    ok_split = blob(*split) == blob(base)
 
     th = theta.theta
     m1 = _mse_mc_multi(sub, riccati, th, th, [sub.n_steps], 3000, seed + 97,

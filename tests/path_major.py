@@ -4,7 +4,9 @@ bitwise references for the time-major code.
 Each function repeats the loop the library ran on (paths, K+1, d) arrays,
 strided column by column, with the same chunk sizes; only the stream draws
 come from the library, whose bits are pinned to NumPy's SeedSequence
-elsewhere.
+elsewhere.  The noise transform and the log density are explicit loops in
+the order the library promises: j order within a term, k order along a
+path.  A one-row product is taken as the first row of a two-row batch.
 """
 
 import numpy as np
@@ -17,26 +19,43 @@ SIM_CHUNK = 2048
 MC_CHUNK = 1024
 
 
+def rows(x, a):
+    """x @ a row by row, a one-row x as the first row of a two-row batch."""
+    return (np.concatenate((x, x)) @ a)[:1] if len(x) == 1 else x @ a
+
+
+def transform(factor, draws, dt):
+    """sqrt(dt) times sum_j factor[k, i, j] draws[b, k, j], summed from 0.0
+    in j order."""
+    out = np.zeros(draws.shape)
+    for j in range(draws.shape[-1]):
+        out += factor[:, :, j] * draws[..., j, None]
+    return out * np.sqrt(dt)
+
+
 def _chunk(model, theta, seed, first, count):
     k_steps, dt = model.n_steps, model.grid.dt
     xi = _standard_normals(seed, first, count, 0, (k_steps, model.n))
     eta = _standard_normals(seed, first, count, 1, (k_steps, model.m))
-    dw_tilt = np.einsum("kij,bkj->bki", model.Q_sqrt, xi) * np.sqrt(dt)
-    dv = np.einsum("kij,bkj->bki", model.R_chol, eta) * np.sqrt(dt)
+    dw_tilt = transform(model.Q_sqrt, xi, dt)
+    dv = transform(model.R_chol, eta, dt)
     x = np.empty((count, k_steps + 1, model.n))
     obs = np.empty((count, k_steps + 1, model.m))
     x[:, 0] = model.x0
     obs[:, 0] = 0.0
     for k in range(k_steps):
         xk = x[:, k]
-        x[:, k + 1] = (xk + (xk @ model.F[k].T + model.f[k] + theta[k]) * dt
+        x[:, k + 1] = (xk + (rows(xk, model.F[k].T) + model.f[k] + theta[k]) * dt
                        + dw_tilt[:, k])
-        obs[:, k + 1] = obs[:, k] + (xk @ model.G[k].T + model.g[k]) * dt + dv[:, k]
+        obs[:, k + 1] = (obs[:, k] + (rows(xk, model.G[k].T) + model.g[k]) * dt
+                         + dv[:, k])
     return x, obs, dw_tilt + theta * dt, dv
 
 
 def log_density(theta, dw, model):
-    """Contracted log likelihood ratio of path-major increments."""
+    """Log likelihood ratio of path-major increments: per path, the terms
+    u_k' dw_k with u_k = L_k^-T theta_k, each summed in j order, added in k
+    order; then 0.5 dt sum_k |theta_k|^2, summed the same way, subtracted."""
     active = np.flatnonzero(np.any(theta != 0.0, axis=1))
     out = np.zeros(dw.shape[0])
     if active.size == 0:
@@ -44,9 +63,16 @@ def log_density(theta, dw, model):
     chol = np.linalg.cholesky(model.Q[active])
     th = theta[active]
     u = np.linalg.solve(np.swapaxes(chol, -1, -2), th[..., None])[..., 0]
-    dw_kb = np.ascontiguousarray(np.swapaxes(dw, 0, 1)[active])
-    out += np.einsum("kj,bkj->b", u, np.swapaxes(dw_kb, 0, 1))
-    out -= 0.5 * model.grid.dt * float(np.einsum("kj,kj->", th, th))
+    total = 0.0
+    for k, step in enumerate(active):
+        term = u[k, 0] * dw[:, step, 0]
+        norm = th[k, 0] * th[k, 0]
+        for j in range(1, model.n):
+            term = term + u[k, j] * dw[:, step, j]
+            norm = norm + th[k, j] * th[k, j]
+        out += term
+        total += norm
+    out -= 0.5 * model.grid.dt * total
     return out
 
 
@@ -68,10 +94,10 @@ def filter_paths(model, riccati, dm, theta):
     xhat[:, 0] = model.x0
     for k in range(k_steps):
         xk = xhat[:, k]
-        di = dm[:, k] - (xk @ model.G[k].T + model.g[k]) * dt
+        di = dm[:, k] - (rows(xk, model.G[k].T) + model.g[k]) * dt
         innov[:, k] = di
-        xhat[:, k + 1] = (xk + (xk @ model.F[k].T + model.f[k] + theta[k]) * dt
-                          + di @ gains[k].T)
+        xhat[:, k + 1] = (xk + (rows(xk, model.F[k].T) + model.f[k] + theta[k]) * dt
+                          + rows(di, gains[k].T))
     return xhat, innov
 
 
@@ -103,9 +129,10 @@ def mse_mc(model, riccati, theta_true, theta_hat, t_indices, n_paths, seed):
 
 
 def layout_models(k_steps=12):
-    """Models the layout tests run on: n = m = 1, n = 1 with m = 2, and n = 2
-    with non-diagonal Q and R and time-varying F and G; every drift and
-    offset term is nonzero.  The horizon is 0.3 for any k_steps."""
+    """Models the layout tests run on: n = m = 1, n = 1 with m = 2, n = 2 with
+    non-diagonal Q and R and time-varying F and G, and n = 3 with m = 2, a
+    dense time-varying Q and a non-diagonal R; every drift and offset term
+    is nonzero.  The horizon is 0.3 for any k_steps."""
     grid = TimeGrid(0.3, k_steps)
     wave = np.sin(np.arange(k_steps) * 0.7)[:, None, None]
     F = np.array([[-0.8, 0.4], [-0.3, -1.2]]) + 0.3 * wave * np.array([[1.0, -0.5], [0.2, 0.4]])
@@ -116,6 +143,15 @@ def layout_models(k_steps=12):
         Q=np.tile([[1.5, 0.4], [0.4, 0.7]], (k_steps, 1, 1)),
         R=np.tile([[0.6, 0.2], [0.2, 0.9]], (k_steps, 1, 1)),
         x0=np.array([0.3, -0.1])), grid)
+    Q3 = np.array([[1.2, 0.4, -0.3], [0.4, 0.9, 0.2], [-0.3, 0.2, 0.7]])
+    n3 = validate_model(ModelSchedule(
+        F=np.array([[-1.0, 0.3, 0.0], [-0.2, -0.8, 0.4], [0.1, -0.3, -1.1]])
+        + 0.2 * wave * np.eye(3),
+        f=np.tile([0.1, 0.0, -0.1], (k_steps, 1)),
+        G=np.array([[1.0, 0.0, 0.4], [0.2, 0.8, -0.3]]) + 0.1 * wave[:, :, :1],
+        g=np.tile([0.02, -0.03], (k_steps, 1)),
+        Q=Q3 * (1.0 + 0.3 * wave), R=np.tile([[0.7, 0.15], [0.15, 0.5]], (k_steps, 1, 1)),
+        x0=np.array([0.2, -0.1, 0.4])), grid)
     return {
         "n1": constant_model(-1.0, 0.1, 1.3, 0.05, 0.8, 0.6, 0.2,
                              horizon=0.3, n_steps=k_steps),
@@ -123,4 +159,5 @@ def layout_models(k_steps=12):
                                np.array([[0.5, 0.1], [0.1, 0.8]]), -0.4,
                                horizon=0.3, n_steps=k_steps),
         "n2": n2,
+        "n3": n3,
     }

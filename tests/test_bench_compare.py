@@ -33,7 +33,7 @@ def test_pair_ratios_cancel_a_step_in_machine_speed(bench_compare, monkeypatch):
                 "attempted": 1}
 
     monkeypatch.setattr(bench_compare, "_bench_run", fake_run)
-    spec = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
     res = bench_compare.compare({"parent": "p", "change": "c"}, "w", 4, 0, 1, spec)
     assert order == ["p", "c", "c", "p", "p", "c", "c", "p"]
     wall = res["metrics"]["wall_s"]
@@ -41,6 +41,26 @@ def test_pair_ratios_cancel_a_step_in_machine_speed(bench_compare, monkeypatch):
     assert wall["pair_ratio"]["q3"] - wall["pair_ratio"]["q1"] == pytest.approx(0.0)
     assert wall["parent"]["q3"] - wall["parent"]["q1"] > 0.3
     assert wall["wins"] == 4
+    assert wall["bound"] == 0.25 and wall["within_bound"] is True
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_bound_verdict_compares_the_medians(bench_compare, monkeypatch, better):
+    # Parent runs 1, 2, 3 (median 2).  A change 20% worse is within a 25%
+    # bound; 30% worse is outside it, whichever direction is better.
+    sign = 1.0 if better == "lower" else -1.0
+    for frac, within in ((0.2, True), (0.3, False)):
+        def fake_run(tree, workload, seed, seconds):
+            base = 1.0 + seed
+            value = base if tree == "p" else base * (1.0 + sign * frac)
+            return {"metrics": {"m": {"value": value}}, "failed": 0, "attempted": 1}
+
+        monkeypatch.setattr(bench_compare, "_bench_run", fake_run)
+        spec = [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]
+        res = bench_compare.compare({"parent": "p", "change": "c"}, "w", 3, 0, 1, spec)
+        assert res["metrics"]["m"]["within_bound"] is within, (frac, better)
+    assert bench_compare.within_bound(2.0, 2.5, 0.25, lower=True)
+    assert not bench_compare.within_bound(2.0, 1.5 - 1e-9, 0.25, lower=False)
 
 
 def test_loc_change_parses_numstat(bench_compare):

@@ -31,7 +31,7 @@ from robustkb import (
 )
 from robustkb.minimax import _game_core
 from robustkb.ode import (_SIGMA_BLOCK, RiccatiPath, _closed_loop, _closed_loop_stages,
-                          _propagate)
+                          _lyapunov_path, _propagate, _sym)
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
@@ -741,13 +741,25 @@ def test_memo_hits_match_a_fresh_path(memo_case):
 def test_memo_arrays_are_read_only(memo_case):
     model, riccati = memo_case
     loop = _closed_loop(model, riccati)
-    for name in ("P", "PS", "A", "T", "D", "sigma"):
+    for name in ("A", "T", "D", "sigma"):
         arr = getattr(loop, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     zeros = np.zeros((model.n_steps, model.n))
     stats = solve_error_stats(model, zeros, zeros, riccati)
     assert stats.Sigma is loop.sigma
+
+
+def test_sigma_recomputes_the_stage_covariances_bitwise(memo_case):
+    # The memo keeps no stage covariances; Sigma recomputes them with the
+    # arithmetic of the stage arrays, so its bits are those of the Lyapunov
+    # path over _closed_loop_stages.
+    model, riccati = memo_case
+    loop = _closed_loop(model, _fresh(riccati))
+    want = _sym(_lyapunov_path(model.Q, *_closed_loop_stages(model, riccati),
+                               model.grid.dt))
+    assert loop.sigma.tobytes() == want.tobytes()
+    assert not {"P", "PS"} & set(vars(loop))
 
 
 def test_memo_keeps_one_closed_loop_per_model():
@@ -805,13 +817,13 @@ def test_prefix_has_its_own_memo():
 
 
 def test_memo_retains_at_most_twice_the_stages():
-    # The memo keeps the stages, the step maps and Sigma while the path
-    # lives, and nothing once it is gone.
+    # The memo keeps the stage closed loops, the step and input maps and
+    # Sigma while the path lives, and nothing once it is gone.
     model = constant_model(N3_F, np.zeros(3), N3_G, np.zeros(2), N3_Q, N3_R,
                            np.zeros(3), horizon=2.0, n_steps=20000)
     riccati = solve_riccati(model)
     theta = np.full((model.n_steps, 3), 0.5)
-    stage_bytes = 3 * 4 * model.n_steps * 9 * 8
+    stage_bytes = 4 * model.n_steps * 9 * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

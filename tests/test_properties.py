@@ -88,3 +88,21 @@ def test_scans_are_prefix_and_suffix_bitwise(k_steps, where, seed):
             == _forward(T, y0, e)[: cut + 1].tobytes())
     last = rng.standard_normal((2, 3))
     assert _backward(T[cut:], last).tobytes() == _backward(T, last)[cut:].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(stable_models(), st.integers(2, 2100), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_split_ensembles_join_to_the_whole_run(case, n_paths, where, seed):
+    # A path's bits depend on its index alone: two runs split at any cut give
+    # the whole run's arrays, whichever chunk each path falls in.
+    spec, theta = case
+    model = _model(spec, 6)
+    policy = rk.constant_policy(model, theta)
+    cut = min(max(round(where * n_paths), 1), n_paths - 1)
+    whole = rk.simulate_paths(model, policy, n_paths, seed)
+    parts = [rk.simulate_paths(model, policy, cut, seed),
+             rk.simulate_paths(model, policy, n_paths - cut, seed, path_offset=cut)]
+    for field in ("x", "m", "dw", "dv", "log_density"):
+        joined = np.concatenate([getattr(p, field) for p in parts])
+        assert joined.tobytes() == getattr(whole, field).tobytes(), field

@@ -253,17 +253,39 @@ def test_simulation_matches_the_path_major_loop(name, n_paths, offset):
         assert _same_bits(getattr(ens, field), ref), field
 
 
-@pytest.mark.xfail(strict=True, reason="the log-density einsum sums in an order "
-                   "that depends on the chunk's path count")
+SPLITS = {"1+rest": (1, 2048), "1024+1": (1024, 1), "1025+1024": (1025, 1024)}
+
+
+def _split_parts(model, theta, counts, seed, first=0):
+    """simulate_paths over consecutive runs of counts paths from index first."""
+    offsets = first + np.cumsum((0,) + counts[:-1])
+    return [simulate_paths(model, theta, count, master_seed=seed, path_offset=int(off))
+            for off, count in zip(offsets, counts)]
+
+
 def test_log_density_ignores_the_chunking():
     model = LAYOUT_MODELS["n2"]
     theta = _layout_tilt(model)
     whole = simulate_paths(model, theta, 2049, master_seed=4)
-    parts = [simulate_paths(model, theta, count, master_seed=4, path_offset=off)
-             for off, count in ((0, 1025), (1025, 1024))]
+    parts = _split_parts(model, theta, (1025, 1024), 4)
     assert _same_bits(np.concatenate([p.x for p in parts]), whole.x)
     assert _same_bits(np.concatenate([p.log_density for p in parts]),
                       whole.log_density)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_split_runs_join_to_the_whole_run(name, split):
+    """Every array of a path is the same whether the path runs alone, at the
+    end of a chunk or in a chunk of its own."""
+    model = LAYOUT_MODELS[name]
+    theta = _layout_tilt(model)
+    counts = SPLITS[split]
+    whole = simulate_paths(model, theta, sum(counts), master_seed=13, path_offset=5)
+    parts = _split_parts(model, theta, counts, 13, first=5)
+    for field in ("x", "m", "dw", "dv", "log_density"):
+        got = np.concatenate([getattr(p, field) for p in parts])
+        assert _same_bits(got, getattr(whole, field)), field
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
@@ -276,50 +298,28 @@ def test_filter_matches_the_path_major_loop(name):
     want_x, want_i = path_major.filter_paths(model, riccati, dm, theta_hat)
     got_x, got_i = _filter_batch(model, riccati, dm, theta_hat)
     assert _same_bits(got_x, want_x) and _same_bits(got_i, want_i)
-    # One path runs as a batch of one, whose products may round differently.
-    one_x, one_i = path_major.filter_paths(model, riccati, dm[4:5], theta_hat)
+    # One path gives the bits of its row in the batch.
     run = rk.run_robust_filter(model, riccati, theta_hat, ens.m[4])
-    assert _same_bits(run.xhat, one_x[0]) and _same_bits(run.innovations, one_i[0])
+    assert _same_bits(run.xhat, got_x[4]) and _same_bits(run.innovations, got_i[4])
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_noise_increments_sum_in_einsum_order(free_model, d):
-    """The multiply-adds give einsum's bits, zero factor entries included."""
+    """The multiply-adds give the bits of an explicit j-ordered loop from
+    0.0, zero factor entries included, and so einsum's bits for d <= 2,
+    where einsum adds in the same order."""
     rng = np.random.default_rng(d)
     factor = rng.normal(size=(free_model.n_steps, d, d))
     factor[::3] = 0.0
     factor[1::3, :, 0] = 0.0
     xi = rk.simulate._standard_normals(6, 2, 9, 1, (free_model.n_steps, d))
-    want = (np.einsum("kij,bkj->bki", factor, xi)
-            * np.sqrt(free_model.grid.dt))
     got = _increments(free_model, 6, 2, 9, 1, factor)
-    assert _same_bits(np.ascontiguousarray(np.swapaxes(got, 0, 1)), want)
-
-
-@pytest.mark.parametrize("d", range(2, 8))
-def test_lane_sum_adds_even_and_odd_terms_apart(d):
-    rng = np.random.default_rng(d)
-    factor_i = rng.normal(size=(4, d))
-    cols = rng.normal(size=(d, 4, 5))
-    terms = [factor_i[:, j, None] * cols[j] for j in range(d)]
-    even, odd = terms[0], terms[1]
-    for j in range(2, d):
-        if j % 2:
-            odd = odd + terms[j]
-        else:
-            even = even + terms[j]
-    assert _same_bits(rk.simulate._lane_sum(factor_i, cols), even + odd)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_noise_increments_fall_back_to_einsum(free_model, monkeypatch, d):
-    """A build whose einsum the lane sum does not reproduce runs einsum."""
-    assert isinstance(rk.simulate._lane_sum_is_einsum(), bool)
-    factor = np.random.default_rng(d).normal(size=(free_model.n_steps, d, d))
-    want = _increments(free_model, 6, 2, 9, 1, factor)
-    monkeypatch.setattr(rk.simulate, "_lane_sum_is_einsum", lambda: False)
-    monkeypatch.setattr(rk.simulate, "_lane_products", None)
-    assert _same_bits(_increments(free_model, 6, 2, 9, 1, factor), want)
+    assert _same_bits(got, path_major.transform(factor, xi, free_model.grid.dt))
+    assert not np.signbit(got[:, ::3]).any()
+    if d <= 2:
+        want = (np.einsum("kij,bkj->bki", factor, xi)
+                * np.sqrt(free_model.grid.dt))
+        assert _same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +412,12 @@ def test_unit_q_log_density_matches_per_path_solves_bitwise(default_model, n_pat
     active = np.arange(7, k_steps)
     chol = np.linalg.cholesky(default_model.Q[active])
     dw_std = np.linalg.solve(chol, dw[:, active, :, None])[..., 0]
-    want = (np.einsum("kj,bkj->b", theta[active], dw_std)
-            - 0.5 * dt * float(np.einsum("kj,kj->", theta[active], theta[active])))
+    want = np.zeros(n_paths)
+    norm = 0.0
+    for k in range(active.size):
+        want += theta[active[k], 0] * dw_std[:, k, 0]
+        norm += theta[active[k], 0] * theta[active[k], 0]
+    want -= 0.5 * dt * norm
     assert np.array_equal(_log_density_batch(theta, dw, default_model), want)
 
 

@@ -1,5 +1,6 @@
 """Verification suite semantics: honest failures, stable reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from robustkb.verification import (
     _matched_tilt,
     _probe_value,
     _published_term,
+    check_determinism,
     check_girsanov,
     check_printed_kernel,
     check_riccati_steady_state,
@@ -166,3 +168,26 @@ def test_check_result_ok_semantics():
     assert CheckResult("a", True, True, "").ok
     assert CheckResult("a", False, False, "").ok
     assert not CheckResult("a", False, True, "").ok
+
+
+@pytest.mark.parametrize("field", ["x", "m", "dw", "dv", "log_density"])
+def test_determinism_split_compares_every_array(monkeypatch, field):
+    # A chunk dependence in any one array of the split runs fails the check.
+    cfg = _scalar_cfg(50)
+    simulate = rk.verification.simulate_paths
+
+    def split_moves_one_array(*args, path_offset=0, **kwargs):
+        ens = simulate(*args, path_offset=path_offset, **kwargs)
+        if path_offset == 0:
+            return ens
+        moved = getattr(ens, field).copy()
+        moved[-1] = np.nextafter(moved[-1], np.inf)
+        return dataclasses.replace(ens, **{field: moved})
+
+    assert check_determinism(cfg, 0).passed
+    monkeypatch.setattr(rk.verification, "simulate_paths", split_moves_one_array)
+    res = check_determinism(cfg, 0)
+    assert not res.passed
+    assert res.measured["split_equal"] is False
+    assert res.measured["rerun_equal"] and res.measured["threads_equal"]
+    assert "split=False" in res.detail

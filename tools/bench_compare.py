@@ -13,9 +13,12 @@ drift of the machine does not favour one side.  The JSON written to FILE
 (default ``BENCH.json`` at the repository root) holds, for every workload
 and every end-to-end metric of ``BENCHMARK.json``, each side's runs, median
 and quartiles, the change/parent ratio of every pair with their median and
-quartiles, and the number of pairs the change wins; also both SHAs, the
-numpy and Python versions, the core count, and the lines added, deleted and
-net under ``src/robustkb`` between the two SHAs (``git diff --numstat``).
+quartiles, the number of pairs the change wins, and whether the change's
+median is within the parent's median times (1 + ``bound``), the metric's
+bound in ``BENCHMARK.json``, printed as ``within`` or ``OUTSIDE``; also both
+SHAs, the numpy and Python versions, the core count, and the lines added,
+deleted and net under ``src/robustkb`` between the two SHAs
+(``git diff --numstat``).
 Both runs of a pair are taken back to back, so a step in the machine's speed
 during the session moves both and leaves their ratio alone, where it would
 widen each side's quartiles.  The exit code is 1 if any run failed its gates.
@@ -86,6 +89,13 @@ def _bench_run(tree: str, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def within_bound(parent: float, change: float, bound: float, lower: bool) -> bool:
+    """Whether the change's median is no worse than the parent's by more than
+    the fraction bound: at most parent * (1 + bound) where lower is better,
+    at least parent * (1 - bound) where higher is."""
+    return change <= parent * (1.0 + bound) if lower else change >= parent * (1.0 - bound)
+
+
 def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
             spec: list[dict]) -> dict:
     runs = {side: [] for side in trees}
@@ -105,14 +115,18 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
                   for side in trees}
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(series["parent"], series["change"]))
+        parent_median = statistics.median(series["parent"])
+        change_median = statistics.median(series["change"])
         metrics[name] = {
             "unit": m["unit"], "better": m["better"],
             "parent": _quartiles(series["parent"]),
             "change": _quartiles(series["change"]),
             "pair_ratio": _quartiles([c / p for p, c in zip(series["parent"],
                                                             series["change"])]),
-            "median_change_frac": statistics.median(series["change"])
-            / statistics.median(series["parent"]) - 1.0,
+            "median_change_frac": change_median / parent_median - 1.0,
+            "bound": m["bound"],
+            "within_bound": within_bound(parent_median, change_median,
+                                         m["bound"], lower),
             "wins": wins, "pairs": pairs,
         }
     return {
@@ -175,7 +189,9 @@ def main(argv=None) -> int:
                   f"change {m['change']['median']:.4g} {m['unit']} "
                   f"({m['median_change_frac']:+.1%}), pair ratio "
                   f"{ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}], "
-                  f"change wins {m['wins']}/{m['pairs']}")
+                  f"change wins {m['wins']}/{m['pairs']}, "
+                  f"{'within' if m['within_bound'] else 'OUTSIDE'} "
+                  f"bound {m['bound']:.0%}")
     loc = record["loc"]
     print(f"{LOC_PATH}: +{loc['added']} -{loc['deleted']} lines "
           f"(net {loc['net']:+d})")
