@@ -94,7 +94,7 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     sq_sumsq = np.zeros((len(starts), idx.size))
     for ci, j0 in enumerate(starts):
         count = min(_MC_CHUNK, n_paths - j0)
-        _, _, states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)
+        states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)[2]
         x_at = np.empty((idx.size, count, sub.n))
         xhat_at = np.empty_like(x_at)
         xs_at, xh_at = steps.slices(x_at), steps.slices(xhat_at)

@@ -319,16 +319,23 @@ def _initial_state(steps: _Steps, value: np.ndarray, count: int) -> np.ndarray:
     return out[:, 0] if steps.scalar else out
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
 def _euler_states(model: ValidatedModel, steps: _Steps, theta,
                   dw_tilt: np.ndarray, dv: np.ndarray):
-    """Yield the states (x_k, obs_k), k = 0..K, driven by the time-major
+    """Yield the states (x_k, obs_k), k = 0..K, driven by the path-major
     increments dw_tilt and dv, as fresh step slices; theta is the tilt as
-    `steps.per_interval` lays it out."""
-    count = dw_tilt.shape[1]
+    `steps.per_interval` lays it out.  The loop steps a time-major copy of
+    each increment array, made one at a time, so an array no caller holds
+    is freed once copied."""
+    count = dw_tilt.shape[0]
     x = _initial_state(steps, model.x0, count)
     obs = _initial_state(steps, np.zeros(model.m), count)
     yield x, obs
-    dw_tilt, dv = steps.slices(dw_tilt), steps.slices(dv)
+    dw_tilt = steps.slices(_time_major(dw_tilt))
+    dv = steps.slices(_time_major(dv))
     for k in range(model.n_steps):
         x, obs = _euler_step(steps, k, x, obs, theta[k], dw_tilt[k], dv[k])
         yield x, obs
@@ -343,15 +350,13 @@ def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
     `per_interval`, both built once per call of the caller.  Returns
     (dw_tilt, dv, states): the untilted signal increments (count, K, n) and
     the observation increments (count, K, m), path-major, and a generator of
-    the states (x_k, obs_k), k = 0..K, as step slices, stepped over one
-    time-major copy of the increments.
+    the states (x_k, obs_k), k = 0..K, as step slices.
     """
     _count_work(model, count)
     first = path_offset + j0
     dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
     dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol)
-    time_major = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (dw_tilt, dv))
-    return dw_tilt, dv, _euler_states(model, steps, theta, *time_major)
+    return dw_tilt, dv, _euler_states(model, steps, theta, dw_tilt, dv)
 
 
 def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,

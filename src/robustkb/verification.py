@@ -553,22 +553,30 @@ def check_determinism(config: ScenarioConfig, seed: int,
     riccati = solve_riccati(sub)
     theta = zero_policy(sub)
 
-    def blob(*parts) -> bytes:
-        """The five arrays of the ensembles parts, each joined along the paths."""
-        return b"".join(np.concatenate([getattr(e, field) for e in parts]).tobytes()
-                        for field in ("x", "m", "dw", "dv", "log_density"))
+    def same_bits(parts, whole) -> bool:
+        """Whether the ensembles parts, laid end to end, hold the bytes of
+        whole in all five arrays; one array of one part is copied at a time."""
+        start = 0
+        for part in parts:
+            stop = start + part.n_paths
+            for field in ("x", "m", "dw", "dv", "log_density"):
+                if (getattr(part, field).tobytes()
+                        != getattr(whole, field)[start:stop].tobytes()):
+                    return False
+            start = stop
+        return start == whole.n_paths
 
     # threads splits no work, so the threads and mc flags compare reruns
     # made through the threads argument.
     base = simulate_paths(sub, theta, 3000, seed + 97, threads=1)
     rerun = simulate_paths(sub, theta, 3000, seed + 97, threads=1)
     wide = simulate_paths(sub, theta, 3000, seed + 97, threads=4)
-    ok_rerun = blob(base) == blob(rerun)
-    ok_threads = blob(base) == blob(wide)
+    ok_rerun = same_bits([rerun], base)
+    ok_threads = same_bits([wide], base)
 
     split = [simulate_paths(sub, theta, 1500, seed + 97, path_offset=off)
              for off in (0, 1500)]
-    ok_split = blob(*split) == blob(base)
+    ok_split = same_bits(split, base)
 
     th = theta.theta
     m1 = _mse_mc_multi(sub, riccati, th, th, [sub.n_steps], 3000, seed + 97,
