@@ -551,17 +551,21 @@ def check_determinism(config: ScenarioConfig, seed: int,
     steps = min(model.n_steps, 200)
     sub = model.truncate(steps) if steps < model.n_steps else model
     riccati = solve_riccati(sub)
-    theta = zero_policy(sub)
+    # The matched tilt, as in check_whiteness, so that the log densities
+    # compared are not all zero.
+    theta = clamp_policy(constant_policy(sub, _matched_tilt(sub, config.bound)),
+                         config.bound)
 
     def same_bits(parts, whole) -> bool:
-        """Whether the ensembles parts, laid end to end, hold the bytes of
-        whole in all five arrays; one array of one part is copied at a time."""
+        """Whether the ensembles parts, laid end to end, hold the bits of
+        whole in all five arrays, compared as integers without a copy."""
         start = 0
         for part in parts:
             stop = start + part.n_paths
             for field in ("x", "m", "dw", "dv", "log_density"):
-                if (getattr(part, field).tobytes()
-                        != getattr(whole, field)[start:stop].tobytes()):
+                if not np.array_equal(
+                        getattr(part, field).view(np.uint64),
+                        getattr(whole, field)[start:stop].view(np.uint64)):
                     return False
             start = stop
         return start == whole.n_paths

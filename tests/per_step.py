@@ -1,5 +1,14 @@
 """Per-step loops, written out as references for the library's propagators.
 
+`riccati_per_step` is the reference for `solve_riccati`: the loop the library
+ran, one RK4 step of dP = FP + PF' - PSP + Q per interval with the
+four-product right-hand side, symmetrized after every step.
+`riccati_stages` is the reference for `ode._stage_covariances`: the stage
+covariances as the library built them, batched with the same right-hand
+side.  The library now steps the symmetric form Z + Z' + Q with
+Z = F P - (P S/2) P, which gives these bits for n = 1 and moves n > 1 in the
+last digits.
+
 `sigma_per_step` is the reference for the blocked vec-Lyapunov propagator of
 `solve_error_stats`.  It repeats the loop the library ran: one RK4 step of
 dSigma = A_i Sigma + Sigma A_i' + Q + P_i S P_i per interval, over the stage
@@ -17,6 +26,40 @@ the forcing in every stage, where it now forms them as D_k U_k.
 import numpy as np
 
 from robustkb.ode import _closed_loop_stages, _rk4_step
+
+
+def _riccati_rhs(P, F, S, Q):
+    """FP + PF' - PSP + Q, also for stacked matrices."""
+    return F @ P + P @ np.swapaxes(F, -1, -2) - P @ S @ P + Q
+
+
+def riccati_per_step(model):
+    """Error covariance at every node, shape (K+1, n, n), from P = 0."""
+    dt = model.grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    path = np.empty((model.n_steps + 1, model.n, model.n))
+    P = path[0] = np.zeros((model.n, model.n))
+    for k in range(model.n_steps):
+        F, S, Q = model.F[k], model.S[k], model.Q[k]
+        k1 = _riccati_rhs(P, F, S, Q)
+        k2 = _riccati_rhs(P + half * k1, F, S, Q)
+        k3 = _riccati_rhs(P + half * k2, F, S, Q)
+        k4 = _riccati_rhs(P + dt * k3, F, S, Q)
+        step = P + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        P = path[k + 1] = 0.5 * (step + step.T)
+    return path
+
+
+def riccati_stages(model, nodes):
+    """RK4 stage covariances of every interval from the node covariances,
+    shape (4, K, n, n)."""
+    dt = model.grid.dt
+    F, S, Q = model.F, model.S, model.Q
+    P1 = nodes[:-1]
+    P2 = P1 + 0.5 * dt * _riccati_rhs(P1, F, S, Q)
+    P3 = P1 + 0.5 * dt * _riccati_rhs(P2, F, S, Q)
+    P4 = P1 + dt * _riccati_rhs(P3, F, S, Q)
+    return np.stack([P1, P2, P3, P4])
 
 
 def sigma_per_step(model, riccati):

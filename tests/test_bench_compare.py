@@ -63,6 +63,36 @@ def test_bound_verdict_compares_the_medians(bench_compare, monkeypatch, better):
     assert not bench_compare.within_bound(2.0, 1.5 - 1e-9, 0.25, lower=False)
 
 
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_gain_verdict_needs_nine_tenths_and_the_parent_spread(bench_compare,
+                                                             monkeypatch, better):
+    # Parent runs 1.0, 1.1, ..., 1.9: median 1.45, quartiles 1.225 and 1.675,
+    # so a gain must move the median by more than 0.45.
+    sign = 1.0 if better == "lower" else -1.0
+    parent = [1.0 + 0.1 * i for i in range(10)]
+    lower = better == "lower"
+
+    def verdict(change):
+        def fake_run(tree, workload, seed, seconds):
+            value = parent[seed] if tree == "p" else change[seed]
+            return {"metrics": {"m": {"value": value}}, "failed": 0, "attempted": 1}
+
+        monkeypatch.setattr(bench_compare, "_bench_run", fake_run)
+        spec = [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]
+        res = bench_compare.compare({"parent": "p", "change": "c"}, "w", 10, 0, 1, spec)
+        m = res["metrics"]["m"]
+        assert m["gain"] is bench_compare.is_gain(parent, change, lower)
+        return m["wins"], m["gain"]
+
+    far = [p - sign * 0.6 for p in parent]
+    assert verdict(far) == (10, True)
+    # A tie counts for neither side: 9 of 10 still gains, 8 of 10 does not.
+    assert verdict(parent[:1] + far[1:]) == (9, True)
+    assert verdict(parent[:2] + far[2:]) == (8, False)
+    # Winning every pair by less than the parent's spread is no gain.
+    assert verdict([p - sign * 0.4 for p in parent]) == (10, False)
+
+
 def test_loc_change_parses_numstat(bench_compare):
     numstat = ("3\t12\tsrc/robustkb/decomposition.py\n"
                "0\t17\tsrc/robustkb/ode.py\n"

@@ -31,11 +31,12 @@ from robustkb import (
 )
 from robustkb.minimax import _game_core
 from robustkb.ode import (_SIGMA_BLOCK, RiccatiPath, _closed_loop, _closed_loop_stages,
-                          _lyapunov_path, _propagate, _sym)
+                          _lyapunov_path, _propagate, _stage_covariances, _sym)
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
-from per_step import forced_terms_per_stage, sigma_per_step
+from per_step import (forced_terms_per_stage, riccati_per_step, riccati_stages,
+                      sigma_per_step)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,46 @@ def test_scalar_riccati_matches_the_matrix_loop():
     got = solve_riccati(model)
     assert got.P.tobytes() == want.tobytes()
     assert got.min_eigenvalue == float(want.min())
+
+
+# The symmetric form Z + Z' + Q, Z = F P - (P S/2) P, rounds differently from
+# the four-product right-hand side for n > 1; the paths may differ by this
+# much, relative to the covariance's size.
+RICCATI_FORM_TOL = 1e-15
+
+
+@pytest.fixture(scope="module", params=["n1", "n2", "n3"])
+def riccati_case(request):
+    """The bundled scenario, the n = 2 layout model and the n = 3 schedule."""
+    model = {
+        "n1": lambda: request.getfixturevalue("default_model"),
+        "n2": lambda: path_major.layout_models(600)["n2"],
+        "n3": _moments_n3_model,
+    }[request.param]()
+    return model, solve_riccati(model)
+
+
+def test_riccati_matches_the_per_step_loop(riccati_case):
+    model, riccati = riccati_case
+    want = riccati_per_step(model)
+    P = riccati.P
+    if model.n == 1:
+        assert P.tobytes() == want.tobytes()
+    err = np.max(np.abs(P - want))
+    assert err <= RICCATI_FORM_TOL * (1.0 + np.max(np.abs(want))), err
+    # Every node is symmetric without a symmetrization step.
+    assert np.array_equal(P, np.swapaxes(P, 1, 2))
+
+
+def test_stage_covariances_match_the_four_product_stages(riccati_case):
+    model, riccati = riccati_case
+    got = _stage_covariances(model, riccati.P)
+    want = riccati_stages(model, riccati.P)
+    if model.n == 1:
+        assert got.tobytes() == want.tobytes()
+    err = np.max(np.abs(got - want))
+    assert err <= RICCATI_FORM_TOL * (1.0 + np.max(np.abs(want))), err
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
 
 
 def test_riccati_reports_lost_positivity():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import robustkb as rk
 from robustkb.ode import _backward, _forward
 
+from per_step import riccati_per_step
+
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -52,6 +54,20 @@ def test_covariance_stays_psd_and_sigma_equals_p(case):
     stats = rk.solve_error_stats(model, rk.constant_policy(model, theta),
                                  rk.zero_policy(model), riccati)
     assert np.max(np.abs(stats.Sigma - P)) <= 1e-9 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(stable_models())
+def test_riccati_is_symmetric_and_matches_the_per_step_loop(case):
+    spec, _ = case
+    model = _model(spec, 100)
+    P = rk.solve_riccati(model).P
+    want = riccati_per_step(model)
+    assert np.array_equal(P, np.swapaxes(P, 1, 2))
+    if model.n == 1:
+        assert P.tobytes() == want.tobytes()
+    # The tolerance of tests/test_ode.py for the symmetric form.
+    assert np.max(np.abs(P - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
 
 
 def _decomposition_gap(spec, theta, n_steps):

@@ -191,3 +191,27 @@ def test_determinism_split_compares_every_array(monkeypatch, field):
     assert res.measured["split_equal"] is False
     assert res.measured["rerun_equal"] and res.measured["threads_equal"]
     assert "split=False" in res.detail
+
+
+def test_determinism_sees_a_chunk_dependent_log_density(monkeypatch):
+    # A log density that rounds by batch size, as a shape-dependent
+    # summation order would: the split halves (1500 paths) and the whole
+    # run's chunks (2048 + 952) disagree.  Under the zero tilt every log
+    # density is 0 and the dependence cannot show.
+    cfg = _scalar_cfg(50)
+    log_density = rk.simulate._log_density_batch
+
+    def by_batch_size(theta, dw, model):
+        got = log_density(theta, dw, model)
+        return got + got * (len(dw) * 2.0**-60)
+
+    assert check_determinism(cfg, 0).passed
+    monkeypatch.setattr(rk.simulate, "_log_density_batch", by_batch_size)
+    res = check_determinism(cfg, 0)
+    assert not res.passed
+    assert res.measured["split_equal"] is False
+    assert res.measured["rerun_equal"] and res.measured["threads_equal"]
+    assert "split=False" in res.detail
+    monkeypatch.setattr(rk.verification, "_matched_tilt",
+                        lambda model, bound: np.zeros(model.n))
+    assert check_determinism(cfg, 0).passed

@@ -15,7 +15,11 @@ and every end-to-end metric of ``BENCHMARK.json``, each side's runs, median
 and quartiles, the change/parent ratio of every pair with their median and
 quartiles, the number of pairs the change wins, and whether the change's
 median is within the parent's median times (1 + ``bound``), the metric's
-bound in ``BENCHMARK.json``, printed as ``within`` or ``OUTSIDE``; also both
+bound in ``BENCHMARK.json``, printed as ``within`` or ``OUTSIDE``, and the
+gain verdict, printed as ``gain`` or ``no gain``: a gain when the change wins
+at least nine tenths of the pairs (ties count for neither side) and its
+median beats the parent's by more than the parent's interquartile range
+(q3 - q1); also both
 SHAs, the numpy and Python versions, the core count, and the lines added,
 deleted and net under ``src/robustkb`` between the two SHAs
 (``git diff --numstat``).
@@ -96,6 +100,23 @@ def within_bound(parent: float, change: float, bound: float, lower: bool) -> boo
     return change <= parent * (1.0 + bound) if lower else change >= parent * (1.0 - bound)
 
 
+def wins(parent: list[float], change: list[float], lower: bool) -> int:
+    """The number of pairs in which the change is strictly better."""
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def is_gain(parent: list[float], change: list[float], lower: bool) -> bool:
+    """Whether the pairs show a gain: the change wins at least nine tenths of
+    them, and its median beats the parent's by more than the parent's
+    interquartile range."""
+    q = _quartiles(parent)
+    margin = q["median"] - statistics.median(change)
+    if not lower:
+        margin = -margin
+    return (10 * wins(parent, change, lower) >= 9 * len(parent)
+            and margin > q["q3"] - q["q1"])
+
+
 def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
             spec: list[dict]) -> dict:
     runs = {side: [] for side in trees}
@@ -113,8 +134,6 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
         name, lower = m["name"], m["better"] == "lower"
         series = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in trees}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(series["parent"], series["change"]))
         parent_median = statistics.median(series["parent"])
         change_median = statistics.median(series["change"])
         metrics[name] = {
@@ -127,7 +146,9 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
             "bound": m["bound"],
             "within_bound": within_bound(parent_median, change_median,
                                          m["bound"], lower),
-            "wins": wins, "pairs": pairs,
+            "wins": wins(series["parent"], series["change"], lower),
+            "pairs": pairs,
+            "gain": is_gain(series["parent"], series["change"], lower),
         }
     return {
         "seeds": [seed + i for i in range(pairs)],
@@ -191,7 +212,8 @@ def main(argv=None) -> int:
                   f"{ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}], "
                   f"change wins {m['wins']}/{m['pairs']}, "
                   f"{'within' if m['within_bound'] else 'OUTSIDE'} "
-                  f"bound {m['bound']:.0%}")
+                  f"bound {m['bound']:.0%}, "
+                  f"{'gain' if m['gain'] else 'no gain'}")
     loc = record["loc"]
     print(f"{LOC_PATH}: +{loc['added']} -{loc['deleted']} lines "
           f"(net {loc['net']:+d})")
