@@ -28,6 +28,12 @@ import numpy as np
 from robustkb.ode import _closed_loop_stages, _rk4_step
 
 
+# The symmetric form rounds differently from the four-product right-hand
+# side for n > 1; a path or stage may differ from these references by this
+# much times (1 + max|P|).
+RICCATI_FORM_TOL = 1e-15
+
+
 def _riccati_rhs(P, F, S, Q):
     """FP + PF' - PSP + Q, also for stacked matrices."""
     return F @ P + P @ np.swapaxes(F, -1, -2) - P @ S @ P + Q

@@ -35,8 +35,8 @@ from robustkb.ode import (_SIGMA_BLOCK, RiccatiPath, _closed_loop, _closed_loop_
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
-from per_step import (forced_terms_per_stage, riccati_per_step, riccati_stages,
-                      sigma_per_step)
+from per_step import (RICCATI_FORM_TOL, forced_terms_per_stage, riccati_per_step,
+                      riccati_stages, sigma_per_step)
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +123,19 @@ def test_scalar_riccati_matches_the_matrix_loop():
     assert got.min_eigenvalue == float(want.min())
 
 
-# The symmetric form Z + Z' + Q, Z = F P - (P S/2) P, rounds differently from
-# the four-product right-hand side for n > 1; the paths may differ by this
-# much, relative to the covariance's size.
-RICCATI_FORM_TOL = 1e-15
-
-
-@pytest.fixture(scope="module", params=["n1", "n2", "n3"])
-def riccati_case(request):
-    """The bundled scenario, the n = 2 layout model and the n = 3 schedule."""
-    model = {
+def _reference_model(request):
+    """The bundled scenario (n1), the n = 2 layout model (n2) or the n = 3
+    schedule (n3), as request.param names it."""
+    return {
         "n1": lambda: request.getfixturevalue("default_model"),
         "n2": lambda: path_major.layout_models(600)["n2"],
         "n3": _moments_n3_model,
     }[request.param]()
+
+
+@pytest.fixture(scope="module", params=["n1", "n2", "n3"])
+def riccati_case(request):
+    model = _reference_model(request)
     return model, solve_riccati(model)
 
 
@@ -633,12 +632,7 @@ SIGMA_SIZES = {"n1": (1, 50, 2000), "n2": (1, 12, 600), "n3": (1, 40, 2000)}
 
 @pytest.fixture(scope="module", params=sorted(SIGMA_SIZES))
 def sigma_case(request):
-    """The bundled scenario, the n = 2 layout model and the n = 3 schedule."""
-    model = {
-        "n1": lambda: request.getfixturevalue("default_model"),
-        "n2": lambda: path_major.layout_models(600)["n2"],
-        "n3": _moments_n3_model,
-    }[request.param]()
+    model = _reference_model(request)
     return model, solve_riccati(model), SIGMA_SIZES[request.param]
 
 

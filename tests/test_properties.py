@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import robustkb as rk
 from robustkb.ode import _backward, _forward
 
-from per_step import riccati_per_step
+from per_step import RICCATI_FORM_TOL, riccati_per_step
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -66,8 +66,7 @@ def test_riccati_is_symmetric_and_matches_the_per_step_loop(case):
     assert np.array_equal(P, np.swapaxes(P, 1, 2))
     if model.n == 1:
         assert P.tobytes() == want.tobytes()
-    # The tolerance of tests/test_ode.py for the symmetric form.
-    assert np.max(np.abs(P - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+    assert np.max(np.abs(P - want)) <= RICCATI_FORM_TOL * (1.0 + np.max(np.abs(want)))
 
 
 def _decomposition_gap(spec, theta, n_steps):

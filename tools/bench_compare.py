@@ -19,10 +19,9 @@ bound in ``BENCHMARK.json``, printed as ``within`` or ``OUTSIDE``, and the
 gain verdict, printed as ``gain`` or ``no gain``: a gain when the change wins
 at least nine tenths of the pairs (ties count for neither side) and its
 median beats the parent's by more than the parent's interquartile range
-(q3 - q1); also both
-SHAs, the numpy and Python versions, the core count, and the lines added,
-deleted and net under ``src/robustkb`` between the two SHAs
-(``git diff --numstat``).
+(q3 - q1); also both SHAs, the numpy and Python versions, the core count,
+and the lines added, deleted and net under ``src/robustkb`` between the two
+SHAs (``git diff --numstat``).
 Both runs of a pair are taken back to back, so a step in the machine's speed
 during the session moves both and leaves their ratio alone, where it would
 widen each side's quartiles.  The exit code is 1 if any run failed its gates.
