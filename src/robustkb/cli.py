@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, load_scenario, scenario_from_dict
+from .config import ScenarioConfig, _read_bytes, scenario_from_bytes
 from .decomposition import correction_path
 from .errors import ConfigError, RobustKBError
 from .export import (
@@ -39,21 +39,15 @@ _DEFAULT_SCENARIO = "default_scenario.json"
 
 
 def _load_config(args) -> tuple[ScenarioConfig, str]:
-    """Scenario plus the sha256 of the config bytes (bundled default if
-    no --config was given)."""
-    if args.config is not None:
-        try:
-            with open(args.config, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
-        cfg = load_scenario(args.config)
+    """Scenario plus the sha256 of the config bytes it was parsed from
+    (bundled default if no --config was given)."""
+    if args.config is None:
+        source = _DEFAULT_SCENARIO
+        blob = (resources.files("robustkb") / "data" / source).read_bytes()
     else:
-        blob = (resources.files("robustkb") / "data" / _DEFAULT_SCENARIO).read_bytes()
-        import json
-
-        cfg = scenario_from_dict(json.loads(blob))
-    return cfg, hashlib.sha256(blob).hexdigest()
+        source = args.config
+        blob = _read_bytes(source)
+    return scenario_from_bytes(blob, source), hashlib.sha256(blob).hexdigest()
 
 
 def _header(args, digest: str) -> str:
@@ -74,7 +68,7 @@ def _parse_policy(raw: str | None, cfg: ScenarioConfig, default: np.ndarray):
         path = raw[1:]
         try:
             arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
         if arr.shape == (model.n_steps, model.n):
             return DriftPolicy(arr), raw
@@ -140,7 +134,7 @@ def _read_obs(path: str, cfg: ScenarioConfig) -> np.ndarray:
                                                   and math.isnan(first_id)):
                     raise ConfigError(
                         f"{path}: contains multiple paths; filter needs one")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if count != n_rows:
         raise ConfigError(
@@ -371,13 +365,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RobustKBError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RobustKBError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

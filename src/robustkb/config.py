@@ -1,13 +1,18 @@
 """Scenario configs: a small JSON schema for grid, model, and uncertainty.
 
-Coefficients may be given as scalars, single matrices/vectors (broadcast over
-all intervals), or per-interval arrays of length n_steps.  When a flat list
-could be read either way, the single-matrix reading wins.  Parse errors name
-the offending JSON path.
+One reader serves every coefficient.  A vector (f, g, x0) or matrix (F, G,
+Q, R) is a scalar if it has one entry, a flat list, or, for a matrix only, a
+nested list of rows.  One such value is broadcast over all intervals; a list
+of n_steps of them is a per-interval schedule.  When a list could be read
+either way, the single reading wins.  Parse errors name the offending JSON
+path, and those of a file also name the file.  A scenario whose schedules
+would need more than MAX_SCHEDULE_BYTES is refused before anything is
+allocated, and a file that does not decode as JSON raises a ConfigError.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -21,6 +26,10 @@ from .model import (
     ValidatedModel,
     validate_model,
 )
+
+# Bytes of float64 coefficient schedules (F, G, Q, R, f, g) a scenario may
+# ask for; larger ones are refused before anything is allocated.
+MAX_SCHEDULE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,12 @@ def _require(mapping, key: str, path: str):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
+    if not _is_number(value):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
     return float(value)
 
@@ -54,74 +67,44 @@ def _as_positive_int(value, path: str) -> int:
     return value
 
 
-def _single_matrix(value, rows: int, cols: int, path: str) -> np.ndarray | None:
-    """One (rows, cols) matrix from a scalar, nested list, or flat list."""
-    if isinstance(value, Real) and not isinstance(value, bool):
-        if rows == cols == 1:
-            return np.array([[float(value)]])
+def _single(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """One array of shape (d,) or (r, c) from a scalar (if it has one entry),
+    a flat list, or, for (r, c) only, a nested list of r rows of c."""
+    size = math.prod(shape)
+    if _is_number(value):
+        return np.full(shape, float(value)) if size == 1 else None
+    if not isinstance(value, list):
         return None
-    if not isinstance(value, list) or not value:
-        return None
-    if all(isinstance(r, list) for r in value):
-        if len(value) != rows or any(len(r) != cols for r in value):
+    flat = value
+    if len(shape) == 2 and all(isinstance(row, list) for row in value):
+        if len(value) != shape[0] or any(len(row) != shape[1] for row in value):
             return None
-        try:
-            return np.array([[_as_number(x, path) for x in r] for r in value])
-        except ConfigError:
-            return None
-    if all(isinstance(x, Real) and not isinstance(x, bool) for x in value):
-        if len(value) == rows * cols:
-            return np.array([float(x) for x in value]).reshape(rows, cols)
+        flat = [x for row in value for x in row]
+    if len(flat) == size and all(_is_number(x) for x in flat):
+        return np.array([float(x) for x in flat]).reshape(shape)
     return None
 
 
-def _matrix_schedule(value, n_steps: int, rows: int, cols: int, path: str) -> np.ndarray:
-    single = _single_matrix(value, rows, cols, path)
+def _schedule(value, n_steps: int, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """(n_steps, *shape) from one array broadcast over every interval or a
+    list of n_steps of them; the single reading wins where both fit."""
+    single = _single(value, shape)
     if single is not None:
-        return np.broadcast_to(single, (n_steps, rows, cols)).copy()
-    if isinstance(value, list) and len(value) == n_steps:
-        out = np.empty((n_steps, rows, cols))
-        for k, entry in enumerate(value):
-            mat = _single_matrix(entry, rows, cols, f"{path}[{k}]")
-            if mat is None:
-                raise ConfigError(
-                    f"{path}[{k}]: expected a {rows}x{cols} matrix "
-                    f"(scalar, nested list, or flat list of {rows * cols})"
-                )
-            out[k] = mat
-        return out
-    raise ConfigError(
-        f"{path}: expected a {rows}x{cols} matrix or a list of {n_steps} of them"
-    )
-
-
-def _single_vector(value, dim: int, path: str) -> np.ndarray | None:
-    if isinstance(value, Real) and not isinstance(value, bool):
-        if dim == 1:
-            return np.array([float(value)])
-        return None
-    if isinstance(value, list) and len(value) == dim and all(
-        isinstance(x, Real) and not isinstance(x, bool) for x in value
-    ):
-        return np.array([float(x) for x in value])
-    return None
-
-
-def _vector_schedule(value, n_steps: int, dim: int, path: str) -> np.ndarray:
-    single = _single_vector(value, dim, path)
-    if single is not None:
-        return np.broadcast_to(single, (n_steps, dim)).copy()
-    if isinstance(value, list) and len(value) == n_steps:
-        out = np.empty((n_steps, dim))
-        for k, entry in enumerate(value):
-            vec = _single_vector(entry, dim, f"{path}[{k}]")
-            if vec is None:
-                raise ConfigError(f"{path}[{k}]: expected a vector of length {dim}")
-            out[k] = vec
-        return out
-    raise ConfigError(
-        f"{path}: expected a vector of length {dim} or a list of {n_steps} of them"
-    )
+        return np.broadcast_to(single, (n_steps, *shape)).copy()
+    if len(shape) == 1:
+        what, forms = f"a vector of length {shape[0]}", ""
+    else:
+        what = f"a {shape[0]}x{shape[1]} matrix"
+        forms = f" (scalar, nested list, or flat list of {math.prod(shape)})"
+    if not isinstance(value, list) or len(value) != n_steps:
+        raise ConfigError(f"{path}: expected {what} or a list of {n_steps} of them")
+    out = np.empty((n_steps, *shape))
+    for k, entry in enumerate(value):
+        one = _single(entry, shape)
+        if one is None:
+            raise ConfigError(f"{path}[{k}]: expected {what}{forms}")
+        out[k] = one
+    return out
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
@@ -133,32 +116,30 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ConfigError(f"$.grid.T: must be finite and positive, got {horizon}")
     n_steps = _as_positive_int(_require(grid_raw, "n_steps", "$.grid"), "$.grid.n_steps")
-    grid = TimeGrid(horizon, n_steps)
-
     model_raw = _require(raw, "model", "$")
     n = _as_positive_int(_require(model_raw, "n", "$.model"), "$.model.n")
     m = _as_positive_int(_require(model_raw, "m", "$.model"), "$.model.m")
+    nbytes = n_steps * (2 * n * n + n + m * n + m + m * m) * 8
+    if nbytes > MAX_SCHEDULE_BYTES:
+        raise ConfigError(
+            f"$.grid.n_steps: {n_steps} intervals at n = {n}, m = {m} need "
+            f"{nbytes} bytes of coefficient schedules, over the limit of "
+            f"{MAX_SCHEDULE_BYTES}")
+    grid = TimeGrid(horizon, n_steps)
 
-    F = _matrix_schedule(_require(model_raw, "F", "$.model"), n_steps, n, n, "$.model.F")
-    G = _matrix_schedule(_require(model_raw, "G", "$.model"), n_steps, m, n, "$.model.G")
-    Q = _matrix_schedule(_require(model_raw, "Q", "$.model"), n_steps, n, n, "$.model.Q")
-    R = _matrix_schedule(_require(model_raw, "R", "$.model"), n_steps, m, m, "$.model.R")
-    f = _vector_schedule(_require(model_raw, "f", "$.model"), n_steps, n, "$.model.f")
-    g = _vector_schedule(_require(model_raw, "g", "$.model"), n_steps, m, "$.model.g")
-    x0 = _single_vector(_require(model_raw, "x0", "$.model"), n, "$.model.x0")
+    F, G, Q, R, f, g = (
+        _schedule(_require(model_raw, key, "$.model"), n_steps, shape, f"$.model.{key}")
+        for key, shape in (("F", (n, n)), ("G", (m, n)), ("Q", (n, n)),
+                           ("R", (m, m)), ("f", (n,)), ("g", (m,))))
+    x0 = _single(_require(model_raw, "x0", "$.model"), (n,))
     if x0 is None:
         raise ConfigError(f"$.model.x0: expected a vector of length {n}")
 
     unc_raw = _require(raw, "uncertainty", "$")
     mu_raw = _require(unc_raw, "mu", "$.uncertainty")
-    if isinstance(mu_raw, Real) and not isinstance(mu_raw, bool):
-        mu = np.full(n, float(mu_raw))
-    else:
-        mu = _single_vector(mu_raw, n, "$.uncertainty.mu")
-        if mu is None:
-            raise ConfigError(
-                f"$.uncertainty.mu: expected a number or a vector of length {n}"
-            )
+    mu = np.full(n, float(mu_raw)) if _is_number(mu_raw) else _single(mu_raw, (n,))
+    if mu is None:
+        raise ConfigError(f"$.uncertainty.mu: expected a number or a vector of length {n}")
     if np.any(mu < 0.0):
         raise ConfigError("$.uncertainty.mu: must be componentwise nonnegative")
 
@@ -170,13 +151,27 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(grid=grid, model=model, bound=UncertaintyBound(mu))
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    """Load and validate a scenario JSON file."""
+def scenario_from_bytes(blob: bytes, source: str) -> ScenarioConfig:
+    """Decode the bytes of a scenario file and build the validated scenario;
+    every ConfigError names source, the file the bytes came from."""
+    try:
+        raw = json.loads(blob)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+    try:
+        return scenario_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    """Load and validate a scenario JSON file."""
+    return scenario_from_bytes(_read_bytes(path), path)

@@ -394,3 +394,52 @@ def test_usage_errors(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
     assert main(["simulate", "--paths", "0", "--out", out]) == 2
     assert "n_paths must be >= 1" in capsys.readouterr().err
+
+
+def _bad_input(tmp_path, case):
+    """argv and the name of the bad file for one malformed-input case."""
+    cfg = _write_cfg(tmp_path, n_steps=4)
+    if case == "oversized-scenario":
+        # 10**15 intervals: without the size check, NumPy refuses the 7 PiB
+        # time grid at once.
+        return ["riccati", "--config", _write_cfg(tmp_path, "huge.json",
+                                                  n_steps=10**15)], "huge.json"
+    if case == "scenario-invalid-utf8":
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"grid": "\xff"}')
+        return ["riccati", "--config", str(path)], "latin.json"
+    if case == "obs-invalid-utf8":
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"t,m_0\n0,0\n\xff,1\n")
+        return ["filter", "--config", cfg, "--obs", str(path)], "obs.csv"
+    path = tmp_path / "theta.csv"
+    path.write_bytes(b"0.1\n0.2\na\n0.4\n" if case == "theta-non-numeric"
+                     else b"0.1\n0.2\n\xff\n0.4\n")
+    return ["simulate", "--config", cfg, "--theta", f"@{path}"], "theta.csv"
+
+
+@pytest.mark.parametrize("case", ["oversized-scenario", "scenario-invalid-utf8",
+                                  "theta-non-numeric", "theta-invalid-utf8",
+                                  "obs-invalid-utf8"])
+def test_bad_input_files_are_config_errors(tmp_path, capsys, case):
+    argv, name = _bad_input(tmp_path, case)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["riccati"], ["simulate", "--paths", "1"],
+                                  ["minimax", "--t", "1.0"]])
+def test_config_file_is_opened_once(tmp_path, monkeypatch, argv):
+    cfg = _write_cfg(tmp_path, n_steps=20)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert opened.count(cfg) == 1

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkb as rk
-from robustkb import ConfigError
+from robustkb import ConfigError, config
+
+import config_reference as reference
 
 
 def base_doc():
@@ -163,3 +165,116 @@ class TestLoadScenario:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="broken.json"):
             rk.load_scenario(str(path))
+
+
+class TestSizeAndDecode:
+    def test_oversized_grid_is_refused_before_allocation(self):
+        # 10**15 intervals would need 48 PB of schedules; NumPy refuses an
+        # array that size at once, so without the check nothing is allocated.
+        doc = base_doc()
+        doc["grid"]["n_steps"] = 10**15
+        with pytest.raises(ConfigError,
+                           match="\\$\\.grid\\.n_steps: .* 48000000000000000 bytes"):
+            rk.scenario_from_dict(doc)
+
+    def test_limit_counts_every_coefficient_schedule(self, monkeypatch):
+        # n = 2, m = 3, 4 intervals: 4 * (2n^2 + n + mn + m + m^2) * 8 bytes.
+        doc = base_doc()
+        doc["model"].update({"n": 2, "m": 3, "F": [-1.0, 0.0, 0.0, -1.0],
+                             "f": [0.0, 0.0], "G": [1.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                             "g": [0.0, 0.0, 0.0], "Q": [1.0, 0.0, 0.0, 1.0],
+                             "R": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                             "x0": [0.0, 0.0]})
+        need = 4 * (8 + 2 + 6 + 3 + 9) * 8
+        monkeypatch.setattr(config, "MAX_SCHEDULE_BYTES", need)
+        assert rk.scenario_from_dict(doc).model.n_steps == 4
+        monkeypatch.setattr(config, "MAX_SCHEDULE_BYTES", need - 1)
+        with pytest.raises(ConfigError, match=f"\\$\\.grid\\.n_steps: .* {need} bytes"):
+            rk.scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("body", [
+        json.dumps(base_doc()).encode()[:-1] + b', "\xff": 1}',
+        b'{"grid": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["invalid-utf8", "nested-too-deep"])
+    def test_undecodable_file_names_path(self, tmp_path, body):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match="undecodable.json is not valid JSON"):
+            rk.load_scenario(str(path))
+
+    def test_file_errors_name_the_file_and_the_json_path(self, tmp_path):
+        doc = base_doc()
+        doc["grid"]["n_steps"] = 10
+        doc["model"]["Q"] = [1.0, 2.0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as info:
+            rk.load_scenario(str(path))
+        assert str(info.value) == (
+            f"{path}: $.model.Q: expected a 1x1 matrix or a list of 10 of them")
+
+
+def _leaf():
+    return st.one_of(st.integers(-(2**60), 2**60), st.floats(width=64),
+                     st.booleans(), st.text(max_size=2), st.none())
+
+
+def _single_value(size, rows):
+    """A candidate for one coefficient: a leaf, a flat list that often has
+    the shape's size, or a nested list that often has its rows."""
+    leaf = _leaf()
+    number = st.one_of(st.integers(-(2**60), 2**60), st.floats(width=64))
+    return st.one_of(
+        leaf,
+        st.lists(leaf, max_size=size + 2),
+        st.lists(number, min_size=size, max_size=size),
+        st.lists(st.lists(leaf, max_size=4), max_size=4),
+        st.lists(st.lists(number, min_size=size // rows, max_size=size // rows),
+                 min_size=rows, max_size=rows),
+    )
+
+
+@st.composite
+def _reader_case(draw):
+    n_steps = draw(st.integers(1, 4))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 3)),
+                           st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    size, rows = int(np.prod(shape)), shape[0]
+    single = _single_value(size, rows)
+    value = draw(st.one_of(
+        single,
+        st.lists(single, min_size=n_steps, max_size=n_steps),
+        st.lists(_single_value(size, rows), max_size=5),
+    ))
+    return value, n_steps, shape
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _same(new, old):
+    if isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray)
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+    else:
+        assert new == old
+
+
+@given(_reader_case())
+@settings(max_examples=600, deadline=None)
+def test_one_reader_matches_the_matrix_and_vector_readers(case):
+    value, n_steps, shape = case
+    path = "$.model.X"
+    if len(shape) == 1:
+        old_single = _outcome(reference._single_vector, value, shape[0], path)
+        old = _outcome(reference._vector_schedule, value, n_steps, shape[0], path)
+    else:
+        old_single = _outcome(reference._single_matrix, value, *shape, path)
+        old = _outcome(reference._matrix_schedule, value, n_steps, *shape, path)
+    _same(_outcome(config._single, value, shape), old_single)
+    _same(_outcome(config._schedule, value, n_steps, shape, path), old)
