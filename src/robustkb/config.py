@@ -53,10 +53,19 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _floats(values, path: str) -> list[float]:
+    """float() of each number; an integer beyond the float range raises a
+    ConfigError naming path."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError as exc:
+        raise ConfigError(f"{path}: integer beyond the float range") from exc
+
+
 def _as_number(value, path: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    return _floats([value], path)[0]
 
 
 def _as_positive_int(value, path: str) -> int:
@@ -67,12 +76,13 @@ def _as_positive_int(value, path: str) -> int:
     return value
 
 
-def _single(value, shape: tuple[int, ...]) -> np.ndarray | None:
+def _single(value, shape: tuple[int, ...], path: str) -> np.ndarray | None:
     """One array of shape (d,) or (r, c) from a scalar (if it has one entry),
-    a flat list, or, for (r, c) only, a nested list of r rows of c."""
+    a flat list, or, for (r, c) only, a nested list of r rows of c; path
+    names value in a ConfigError."""
     size = math.prod(shape)
     if _is_number(value):
-        return np.full(shape, float(value)) if size == 1 else None
+        return np.full(shape, _as_number(value, path)) if size == 1 else None
     if not isinstance(value, list):
         return None
     flat = value
@@ -81,14 +91,14 @@ def _single(value, shape: tuple[int, ...]) -> np.ndarray | None:
             return None
         flat = [x for row in value for x in row]
     if len(flat) == size and all(_is_number(x) for x in flat):
-        return np.array([float(x) for x in flat]).reshape(shape)
+        return np.array(_floats(flat, path)).reshape(shape)
     return None
 
 
 def _schedule(value, n_steps: int, shape: tuple[int, ...], path: str) -> np.ndarray:
     """(n_steps, *shape) from one array broadcast over every interval or a
     list of n_steps of them; the single reading wins where both fit."""
-    single = _single(value, shape)
+    single = _single(value, shape, path)
     if single is not None:
         return np.broadcast_to(single, (n_steps, *shape)).copy()
     if len(shape) == 1:
@@ -100,7 +110,7 @@ def _schedule(value, n_steps: int, shape: tuple[int, ...], path: str) -> np.ndar
         raise ConfigError(f"{path}: expected {what} or a list of {n_steps} of them")
     out = np.empty((n_steps, *shape))
     for k, entry in enumerate(value):
-        one = _single(entry, shape)
+        one = _single(entry, shape, f"{path}[{k}]")
         if one is None:
             raise ConfigError(f"{path}[{k}]: expected {what}{forms}")
         out[k] = one
@@ -131,15 +141,17 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         _schedule(_require(model_raw, key, "$.model"), n_steps, shape, f"$.model.{key}")
         for key, shape in (("F", (n, n)), ("G", (m, n)), ("Q", (n, n)),
                            ("R", (m, m)), ("f", (n,)), ("g", (m,))))
-    x0 = _single(_require(model_raw, "x0", "$.model"), (n,))
+    x0 = _single(_require(model_raw, "x0", "$.model"), (n,), "$.model.x0")
     if x0 is None:
         raise ConfigError(f"$.model.x0: expected a vector of length {n}")
 
     unc_raw = _require(raw, "uncertainty", "$")
     mu_raw = _require(unc_raw, "mu", "$.uncertainty")
-    mu = np.full(n, float(mu_raw)) if _is_number(mu_raw) else _single(mu_raw, (n,))
+    mu_path = "$.uncertainty.mu"
+    mu = (np.full(n, _as_number(mu_raw, mu_path)) if _is_number(mu_raw)
+          else _single(mu_raw, (n,), mu_path))
     if mu is None:
-        raise ConfigError(f"$.uncertainty.mu: expected a number or a vector of length {n}")
+        raise ConfigError(f"{mu_path}: expected a number or a vector of length {n}")
     if np.any(mu < 0.0):
         raise ConfigError("$.uncertainty.mu: must be componentwise nonnegative")
 

@@ -37,6 +37,10 @@ class LostPositivity(RobustKBError):
     """The covariance path left the positive-semidefinite cone."""
 
 
+class IllConditionedStep(RobustKBError):
+    """One grid interval's covariance step is too ill-conditioned to take."""
+
+
 class DegenerateG(RobustKBError):
     """The observation matrix vanishes where a quotient by it is needed."""
 

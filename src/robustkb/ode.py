@@ -2,22 +2,31 @@
 Riccati equation, closed-form scalar oracles, and exact error statistics.
 
 Every ODE is stepped with classical fixed-step RK4 on the model grid, all four
-stages of step k using the interval-k coefficients.  Only solve_riccati
-integrates the covariance, in a loop of its own over the symmetric form of
-the right-hand side, f(P) = Z + Z' + Q with Z = F P - (P S/2) P: three
-products per stage, and every stage argument and node exactly symmetric
-without a symmetrization step.  Every other quantity solves a linear ODE
-driven by the stage closed loops F - P_i S, whose RK4 steps are affine maps
+stages of step k using the interval-k coefficients.  Every ODE but the scalar
+Riccati equation is linear, and its RK4 steps are affine maps
 y -> T_k y + e_k built for many intervals at once; an input u_k held over
 interval k gives the forced term e_k = D_k u_k.  A forward sweep over them
 is a work-efficient scan, an up-sweep and a down-sweep of about 2K batched
 products, each row reading only its own prefix of the maps; a backward sweep
 is the same scan over the reversed, transposed maps, each row reading its
-own suffix.  The error covariance Sigma is one such ODE in row-major vec
-form, with the n^2 x n^2 generators A_i (x) I + I (x) A_i and a forcing that
-differs by stage; its maps are built a block of intervals at a time and
-applied by a sequential loop, so that its bits do not depend on the block
-size, and the path is symmetrized once at the end.
+own suffix.
+
+solve_riccati integrates the covariance.  For n = 1 it steps the Riccati
+equation in a loop on Python floats.  For n > 1 it steps the linear
+Hamiltonian system [X; Y]' = [[-F', S], [Q, F]] [X; Y], whose solution gives
+P = Y X^-1 (Davison and Maki, IEEE TAC 18(1), 1973): a forward scan over a
+block of intervals at a time, each started from [I; P] at its first node and
+ended early where X grows ill-conditioned, and every node symmetrized once.
+The other ODEs are driven by the stage closed loops F - P_i S, whose stage
+covariances P_i are recomputed from the nodes by RK4 on the symmetric form
+of the Riccati right-hand side, f(P) = Z + Z' + Q with Z = F P - (P S/2) P.
+For n = 1 these are the scalar loop's own stages; for n > 1 they belong to a
+scheme other than the Hamiltonian one, so that Sigma and P differ by O(dt^4).
+The error covariance Sigma is one such ODE in row-major vec form, with the
+n^2 x n^2 generators A_i (x) I + I (x) A_i and a forcing that differs by
+stage; its maps are built a block of intervals at a time and applied by a
+sequential loop, so that its bits do not depend on the block size, and the
+path is symmetrized once at the end.
 
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
@@ -39,6 +48,7 @@ import numpy as np
 from .errors import (
     DegenerateG,
     GridMismatch,
+    IllConditionedStep,
     LostPositivity,
     MissingRiccati,
     OutOfGrid,
@@ -57,6 +67,17 @@ _SIGMA_BLOCK = 64
 # Stage forcing of the homogeneous step maps T_k.
 _UNFORCED = (0.0,) * 4
 
+# Intervals per block of the n > 1 Riccati scan, chosen by timing the
+# moments-n3 and bench/minimax_n3.json solves: each block is one _forward
+# over (block, 2n, 2n) step maps and one batched solve.  A block cut short
+# wastes the rest of its scan, so stiff models favour smaller blocks.
+_RICCATI_BLOCK = 64
+
+# A Riccati block ends before a node whose X has a larger 1-norm condition
+# number: the scan's rounding reaches P = Y X^-1 amplified by up to cond(X),
+# so this keeps it near 1e-12 relative at worst.
+_RICCATI_COND_MAX = 1e4
+
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
@@ -65,8 +86,10 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def _stage_covariances(model: ValidatedModel, nodes: np.ndarray) -> np.ndarray:
     """RK4 stage covariances P_i of every interval, shape (4, n_steps, n, n),
-    recomputed in one batched pass from the node covariances with the
-    arithmetic of solve_riccati."""
+    recomputed in one batched pass from the node covariances with RK4 on the
+    Riccati equation.  For n = 1 these are solve_riccati's stages bit for
+    bit; for n > 1 solve_riccati steps the Hamiltonian system instead, and
+    these stages belong to no step it takes."""
     dt = model.grid.dt
     F, H, Q = model.F, 0.5 * model.S, _sym(model.Q)
 
@@ -288,11 +311,58 @@ def _closed_loop(model: ValidatedModel, riccati: RiccatiPath) -> _ClosedLoop:
     return loop
 
 
+def _hamiltonian_blocks(model: ValidatedModel, path: np.ndarray) -> None:
+    """Fill path[1:] with the RK4 solution of the linear system
+    [X; Y]' = H_k [X; Y], H_k = [[-F_k', S_k], [Q_k, F_k]], read as P = Y X^-1.
+
+    The step maps of every interval are built at once, and _forward composes
+    them a block at a time, each block started from [I; P_s] at its first
+    node s.  A block ends after _RICCATI_BLOCK intervals, or before its first
+    node whose X has a 1-norm condition number above _RICCATI_COND_MAX or
+    that is not finite; the next block starts from the last node kept.
+    Where a node ends up depends only on the maps before it, so a prefix of
+    the grid gives a prefix of the path bitwise.  Raises IllConditionedStep,
+    naming the interval, if a block cannot keep even its first node.
+    """
+    n, k_steps = model.n, model.n_steps
+    H = np.empty((k_steps, 2 * n, 2 * n))
+    H[:, :n, :n] = -np.swapaxes(model.F, 1, 2)
+    H[:, :n, n:] = model.S
+    H[:, n:, :n] = _sym(model.Q)
+    H[:, n:, n:] = model.F
+    T = _rk4_step(np.broadcast_to(H, (4,) + H.shape), np.eye(2 * n), _UNFORCED,
+                  model.grid.dt)
+    eye = np.eye(n)
+    s = 0
+    while s < k_steps:
+        Z = _forward(T[s : s + _RICCATI_BLOCK], np.concatenate([eye, path[s]]))[1:]
+        X, Y = Z[:, :n], Z[:, n:]
+        # cond is inf for a singular X; a node that overflowed counts as one.
+        cond = np.where(np.isfinite(Z).all(axis=(1, 2)), np.linalg.cond(X, 1), np.inf)
+        ok = cond <= _RICCATI_COND_MAX
+        kept = len(ok) if ok.all() else int(ok.argmin())
+        if kept == 0:
+            raise IllConditionedStep(
+                f"interval {s} (t = {model.grid.times[s]:.6g}): the covariance "
+                f"step has condition number {cond[0]:.3e}, above "
+                f"{_RICCATI_COND_MAX:.0e}")
+        # X' \ Y' is (Y X^-1)', and _sym gives the same bits for either.
+        path[s + 1 : s + 1 + kept] = _sym(np.linalg.solve(
+            np.swapaxes(X[:kept], 1, 2), np.swapaxes(Y[:kept], 1, 2)))
+        s += kept
+
+
 def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     """Integrate dP = FP + PF' - PSP + Q from P(0) = 0.
 
+    For n = 1, RK4 on the Riccati equation itself, on Python floats; for
+    n > 1, RK4 on its Hamiltonian linear system (see _hamiltonian_blocks),
+    each node symmetrized once.
+
     Raises LostPositivity if any node covariance has an eigenvalue below
-    -1e-9; the message names the first offending node.
+    -1e-9; the message names the first offending node.  Raises
+    IllConditionedStep if, for n > 1, one interval's step is too
+    ill-conditioned to read P from.
     """
     n, k_steps, dt = model.n, model.n_steps, model.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
@@ -300,7 +370,7 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     path = np.empty((k_steps + 1, n, n))
     if n == 1:
         # The RK4 arithmetic on Python floats, which gives the bits of the
-        # symmetric form below: scaling by 2 is exact, so
+        # symmetric form of _stage_covariances: scaling by 2 is exact, so
         # 2 fl(F p - fl(p S/2) p) = fl(fl(F p + p F) - fl(p S) p), and
         # _sym(Q) is Q.
         p = 0.0
@@ -318,24 +388,8 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
             ps.append(p)
         path[:, 0, 0] = ps
     else:
-        # f(P) = Z + Z' + Q with Z = F P - (P S/2) P on 2-D np.dot, which
-        # costs less per call than @ and gives its bits.  f is exactly
-        # symmetric, so every stage argument and node is too.
-        dot = np.dot
-        P = path[0] = np.zeros((n, n))
-        for k, (F, H, Q) in enumerate(zip(Fs, 0.5 * Ss, _sym(Qs)), 1):
-            Z = dot(F, P) - dot(dot(P, H), P)
-            k1 = Z + Z.T + Q
-            X = P + half * k1
-            Z = dot(F, X) - dot(dot(X, H), X)
-            k2 = Z + Z.T + Q
-            X = P + half * k2
-            Z = dot(F, X) - dot(dot(X, H), X)
-            k3 = Z + Z.T + Q
-            X = P + dt * k3
-            Z = dot(F, X) - dot(dot(X, H), X)
-            k4 = Z + Z.T + Q
-            P = path[k] = P + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        path[0] = 0.0
+        _hamiltonian_blocks(model, path)
     eigs = np.linalg.eigvalsh(path)
     min_eig = float(eigs.min())
     if min_eig < RICCATI_EIG_FLOOR:
@@ -488,11 +542,13 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
 
     The bias solves db = (F - PG'R^-1G) b + (theta_true - theta_hat);
     the second moment solves dSigma = A Sigma + Sigma A' + Q + PSP.  Both
-    step through the RK4 stage covariances of solve_riccati, so the
-    published identity Sigma = P holds to rounding; Sigma is its own
-    integration, never read from the covariance path.  It runs as the linear
-    ODE of vec(Sigma) on the step-map layer, a block of intervals at a time,
-    and is symmetrized once over the whole path.  Sigma does not depend on
+    step through the RK4 stage covariances recomputed from the nodes (see
+    _stage_covariances).  For n = 1 these are solve_riccati's own stages, so
+    the published identity Sigma = P holds to rounding; for n > 1 Sigma and P
+    are two fourth-order schemes for one path, and their gap is O(dt^4).
+    Sigma is its own integration, never read from the covariance path.  It
+    runs as the linear ODE of vec(Sigma) on the step-map layer, a block of
+    intervals at a time, and is symmetrized once over the whole path.  Sigma does not depend on
     the policies: it is computed once per model and path and shared.
     """
     th_true = _policy_array(theta_true, model, "theta_true")

@@ -1,8 +1,12 @@
 """Per-step loops, written out as references for the library's propagators.
 
-`riccati_per_step` is the reference for `solve_riccati`: the loop the library
-ran, one RK4 step of dP = FP + PF' - PSP + Q per interval with the
-four-product right-hand side, symmetrized after every step.
+`riccati_per_step` is the loop the library once ran for `solve_riccati`: one
+RK4 step of dP = FP + PF' - PSP + Q per interval with the four-product
+right-hand side, symmetrized after every step.  For n = 1 the library's
+float loop gives its bits.  For n > 1 the library steps the Hamiltonian
+system of P = Y X^-1 instead, another fourth-order scheme, so the n > 1
+tests hold both to the exact path of `oracles.riccati_exact` rather than to
+each other.
 `riccati_stages` is the reference for `ode._stage_covariances`: the stage
 covariances as the library built them, batched with the same right-hand
 side.  The library now steps the symmetric form Z + Z' + Q with
@@ -29,8 +33,8 @@ from robustkb.ode import _closed_loop_stages, _rk4_step
 
 
 # The symmetric form rounds differently from the four-product right-hand
-# side for n > 1; a path or stage may differ from these references by this
-# much times (1 + max|P|).
+# side for n > 1; a stage may differ from riccati_stages by this much times
+# (1 + max|P|).
 RICCATI_FORM_TOL = 1e-15
 
 

@@ -404,6 +404,9 @@ def _bad_input(tmp_path, case):
         # time grid at once.
         return ["riccati", "--config", _write_cfg(tmp_path, "huge.json",
                                                   n_steps=10**15)], "huge.json"
+    if case == "scenario-huge-integer":
+        return ["riccati", "--config", _write_cfg(tmp_path, "huge.json",
+                                                  F=10**400)], "huge.json"
     if case == "scenario-invalid-utf8":
         path = tmp_path / "latin.json"
         path.write_bytes(b'{"grid": "\xff"}')
@@ -418,9 +421,9 @@ def _bad_input(tmp_path, case):
     return ["simulate", "--config", cfg, "--theta", f"@{path}"], "theta.csv"
 
 
-@pytest.mark.parametrize("case", ["oversized-scenario", "scenario-invalid-utf8",
-                                  "theta-non-numeric", "theta-invalid-utf8",
-                                  "obs-invalid-utf8"])
+@pytest.mark.parametrize("case", ["oversized-scenario", "scenario-huge-integer",
+                                  "scenario-invalid-utf8", "theta-non-numeric",
+                                  "theta-invalid-utf8", "obs-invalid-utf8"])
 def test_bad_input_files_are_config_errors(tmp_path, capsys, case):
     argv, name = _bad_input(tmp_path, case)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

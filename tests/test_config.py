@@ -147,6 +147,23 @@ class TestErrors:
         with pytest.raises(ConfigError, match="\\$\\.model\\.F"):
             rk.scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("grid", "T", 10**400, "$.grid.T"),
+        ("model", "F", 10**400, "$.model.F"),
+        ("model", "Q", [1.0, 1.0, -(10**400), 1.0], "$.model.Q[2]"),
+        ("model", "x0", [10**400], "$.model.x0"),
+        ("uncertainty", "mu", 10**400, "$.uncertainty.mu"),
+        ("uncertainty", "mu", [10**309], "$.uncertainty.mu"),
+    ], ids=["T", "F", "Q-entry", "x0", "mu", "mu-vector"])
+    def test_integer_beyond_the_float_range_names_path(self, section, key, value,
+                                                       path):
+        # float() of such an integer raises OverflowError, no RobustKBError.
+        doc = base_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError) as info:
+            rk.scenario_from_dict(doc)
+        assert str(info.value) == f"{path}: integer beyond the float range"
+
 
 class TestLoadScenario:
     def test_round_trip(self, tmp_path):
@@ -214,8 +231,12 @@ class TestSizeAndDecode:
             f"{path}: $.model.Q: expected a 1x1 matrix or a list of 10 of them")
 
 
+# Integers reach past the float range (about 2**1024).
+_INTEGERS = st.integers(-(2**1100), 2**1100)
+
+
 def _leaf():
-    return st.one_of(st.integers(-(2**60), 2**60), st.floats(width=64),
+    return st.one_of(_INTEGERS, st.floats(width=64),
                      st.booleans(), st.text(max_size=2), st.none())
 
 
@@ -223,7 +244,7 @@ def _single_value(size, rows):
     """A candidate for one coefficient: a leaf, a flat list that often has
     the shape's size, or a nested list that often has its rows."""
     leaf = _leaf()
-    number = st.one_of(st.integers(-(2**60), 2**60), st.floats(width=64))
+    number = st.one_of(_INTEGERS, st.floats(width=64))
     return st.one_of(
         leaf,
         st.lists(leaf, max_size=size + 2),
@@ -254,10 +275,18 @@ def _outcome(fn, *args):
         return fn(*args)
     except ConfigError as exc:
         return f"ConfigError: {exc}"
+    except OverflowError:
+        # Only the old readers raise it, on an integer beyond the float range.
+        return OverflowError
 
 
 def _same(new, old):
-    if isinstance(old, np.ndarray):
+    if old is OverflowError:
+        # The new reader names the coefficient, or the per-interval entry.
+        assert isinstance(new, str), new
+        assert new.startswith("ConfigError: $.model.X"), new
+        assert new.endswith(": integer beyond the float range"), new
+    elif isinstance(old, np.ndarray):
         assert isinstance(new, np.ndarray)
         assert new.shape == old.shape and new.dtype == old.dtype
         assert new.tobytes() == old.tobytes()
@@ -276,5 +305,5 @@ def test_one_reader_matches_the_matrix_and_vector_readers(case):
     else:
         old_single = _outcome(reference._single_matrix, value, *shape, path)
         old = _outcome(reference._matrix_schedule, value, n_steps, *shape, path)
-    _same(_outcome(config._single, value, shape), old_single)
+    _same(_outcome(config._single, value, shape, path), old_single)
     _same(_outcome(config._schedule, value, n_steps, shape, path), old)

@@ -93,13 +93,23 @@ def _moments_n3_schedule(seed=4242):
         R=base.R, x0=base.x0), base.grid)
 
 
-@pytest.mark.parametrize("which", ["n1", "minimax-n3", "moments-n3"])
+def _stiff_n2_model():
+    """A fast mode whose Riccati blocks the conditioning cut shortens, as
+    tests/test_ode.py::test_riccati_cut_shortens_the_blocks_of_the_stiff_model
+    checks."""
+    return constant_model(np.array([[-500.0, 1.0], [0.0, -1.0]]), np.zeros(2),
+                          np.array([[1.0, 0.0]]), np.zeros(1), np.eye(2), 1.0,
+                          np.zeros(2), horizon=2.0, n_steps=2000)
+
+
+@pytest.mark.parametrize("which", ["n1", "minimax-n3", "moments-n3", "stiff-n2"])
 def test_truncated_moments_equal_the_sliced_full_horizon(which, default_model):
     # mse_exact reads the full-horizon moments at t: the truncated model on
     # the prefix path must give the same bits as the slice of the full one.
     model = {"n1": lambda: default_model,
              "minimax-n3": lambda: rk.load_scenario(BENCH_N3).model,
-             "moments-n3": _moments_n3_schedule}[which]()
+             "moments-n3": _moments_n3_schedule,
+             "stiff-n2": _stiff_n2_model}[which]()
     riccati = solve_riccati(model)
     rng = np.random.default_rng(11)
     th_true, th_hat = rng.uniform(-1.0, 1.0, (2, model.n_steps, model.n))

@@ -15,10 +15,12 @@ import robustkb as rk
 from robustkb import (
     DegenerateG,
     GridMismatch,
+    IllConditionedStep,
     LostPositivity,
     MissingRiccati,
     ModelSchedule,
     OutOfGrid,
+    RobustKBError,
     TimeGrid,
     TransitionCache,
     constant_model,
@@ -30,11 +32,13 @@ from robustkb import (
     validate_model,
 )
 from robustkb.minimax import _game_core
-from robustkb.ode import (_SIGMA_BLOCK, RiccatiPath, _closed_loop, _closed_loop_stages,
-                          _lyapunov_path, _propagate, _stage_covariances, _sym)
+from robustkb.ode import (_RICCATI_BLOCK, _RICCATI_COND_MAX, _SIGMA_BLOCK, _UNFORCED,
+                          RiccatiPath, _closed_loop, _closed_loop_stages, _forward,
+                          _lyapunov_path, _propagate, _rk4_step, _stage_covariances,
+                          _sym)
 
 import path_major
-from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO
+from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO, RICCATI_EXACT_TOL, riccati_exact
 from per_step import (RICCATI_FORM_TOL, forced_terms_per_stage, riccati_per_step,
                       riccati_stages, sigma_per_step)
 
@@ -86,6 +90,14 @@ def test_riccati_converges_at_fourth_order():
         model = constant_model(-1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0,
                                horizon=1.0, n_steps=n_steps)
         errs.append(abs(solve_riccati(model).P[-1, 0, 0] - ref))
+    assert errs[0] / errs[1] >= 8.0, errs
+
+
+def test_riccati_n3_converges_at_fourth_order():
+    """Halving dt should shrink the largest error from the exact path of a
+    time-varying n = 3 schedule by about 16x."""
+    errs = [np.max(np.abs(solve_riccati(model).P - riccati_exact(model)))
+            for model in (_moments_n3_model(20), _moments_n3_model(40))]
     assert errs[0] / errs[1] >= 8.0, errs
 
 
@@ -145,9 +157,15 @@ def test_riccati_matches_the_per_step_loop(riccati_case):
     P = riccati.P
     if model.n == 1:
         assert P.tobytes() == want.tobytes()
-    err = np.max(np.abs(P - want))
-    assert err <= RICCATI_FORM_TOL * (1.0 + np.max(np.abs(want))), err
-    # Every node is symmetric without a symmetrization step.
+    else:
+        # The Hamiltonian scan and the per-step loop are two fourth-order
+        # schemes: each is held to the exact path, and the scan is no farther
+        # from it than the loop.
+        exact = riccati_exact(model)
+        err = np.max(np.abs(P - exact))
+        assert err <= RICCATI_EXACT_TOL * (1.0 + np.max(np.abs(exact))), err
+        assert err <= np.max(np.abs(want - exact)), err
+    # Every node is symmetric.
     assert np.array_equal(P, np.swapaxes(P, 1, 2))
 
 
@@ -168,6 +186,105 @@ def test_riccati_reports_lost_positivity():
                            horizon=4.0, n_steps=8)
     with pytest.raises(LostPositivity, match="node"):
         solve_riccati(model)
+
+
+def test_riccati_n2_lift_of_the_stiff_instance_reaches_the_root():
+    # Declared change: the same instance on both axes.  The per-step loop
+    # overshoots below zero at node 1 as the scalar loop does, but the
+    # Hamiltonian step maps scale X alike on both axes, so P = Y X^-1 goes to
+    # their dominant eigenvector, the root sqrt(Q/S) = sqrt(0.05).
+    model = constant_model(np.zeros((2, 2)), np.zeros(2), np.eye(2), np.zeros(2),
+                           np.eye(2), 0.05 * np.eye(2), np.zeros(2),
+                           horizon=4.0, n_steps=8)
+    assert np.linalg.eigvalsh(riccati_per_step(model)[1]).min() < -0.07
+    P = solve_riccati(model).P
+    assert np.linalg.eigvalsh(P).min() >= 0.0
+    assert np.max(np.abs(P[-1] - math.sqrt(0.05) * np.eye(2))) <= 1e-9
+
+
+def _stiff_model(corner, n_steps=2000):
+    """F = [[corner, 1], [0, -1]], G = [1, 0], Q = I, R = 1 on [0, 2]: a fast
+    mode that grows the Hamiltonian's X by up to e^(-corner dt) per step."""
+    return constant_model(np.array([[corner, 1.0], [0.0, -1.0]]), np.zeros(2),
+                          np.array([[1.0, 0.0]]), np.zeros(1), np.eye(2), 1.0,
+                          np.zeros(2), horizon=2.0, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("corner", [-500.0, -1200.0])
+def test_riccati_stiff_model_matches_the_exact_path(corner):
+    # From t = 1 on, past the fast transient, the path is measured within
+    # 2.6e-14 times (1 + max|P|) of the exact one (the per-step loop: 1.7e-14
+    # and 9.2e-15).  With the cut raised to 1e16 it was 4.2e-11 and 4.4e-10.
+    model = _stiff_model(corner)
+    P = solve_riccati(model).P
+    exact = riccati_exact(model)
+    late = model.grid.index_of(1.0)
+    err = np.max(np.abs(P[late:] - exact[late:]))
+    assert err <= 2e-13 * (1.0 + np.max(np.abs(exact))), err
+    # In the transient, RK4 at dt |corner| = 0.5 or more is far from exact;
+    # the scan stays no farther than the per-step loop.
+    assert np.max(np.abs(P - exact)) <= np.max(np.abs(riccati_per_step(model) - exact))
+
+
+def test_riccati_cut_shortens_the_blocks_of_the_stiff_model():
+    # The first full block's last X is past the cut, so the -500 model's
+    # blocks end early (the truncation test in test_minimax relies on it).
+    model = _stiff_model(-500.0)
+    H = np.block([[-np.swapaxes(model.F, 1, 2), model.S], [model.Q, model.F]])
+    T = _rk4_step(np.broadcast_to(H, (4,) + H.shape), np.eye(4), _UNFORCED,
+                  model.grid.dt)
+    X = _forward(T[:_RICCATI_BLOCK], np.eye(4)[:, :2])[-1, :2]
+    assert np.linalg.cond(X, 1) > _RICCATI_COND_MAX
+
+
+def test_riccati_names_an_ill_conditioned_interval():
+    # With S = 0 the step maps scale X by the RK4 growth of -F' dt, whatever
+    # P is.  Interval 5 grows one axis by about 4e4 and the other not at all.
+    n_steps = 10
+    F = np.zeros((n_steps, 2, 2))
+    F[:, 0, 0] = -1.0
+    F[5, 0, 0] = -300.0
+    schedule = ModelSchedule(F=F, f=np.zeros((n_steps, 2)),
+                             G=np.zeros((n_steps, 1, 2)), g=np.zeros((n_steps, 1)),
+                             Q=np.broadcast_to(np.eye(2), (n_steps, 2, 2)),
+                             R=np.ones((n_steps, 1, 1)), x0=np.zeros(2))
+    model = validate_model(schedule, TimeGrid(1.0, n_steps))
+    for _ in range(2):
+        with pytest.raises(IllConditionedStep, match=r"^interval 5 \(t = 0.5\)"):
+            solve_riccati(model)
+    # The prefix before it is solved.
+    assert solve_riccati(model.truncate(5)).P.shape == (6, 2, 2)
+
+
+def test_riccati_refuses_an_overflowing_step():
+    # With S = 0, X is a multiple of I while Y, of order Q dt, overflows in
+    # the first step.
+    model = constant_model(-np.eye(2), np.zeros(2), np.zeros((1, 2)), np.zeros(1),
+                           8e307 * np.eye(2), 1.0, np.zeros(2),
+                           horizon=10.0, n_steps=10)
+    with np.errstate(all="ignore"):
+        with pytest.raises(IllConditionedStep, match=r"^interval 0 .* inf, above"):
+            solve_riccati(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(-2, 8), st.integers(1, 40),
+       st.floats(1e-3, 50.0), st.integers(0, 2**32 - 1))
+def test_riccati_raises_only_library_errors(n, magnitude, n_steps, horizon, seed):
+    # Stiff, coarse and overflowing models alike: a path or a RobustKBError,
+    # never a LinAlgError.
+    rng = np.random.default_rng(seed)
+    F = 10.0 ** magnitude * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    model = constant_model(F, np.zeros(n), rng.standard_normal((1, n)), np.zeros(1),
+                           B @ B.T + 1e-3 * np.eye(n), 0.1, np.zeros(n),
+                           horizon=horizon, n_steps=n_steps)
+    with np.errstate(all="ignore"):
+        try:
+            riccati = solve_riccati(model)
+        except RobustKBError:
+            return
+    assert np.array_equal(riccati.P, np.swapaxes(riccati.P, 1, 2))
 
 
 def _segment_model_2d():

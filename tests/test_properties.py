@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import robustkb as rk
 from robustkb.ode import _backward, _forward
 
-from per_step import RICCATI_FORM_TOL, riccati_per_step
+from oracles import riccati_exact
+from per_step import riccati_per_step
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -41,19 +42,44 @@ def _model(spec, n_steps):
                              horizon=1.0, n_steps=n_steps)
 
 
+def _covariance_and_sigma(spec, theta, n_steps):
+    model = _model(spec, n_steps)
+    riccati = rk.solve_riccati(model)
+    stats = rk.solve_error_stats(model, rk.constant_policy(model, theta),
+                                 rk.zero_policy(model), riccati)
+    return model, riccati.P, stats.Sigma
+
+
+# For n > 1, P and Sigma may each differ from the exact path by this much
+# times (1 + max|P|) at K = 100.  Measured on 300 random models like
+# stable_models(): P 2.9e-8 and Sigma 2.9e-8 with the per-step Riccati loop,
+# P 1.8e-9 and Sigma 2.9e-8 with the Hamiltonian scan.
+EXACT_TOL = 1e-7
+
+
 @settings(max_examples=40, deadline=None)
 @given(stable_models())
 def test_covariance_stays_psd_and_sigma_equals_p(case):
     spec, theta = case
-    model = _model(spec, 100)
-    riccati = rk.solve_riccati(model)
-    P = riccati.P
+    model, P, Sigma = _covariance_and_sigma(spec, theta, 100)
     scale = 1.0 + float(np.max(np.abs(P)))
     assert np.linalg.eigvalsh(P).min() >= -1e-12 * scale
-    # solve_error_stats steps through the same RK4 stages: Sigma = P.
-    stats = rk.solve_error_stats(model, rk.constant_policy(model, theta),
-                                 rk.zero_policy(model), riccati)
-    assert np.max(np.abs(stats.Sigma - P)) <= 1e-9 * scale
+    if model.n == 1:
+        # solve_error_stats steps through the RK4 stages of solve_riccati:
+        # Sigma = P.
+        assert np.max(np.abs(Sigma - P)) <= 1e-9 * scale
+        return
+    # P (RK4 on the Hamiltonian system) and Sigma (RK4 on the Lyapunov
+    # equation) are two fourth-order schemes for one exact path: each is
+    # near it, and their gap falls at fourth order.
+    exact = riccati_exact(model)
+    for name, path in (("P", P), ("Sigma", Sigma)):
+        err = np.max(np.abs(path - exact))
+        assert err <= EXACT_TOL * scale, (name, err)
+    gap = np.max(np.abs(Sigma - P))
+    _, P_fine, Sigma_fine = _covariance_and_sigma(spec, theta, 200)
+    gap_fine = np.max(np.abs(Sigma_fine - P_fine))
+    assert gap_fine <= 1e-12 * scale or gap / gap_fine >= 8.0, (gap, gap_fine)
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,7 +92,14 @@ def test_riccati_is_symmetric_and_matches_the_per_step_loop(case):
     assert np.array_equal(P, np.swapaxes(P, 1, 2))
     if model.n == 1:
         assert P.tobytes() == want.tobytes()
-    assert np.max(np.abs(P - want)) <= RICCATI_FORM_TOL * (1.0 + np.max(np.abs(want)))
+        return
+    # Two fourth-order schemes: the scan is held to the exact path, and is
+    # no farther from it than the per-step loop (over 1000 random models at
+    # most 0.35 times as far, and at most 2.1e-9 relative).
+    exact = riccati_exact(model)
+    err = np.max(np.abs(P - exact))
+    assert err <= EXACT_TOL * (1.0 + np.max(np.abs(exact))), err
+    assert err <= np.max(np.abs(want - exact)), err
 
 
 def _decomposition_gap(spec, theta, n_steps):
