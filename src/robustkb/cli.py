@@ -145,8 +145,7 @@ def _read_obs(path: str, cfg: ScenarioConfig) -> np.ndarray:
 def cmd_simulate(args) -> int:
     cfg, digest = _load_config(args)
     policy, theta_text = _parse_policy(args.theta, cfg, np.zeros(cfg.model.n))
-    ens = simulate_paths(cfg.model, policy, args.paths, args.seed,
-                         threads=args.threads)
+    ens = simulate_paths(cfg.model, policy, args.paths, args.seed)
     csv_path = _out_path(args, "ensemble.csv")
     write_ensemble_csv(csv_path, ens, comment=_header(args, digest))
     manifest = {
@@ -235,12 +234,10 @@ def cmd_minimax(args) -> int:
     if args.paths > 0:
         mc_upper = mse_monte_carlo(model, report.theta_star,
                                    report.theta_hat_star, t, args.paths,
-                                   args.seed, riccati=riccati,
-                                   threads=args.threads)
+                                   args.seed, riccati=riccati)
         mc_lower = mse_monte_carlo(model, zero_policy(model),
                                    zero_policy(model), t, args.paths,
-                                   args.seed + 1, riccati=riccati,
-                                   threads=args.threads)
+                                   args.seed + 1, riccati=riccati)
         payload["monte_carlo"] = {
             "n_paths": args.paths,
             "upper": {"estimate": mc_upper[0], "stderr": mc_upper[1]},
@@ -268,8 +265,7 @@ def cmd_minimax(args) -> int:
 def cmd_verify(args) -> int:
     cfg, digest = _load_config(args)
     timings = [] if args.timings else None
-    report = run_verification(cfg, args.seed, threads=args.threads,
-                              timings=timings)
+    report = run_verification(cfg, args.seed, timings=timings)
     payload = report.to_dict()
     payload["config_sha256"] = digest
     json_path = _out_path(args, "verify_report.json")

@@ -38,7 +38,8 @@ class LostPositivity(RobustKBError):
 
 
 class IllConditionedStep(RobustKBError):
-    """One grid interval's covariance step is too ill-conditioned to take."""
+    """One grid interval's covariance step is too ill-conditioned to take,
+    or gives a covariance that is not finite."""
 
 
 class DegenerateG(RobustKBError):

@@ -59,17 +59,23 @@ def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
     return float(solve_error_stats(model, th_true, th_hat, riccati).mse[t_idx])
 
 
+def _squared_errors(x_at: np.ndarray, xhat_at: np.ndarray) -> np.ndarray:
+    """|x - xhat|^2 per path and node, (count, nodes), from (nodes, count, n)
+    states and estimates.  The errors take the layout x[:, idx] had, so sums
+    over paths keep their order."""
+    err = np.swapaxes(x_at - xhat_at, 0, 1)
+    return np.einsum("bki,bki->bk", err, err)
+
+
 def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
-                  theta_hat, t_indices, n_paths: int, seed: int,
-                  threads: int = 1):
+                  theta_hat, t_indices, n_paths: int, seed: int):
     """Sample MSE at several grid nodes from one simulated ensemble.
 
     Paths are processed in fixed-size chunks whose sums are kept per chunk
     and added in chunk order.  Within a chunk the filter steps along with
     the simulation on time-major slices, fed obs_{k+1} - obs_k (the bits of
     np.diff), and only the states at the requested nodes are kept.
-    threads is accepted for compatibility and does not change the work or
-    the result.  Returns (means, stderrs) over the requested nodes.
+    Returns (means, stderrs) over the requested nodes.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
     th_hat = _policy_array(theta_hat, model, "theta_hat")
@@ -108,10 +114,7 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
             for pos in slots.get(k, ()):
                 xs_at[pos] = xk
                 xh_at[pos] = xhat
-        # (count, nodes, n) in the layout x[:, idx] had, so the sums below
-        # keep their order.
-        err = np.swapaxes(x_at - xhat_at, 0, 1)
-        sq = np.einsum("bki,bki->bk", err, err)
+        sq = _squared_errors(x_at, xhat_at)
         sq_sum[ci] = sq.sum(axis=0)
         sq_sumsq[ci] = (sq * sq).sum(axis=0)
 
@@ -136,7 +139,8 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
     Returns (estimate, standard error); the standard error is NaN for a
     single path.  n_paths must be a positive integer of at most 10**7, a
     fixed policy limit on the run time, else InvalidPathCount is raised
-    before any work.
+    before any work.  threads is accepted for compatibility and splits no
+    work.
     """
     seed = _check_seed("seed", seed)
     n_paths = _check_n_paths(n_paths, _MAX_MC_PATHS, "the Monte-Carlo path cap")
@@ -144,7 +148,7 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
         riccati = solve_riccati(model)
     t_idx = model.grid.index_of(t)
     mean, stderr = _mse_mc_multi(model, riccati, theta_true, theta_hat,
-                                 [t_idx], n_paths, seed, threads)
+                                 [t_idx], n_paths, seed)
     return float(mean[0]), float(stderr[0])
 
 

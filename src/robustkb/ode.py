@@ -361,8 +361,8 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
 
     Raises LostPositivity if any node covariance has an eigenvalue below
     -1e-9; the message names the first offending node.  Raises
-    IllConditionedStep if, for n > 1, one interval's step is too
-    ill-conditioned to read P from.
+    IllConditionedStep, naming the interval, if one interval's step is too
+    ill-conditioned to read P from (n > 1) or gives a node that is not finite.
     """
     n, k_steps, dt = model.n, model.n_steps, model.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
@@ -390,6 +390,13 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     else:
         path[0] = 0.0
         _hamiltonian_blocks(model, path)
+    # A nan node would pass the eigenvalue floor below.
+    finite = np.isfinite(path).all(axis=(1, 2))
+    if not finite.all():
+        k = int(finite.argmin()) - 1
+        raise IllConditionedStep(
+            f"interval {k} (t = {model.grid.times[k]:.6g}): the covariance "
+            f"step is not finite")
     eigs = np.linalg.eigvalsh(path)
     min_eig = float(eigs.min())
     if min_eig < RICCATI_EIG_FLOOR:

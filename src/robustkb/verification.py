@@ -4,8 +4,9 @@ any scenario and shared by the CLI and the acceptance tests.
 Each check returns a CheckResult; checks that need structure a scenario does
 not have (a scalar model, unit signal-noise covariance) report themselves as
 not applicable rather than failing.  Reports contain no timings or thread
-counts, so rerunning with the same seed gives byte-identical output files
-whatever the parallelism.
+counts, so rerunning with the same seed gives byte-identical output files.
+Every check takes a third argument, threads, and run_verification a threads
+keyword; both are accepted for compatibility and split no work.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from .filtering import (
     innovation_diagnostics,
     run_robust_filter,
 )
-from .minimax import _mse_mc_multi, g_profile, saddle_report
+from .minimax import (_MC_CHUNK, _mse_mc_multi, _squared_errors, g_profile,
+                      saddle_report)
 from .model import (
     DriftPolicy,
     ModelSchedule,
@@ -204,8 +206,7 @@ def check_reduction_identity(config: ScenarioConfig, seed: int,
     name = "reduction_identity"
     model = config.model
     riccati = solve_riccati(model)
-    ens = simulate_paths(model, zero_policy(model), 100, seed + 11,
-                         threads=threads)
+    ens = simulate_paths(model, zero_policy(model), 100, seed + 11)
     dm = np.diff(ens.m, axis=1)
     x_rob, i_rob = _filter_batch(model, riccati, dm,
                                  np.zeros((model.n_steps, model.n)))
@@ -248,7 +249,7 @@ def check_matched_mse(config: ScenarioConfig, seed: int,
         idx = [model.n_steps]
     n_paths = 10_000
     mean, stderr = _mse_mc_multi(model, riccati, theta, theta, idx, n_paths,
-                                 seed + 23, threads)
+                                 seed + 23)
     traces = np.einsum("kii->k", riccati.P[idx])
     z = np.abs(mean - traces) / np.where(stderr > 0, stderr, np.inf)
     passed = bool(np.all(np.abs(mean - traces) <= 3.0 * stderr))
@@ -280,7 +281,7 @@ def check_error_oracle(config: ScenarioConfig, seed: int,
         th_hat = constant_policy(model, hv)
         exact = solve_error_stats(model, th_true, th_hat, riccati).mse[t_idx]
         mean, stderr = _mse_mc_multi(model, riccati, th_true, th_hat, [t_idx],
-                                     n_paths, seed + 37 + i, threads)
+                                     n_paths, seed + 37 + i)
         gap = abs(float(mean[0]) - float(exact))
         ok = gap <= 3.0 * float(stderr[0]) if stderr[0] > 0 else gap == 0.0
         passed = passed and ok
@@ -523,7 +524,7 @@ def check_whiteness(config: ScenarioConfig, seed: int,
     tilt = _matched_tilt(model, bound)
     theta = clamp_policy(constant_policy(model, tilt), bound)
     n_paths = max(1, int(np.ceil(10_000 / model.n_steps)))
-    ens = simulate_paths(model, theta, n_paths, seed + 83, threads=threads)
+    ens = simulate_paths(model, theta, n_paths, seed + 83)
     runs = [run_robust_filter(model, riccati, theta, ens.m[j])
             for j in range(n_paths)]
     rep = innovation_diagnostics(runs, max_lag=5)
@@ -545,7 +546,8 @@ def check_whiteness(config: ScenarioConfig, seed: int,
 
 def check_determinism(config: ScenarioConfig, seed: int,
                       threads: int = 1) -> CheckResult:
-    """Bitwise reproducibility across reruns, chunk splits, and threads."""
+    """Bitwise reproducibility across reruns and chunk splits, and the
+    streamed Monte-Carlo filter against the batch filter on the same paths."""
     name = "determinism"
     model = config.model
     steps = min(model.n_steps, 200)
@@ -570,31 +572,29 @@ def check_determinism(config: ScenarioConfig, seed: int,
             start = stop
         return start == whole.n_paths
 
-    # threads splits no work, so the threads and mc flags compare reruns
-    # made through the threads argument.
-    base = simulate_paths(sub, theta, 3000, seed + 97, threads=1)
-    rerun = simulate_paths(sub, theta, 3000, seed + 97, threads=1)
-    wide = simulate_paths(sub, theta, 3000, seed + 97, threads=4)
-    ok_rerun = same_bits([rerun], base)
-    ok_threads = same_bits([wide], base)
-
+    n_paths = 3000
+    base = simulate_paths(sub, theta, n_paths, seed + 97)
+    ok_rerun = same_bits([simulate_paths(sub, theta, n_paths, seed + 97)], base)
     split = [simulate_paths(sub, theta, 1500, seed + 97, path_offset=off)
              for off in (0, 1500)]
     ok_split = same_bits(split, base)
 
+    # The Monte-Carlo MSE filters in step with its simulation; the batch
+    # filter on base's observations must give its squared errors bit for
+    # bit, summed per _MC_CHUNK paths and the chunk sums added in order.
     th = theta.theta
-    m1 = _mse_mc_multi(sub, riccati, th, th, [sub.n_steps], 3000, seed + 97,
-                       threads=1)
-    m4 = _mse_mc_multi(sub, riccati, th, th, [sub.n_steps], 3000, seed + 97,
-                       threads=4)
-    ok_mc = (float(m1[0][0]) == float(m4[0][0])
-             and float(m1[1][0]) == float(m4[1][0]))
-    passed = bool(ok_rerun and ok_threads and ok_split and ok_mc)
+    mc = _mse_mc_multi(sub, riccati, th, th, [sub.n_steps], n_paths, seed + 97)[0]
+    xhat = _filter_batch(sub, riccati, np.diff(base.m, axis=1), th)[0]
+    sums = [_squared_errors(base.x[None, j0:j0 + _MC_CHUNK, -1],
+                            xhat[None, j0:j0 + _MC_CHUNK, -1]).sum(axis=0)
+            for j0 in range(0, n_paths, _MC_CHUNK)]
+    batch = np.array(sums).sum(axis=0) / n_paths
+    ok_filter = bool(np.array_equal(mc.view(np.uint64), batch.view(np.uint64)))
+    passed = bool(ok_rerun and ok_split and ok_filter)
     return CheckResult(name, passed, True,
-                       f"rerun={ok_rerun}, threads={ok_threads}, "
-                       f"split={ok_split}, mc={ok_mc}",
-                       {"rerun_equal": ok_rerun, "threads_equal": ok_threads,
-                        "split_equal": ok_split, "mc_equal": ok_mc})
+                       f"rerun={ok_rerun}, split={ok_split}, filter={ok_filter}",
+                       {"rerun_equal": ok_rerun, "split_equal": ok_split,
+                        "filter_equal": ok_filter})
 
 
 ALL_CHECKS = (
@@ -623,7 +623,7 @@ def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
     for chk in ALL_CHECKS:
         paths, path_steps = _work["paths"], _work["path_steps"]
         start = time.perf_counter()
-        results.append(chk(config, seed, threads))
+        results.append(chk(config, seed))
         if timings is not None:
             timings.append({"name": results[-1].name,
                             "wall_s": time.perf_counter() - start,

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -267,12 +267,23 @@ def test_riccati_refuses_an_overflowing_step():
             solve_riccati(model)
 
 
+def test_scalar_riccati_refuses_an_overflowing_step():
+    # The n = 1 loop reaches inf at node 1 and nan after it; min_eigenvalue
+    # would be nan, which no floor comparison trips.
+    model = constant_model(-1.0, 0.0, 0.0, 0.0, 8e307, 1.0, 0.0,
+                           horizon=10.0, n_steps=10)
+    with pytest.raises(IllConditionedStep, match=r"^interval 0 \(t = 0\): .* not finite"):
+        solve_riccati(model)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 3), st.integers(-2, 8), st.integers(1, 40),
+@given(st.integers(1, 3), st.integers(-2, 8), st.integers(1, 40),
        st.floats(1e-3, 50.0), st.integers(0, 2**32 - 1))
+# An n = 2 scan whose last node overflows in the solve for Y X^-1.
+@example(2, 3, 31, 21.0, 24830)
 def test_riccati_raises_only_library_errors(n, magnitude, n_steps, horizon, seed):
-    # Stiff, coarse and overflowing models alike: a path or a RobustKBError,
-    # never a LinAlgError.
+    # Stiff, coarse and overflowing models alike: a finite path or a
+    # RobustKBError, never a LinAlgError.
     rng = np.random.default_rng(seed)
     F = 10.0 ** magnitude * rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
@@ -284,6 +295,7 @@ def test_riccati_raises_only_library_errors(n, magnitude, n_steps, horizon, seed
             riccati = solve_riccati(model)
         except RobustKBError:
             return
+    assert np.isfinite(riccati.P).all()
     assert np.array_equal(riccati.P, np.swapaxes(riccati.P, 1, 2))
 
 

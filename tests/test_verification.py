@@ -68,6 +68,13 @@ def test_report_dict_shape(fine_report):
     assert json.loads(blob) == payload
 
 
+def test_determinism_reports_its_three_flags(fine_report):
+    entry = next(c for c in fine_report.to_dict()["checks"]
+                 if c["name"] == "determinism")
+    assert set(entry["measured"]) == {"rerun_equal", "split_equal", "filter_equal"}
+    assert entry["detail"] == "rerun=True, split=True, filter=True"
+
+
 def test_report_is_thread_invariant(fine_cfg, fine_report):
     other = run_verification(fine_cfg, 0, threads=4)
     assert other.to_dict() == fine_report.to_dict()
@@ -189,7 +196,7 @@ def test_determinism_split_compares_every_array(monkeypatch, field):
     res = check_determinism(cfg, 0)
     assert not res.passed
     assert res.measured["split_equal"] is False
-    assert res.measured["rerun_equal"] and res.measured["threads_equal"]
+    assert res.measured["rerun_equal"] and res.measured["filter_equal"]
     assert "split=False" in res.detail
 
 
@@ -210,8 +217,41 @@ def test_determinism_sees_a_chunk_dependent_log_density(monkeypatch):
     res = check_determinism(cfg, 0)
     assert not res.passed
     assert res.measured["split_equal"] is False
-    assert res.measured["rerun_equal"] and res.measured["threads_equal"]
+    assert res.measured["rerun_equal"] and res.measured["filter_equal"]
     assert "split=False" in res.detail
     monkeypatch.setattr(rk.verification, "_matched_tilt",
                         lambda model, bound: np.zeros(model.n))
     assert check_determinism(cfg, 0).passed
+
+
+def _planar_cfg():
+    """A coupled 2-d model with a 2-d observation, so the filter steps on
+    matrix products rather than Python floats."""
+    return rk.scenario_from_dict({
+        "grid": {"T": 1.0, "n_steps": 50},
+        "model": {"n": 2, "m": 2, "F": [[-1.0, 0.5], [-0.3, -2.0]],
+                  "f": [0.1, 0.0], "G": [[1.0, 0.2], [0.0, 0.7]], "g": [0.0, 0.1],
+                  "Q": [[1.0, 0.2], [0.2, 0.5]], "R": [[1.0, 0.1], [0.1, 2.0]],
+                  "x0": [0.3, -0.2]},
+        "uncertainty": {"mu": [0.4, 0.2]},
+    })
+
+
+@pytest.mark.parametrize("cfg", [_scalar_cfg(50), _planar_cfg()],
+                         ids=["scalar", "planar"])
+def test_determinism_sees_a_streamed_filter_off_by_ulps(monkeypatch, cfg):
+    # The Monte-Carlo MSE's streamed filter must give the batch filter's
+    # squared errors bit for bit; a gain scaled by 1 + 2^-40 in the streamed
+    # filter alone fails the filter flag, and only it.
+    filter_step = rk.minimax._filter_step
+
+    def scaled_gain(steps, k, xhat, dm_k, theta_k, gain_k):
+        return filter_step(steps, k, xhat, dm_k, theta_k, gain_k * (1.0 + 2.0**-40))
+
+    assert check_determinism(cfg, 0).passed
+    monkeypatch.setattr(rk.minimax, "_filter_step", scaled_gain)
+    res = check_determinism(cfg, 0)
+    assert not res.passed
+    assert res.measured["filter_equal"] is False
+    assert res.measured["rerun_equal"] and res.measured["split_equal"]
+    assert "filter=False" in res.detail
