@@ -189,18 +189,6 @@ def _check_symmetric(name: str, a: np.ndarray) -> None:
         raise NotPSD(f"{name} is not symmetric (max asymmetry {asym:.3e})")
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """0.5 (a + a') with its bits wherever a + a' is finite.  Where the sum
-    overflows, the halves are added instead: halving entries that large is
-    exact.  (Halving first everywhere would round subnormal entries.)"""
-    at = np.swapaxes(a, -1, -2)
-    with np.errstate(over="ignore"):
-        sym = 0.5 * (a + at)
-    if np.isfinite(sym).all():
-        return sym
-    return np.where(np.isfinite(sym), sym, 0.5 * a + 0.5 * at)
-
-
 def validate_model(schedule: ModelSchedule, grid: TimeGrid) -> ValidatedModel:
     """Validate a schedule against a grid and precompute derived arrays.
 
@@ -233,8 +221,9 @@ def validate_model(schedule: ModelSchedule, grid: TimeGrid) -> ValidatedModel:
 
     _check_symmetric("Q", Q)
     _check_symmetric("R", R)
-    Q = _symmetrized(Q)
-    R = _symmetrized(R)
+    # Halving before adding cannot overflow, and is exact for normal numbers.
+    Q = 0.5 * Q + 0.5 * np.swapaxes(Q, -1, -2)
+    R = 0.5 * R + 0.5 * np.swapaxes(R, -1, -2)
 
     q_eigs, q_vecs = np.linalg.eigh(Q)
     q_min = float(q_eigs.min())

@@ -390,20 +390,22 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     else:
         path[0] = 0.0
         _hamiltonian_blocks(model, path)
-    # A nan node would pass the eigenvalue floor below.
+    # A nan node would pass the eigenvalue floor, so the floor is applied to
+    # the finite prefix, and a non-finite node is reported only after it.
     finite = np.isfinite(path).all(axis=(1, 2))
-    if not finite.all():
-        k = int(finite.argmin()) - 1
-        raise IllConditionedStep(
-            f"interval {k} (t = {model.grid.times[k]:.6g}): the covariance "
-            f"step is not finite")
-    eigs = np.linalg.eigvalsh(path)
+    n_finite = len(finite) if finite.all() else int(finite.argmin())
+    eigs = np.linalg.eigvalsh(path[:n_finite])
     min_eig = float(eigs.min())
     if min_eig < RICCATI_EIG_FLOOR:
         node = int(np.argwhere(eigs.min(axis=1) < RICCATI_EIG_FLOOR)[0, 0])
         raise LostPositivity(
             f"covariance at node {node} has eigenvalue {min_eig:.3e}"
         )
+    if n_finite < len(finite):
+        k = n_finite - 1
+        raise IllConditionedStep(
+            f"interval {k} (t = {model.grid.times[k]:.6g}): the covariance "
+            f"step is not finite")
     path.setflags(write=False)
     return RiccatiPath(grid=model.grid, P=path, min_eigenvalue=min_eig)
 

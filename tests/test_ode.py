@@ -276,6 +276,16 @@ def test_scalar_riccati_refuses_an_overflowing_step():
         solve_riccati(model)
 
 
+@pytest.mark.parametrize("n_steps", [2, 4])
+def test_scalar_riccati_names_lost_positivity_before_overflow(n_steps):
+    # At dt = 2 the RK4 step overshoots: P = [0, -1.4e9, -8.7e165, nan, ...].
+    # The first negative node is named whatever the horizon.
+    model = constant_model(0.0, 0.0, 1.0, 0.0, 1.0, 0.05, 0.0,
+                           horizon=2.0 * n_steps, n_steps=n_steps)
+    with pytest.raises(LostPositivity, match=r"^covariance at node 1 "):
+        solve_riccati(model)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(-2, 8), st.integers(1, 40),
        st.floats(1e-3, 50.0), st.integers(0, 2**32 - 1))
