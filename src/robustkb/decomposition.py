@@ -26,7 +26,7 @@ import numpy as np
 from .errors import GridMismatch
 from .model import ValidatedModel
 from .ode import (RiccatiPath, TransitionCache, _backward, _closed_loop,
-                  _ClosedLoop, _policy_array, _propagate)
+                  _ClosedLoop, _policy_array, _response)
 
 KERNELS = ("ode", "printed")
 
@@ -121,7 +121,7 @@ def correction_path(model: ValidatedModel, riccati: RiccatiPath, theta,
     th = _policy_array(theta, model, "theta")
     loop = _closed_loop(model, riccati)
     drive = th[:, :, None] if kernel == "ode" else model.Q @ th[:, :, None]
-    out = _propagate(loop.A, drive, model.grid.dt, loop.T, loop.D)[:, :, 0]
+    out = _response(loop.T, loop.D, drive)[:, :, 0]
     out.setflags(write=False)
     return out
 

@@ -27,7 +27,7 @@ from .model import (
     _steps,
     constant_policy,
 )
-from .ode import (RiccatiPath, _closed_loop, _policy_array, _propagate,
+from .ode import (RiccatiPath, _closed_loop, _policy_array, _response,
                   solve_error_stats, solve_riccati)
 from .simulate import _check_n_paths, _check_seed, _simulate_chunk
 
@@ -38,8 +38,9 @@ _MAX_VERTEX_COMPONENTS = 20
 
 _MC_CHUNK = 1024
 # Most paths mse_monte_carlo runs: 10^4 chunks.  A fixed policy limit, not a
-# reading of the machine: a chunk's memory does not grow with n_paths, and
-# the largest Monte-Carlo run in this package (verification) uses 10^4 paths.
+# reading of the machine: a chunk's memory does not grow with n_paths, the
+# squared errors kept take 80 MB per requested node at the limit, and the
+# largest Monte-Carlo run in this package (verification) uses 10^4 paths.
 _MAX_MC_PATHS = 10**7
 
 
@@ -67,12 +68,27 @@ def _squared_errors(x_at: np.ndarray, xhat_at: np.ndarray) -> np.ndarray:
     return np.einsum("bki,bki->bk", err, err)
 
 
+def _mc_moments(sq: np.ndarray):
+    """(means, stderrs) over the paths of (n_paths, nodes) squared errors,
+    summed per _MC_CHUNK paths and the chunk sums added in chunk order; the
+    stderr is NaN for one path.  The bits of a sum follow the layout of sq,
+    which must be the one _squared_errors returns, paths contiguous."""
+    n_paths = len(sq)
+    chunks = [sq[j0:j0 + _MC_CHUNK] for j0 in range(0, n_paths, _MC_CHUNK)]
+    mean = np.array([c.sum(axis=0) for c in chunks]).sum(axis=0) / n_paths
+    if n_paths == 1:
+        return mean, np.full(mean.shape, np.nan)
+    total_sq = np.array([(c * c).sum(axis=0) for c in chunks]).sum(axis=0)
+    var = (total_sq - n_paths * mean**2) / (n_paths - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / n_paths)
+
+
 def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
                   theta_hat, t_indices, n_paths: int, seed: int):
     """Sample MSE at several grid nodes from one simulated ensemble.
 
-    Paths are processed in fixed-size chunks whose sums are kept per chunk
-    and added in chunk order.  Within a chunk the filter steps along with
+    Paths are simulated in chunks of _MC_CHUNK, and their squared errors
+    reduced by _mc_moments.  Within a chunk the filter steps along with
     the simulation on time-major slices, fed obs_{k+1} - obs_k (the bits of
     np.diff), and only the states at the requested nodes are kept.
     Returns (means, stderrs) over the requested nodes.
@@ -83,9 +99,8 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     last = int(idx.max())
     if last == 0:
         # The initial state is known exactly; every path has zero error.
-        zeros = np.zeros(idx.size)
-        return zeros, (zeros.copy() if n_paths > 1 else np.full(idx.size, np.nan))
-    sub = model.truncate(last) if last < model.n_steps else model
+        return _mc_moments(np.zeros((n_paths, idx.size)))
+    sub = model.truncate(last)
     sub_ric = riccati.prefix(last) if last < model.n_steps else riccati
     steps = _steps(sub)
     th_true = steps.per_interval(th_true[:last])
@@ -95,10 +110,8 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     for pos, node in enumerate(idx.tolist()):
         slots.setdefault(node, []).append(pos)
 
-    starts = range(0, n_paths, _MC_CHUNK)
-    sq_sum = np.zeros((len(starts), idx.size))
-    sq_sumsq = np.zeros((len(starts), idx.size))
-    for ci, j0 in enumerate(starts):
+    sq = np.empty((idx.size, n_paths)).T  # _squared_errors' layout
+    for j0 in range(0, n_paths, _MC_CHUNK):
         count = min(_MC_CHUNK, n_paths - j0)
         states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)[2]
         x_at = np.empty((idx.size, count, sub.n))
@@ -114,19 +127,8 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
             for pos in slots.get(k, ()):
                 xs_at[pos] = xk
                 xh_at[pos] = xhat
-        sq = _squared_errors(x_at, xhat_at)
-        sq_sum[ci] = sq.sum(axis=0)
-        sq_sumsq[ci] = (sq * sq).sum(axis=0)
-
-    total = sq_sum.sum(axis=0)
-    total_sq = sq_sumsq.sum(axis=0)
-    mean = total / n_paths
-    if n_paths > 1:
-        var = (total_sq - n_paths * mean**2) / (n_paths - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / n_paths)
-    else:
-        stderr = np.full(idx.size, np.nan)
-    return mean, stderr
+        sq[j0:j0 + count] = _squared_errors(x_at, xhat_at)
+    return _mc_moments(sq)
 
 
 def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
@@ -169,7 +171,7 @@ def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCo
     t_idx = model.grid.index_of(t)
     loop = _closed_loop(model, riccati)
     A, T, D = loop.A[:, :t_idx], loop.T[:t_idx], loop.D[:t_idx]
-    M = _propagate(A, np.eye(model.n), model.grid.dt, T, D)[-1]
+    M = _response(T, D, np.eye(model.n))[-1]
     return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])),
                      M=M, A=A, T=T, D=D)
 
@@ -223,11 +225,7 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
         riccati = solve_riccati(model)
     core = _game_core(model, riccati, t)
     th_hat = _policy_array(theta_hat, model, "theta_hat")
-    if np.all(th_hat == th_hat[0]):
-        c = core.M @ th_hat[0]
-    else:
-        c = _propagate(core.A, th_hat[: core.t_idx, :, None], model.grid.dt,
-                       core.T, core.D)[-1, :, 0]
+    c = _response(core.T, core.D, th_hat[: core.t_idx, :, None])[-1, :, 0]
 
     if adversary == "bang_bang" and not _closed_loop_is_diagonal(core):
         warnings.warn(

@@ -182,6 +182,14 @@ def _check_finite(name: str, a: np.ndarray) -> None:
         raise NonFinite(f"{name} contains non-finite entries")
 
 
+def _first_below(eigs: np.ndarray, floor: float):
+    """(k, its lowest eigenvalue) for the first matrix k of a stack with an
+    eigenvalue below floor, eigs holding one row per matrix; else None."""
+    lows = eigs.min(axis=1)
+    k = int(np.argmax(lows < floor))
+    return (k, float(lows[k])) if lows[k] < floor else None
+
+
 def _check_symmetric(name: str, a: np.ndarray) -> None:
     asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), initial=0.0)
     scale = 1.0 + np.max(np.abs(a), initial=0.0)
@@ -192,8 +200,9 @@ def _check_symmetric(name: str, a: np.ndarray) -> None:
 def validate_model(schedule: ModelSchedule, grid: TimeGrid) -> ValidatedModel:
     """Validate a schedule against a grid and precompute derived arrays.
 
-    Raises DimensionMismatch, NonFinite, NotPSD (Q indefinite or asymmetric)
-    or NotPositiveDefinite (R eigenvalue below 1e-10).
+    Raises DimensionMismatch, NonFinite (also for an overflowing S), NotPSD
+    (Q indefinite or asymmetric) or NotPositiveDefinite (R eigenvalue below
+    1e-10), naming the first bad interval and its own lowest eigenvalue.
     """
     x0 = np.asarray(schedule.x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -226,16 +235,14 @@ def validate_model(schedule: ModelSchedule, grid: TimeGrid) -> ValidatedModel:
     R = 0.5 * R + 0.5 * np.swapaxes(R, -1, -2)
 
     q_eigs, q_vecs = np.linalg.eigh(Q)
-    q_min = float(q_eigs.min())
-    if q_min < Q_EIG_FLOOR:
-        node = int(np.argwhere(q_eigs.min(axis=1) < Q_EIG_FLOOR)[0, 0])
-        raise NotPSD(f"Q[{node}] has eigenvalue {q_min:.3e} below {Q_EIG_FLOOR:.1e}")
+    bad = _first_below(q_eigs, Q_EIG_FLOOR)
+    if bad is not None:
+        raise NotPSD(f"Q[{bad[0]}] has eigenvalue {bad[1]:.3e} below {Q_EIG_FLOOR:.1e}")
     r_eigs = np.linalg.eigvalsh(R)
-    r_min = float(r_eigs.min())
-    if r_min < R_EIG_FLOOR:
-        node = int(np.argwhere(r_eigs.min(axis=1) < R_EIG_FLOOR)[0, 0])
+    bad = _first_below(r_eigs, R_EIG_FLOOR)
+    if bad is not None:
         raise NotPositiveDefinite(
-            f"R[{node}] has eigenvalue {r_min:.3e} below {R_EIG_FLOOR:.1e}"
+            f"R[{bad[0]}] has eigenvalue {bad[1]:.3e} below {R_EIG_FLOOR:.1e}"
         )
 
     Rinv = np.linalg.inv(R)
@@ -246,11 +253,13 @@ def validate_model(schedule: ModelSchedule, grid: TimeGrid) -> ValidatedModel:
     Q_sqrt = 0.5 * (Q_sqrt + np.swapaxes(Q_sqrt, -1, -2))
     S = np.einsum("kmi,kml,kln->kin", G, Rinv, G)
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    _check_finite("S", S)
 
     return ValidatedModel(
         grid=grid, n=n, m=m,
         F=_readonly(F), f=_readonly(f), G=_readonly(G), g=_readonly(g),
-        Q=_readonly(Q), R=_readonly(R), x0=_readonly(x0), r_min=r_min,
+        Q=_readonly(Q), R=_readonly(R), x0=_readonly(x0),
+        r_min=float(r_eigs.min()),
         Rinv=_readonly(Rinv), R_chol=_readonly(R_chol),
         Q_sqrt=_readonly(Q_sqrt), S=_readonly(S),
     )

@@ -53,7 +53,7 @@ from .errors import (
     MissingRiccati,
     OutOfGrid,
 )
-from .model import DriftPolicy, TimeGrid, ValidatedModel
+from .model import DriftPolicy, TimeGrid, ValidatedModel, _first_below
 
 RICCATI_EIG_FLOOR = -1e-9
 
@@ -179,17 +179,18 @@ def _input_maps(A, dt: float) -> np.ndarray:
     return _rk4_step(A, np.zeros_like(eye), (eye,) * 4, dt)
 
 
-def _propagate(A, U, dt: float, T=None, D=None) -> np.ndarray:
-    """RK4 solution of dy = A_i y + U_k from y = 0, at every node.
-
-    T and D, when given, hold the step maps and the input maps of A.
-    """
-    if T is None:
-        T = _rk4_step(A, np.eye(A.shape[-1]), _UNFORCED, dt)
-    if D is None:
-        D = _input_maps(A, dt)
+def _response(T, D, U) -> np.ndarray:
+    """Solution from y = 0, at every node, of the affine steps
+    y -> T_k y + D_k U_k: the response of a linear ODE with step maps T_k and
+    input maps D_k to the input U_k held over interval k."""
     e = D @ U
     return _forward(T, np.zeros(e.shape[1:]), e)
+
+
+def _propagate(A, U, dt: float) -> np.ndarray:
+    """RK4 solution of dy = A_i y + U_k from y = 0, at every node."""
+    return _response(_rk4_step(A, np.eye(A.shape[-1]), _UNFORCED, dt),
+                     _input_maps(A, dt), U)
 
 
 def _kron_sum(A) -> np.ndarray:
@@ -286,12 +287,10 @@ class _ClosedLoop:
         P = _stage_covariances(self.model, self.nodes)
         Sig = _sym(_lyapunov_path(self.model.Q, P, P @ self.model.S, self.A,
                                   self.model.grid.dt))
-        eigs = np.linalg.eigvalsh(Sig)
-        min_eig = float(eigs.min())
-        if min_eig < RICCATI_EIG_FLOOR:
-            node = int(np.argwhere(eigs.min(axis=1) < RICCATI_EIG_FLOOR)[0, 0])
+        bad = _first_below(np.linalg.eigvalsh(Sig), RICCATI_EIG_FLOOR)
+        if bad is not None:
             raise LostPositivity(
-                f"error covariance at node {node} has eigenvalue {min_eig:.3e}"
+                f"error covariance at node {bad[0]} has eigenvalue {bad[1]:.3e}"
             )
         _readonly(Sig)
         return Sig
@@ -360,7 +359,7 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     each node symmetrized once.
 
     Raises LostPositivity if any node covariance has an eigenvalue below
-    -1e-9; the message names the first offending node.  Raises
+    -1e-9, naming the first such node and its own lowest eigenvalue.  Raises
     IllConditionedStep, naming the interval, if one interval's step is too
     ill-conditioned to read P from (n > 1) or gives a node that is not finite.
     """
@@ -395,11 +394,10 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     finite = np.isfinite(path).all(axis=(1, 2))
     n_finite = len(finite) if finite.all() else int(finite.argmin())
     eigs = np.linalg.eigvalsh(path[:n_finite])
-    min_eig = float(eigs.min())
-    if min_eig < RICCATI_EIG_FLOOR:
-        node = int(np.argwhere(eigs.min(axis=1) < RICCATI_EIG_FLOOR)[0, 0])
+    bad = _first_below(eigs, RICCATI_EIG_FLOOR)
+    if bad is not None:
         raise LostPositivity(
-            f"covariance at node {node} has eigenvalue {min_eig:.3e}"
+            f"covariance at node {bad[0]} has eigenvalue {bad[1]:.3e}"
         )
     if n_finite < len(finite):
         k = n_finite - 1
@@ -407,7 +405,7 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
             f"interval {k} (t = {model.grid.times[k]:.6g}): the covariance "
             f"step is not finite")
     path.setflags(write=False)
-    return RiccatiPath(grid=model.grid, P=path, min_eigenvalue=min_eig)
+    return RiccatiPath(grid=model.grid, P=path, min_eigenvalue=float(eigs.min()))
 
 
 def steady_state_scalar(F: float, G: float, Q: float, R: float) -> float:
@@ -564,8 +562,7 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     th_hat = _policy_array(theta_hat, model, "theta_hat")
     loop = _closed_loop(model, riccati)
     Sig = loop.sigma
-    bias = _propagate(loop.A, (th_true - th_hat)[:, :, None], model.grid.dt,
-                      loop.T, loop.D)[:, :, 0]
+    bias = _response(loop.T, loop.D, (th_true - th_hat)[:, :, None])[:, :, 0]
     mse = np.einsum("kii->k", Sig) + np.einsum("ki,ki->k", bias, bias)
     _readonly(bias, mse)
     return ErrorStats(grid=model.grid, bias=bias, Sigma=Sig, mse=mse)

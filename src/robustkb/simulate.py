@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, GridMismatch, InvalidPathCount, InvalidSeed,
                      UnsupportedTilt)
-from .model import DriftPolicy, ValidatedModel, _steps, _Steps
+from .model import DriftPolicy, ValidatedModel, _first_below, _steps, _Steps
 from .ode import _policy_array
 
 _SIGNAL_TAG = 0
@@ -243,16 +243,16 @@ class PathEnsemble:
 
 
 def _tilt_factors(theta: np.ndarray, model: ValidatedModel):
-    """Cholesky factors of Q on intervals where the tilt is active."""
+    """Cholesky factors of Q on intervals where the tilt is active; raises
+    UnsupportedTilt for the first one where Q is below _TILT_EIG_FLOOR."""
     active = np.flatnonzero(np.any(theta != 0.0, axis=1))
     if active.size == 0:
         return active, None
     Qa = model.Q[active]
-    eigs = np.linalg.eigvalsh(Qa)
-    if eigs.min() < _TILT_EIG_FLOOR:
-        k = int(active[np.argwhere(eigs.min(axis=1) < _TILT_EIG_FLOOR)[0, 0]])
+    bad = _first_below(np.linalg.eigvalsh(Qa), _TILT_EIG_FLOOR)
+    if bad is not None:
         raise UnsupportedTilt(
-            f"interval {k}: tilt is nonzero but Q is singular there"
+            f"interval {active[bad[0]]}: tilt is nonzero but Q is singular there"
         )
     return active, np.linalg.cholesky(Qa)
 

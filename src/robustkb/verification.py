@@ -2,9 +2,10 @@
 any scenario and shared by the CLI and the acceptance tests.
 
 Each check returns a CheckResult; checks that need structure a scenario does
-not have (a scalar model, unit signal-noise covariance) report themselves as
-not applicable rather than failing.  Reports contain no timings or thread
-counts, so rerunning with the same seed gives byte-identical output files.
+not have (a scalar constant model with G != 0, a signal covariance that can
+carry the drift tilt) report themselves as not applicable rather than
+failing.  Reports contain no timings or thread counts, so rerunning with the
+same seed gives byte-identical output files.
 Every check takes a third argument, threads, and run_verification a threads
 keyword; both are accepted for compatibility and split no work.
 """
@@ -24,7 +25,7 @@ from .filtering import (
     innovation_diagnostics,
     run_robust_filter,
 )
-from .minimax import (_MC_CHUNK, _mse_mc_multi, _squared_errors, g_profile,
+from .minimax import (_mc_moments, _mse_mc_multi, _squared_errors, g_profile,
                       saddle_report)
 from .model import (
     DriftPolicy,
@@ -44,7 +45,7 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_TILT_EIG_FLOOR, _log_density_batch, _signal_noise,
+from .simulate import (_log_density_batch, _signal_noise, _tilt_factors,
                        _work, simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
@@ -100,12 +101,13 @@ def _clean(value):
         return [_clean(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_clean(v) for v in value.tolist()]
+    # Before the integers: bool is a subclass of int.
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     return value
 
 
@@ -127,16 +129,14 @@ def _probe_time(model: ValidatedModel, target: float = 1.0) -> float:
 
 
 def _matched_tilt(model: ValidatedModel, bound: UncertaintyBound) -> np.ndarray:
-    """Componentwise min(0.5, mu), zeroed when Q cannot support a tilt."""
+    """Componentwise min(0.5, mu), zeroed where the simulator cannot tilt
+    by it (see simulate._tilt_factors)."""
     value = np.minimum(0.5, bound.mu)
-    if (np.any(value > 0.0)
-            and float(np.linalg.eigvalsh(model.Q).min()) < _TILT_EIG_FLOOR):
+    try:
+        _tilt_factors(np.tile(value, (model.n_steps, 1)), model)
+    except UnsupportedTilt:
         return np.zeros(model.n)
     return value
-
-
-def _q_is_identity(model: ValidatedModel) -> bool:
-    return bool(np.all(model.Q == np.eye(model.n)))
 
 
 def _with_q(model: ValidatedModel, q_value: np.ndarray) -> ValidatedModel:
@@ -308,12 +308,9 @@ def check_girsanov(config: ScenarioConfig, seed: int,
     te_idx = model.grid.index_of(te)
     if te_idx < 1:
         return CheckResult(name, False, False, "horizon too short")
-    sub = model.truncate(te_idx) if te_idx < model.n_steps else model
+    sub = model.truncate(te_idx)
     c = np.minimum(0.5, bound.mu)
     theta = DriftPolicy(np.tile(c, (sub.n_steps, 1)))
-    if np.any(c > 0.0) and float(np.linalg.eigvalsh(sub.Q).min()) < _TILT_EIG_FLOOR:
-        return CheckResult(name, False, False,
-                           "tilt unsupported: singular signal covariance")
 
     n_paths = 100_000
     block = 4096
@@ -409,12 +406,13 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
                          threads: int = 1) -> CheckResult:
     """Audit of the published correction kernel against the ode kernel.
 
-    The published double integral, evaluated on its own by _published_term,
-    must match the library's printed-kernel term to O(dt).  For unit signal
-    covariance it must also match the ode term to O(dt).  With the
-    covariance doubled, its gap from the ode term tends to the size of the
-    ode correction itself instead of vanishing; the check measures that
-    limit at two step sizes and reports it.
+    The scenario's model is audited with its signal covariance Q replaced
+    by I and by 2I.  The published double integral, evaluated on its own by
+    _published_term, must match the library's printed-kernel term to O(dt)
+    in every case.  With Q = I it must also match the ode term to O(dt).
+    With Q = 2I, its gap from the ode term tends to the size of the ode
+    correction itself instead of vanishing; the check measures that limit
+    at two step sizes and reports it.
     """
     name = "printed_kernel_audit"
     model = config.model
@@ -422,9 +420,8 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
     t = _probe_time(model)
     bound = 5.0 * model.grid.dt
     doubled = _with_q(model, 2.0 * np.eye(model.n))
-    cases = {"doubled_q": doubled, "doubled_q_half_dt": _refined(doubled)}
-    if _q_is_identity(model):
-        cases = {"unit_q": model, **cases}
+    cases = {"unit_q": _with_q(model, np.eye(model.n)), "doubled_q": doubled,
+             "doubled_q_half_dt": _refined(doubled)}
     gap, err, ode_norm = {}, {}, {}
     for key, mdl in cases.items():
         ric = solve_riccati(mdl)
@@ -440,24 +437,20 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
     g0, g1 = gap["doubled_q"], gap["doubled_q_half_dt"]
     stable = abs(g1 - g0) <= 0.1 * max(g0, 1e-300)
     nonzero = g1 > 100.0 * doubled.grid.dt / 2.0
-    passed = stable and nonzero and max(err.values()) <= bound
-    measured: dict = {"t": float(t)}
-    if "unit_q" in cases:
-        measured.update({"unit_q_gap": gap["unit_q"], "unit_q_bound": bound})
-        passed = passed and gap["unit_q"] <= bound
-        details = [f"unit-Q gap {gap['unit_q']:.3e} <= {bound:.1e}"]
-    else:
-        details = ["unit-Q comparison skipped (Q is not the identity)"]
-    measured.update({
+    passed = (stable and nonzero and gap["unit_q"] <= bound
+              and max(err.values()) <= bound)
+    measured = {
+        "t": float(t), "unit_q_gap": gap["unit_q"], "unit_q_bound": bound,
         "doubled_q_gap": g0, "doubled_q_gap_half_dt": g1,
         "doubled_q_ode_norm": ode_norm["doubled_q"],
         "limit_nonzero": bool(nonzero),
         "printed_err": err, "printed_bound": bound,
-    })
-    details += [f"doubled-Q gap {g0:.4f} -> {g1:.4f} under halving "
-                f"(nonzero limit: {bool(nonzero)})",
-                f"library printed vs published {max(err.values()):.1e} "
-                f"<= {bound:.1e}"]
+    }
+    details = [f"unit-Q gap {gap['unit_q']:.3e} <= {bound:.1e}",
+               f"doubled-Q gap {g0:.4f} -> {g1:.4f} under halving "
+               f"(nonzero limit: {bool(nonzero)})",
+               f"library printed vs published {max(err.values()):.1e} "
+               f"<= {bound:.1e}"]
     return CheckResult(name, bool(passed), True, "; ".join(details), measured)
 
 
@@ -547,11 +540,13 @@ def check_whiteness(config: ScenarioConfig, seed: int,
 def check_determinism(config: ScenarioConfig, seed: int,
                       threads: int = 1) -> CheckResult:
     """Bitwise reproducibility across reruns and chunk splits, and the
-    streamed Monte-Carlo filter against the batch filter on the same paths."""
+    streamed Monte-Carlo filter against the batch filter on the same paths,
+    both reduced by minimax._mc_moments: the flags rerun_equal, split_equal
+    and filter_equal."""
     name = "determinism"
     model = config.model
     steps = min(model.n_steps, 200)
-    sub = model.truncate(steps) if steps < model.n_steps else model
+    sub = model.truncate(steps)
     riccati = solve_riccati(sub)
     # The matched tilt, as in check_whiteness, so that the log densities
     # compared are not all zero.
@@ -581,14 +576,11 @@ def check_determinism(config: ScenarioConfig, seed: int,
 
     # The Monte-Carlo MSE filters in step with its simulation; the batch
     # filter on base's observations must give its squared errors bit for
-    # bit, summed per _MC_CHUNK paths and the chunk sums added in order.
+    # bit, and so the same mean from the same reduction.
     th = theta.theta
     mc = _mse_mc_multi(sub, riccati, th, th, [sub.n_steps], n_paths, seed + 97)[0]
     xhat = _filter_batch(sub, riccati, np.diff(base.m, axis=1), th)[0]
-    sums = [_squared_errors(base.x[None, j0:j0 + _MC_CHUNK, -1],
-                            xhat[None, j0:j0 + _MC_CHUNK, -1]).sum(axis=0)
-            for j0 in range(0, n_paths, _MC_CHUNK)]
-    batch = np.array(sums).sum(axis=0) / n_paths
+    batch = _mc_moments(_squared_errors(base.x[None, :, -1], xhat[None, :, -1]))[0]
     ok_filter = bool(np.array_equal(mc.view(np.uint64), batch.view(np.uint64)))
     passed = bool(ok_rerun and ok_split and ok_filter)
     return CheckResult(name, passed, True,

@@ -44,8 +44,7 @@ def printed_correction_path(model, riccati, theta):
     n = model.n
     qu = model.Q @ th[:, :, None]
     y = _propagate(block_stages(model, riccati),
-                   np.concatenate([qu, np.zeros_like(qu)], axis=1), model.grid.dt,
-                   block_maps(model, riccati))
+                   np.concatenate([qu, np.zeros_like(qu)], axis=1), model.grid.dt)
     return y[:, :n, 0] - y[:, n:, 0]
 
 

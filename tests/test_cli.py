@@ -130,6 +130,12 @@ def test_riccati_long_horizon_reaches_steady_state(tmp_path):
     assert abs(p_final - (math.sqrt(2.0) - 1.0)) <= 1e-6
 
 
+def test_riccati_rejects_an_overflowing_s(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, G=1e200)
+    assert main(["riccati", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "S contains non-finite entries" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # filter
 

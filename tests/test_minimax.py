@@ -392,6 +392,21 @@ def test_worst_case_matches_vertex_oracle_n3(n3_game, kind):
     assert np.array_equal(policy.theta, np.tile(vertex, (model.n_steps, 1)))
 
 
+def test_best_response_is_the_worst_case_vertex_n3(n3_game):
+    model, bound, riccati = n3_game
+    theta_hat = constant_policy(model, [0.3, -0.2, 0.1])
+    policy = rk.best_response_theta(model, bound, theta_hat, 1.0, riccati=riccati)
+    _, worst = worst_case_mse(model, bound, theta_hat, 1.0, riccati=riccati)
+    _, vertex = _vertex_oracle(model, riccati, theta_hat, 1.0)
+    assert np.array_equal(policy.theta, worst.theta)
+    assert np.array_equal(policy.theta, np.tile(vertex, (model.n_steps, 1)))
+    # The n = 3 closed loop is coupled: no bang-bang best response.
+    with pytest.warns(UnsupportedClassWarning):
+        bang = rk.best_response_theta(model, bound, theta_hat, 1.0,
+                                      adversary="bang_bang", riccati=riccati)
+    assert np.array_equal(bang.theta, policy.theta)
+
+
 def test_robust_drift_matches_vertex_oracle_n3(n3_game):
     model, bound, riccati = n3_game
     policy, upper = robust_theta_hat(model, bound, 1.0, riccati=riccati)

@@ -113,6 +113,27 @@ class TestValidateModel:
             rk.constant_model(np.nan, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0,
                               horizon=1.0, n_steps=4)
 
+    def test_overflowing_s_rejected(self):
+        # G and R are finite, but S = G' R^-1 G = 1e400 is not.
+        with pytest.raises(NonFinite, match="^S "):
+            rk.constant_model(-1.0, 0.0, 1e200, 0.0, 1.0, 1.0, 0.0,
+                              horizon=1.0, n_steps=4)
+
+    @pytest.mark.parametrize("name, error", [("Q", NotPSD),
+                                             ("R", NotPositiveDefinite)])
+    def test_floor_error_names_the_first_node_and_its_eigenvalue(self, name,
+                                                                  error):
+        # The first node below the floor is 1, and its own eigenvalue is
+        # -1e-8, not the schedule's lowest, -5.
+        cov = {"Q": np.ones((3, 1, 1)), "R": np.ones((3, 1, 1)),
+               name: np.array([1.0, -1e-8, -5.0]).reshape(3, 1, 1)}
+        sched = ModelSchedule(F=-np.ones((3, 1, 1)), f=np.zeros((3, 1)),
+                              G=np.ones((3, 1, 1)), g=np.zeros((3, 1)),
+                              Q=cov["Q"], R=cov["R"], x0=np.zeros(1))
+        want = rf"^{name}\[1\] has eigenvalue -1\.000e-08 "
+        with pytest.raises(error, match=want):
+            rk.validate_model(sched, TimeGrid(1.0, 3))
+
     @pytest.mark.parametrize("name", ["Q", "R"])
     def test_huge_covariance_symmetrizes_without_overflow(self, name):
         # 0.5 * (Q + Q') would be inf here, with only a RuntimeWarning.

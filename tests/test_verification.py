@@ -72,6 +72,7 @@ def test_determinism_reports_its_three_flags(fine_report):
     entry = next(c for c in fine_report.to_dict()["checks"]
                  if c["name"] == "determinism")
     assert set(entry["measured"]) == {"rerun_equal", "split_equal", "filter_equal"}
+    assert all(flag is True for flag in entry["measured"].values())
     assert entry["detail"] == "rerun=True, split=True, filter=True"
 
 
