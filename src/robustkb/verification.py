@@ -28,7 +28,6 @@ from .filtering import (
 from .minimax import (_mc_moments, _mse_mc_multi, _squared_errors, g_profile,
                       saddle_report)
 from .model import (
-    DriftPolicy,
     ModelSchedule,
     TimeGrid,
     UncertaintyBound,
@@ -310,7 +309,11 @@ def check_girsanov(config: ScenarioConfig, seed: int,
         return CheckResult(name, False, False, "horizon too short")
     sub = model.truncate(te_idx)
     c = np.minimum(0.5, bound.mu)
-    theta = DriftPolicy(np.tile(c, (sub.n_steps, 1)))
+    theta = np.tile(c, (sub.n_steps, 1))
+    try:  # the simulator's refusal, before any path is drawn
+        _tilt_factors(theta, sub)
+    except UnsupportedTilt as exc:
+        return CheckResult(name, False, False, str(exc))
 
     n_paths = 100_000
     block = 4096
@@ -319,10 +322,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
         count = min(block, n_paths - j0)
         # Only the untilted signal streams: x, m and dv would go unused.
         dw = _signal_noise(sub, seed + 53, j0, count)
-        try:
-            zetas[j0:j0 + count] = _log_density_batch(theta.theta, dw, sub)
-        except UnsupportedTilt as exc:
-            return CheckResult(name, False, False, str(exc))
+        zetas[j0:j0 + count] = _log_density_batch(theta, dw, sub)
 
     w = np.exp(zetas)
     mean_w = float(w.mean())

@@ -238,6 +238,14 @@ def _planar_cfg():
     })
 
 
+def test_printed_kernel_audit_runs_its_unit_q_half_for_any_q():
+    # The unit-Q half audits the model with Q replaced by I, so a scenario
+    # whose own Q is not the identity gets it too.
+    result = check_printed_kernel(_planar_cfg(), 0)
+    assert result.measured["unit_q_gap"] <= result.measured["unit_q_bound"]
+    assert result.detail.startswith("unit-Q gap ")
+
+
 @pytest.mark.parametrize("cfg", [_scalar_cfg(50), _planar_cfg()],
                          ids=["scalar", "planar"])
 def test_determinism_sees_a_streamed_filter_off_by_ulps(monkeypatch, cfg):
