@@ -6,9 +6,10 @@ with the gain frozen at the left endpoint of each interval; the classical
 filter is the zero-drift special case, so the two agree bitwise there.
 
 One interval of the recursion is `_filter_step`, applied to time-major
-(batch, n) slices.  `_filter_batch` (and so `run_robust_filter`) runs it over
-a whole path, and the Monte-Carlo MSE (`minimax._mse_mc_multi`) runs it in
-step with the simulation, so both estimate with the same code.
+(batch, n) slices, or to Python floats for one path of a scalar model.
+`_filter_batch` (and so `run_robust_filter`) runs it over a whole path, and
+the Monte-Carlo MSE (`minimax._mse_mc_multi`) runs it in step with the
+simulation, so both estimate with the same code.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import GridMismatch
 from .model import DriftPolicy, ValidatedModel, _steps, _Steps, zero_policy
 from .ode import RiccatiPath, _policy_array
+from .simulate import _initial_state
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,14 @@ def _filter_batch(model: ValidatedModel, riccati: RiccatiPath, dm: np.ndarray,
     steps = _steps(model)
     gains = steps.per_interval(filter_gains(model, riccati))
     th = steps.per_interval(theta)
-    dm = steps.slices(np.ascontiguousarray(np.swapaxes(dm, 0, 1)))
+    dm = steps.read(np.ascontiguousarray(np.swapaxes(dm, 0, 1)))
     xhat = np.empty((k_steps + 1, batch, n))
     innov = np.empty((k_steps, batch, m))
     xs, dis = steps.slices(xhat), steps.slices(innov)
-    xs[0] = model.x0
+    xs[0] = x = _initial_state(steps, model.x0, batch)
     for k in range(k_steps):
-        xs[k + 1], dis[k] = _filter_step(steps, k, xs[k], dm[k], th[k], gains[k])
+        x, dis[k] = _filter_step(steps, k, x, dm[k], th[k], gains[k])
+        xs[k + 1] = x
     return np.swapaxes(xhat, 0, 1), np.swapaxes(innov, 0, 1)
 
 

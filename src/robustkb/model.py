@@ -365,9 +365,12 @@ class _Steps:
     Python float, applied with *; otherwise slices are (batch, n) or
     (batch, m) arrays and every matrix is kept transposed and applied with
     @.  A 1x1 product has a single term, so both give the bits of
-    x_k @ F_k'.  A one-row batch is multiplied as the first row of a
-    two-row one: NumPy takes another kernel for a single row, which can
-    round differently, and a path's bits must not depend on its batch.
+    x_k @ F_k'.  One path of a scalar model steps on Python floats: the
+    same IEEE operations in the same order, without a NumPy call per
+    operation (see `read`).  A one-row batch of a larger model is
+    multiplied as the first row of a two-row one: NumPy takes another
+    kernel for a single row, which can round differently, and a path's bits
+    must not depend on its batch.
     """
 
     scalar: bool
@@ -390,6 +393,13 @@ class _Steps:
     def slices(self, a: np.ndarray) -> np.ndarray:
         """View of a time-major (K, batch, d) array whose [k] is a step slice."""
         return a[..., 0] if self.scalar else a
+
+    def read(self, a: np.ndarray):
+        """Per-step inputs of a time-major (K, batch, d) array: a list of
+        Python floats for one path of a scalar model, else `slices(a)`."""
+        if self.scalar and a.shape[1] == 1:
+            return a[:, 0, 0].tolist()
+        return self.slices(a)
 
 
 def _steps(model: ValidatedModel) -> _Steps:

@@ -19,11 +19,13 @@ terms theta_k' L_k^-1 dw_k.  The Euler loop steps (batch, d) slices of one
 time-major copy of the increments through `_euler_step`.  Its products
 x_k F_k' are batched matmuls, whose rows do not depend on the batch size
 from two rows on, and a one-path batch multiplies as the first row of a
-two-path one (see `model._Steps`).  So a path's bits depend on its index
-alone, however the paths are chunked.  `simulate_paths` keeps the
-path-major increments and copies the time-major states back into the arrays
-of `PathEnsemble`; the Monte-Carlo MSE (`minimax._mse_mc_multi`) consumes
-the states one step at a time and keeps only the nodes it reads.
+two-path one (see `model._Steps`).  One path of a scalar model steps on
+Python floats, with the same operations in the same order.  So a path's
+bits depend on its index alone, however the paths are chunked.
+`simulate_paths` keeps the path-major increments and copies the time-major
+states back into the arrays of `PathEnsemble`; the Monte-Carlo MSE
+(`minimax._mse_mc_multi`) consumes the states one step at a time and keeps
+only the nodes it reads.
 """
 from __future__ import annotations
 
@@ -312,11 +314,13 @@ def _euler_step(steps: _Steps, k: int, x, obs, theta_k, dw_k, dv_k):
             obs + (steps.apply(x, steps.G[k]) + steps.g[k]) * dt + dv_k)
 
 
-def _initial_state(steps: _Steps, value: np.ndarray, count: int) -> np.ndarray:
-    """A contiguous step slice holding value on every path."""
-    out = np.empty((count, value.shape[0]))
+def _initial_state(steps: _Steps, value: np.ndarray, count: int):
+    """value on every one of count paths, as the step loops carry a state
+    (see `_Steps.read`): a Python float for one path of a scalar model,
+    else a contiguous step slice."""
+    out = np.empty((1, count, value.shape[0]))
     out[:] = value
-    return out[:, 0] if steps.scalar else out
+    return steps.read(out)[0]
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -326,16 +330,16 @@ def _time_major(a: np.ndarray) -> np.ndarray:
 def _euler_states(model: ValidatedModel, steps: _Steps, theta,
                   dw_tilt: np.ndarray, dv: np.ndarray):
     """Yield the states (x_k, obs_k), k = 0..K, driven by the path-major
-    increments dw_tilt and dv, as fresh step slices; theta is the tilt as
-    `steps.per_interval` lays it out.  The loop steps a time-major copy of
-    each increment array, made one at a time, so an array no caller holds
-    is freed once copied."""
+    increments dw_tilt and dv, as fresh step slices (Python floats for one
+    path of a scalar model); theta is the tilt as `steps.per_interval`
+    lays it out.  The loop steps a time-major copy of each increment array,
+    made one at a time, so an array no caller holds is freed once copied."""
     count = dw_tilt.shape[0]
     x = _initial_state(steps, model.x0, count)
     obs = _initial_state(steps, np.zeros(model.m), count)
     yield x, obs
-    dw_tilt = steps.slices(_time_major(dw_tilt))
-    dv = steps.slices(_time_major(dv))
+    dw_tilt = steps.read(_time_major(dw_tilt))
+    dv = steps.read(_time_major(dv))
     for k in range(model.n_steps):
         x, obs = _euler_step(steps, k, x, obs, theta[k], dw_tilt[k], dv[k])
         yield x, obs

@@ -303,6 +303,47 @@ def test_filter_matches_the_path_major_loop(name):
     assert _same_bits(run.xhat, got_x[4]) and _same_bits(run.innovations, got_i[4])
 
 
+def test_one_scalar_path_matches_its_row_on_a_long_grid(default_model,
+                                                        default_riccati):
+    """One path of the bundled scenario (K = 2000) steps on Python floats;
+    under a time-varying tilt it gives the bits of its row in a batch."""
+    model = default_model
+    theta = 0.6 * np.sin(0.01 * np.arange(model.n_steps))[:, None] - 0.2
+    whole = simulate_paths(model, theta, 3, master_seed=31)
+    dm = np.diff(whole.m, axis=1)
+    want_x, want_i = _filter_batch(model, default_riccati, dm, -theta)
+    for offset in (0, 1):
+        one = simulate_paths(model, theta, 1, master_seed=31, path_offset=offset)
+        for field in ("x", "m", "dw", "dv", "log_density"):
+            assert _same_bits(getattr(one, field),
+                              getattr(whole, field)[offset:offset + 1]), field
+        run = rk.run_robust_filter(model, default_riccati, -theta, whole.m[offset])
+        assert _same_bits(run.xhat, want_x[offset])
+        assert _same_bits(run.innovations, want_i[offset])
+
+
+def test_one_scalar_path_keeps_the_bits_of_inf_and_nan():
+    """A path that overflows gives its row's bits, infinities and NaN
+    payloads included, whether it runs alone or in a batch."""
+    model = constant_model(900.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+                           horizon=2.0, n_steps=2000)
+    theta = _const_theta(model, 0.3)
+    riccati = rk.solve_riccati(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = simulate_paths(model, theta, 3, master_seed=0)
+        want_x, want_i = _filter_batch(model, riccati, np.diff(whole.m, axis=1),
+                                       theta)
+        one = simulate_paths(model, theta, 1, master_seed=0, path_offset=1)
+        got_x, got_i = _filter_batch(model, riccati, np.diff(one.m, axis=1), theta)
+    assert np.isinf(one.x).sum() == 897
+    assert np.isnan(got_x[0, -1, 0])
+    for field in ("x", "m", "dw", "dv", "log_density"):
+        assert np.array_equal(getattr(one, field).view(np.uint64),
+                              getattr(whole, field)[1:2].view(np.uint64)), field
+    assert np.array_equal(got_x.view(np.uint64), want_x[1:2].view(np.uint64))
+    assert np.array_equal(got_i.view(np.uint64), want_i[1:2].view(np.uint64))
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_noise_increments_sum_in_einsum_order(free_model, d):
     """The multiply-adds give the bits of an explicit j-ordered loop from
