@@ -5,8 +5,9 @@ Both filters run the same explicit Euler recursion on observation increments
 with the gain frozen at the left endpoint of each interval; the classical
 filter is the zero-drift special case, so the two agree bitwise there.
 
-One interval of the recursion is `_filter_step`, applied to time-major
-(batch, n) slices, or to Python floats for one path of a scalar model.
+One interval of the recursion is `_filter_step`, applied to the contiguous
+component-major (n, batch) slices of time-major (K, n, batch) arrays, or to
+Python floats for one path of a scalar model (see `model._Steps`).
 `_filter_batch` (and so `run_robust_filter`) runs it over a whole path, and
 the Monte-Carlo MSE (`minimax._mse_mc_multi`) runs it in step with the
 simulation, so both estimate with the same code.
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import GridMismatch
 from .model import DriftPolicy, ValidatedModel, _steps, _Steps, zero_policy
 from .ode import RiccatiPath, _policy_array
-from .simulate import _initial_state
+from .simulate import _initial_state, _path_major, _time_major
 
 
 @dataclass(frozen=True)
@@ -58,23 +59,24 @@ def _filter_batch(model: ValidatedModel, riccati: RiccatiPath, dm: np.ndarray,
     """Run the filter recursion on a batch of observation increment paths.
 
     dm has shape (batch, n_steps, m); returns estimates (batch, n_steps+1, n)
-    and innovation increments (batch, n_steps, m), as views of time-major
-    arrays.
+    and innovation increments (batch, n_steps, m), as path-major views of
+    time-major (K, d, batch) arrays, which the loop fills a step slice at a
+    time from one time-major copy of dm.
     """
     n, m, k_steps = model.n, model.m, model.n_steps
     batch = dm.shape[0]
     steps = _steps(model)
     gains = steps.per_interval(filter_gains(model, riccati))
     th = steps.per_interval(theta)
-    dm = steps.read(np.ascontiguousarray(np.swapaxes(dm, 0, 1)))
-    xhat = np.empty((k_steps + 1, batch, n))
-    innov = np.empty((k_steps, batch, m))
+    dm = steps.read(np.ascontiguousarray(_time_major(dm)))
+    xhat = np.empty((k_steps + 1, n, batch))
+    innov = np.empty((k_steps, m, batch))
     xs, dis = steps.slices(xhat), steps.slices(innov)
     xs[0] = x = _initial_state(steps, model.x0, batch)
     for k in range(k_steps):
         x, dis[k] = _filter_step(steps, k, x, dm[k], th[k], gains[k])
         xs[k + 1] = x
-    return np.swapaxes(xhat, 0, 1), np.swapaxes(innov, 0, 1)
+    return _path_major(xhat), _path_major(innov)
 
 
 def _check_obs(model: ValidatedModel, obs) -> np.ndarray:

@@ -62,9 +62,10 @@ def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
 
 def _squared_errors(x_at: np.ndarray, xhat_at: np.ndarray) -> np.ndarray:
     """|x - xhat|^2 per path and node, (count, nodes), from (nodes, count, n)
-    states and estimates.  The errors take the layout x[:, idx] had, so sums
-    over paths keep their order."""
-    err = np.swapaxes(x_at - xhat_at, 0, 1)
+    states and estimates.  The errors are copied into the C-contiguous
+    (count, nodes, n) layout of x[:, idx] first, so the bits do not depend
+    on the layout of the inputs, and sums over paths keep their order."""
+    err = np.ascontiguousarray(np.swapaxes(x_at - xhat_at, 0, 1))
     return np.einsum("bki,bki->bk", err, err)
 
 
@@ -89,8 +90,9 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
 
     Paths are simulated in chunks of _MC_CHUNK, and their squared errors
     reduced by _mc_moments.  Within a chunk the filter steps along with
-    the simulation on time-major slices, fed obs_{k+1} - obs_k (the bits of
-    np.diff), and only the states at the requested nodes are kept.
+    the simulation on its (d, batch) step slices, fed obs_{k+1} - obs_k (the
+    bits of np.diff), and only the states at the requested nodes are kept,
+    in (nodes, n, count) arrays.
     Returns (means, stderrs) over the requested nodes.
     """
     th_true = _policy_array(theta_true, model, "theta_true")
@@ -114,7 +116,7 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
     for j0 in range(0, n_paths, _MC_CHUNK):
         count = min(_MC_CHUNK, n_paths - j0)
         states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)[2]
-        x_at = np.empty((idx.size, count, sub.n))
+        x_at = np.empty((idx.size, sub.n, count))
         xhat_at = np.empty_like(x_at)
         xs_at, xh_at = steps.slices(x_at), steps.slices(xhat_at)
         for k, (xk, obs_k) in enumerate(states):
@@ -127,7 +129,8 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
             for pos in slots.get(k, ()):
                 xs_at[pos] = xk
                 xh_at[pos] = xhat
-        sq[j0:j0 + count] = _squared_errors(x_at, xhat_at)
+        sq[j0:j0 + count] = _squared_errors(np.swapaxes(x_at, 1, 2),
+                                            np.swapaxes(xhat_at, 1, 2))
     return _mc_moments(sq)
 
 

@@ -351,10 +351,11 @@ def clamp_policy(policy: DriftPolicy, bound: UncertaintyBound) -> DriftPolicy:
 
 def _per_interval(a: np.ndarray, scalar: bool):
     """A (K, d) or (K, d, e) schedule as the step loops index it: Python
-    floats for a scalar model, vectors as they are, matrices transposed."""
+    floats for a scalar model, vectors as (d, 1) columns, matrices as they
+    are."""
     if scalar:
         return a.reshape(len(a)).tolist()
-    return np.swapaxes(a, 1, 2) if a.ndim == 3 else a
+    return a if a.ndim == 3 else a[..., None]
 
 
 @dataclass(frozen=True)
@@ -362,42 +363,51 @@ class _Steps:
     """Per-interval coefficients in the layout of the time-major step loops.
 
     For n = m = 1 a state slice is a (batch,) array and every coefficient a
-    Python float, applied with *; otherwise slices are (batch, n) or
-    (batch, m) arrays and every matrix is kept transposed and applied with
-    @.  A 1x1 product has a single term, so both give the bits of
-    x_k @ F_k'.  One path of a scalar model steps on Python floats: the
-    same IEEE operations in the same order, without a NumPy call per
-    operation (see `read`).  A one-row batch of a larger model is
-    multiplied as the first row of a two-row one: NumPy takes another
-    kernel for a single row, which can round differently, and a path's bits
-    must not depend on its batch.
+    Python float, applied with *; otherwise slices are component-major
+    (n, batch) or (m, batch) arrays, vectors are (d, 1) columns that
+    broadcast along the contiguous batch axis, and a matrix a is applied as
+    a @ x.  A 1x1 product has a single term, so both give the bits of
+    F_k x_k.  One path of a scalar model steps on Python floats: the same
+    IEEE operations in the same order, without a NumPy call per operation
+    (see `read`).  NumPy takes a matrix-vector kernel, which can round
+    differently, when a has a single row or x a single column.  A path's
+    bits must not depend on its batch, so a one-column batch is multiplied
+    as the first column of a two-column one.  A matrix with one row (G for
+    m = 1, F and the gain for n = 1) is applied as the row-major product
+    x' a' of a (batch, d) layout, whose bits the matrix-vector kernel would
+    move; a one-row x' again as the first row of a two-row one.
     """
 
     scalar: bool
     dt: float
-    F: object  # F_k'
+    F: object
     f: object
-    G: object  # G_k'
+    G: object
     g: object
 
     def apply(self, x, a):
         if self.scalar:
             return x * a
-        if len(x) == 1:
-            return (np.concatenate((x, x)) @ a)[:1]
-        return x @ a
+        if len(a) == 1:
+            rows = np.ascontiguousarray(x.T)
+            if len(rows) == 1:
+                return (np.concatenate((rows, rows)) @ a.T)[:1].T
+            return (rows @ a.T).T
+        if x.shape[1] == 1:
+            return (a @ np.concatenate((x, x), axis=1))[:, :1]
+        return a @ x
 
     def per_interval(self, a: np.ndarray):
         return _per_interval(a, self.scalar)
 
     def slices(self, a: np.ndarray) -> np.ndarray:
-        """View of a time-major (K, batch, d) array whose [k] is a step slice."""
-        return a[..., 0] if self.scalar else a
+        """View of a time-major (K, d, batch) array whose [k] is a step slice."""
+        return a[:, 0] if self.scalar else a
 
     def read(self, a: np.ndarray):
-        """Per-step inputs of a time-major (K, batch, d) array: a list of
+        """Per-step inputs of a time-major (K, d, batch) array: a list of
         Python floats for one path of a scalar model, else `slices(a)`."""
-        if self.scalar and a.shape[1] == 1:
+        if self.scalar and a.shape[2] == 1:
             return a[:, 0, 0].tolist()
         return self.slices(a)
 

@@ -13,17 +13,19 @@ chunks run in turn on the calling thread.
 
 The noise transform and the log density each sum in one fixed order,
 written out here, whatever the chunk, the batch size or the NumPy build: the
-increments are j-ordered multiply-adds over the path-major (count, K, d)
-draws, and the log density adds, per path and in k order, the j-ordered
-terms theta_k' L_k^-1 dw_k.  The Euler loop steps (batch, d) slices of one
-time-major copy of the increments through `_euler_step`.  Its products
-x_k F_k' are batched matmuls, whose rows do not depend on the batch size
-from two rows on, and a one-path batch multiplies as the first row of a
-two-path one (see `model._Steps`).  One path of a scalar model steps on
-Python floats, with the same operations in the same order.  So a path's
-bits depend on its index alone, however the paths are chunked.
-`simulate_paths` keeps the path-major increments and copies the time-major
-states back into the arrays of `PathEnsemble`; the Monte-Carlo MSE
+increments are j-ordered multiply-adds over a time-major, component-major
+(K, d, count) copy of the draws, and the log density adds, per path and in
+k order, the j-ordered terms theta_k' L_k^-1 dw_k.  The Euler loop steps
+the contiguous (d, batch) slices of those increments through `_euler_step`:
+per-interval vectors are (d, 1) columns that broadcast along the batch
+axis, and its products F_k x_k are matmuls whose columns do not depend on
+the batch size from two columns on.  A one-path batch multiplies as the
+first column of a two-path one, and a matrix with one row keeps the
+row-major product of the path-major loops (see `model._Steps`).  One path
+of a scalar model steps on Python floats, with the same operations in the
+same order.  So a path's bits depend on its index alone, however the paths
+are chunked.  `simulate_paths` copies the increments and states back into
+the path-major arrays of `PathEnsemble`; the Monte-Carlo MSE
 (`minimax._mse_mc_multi`) consumes the states one step at a time and keeps
 only the nodes it reads.
 """
@@ -190,21 +192,24 @@ def _standard_normals(master_seed: int, first: int, count: int, tag: int,
 def _increments(model: ValidatedModel, master_seed: int, first: int,
                 count: int, tag: int, factor: np.ndarray) -> np.ndarray:
     """factor_k times the standard normals of stream tag, times sqrt(dt):
-    path-major (count, K, d) increments of paths first..first+count-1.
+    time-major, component-major (K, d, count) increments of paths
+    first..first+count-1.
 
     Component i is 0 + factor_ki0 xi_0 + factor_ki1 xi_1 + ..., added in j
-    order by whole-array multiply-adds, then scaled by sqrt(dt).  The order
-    is written out here, so neither the batch size nor the NumPy build can
-    change a bit.
+    order by whole-array multiply-adds on the contiguous (K, count) planes
+    of one (K, d, count) copy of the draws, then scaled by sqrt(dt).  The
+    order is written out here, so neither the batch size nor the NumPy
+    build can change a bit.
     """
-    xi = _standard_normals(master_seed, first, count, tag,
-                           (model.n_steps, factor.shape[-1]))
+    d = factor.shape[-1]
+    xi = np.ascontiguousarray(_time_major(
+        _standard_normals(master_seed, first, count, tag, (model.n_steps, d))))
     out = np.empty(xi.shape)
-    for i in range(xi.shape[-1]):
-        acc = out[..., i]
-        np.multiply(factor[:, i, 0], xi[..., 0], out=acc)
-        for j in range(1, xi.shape[-1]):
-            acc += factor[:, i, j] * xi[..., j]
+    for i in range(d):
+        acc = out[:, i]
+        np.multiply(factor[:, i, 0, None], xi[:, 0], out=acc)
+        for j in range(1, d):
+            acc += factor[:, i, j, None] * xi[:, j]
     out += 0.0  # the sum starts from +0.0: no -0.0 entries
     out *= np.sqrt(model.grid.dt)
     return out
@@ -213,9 +218,10 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
 def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
                   count: int) -> np.ndarray:
     """Untilted signal increments Q^(1/2) dB of paths first..first+count-1,
-    path-major (count, K, n)."""
+    as a path-major (count, K, n) view."""
     _count_work(model, count)
-    return _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
+    return _path_major(_increments(model, master_seed, first, count,
+                                   _SIGNAL_TAG, model.Q_sqrt))
 
 
 @dataclass(frozen=True)
@@ -287,8 +293,14 @@ def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
     for j in range(1, th.shape[1]):
         terms += u[:, j] * dw[..., j]
         norms += th[:, j] * th[:, j]
-    for k in active.tolist():
-        out += terms[:, k]
+    if len(out) == 1:  # one path: the same k-ordered sum on Python floats
+        total = 0.0
+        for value in terms[0, active].tolist():
+            total += value
+        out[0] = total
+    else:
+        for k in active.tolist():
+            out += terms[:, k]
     total = 0.0
     for value in norms.tolist():
         total += value
@@ -317,29 +329,32 @@ def _euler_step(steps: _Steps, k: int, x, obs, theta_k, dw_k, dv_k):
 def _initial_state(steps: _Steps, value: np.ndarray, count: int):
     """value on every one of count paths, as the step loops carry a state
     (see `_Steps.read`): a Python float for one path of a scalar model,
-    else a contiguous step slice."""
-    out = np.empty((1, count, value.shape[0]))
-    out[:] = value
+    else a contiguous (d, count) step slice."""
+    out = np.empty((1, value.shape[0], count))
+    out[:] = value[:, None]
     return steps.read(out)[0]
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+    """View of a path-major (count, K, d) array as (K, d, count)."""
+    return np.moveaxis(a, 0, -1)
+
+
+def _path_major(a: np.ndarray) -> np.ndarray:
+    """View of a time-major (K, d, count) array as (count, K, d)."""
+    return np.moveaxis(a, -1, 0)
 
 
 def _euler_states(model: ValidatedModel, steps: _Steps, theta,
                   dw_tilt: np.ndarray, dv: np.ndarray):
-    """Yield the states (x_k, obs_k), k = 0..K, driven by the path-major
-    increments dw_tilt and dv, as fresh step slices (Python floats for one
-    path of a scalar model); theta is the tilt as `steps.per_interval`
-    lays it out.  The loop steps a time-major copy of each increment array,
-    made one at a time, so an array no caller holds is freed once copied."""
-    count = dw_tilt.shape[0]
-    x = _initial_state(steps, model.x0, count)
-    obs = _initial_state(steps, np.zeros(model.m), count)
+    """Yield the states (x_k, obs_k), k = 0..K, driven by the time-major
+    (K, d, count) increments dw_tilt and dv, as fresh step slices (Python
+    floats for one path of a scalar model); theta is the tilt as
+    `steps.per_interval` lays it out."""
+    x = _initial_state(steps, model.x0, dw_tilt.shape[-1])
+    obs = _initial_state(steps, np.zeros(model.m), dv.shape[-1])
     yield x, obs
-    dw_tilt = steps.read(_time_major(dw_tilt))
-    dv = steps.read(_time_major(dv))
+    dw_tilt, dv = steps.read(dw_tilt), steps.read(dv)
     for k in range(model.n_steps):
         x, obs = _euler_step(steps, k, x, obs, theta[k], dw_tilt[k], dv[k])
         yield x, obs
@@ -352,8 +367,8 @@ def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
 
     steps is `_steps(model)` and theta the tilt laid out by its
     `per_interval`, both built once per call of the caller.  Returns
-    (dw_tilt, dv, states): the untilted signal increments (count, K, n) and
-    the observation increments (count, K, m), path-major, and a generator of
+    (dw_tilt, dv, states): the untilted signal increments (K, n, count) and
+    the observation increments (K, m, count), time-major, and a generator of
     the states (x_k, obs_k), k = 0..K, as step slices.
     """
     _count_work(model, count)
@@ -398,16 +413,16 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
         sl = slice(j0, j0 + count)
         dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps, master_seed,
                                                 j0, count, path_offset)
-        x_c = np.empty((k_steps + 1, count, n))
-        obs_c = np.empty((k_steps + 1, count, m))
+        x_c = np.empty((k_steps + 1, n, count))
+        obs_c = np.empty((k_steps + 1, m, count))
         xs, ms = steps.slices(x_c), steps.slices(obs_c)
         for k, (xk, obs_k) in enumerate(states):
             xs[k] = xk
             ms[k] = obs_k
-        x[sl] = np.swapaxes(x_c, 0, 1)
-        obs[sl] = np.swapaxes(obs_c, 0, 1)
-        np.add(dw_tilt, tilt, out=dw[sl])
-        dv[sl] = dv_c
+        x[sl] = _path_major(x_c)
+        obs[sl] = _path_major(obs_c)
+        np.add(_path_major(dw_tilt), tilt, out=dw[sl])
+        dv[sl] = _path_major(dv_c)
         logw[sl] = _log_density_batch(th, dw[sl], model)
 
     for arr in (x, obs, dw, dv, logw):

@@ -1,12 +1,16 @@
 """The path-major simulate, filter and Monte-Carlo loops, written out as
-bitwise references for the time-major code.
+bitwise references for the library's time-major, component-major code,
+which steps contiguous (d, batch) slices of (K, d, batch) arrays.
 
 Each function repeats the loop the library ran on (paths, K+1, d) arrays,
 strided column by column, with the same chunk sizes; only the stream draws
 come from the library, whose bits are pinned to NumPy's SeedSequence
 elsewhere.  The noise transform and the log density are explicit loops in
 the order the library promises: j order within a term, k order along a
-path.  A one-row product is taken as the first row of a two-row batch.
+path.  Every product is the row-major x @ a' of a (paths, d) slice, a
+one-row x taken as the first row of a two-row batch; the library's a @ x
+on (d, batch) slices must give the same bits, and for a matrix a with one
+row it takes this row-major product itself.
 """
 
 import numpy as np
@@ -130,9 +134,10 @@ def mse_mc(model, riccati, theta_true, theta_hat, t_indices, n_paths, seed):
 
 def layout_models(k_steps=12):
     """Models the layout tests run on: n = m = 1, n = 1 with m = 2, n = 2 with
-    non-diagonal Q and R and time-varying F and G, and n = 3 with m = 2, a
-    dense time-varying Q and a non-diagonal R; every drift and offset term
-    is nonzero.  The horizon is 0.3 for any k_steps."""
+    non-diagonal Q and R and time-varying F and G, n = 2 with m = 1 (a
+    one-row G and a (2, 1) gain) and time-varying F and G, and n = 3 with
+    m = 2, a dense time-varying Q and a non-diagonal R; every drift and
+    offset term is nonzero.  The horizon is 0.3 for any k_steps."""
     grid = TimeGrid(0.3, k_steps)
     wave = np.sin(np.arange(k_steps) * 0.7)[:, None, None]
     F = np.array([[-0.8, 0.4], [-0.3, -1.2]]) + 0.3 * wave * np.array([[1.0, -0.5], [0.2, 0.4]])
@@ -143,6 +148,11 @@ def layout_models(k_steps=12):
         Q=np.tile([[1.5, 0.4], [0.4, 0.7]], (k_steps, 1, 1)),
         R=np.tile([[0.6, 0.2], [0.2, 0.9]], (k_steps, 1, 1)),
         x0=np.array([0.3, -0.1])), grid)
+    n2m1 = validate_model(ModelSchedule(
+        F=F, f=np.tile([-0.15, 0.25], (k_steps, 1)), G=G[:, :1] + 0.1 * wave,
+        g=np.full((k_steps, 1), -0.07),
+        Q=np.tile([[0.9, -0.3], [-0.3, 1.1]], (k_steps, 1, 1)),
+        R=np.full((k_steps, 1, 1), 0.45), x0=np.array([-0.2, 0.5])), grid)
     Q3 = np.array([[1.2, 0.4, -0.3], [0.4, 0.9, 0.2], [-0.3, 0.2, 0.7]])
     n3 = validate_model(ModelSchedule(
         F=np.array([[-1.0, 0.3, 0.0], [-0.2, -0.8, 0.4], [0.1, -0.3, -1.1]])
@@ -159,5 +169,6 @@ def layout_models(k_steps=12):
                                np.array([[0.5, 0.1], [0.1, 0.8]]), -0.4,
                                horizon=0.3, n_steps=k_steps),
         "n2": n2,
+        "n2m1": n2m1,
         "n3": n3,
     }

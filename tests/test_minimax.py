@@ -176,6 +176,27 @@ def test_monte_carlo_matches_the_path_major_loop(name, n_paths):
             assert g.tobytes() == w.tobytes(), (idx, g, w)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("nodes", [1, 4])
+def test_squared_errors_ignore_the_input_layout(n, nodes):
+    """C-contiguous (nodes, count, n) inputs and transposed views of
+    (nodes, n, count) arrays holding the same values give the same bits, so
+    the streamed-against-batch comparison of check_determinism cannot turn
+    on the layout it is fed."""
+    rng = np.random.default_rng(40 + n)
+    count = 37
+    x = rng.normal(size=(nodes, count, n)) * 10.0 ** rng.integers(-8, 8, (nodes, count, n))
+    xhat = x + rng.normal(size=x.shape)
+    want = minimax._squared_errors(x, xhat)
+    x_t = np.ascontiguousarray(np.swapaxes(x, 1, 2))
+    xhat_t = np.ascontiguousarray(np.swapaxes(xhat, 1, 2))
+    for a, b in ((np.swapaxes(x_t, 1, 2), np.swapaxes(xhat_t, 1, 2)),
+                 (x, np.swapaxes(xhat_t, 1, 2)), (np.swapaxes(x_t, 1, 2), xhat)):
+        got = minimax._squared_errors(a, b)
+        assert got.shape == (count, nodes)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n_paths", [10**12, minimax._MAX_MC_PATHS + 1, 0, 2.5,
                                      True, np.float64(3.0)])
 def test_monte_carlo_rejects_bad_path_counts(fast_model, monkeypatch, n_paths):

@@ -225,7 +225,7 @@ def test_signal_streams_reject_a_negative_seed(free_model):
 
 
 # ---------------------------------------------------------------------------
-# Time-major layout against the path-major loops
+# Time-major, component-major (K, d, batch) layout against the path-major loops
 
 
 LAYOUT_MODELS = path_major.layout_models()
@@ -354,7 +354,8 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
     factor[::3] = 0.0
     factor[1::3, :, 0] = 0.0
     xi = rk.simulate._standard_normals(6, 2, 9, 1, (free_model.n_steps, d))
-    got = _increments(free_model, 6, 2, 9, 1, factor)
+    # _increments returns (K, d, count); compare it as (count, K, d).
+    got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, factor), -1, 0)
     assert _same_bits(got, path_major.transform(factor, xi, free_model.grid.dt))
     assert not np.signbit(got[:, ::3]).any()
     if d <= 2:
