@@ -68,7 +68,7 @@ def _filter_batch(model: ValidatedModel, riccati: RiccatiPath, dm: np.ndarray,
     steps = _steps(model)
     gains = steps.per_interval(filter_gains(model, riccati))
     th = steps.per_interval(theta)
-    dm = steps.read(np.ascontiguousarray(_time_major(dm)))
+    dm = steps.read(_time_major(dm))
     xhat = np.empty((k_steps + 1, n, batch))
     innov = np.empty((k_steps, m, batch))
     xs, dis = steps.slices(xhat), steps.slices(innov)

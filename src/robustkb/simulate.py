@@ -189,6 +189,16 @@ def _standard_normals(master_seed: int, first: int, count: int, tag: int,
     return out
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """A contiguous (K, d, count) copy of a path-major (count, K, d) array."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _path_major(a: np.ndarray) -> np.ndarray:
+    """View of a time-major (K, d, count) array as (count, K, d)."""
+    return np.moveaxis(a, -1, 0)
+
+
 def _increments(model: ValidatedModel, master_seed: int, first: int,
                 count: int, tag: int, factor: np.ndarray) -> np.ndarray:
     """factor_k times the standard normals of stream tag, times sqrt(dt):
@@ -202,8 +212,8 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     build can change a bit.
     """
     d = factor.shape[-1]
-    xi = np.ascontiguousarray(_time_major(
-        _standard_normals(master_seed, first, count, tag, (model.n_steps, d))))
+    xi = _time_major(_standard_normals(master_seed, first, count, tag,
+                                       (model.n_steps, d)))
     out = np.empty(xi.shape)
     for i in range(d):
         acc = out[:, i]
@@ -335,24 +345,15 @@ def _initial_state(steps: _Steps, value: np.ndarray, count: int):
     return steps.read(out)[0]
 
 
-def _time_major(a: np.ndarray) -> np.ndarray:
-    """View of a path-major (count, K, d) array as (K, d, count)."""
-    return np.moveaxis(a, 0, -1)
-
-
-def _path_major(a: np.ndarray) -> np.ndarray:
-    """View of a time-major (K, d, count) array as (count, K, d)."""
-    return np.moveaxis(a, -1, 0)
-
-
 def _euler_states(model: ValidatedModel, steps: _Steps, theta,
                   dw_tilt: np.ndarray, dv: np.ndarray):
     """Yield the states (x_k, obs_k), k = 0..K, driven by the time-major
     (K, d, count) increments dw_tilt and dv, as fresh step slices (Python
     floats for one path of a scalar model); theta is the tilt as
     `steps.per_interval` lays it out."""
-    x = _initial_state(steps, model.x0, dw_tilt.shape[-1])
-    obs = _initial_state(steps, np.zeros(model.m), dv.shape[-1])
+    count = dw_tilt.shape[-1]
+    x = _initial_state(steps, model.x0, count)
+    obs = _initial_state(steps, np.zeros(model.m), count)
     yield x, obs
     dw_tilt, dv = steps.read(dw_tilt), steps.read(dv)
     for k in range(model.n_steps):
