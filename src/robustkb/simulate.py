@@ -209,16 +209,21 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     order by whole-array multiply-adds on the contiguous (K, count) planes
     of one (K, d, count) copy of the draws, then scaled by sqrt(dt).  The
     order is written out here, so neither the batch size nor the NumPy
-    build can change a bit.
+    build can change a bit.  A term whose factor entry is zero on every
+    interval is skipped, and a component with no other term stays 0.0: the
+    term would add a signed zero, and the final +0.0 clears the sign, so the
+    bits are those of the full sum.
     """
     d = factor.shape[-1]
     xi = _time_major(_standard_normals(master_seed, first, count, tag,
                                        (model.n_steps, d)))
-    out = np.empty(xi.shape)
-    for i in range(d):
+    out = np.zeros(xi.shape)
+    for i, live in enumerate(np.any(factor != 0.0, axis=0)):
+        terms = np.flatnonzero(live).tolist()
         acc = out[:, i]
-        np.multiply(factor[:, i, 0, None], xi[:, 0], out=acc)
-        for j in range(1, d):
+        if terms:
+            np.multiply(factor[:, i, terms[0], None], xi[:, terms[0]], out=acc)
+        for j in terms[1:]:
             acc += factor[:, i, j, None] * xi[:, j]
     out += 0.0  # the sum starts from +0.0: no -0.0 entries
     out *= np.sqrt(model.grid.dt)

@@ -1,6 +1,8 @@
 """CSV/JSON writers: exact round-trips and byte-stable layout."""
 
+import contextlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import robustkb as rk
+from robustkb import export
 from robustkb.export import (
     _BLOCK_ROWS,
     _cell,
@@ -298,6 +301,79 @@ def test_ensemble_writer_matches_object_array_reference(tmp_path, ens, comment):
     write_ensemble_csv(path, ens, comment=comment)
     cols, rows = _reference_ensemble_rows(ens)
     assert path.read_bytes() == _reference_csv(cols, rows, comment)
+
+
+@contextlib.contextmanager
+def _parent_only():
+    """End a forked child that comes back into the test with status 3, which
+    its parent reports as a failed writer, so each test body runs once."""
+    pid = os.getpid()
+    try:
+        yield
+    finally:
+        if os.getpid() != pid:
+            os._exit(3)
+
+
+def _split_over(monkeypatch, cpus: int) -> list:
+    """Let write_ensemble_csv use up to cpus processes of one path or more
+    each; returns a list that gains an entry per fork."""
+    monkeypatch.setattr(export, "_MIN_CELLS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ens=_ensembles(), comment=st.none() | st.just("robustkb x seed=1"))
+def test_split_ensemble_writer_keeps_the_bytes(tmp_path, monkeypatch, cpus,
+                                               ens, comment):
+    """min(cpus, paths) processes, fewer paths than CPUs included, write the
+    reference's bytes."""
+    path = tmp_path / "ens.csv"
+    with _parent_only(), monkeypatch.context() as patch:
+        forks = _split_over(patch, cpus)
+        write_ensemble_csv(path, ens, comment=comment)
+    assert len(forks) == min(cpus, len(ens.x)) - 1
+    cols, rows = _reference_ensemble_rows(ens)
+    assert path.read_bytes() == _reference_csv(cols, rows, comment)
+
+
+def test_failed_ensemble_writer_reaps_every_child(fast_model, tmp_path,
+                                                  monkeypatch):
+    """A range that fails in a child raises OSError naming the range and the
+    exit status; one that fails in the parent raises its own exception.
+    Either way no child is left, running or unreaped."""
+    ens = rk.simulate_paths(fast_model, np.zeros((200, 1)), 4, master_seed=1)
+    write = export._write_paths
+
+    def fail_on(bad):
+        def write_or_fail(fh, ensemble, times, lo, hi):
+            if lo == bad:
+                raise RuntimeError(f"range {lo} failed")
+            write(fh, ensemble, times, lo, hi)
+        return write_or_fail
+
+    with _parent_only():
+        forks = _split_over(monkeypatch, 4)
+        write_ensemble_csv(tmp_path / "whole.csv", ens)
+        assert len(forks) == 3
+        monkeypatch.setattr(export, "_write_paths", fail_on(2))
+        with pytest.raises(OSError, match=r"paths 2\.\.2 .* status 1$"):
+            write_ensemble_csv(tmp_path / "child.csv", ens)
+        monkeypatch.setattr(export, "_write_paths", fail_on(0))
+        with pytest.raises(RuntimeError, match="range 0 failed"):
+            write_ensemble_csv(tmp_path / "parent.csv", ens)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("rows, bad", [

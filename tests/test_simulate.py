@@ -348,7 +348,9 @@ def test_one_scalar_path_keeps_the_bits_of_inf_and_nan():
 def test_noise_increments_sum_in_einsum_order(free_model, d):
     """The multiply-adds give the bits of an explicit j-ordered loop from
     0.0, zero factor entries included, and so einsum's bits for d <= 2,
-    where einsum adds in the same order."""
+    where einsum adds in the same order.  A column or a row of the factor
+    that is zero on every interval, whose terms are skipped, gives the same
+    bits and no -0.0."""
     rng = np.random.default_rng(d)
     factor = rng.normal(size=(free_model.n_steps, d, d))
     factor[::3] = 0.0
@@ -362,6 +364,14 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
         want = (np.einsum("kij,bkj->bki", factor, xi)
                 * np.sqrt(free_model.grid.dt))
         assert _same_bits(got, want)
+    dead_column, dead_row = factor.copy(), factor.copy()
+    dead_column[:, :, 0] = 0.0
+    dead_row[:, d - 1] = 0.0
+    for dead in (dead_column, dead_row):
+        got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, dead), -1, 0)
+        assert _same_bits(got, path_major.transform(dead, xi, free_model.grid.dt))
+        assert not np.signbit(got[got == 0.0]).any()
+    assert not got[..., d - 1].any()
 
 
 # ---------------------------------------------------------------------------
