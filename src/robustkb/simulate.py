@@ -217,14 +217,12 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     d = factor.shape[-1]
     xi = _time_major(_standard_normals(master_seed, first, count, tag,
                                        (model.n_steps, d)))
-    out = np.empty(xi.shape)
-    for i, live in enumerate(np.any(factor != 0.0, axis=0).tolist()):
-        terms = [j for j, on in enumerate(live) if on]
+    out = np.zeros(xi.shape)
+    for i, live in enumerate(np.any(factor != 0.0, axis=0)):
+        terms = np.flatnonzero(live).tolist()
         acc = out[:, i]
         if terms:
             np.multiply(factor[:, i, terms[0], None], xi[:, terms[0]], out=acc)
-        else:
-            acc.fill(0.0)
         for j in terms[1:]:
             acc += factor[:, i, j, None] * xi[:, j]
     out += 0.0  # the sum starts from +0.0: no -0.0 entries
