@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from numbers import Real
 
 import numpy as np
@@ -90,6 +91,9 @@ def _single(value, shape: tuple[int, ...], path: str) -> np.ndarray | None:
         if len(value) != shape[0] or any(len(row) != shape[1] for row in value):
             return None
         flat = [x for row in value for x in row]
+        # Rows are read in order: an integer beyond the float range before
+        # the first non-number is named, as the nested reader always did.
+        _floats(takewhile(_is_number, flat), path)
     if len(flat) == size and all(_is_number(x) for x in flat):
         return np.array(_floats(flat, path)).reshape(shape)
     return None

@@ -16,9 +16,9 @@ those write_csv gives for the same table with int path ids.
 The ensemble is formatted by one forked process per usable CPU, each writing
 a contiguous range of paths to its own temporary file, which the parent
 appends in path order; the bytes do not depend on the number of processes.
-No process is given fewer than _MIN_CELLS_PER_PROCESS cells, and where
-os.fork or os.sched_getaffinity is missing the calling process writes every
-path itself.  A child only formats floats and writes its file, so it takes
+A second process is used only when each gets _MIN_CELLS_PER_PROCESS cells
+or more, and where os.fork or os.sched_getaffinity is missing the calling
+process writes every path itself.  A child only formats floats and writes its file, so it takes
 no lock that another thread of the parent could hold.  On Python 3.12 and
 later, os.fork issues a DeprecationWarning in a process with several
 threads, such as one whose BLAS keeps a thread pool; it is not filtered.
@@ -42,7 +42,8 @@ _FLOAT_TYPES = {float, np.float64}
 
 # A forked writer costs a fork, a reap and a temporary file, about 1-3 ms on
 # a 2-core x86 machine, while a cell costs about 0.5 us to format: two
-# processes broke even near 10 000 cells each, and this leaves 5x margin.
+# processes already won at 20 000 cells in all, so this leaves wide margin
+# for a slower fork.
 _MIN_CELLS_PER_PROCESS = 50_000
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robustkb as rk
@@ -295,6 +295,7 @@ def _same(new, old):
 
 
 @given(_reader_case())
+@example(([[2 ** 1100, False]], 1, (1, 2)))
 @settings(max_examples=600, deadline=None)
 def test_one_reader_matches_the_matrix_and_vector_readers(case):
     value, n_steps, shape = case

@@ -371,7 +371,7 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
         got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, dead), -1, 0)
         assert _same_bits(got, path_major.transform(dead, xi, free_model.grid.dt))
         assert not np.signbit(got[got == 0.0]).any()
-    assert not got[..., d - 1].any()
+    assert not got[..., d - 1].any()  # the dead row's component is 0.0
 
 
 # ---------------------------------------------------------------------------
