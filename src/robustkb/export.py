@@ -157,8 +157,10 @@ def _fork_writer(ensemble, times, lo: int, hi: int):
 
     The child leaves only through os._exit, with status 0 once the file is
     flushed and 1 on any exception, so it never returns into the caller's
-    stack or flushes a buffer it shares with the parent.  Returns the
-    child's pid and the file, which the parent reads from offset 0.
+    stack or flushes a buffer it shares with the parent.  On an exception
+    the file's contents are replaced by "TypeName: message", written past
+    the buffer so that no formatted rows follow it.  Returns the child's pid
+    and the file, which the parent reads from offset 0.
     """
     part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
     try:
@@ -172,6 +174,10 @@ def _fork_writer(ensemble, times, lo: int, hi: int):
             _write_paths(part, ensemble, times, lo, hi)
             part.flush()
             status = 0
+        except BaseException as exc:
+            os.ftruncate(part.fileno(), 0)
+            os.pwrite(part.fileno(), f"{type(exc).__name__}: {exc}".encode(
+                "utf-8", "backslashreplace"), 0)
         finally:
             os._exit(status)
     return pid, part
@@ -188,8 +194,9 @@ def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
     and appends its bytes.  Every process writes one path at a time, so none
     holds more than one path's cells, and the bytes are the same for any
     number of processes.  A child that fails raises OSError naming its path
-    range and exit status; on any exception in the parent every child not
-    yet reaped is killed and reaped, so no process outlives the call.
+    range, exit status and exception; on any exception in the parent every
+    child not yet reaped is killed and reaped, so no process outlives the
+    call.
     """
     n_paths, k, n = ensemble.x.shape
     columns = (["path", "t"] + vector_labels("x", n)
@@ -211,11 +218,14 @@ def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 children.pop(0)
                 with part:
-                    if status:
-                        raise OSError(f"the process writing paths {lo}..{hi - 1} "
-                                      f"of the ensemble exited with status {status}")
-                    fh.flush()
                     part.seek(0)
+                    if status:
+                        # Status 1 is an exception, whose text the file holds.
+                        text = f": {part.read()}" if status == 1 else ""
+                        raise OSError(f"the process writing paths {lo}..{hi - 1} "
+                                      f"of the ensemble exited with status "
+                                      f"{status}{text}")
+                    fh.flush()
                     shutil.copyfileobj(part.buffer, fh.buffer)
         except BaseException:
             for pid, part, _, _ in children:

@@ -164,19 +164,14 @@ class _GameCore:
     t_idx: int
     trace_p: float
     M: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)  # stage closed loops up to t_idx
-    T: np.ndarray = field(repr=False)  # their step maps
-    D: np.ndarray = field(repr=False)  # and input maps
 
 
 def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCore:
     """Integrate M_t, the closed-loop response to a unit constant drift."""
     t_idx = model.grid.index_of(t)
     loop = _closed_loop(model, riccati)
-    A, T, D = loop.A[:, :t_idx], loop.T[:t_idx], loop.D[:t_idx]
-    M = _response(T, D, np.eye(model.n))[-1]
-    return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])),
-                     M=M, A=A, T=T, D=D)
+    M = _response(loop.T[:t_idx], loop.D[:t_idx], np.eye(model.n))[-1]
+    return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])), M=M)
 
 
 def _vertices(bound: UncertaintyBound) -> np.ndarray:
@@ -201,8 +196,7 @@ def _best_vertex(core: _GameCore, vertices: np.ndarray, c) -> tuple[float, np.nd
     return float(vals[best]), vertices[best].copy()
 
 
-def _closed_loop_is_diagonal(core: _GameCore) -> bool:
-    A = core.A
+def _closed_loop_is_diagonal(A: np.ndarray) -> bool:
     off = A - A * np.eye(A.shape[-1])
     scale = 1.0 + float(np.max(np.abs(A), initial=0.0))
     return float(np.max(np.abs(off), initial=0.0)) <= 1e-12 * scale
@@ -227,10 +221,11 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
     if riccati is None:
         riccati = solve_riccati(model)
     core = _game_core(model, riccati, t)
+    loop, k = _closed_loop(model, riccati), core.t_idx
     th_hat = _policy_array(theta_hat, model, "theta_hat")
-    c = _response(core.T, core.D, th_hat[: core.t_idx, :, None])[-1, :, 0]
+    c = _response(loop.T[:k], loop.D[:k], th_hat[:k, :, None])[-1, :, 0]
 
-    if adversary == "bang_bang" and not _closed_loop_is_diagonal(core):
+    if adversary == "bang_bang" and not _closed_loop_is_diagonal(loop.A[:, :k]):
         warnings.warn(
             "bang-bang search needs a scalar or diagonal closed loop; "
             "falling back to the constant class",
@@ -336,7 +331,8 @@ def saddle_report(model: ValidatedModel, bound: UncertaintyBound, t: float,
     if riccati is None:
         riccati = solve_riccati(model)
     t_idx = model.grid.index_of(t)
-    theta_hat_star, _ = robust_theta_hat(model, bound, t, riccati=riccati)
+    # The robust filter drift is 0 (see robust_theta_hat).
+    theta_hat_star = constant_policy(model, 0.0)
     upper, theta_star = worst_case_mse(model, bound, theta_hat_star, t,
                                        adversary=adversary, riccati=riccati)
     # Matched drifts leave the error covariance at P: the lower value is

@@ -104,16 +104,6 @@ def _stage_covariances(model: ValidatedModel, nodes: np.ndarray) -> np.ndarray:
     return np.stack([P1, P2, P3, P4])
 
 
-def _closed_loop_stages(model: ValidatedModel, riccati: RiccatiPath):
-    """RK4 stage covariances P_i of every interval, P_i S and F - P_i S,
-    each of shape (4, n_steps, n, n)."""
-    if riccati.grid != model.grid:
-        raise GridMismatch("covariance path grid differs from model grid")
-    P = _stage_covariances(model, riccati.P)
-    PS = P @ model.S
-    return P, PS, model.F - PS
-
-
 def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
     """One RK4 step of dY = A_i Y + U_i on every interval k at once.
 
@@ -263,7 +253,7 @@ class _ClosedLoop:
     def __init__(self, model: ValidatedModel, riccati: RiccatiPath):
         self.model = model
         self.nodes = riccati.P
-        self.A = _closed_loop_stages(model, riccati)[2]
+        self.A = model.F - _stage_covariances(model, riccati.P) @ model.S
         _readonly(self.A)
 
     @cached_property

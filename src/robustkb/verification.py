@@ -26,7 +26,7 @@ from .filtering import (
     run_robust_filter,
 )
 from .minimax import (_mc_moments, _mse_mc_multi, _squared_errors, g_profile,
-                      saddle_report)
+                      mse_exact, saddle_report)
 from .model import (
     ModelSchedule,
     TimeGrid,
@@ -52,6 +52,16 @@ from .simulate import (_log_density_batch, _signal_noise, _tilt_factors,
 # oracle (see tests for the companion constants).
 FROZEN_UPPER_VALUE = 0.690439283856479
 FROZEN_UPPER_TOL = 1e-4
+
+# Standard errors within which a Monte-Carlo estimate agrees with its target.
+_Z = 3.0
+
+
+def _within_band(gap, stderr):
+    """Whether each |gap| is at most _Z standard errors; where a standard
+    error is not positive (zero, or NaN), only an exact match passes."""
+    gap, stderr = np.abs(gap), np.asarray(stderr)
+    return np.where(stderr > 0, gap <= _Z * stderr, gap == 0.0)
 
 
 @dataclass(frozen=True)
@@ -251,7 +261,7 @@ def check_matched_mse(config: ScenarioConfig, seed: int,
                                  seed + 23)
     traces = np.einsum("kii->k", riccati.P[idx])
     z = np.abs(mean - traces) / np.where(stderr > 0, stderr, np.inf)
-    passed = bool(np.all(np.abs(mean - traces) <= 3.0 * stderr))
+    passed = bool(np.all(_within_band(mean - traces, stderr)))
     detail = ", ".join(
         f"t={model.grid.times[i]:g}: z={zi:.2f}" for i, zi in zip(idx, z)
     )
@@ -281,8 +291,7 @@ def check_error_oracle(config: ScenarioConfig, seed: int,
         exact = solve_error_stats(model, th_true, th_hat, riccati).mse[t_idx]
         mean, stderr = _mse_mc_multi(model, riccati, th_true, th_hat, [t_idx],
                                      n_paths, seed + 37 + i)
-        gap = abs(float(mean[0]) - float(exact))
-        ok = gap <= 3.0 * float(stderr[0]) if stderr[0] > 0 else gap == 0.0
+        ok = bool(_within_band(float(mean[0]) - float(exact), float(stderr[0])))
         passed = passed and ok
         rows.append({"theta": tv, "theta_hat": hv, "exact": float(exact),
                      "mc": float(mean[0]), "stderr": float(stderr[0]),
@@ -327,7 +336,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
     w = np.exp(zetas)
     mean_w = float(w.mean())
     se_w = float(w.std(ddof=1) / np.sqrt(n_paths))
-    ok_mart = abs(mean_w - 1.0) <= 3.0 * se_w if se_w > 0 else mean_w == 1.0
+    ok_mart = _within_band(mean_w - 1.0, se_w)
 
     alpha = 2.0
     w2 = np.exp(alpha * zetas)
@@ -335,8 +344,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
     se_w2 = float(w2.std(ddof=1) / np.sqrt(n_paths))
     load = float(np.sum(c * c)) * float(te_idx) * sub.grid.dt
     target2 = float(np.exp(0.5 * (alpha * alpha - alpha) * load))
-    ok_moment = (abs(mean_w2 - target2) <= 3.0 * se_w2 if se_w2 > 0
-                 else mean_w2 == target2)
+    ok_moment = _within_band(mean_w2 - target2, se_w2)
     passed = bool(ok_mart and ok_moment)
     detail = (f"mean(e^z)={mean_w:.5f} (se {se_w:.1e}); "
               f"mean(e^2z)={mean_w2:.5f} vs {target2:.5f} (se {se_w2:.1e})")
@@ -456,8 +464,10 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
 
 def check_saddle(config: ScenarioConfig, seed: int,
                  threads: int = 1) -> CheckResult:
-    """Saddle report sanity: dominance chain, box feasibility, convexity,
-    and the frozen regression value on the default-style scenario."""
+    """Saddle report sanity: the lower value against the matched moment-ODE
+    MSE, an integration of its own, the dominance chain, box feasibility,
+    convexity, and the frozen regression value on the default-style
+    scenario."""
     name = "saddle"
     model, bound = config.model, config.bound
     riccati = solve_riccati(model)
@@ -465,8 +475,9 @@ def check_saddle(config: ScenarioConfig, seed: int,
     t_idx = model.grid.index_of(t)
     report = saddle_report(model, bound, t, riccati=riccati)
     trace_p = float(np.trace(riccati.P[t_idx]))
+    matched = mse_exact(model, report.theta_star, report.theta_star, t, riccati)
 
-    ok_lower = abs(report.lower_value - trace_p) <= 1e-6
+    ok_lower = abs(report.lower_value - matched) <= 1e-6
     ok_chain = (report.lower_value <= report.upper_value + 1e-9
                 and trace_p <= report.lower_value + 1e-8)
     ok_box = (report.theta_star.within(bound, slack=1e-12)
@@ -484,7 +495,8 @@ def check_saddle(config: ScenarioConfig, seed: int,
     measured = {
         "t": float(t), "lower_value": report.lower_value,
         "upper_value": report.upper_value, "duality_gap": report.duality_gap,
-        "trace_p": trace_p, "theta_hat_star": report.theta_hat_star.theta[0],
+        "trace_p": trace_p, "matched_mse_exact": matched,
+        "theta_hat_star": report.theta_hat_star.theta[0],
         "theta_star": report.theta_star.theta[0], "convexity_defect": defect,
     }
     passed = bool(ok_lower and ok_chain and ok_box and ok_convex)
@@ -521,7 +533,7 @@ def check_whiteness(config: ScenarioConfig, seed: int,
     runs = [run_robust_filter(model, riccati, theta, ens.m[j])
             for j in range(n_paths)]
     rep = innovation_diagnostics(runs, max_lag=5)
-    band = 3.0 / np.sqrt(rep.n_increments)
+    band = _Z / np.sqrt(rep.n_increments)
     max_ac = rep.max_abs_autocorr
     ok_white = max_ac <= band
     var_rel = np.abs(np.diag(rep.increment_cov) - np.diag(rep.expected_cov))

@@ -6,19 +6,20 @@ printed double integral gives the pair of forward equations
 y1' = F y1 + Q theta and y2' = A y2 + P S y1, with A = F - P S and value
 y1 - y2.  Its stages [[F, 0], [P_i S, A_i]] are stepped with the same RK4
 step maps as every other linear ODE, over the stage covariances of
-`_closed_loop_stages`; the kernel rows are backward products of those maps
-between [I, -I] and [Q_s; 0].
+`per_step.closed_loop_stages`; the kernel rows are backward products of
+those maps between [I, -I] and [Q_s; 0].
 """
 
 import numpy as np
 
-from robustkb.ode import (_UNFORCED, _backward, _closed_loop_stages, _policy_array,
-                          _propagate, _rk4_step)
+from robustkb.ode import _UNFORCED, _backward, _policy_array, _propagate, _rk4_step
+
+from per_step import closed_loop_stages
 
 
 def block_stages(model, riccati):
     """Stages [[F, 0], [P_i S, A_i]], shape (4, K, 2n, 2n)."""
-    _, PS, A = _closed_loop_stages(model, riccati)
+    _, PS, A = closed_loop_stages(model, riccati)
     return np.block([[np.broadcast_to(model.F, A.shape), np.zeros_like(A)],
                      [PS, A]])
 

@@ -13,10 +13,14 @@ side.  The library now steps the symmetric form Z + Z' + Q with
 Z = F P - (P S/2) P, which gives these bits for n = 1 and moves n > 1 in the
 last digits.
 
+`closed_loop_stages` gives the stage covariances P_i of
+`ode._stage_covariances` with P_i S and the stage closed loops F - P_i S,
+formed with the arithmetic of the library's closed-loop memo.
+
 `sigma_per_step` is the reference for the blocked vec-Lyapunov propagator of
 `solve_error_stats`.  It repeats the loop the library ran: one RK4 step of
 dSigma = A_i Sigma + Sigma A_i' + Q + P_i S P_i per interval, over the stage
-covariances of `_closed_loop_stages`, symmetrized after every step.
+covariances of `closed_loop_stages`, symmetrized after every step.
 
 `forward_per_step` and `backward_per_step` are the references for the
 up-sweep/down-sweep scans `ode._forward` and `ode._backward`: the sequential
@@ -29,7 +33,7 @@ the forcing in every stage, where it now forms them as D_k U_k.
 
 import numpy as np
 
-from robustkb.ode import _closed_loop_stages, _rk4_step
+from robustkb.ode import _rk4_step, _stage_covariances
 
 
 # The symmetric form rounds differently from the four-product right-hand
@@ -72,11 +76,19 @@ def riccati_stages(model, nodes):
     return np.stack([P1, P2, P3, P4])
 
 
+def closed_loop_stages(model, riccati):
+    """Stage covariances P_i of every interval, P_i S and F - P_i S, each of
+    shape (4, K, n, n)."""
+    P = _stage_covariances(model, riccati.P)
+    PS = P @ model.S
+    return P, PS, model.F - PS
+
+
 def sigma_per_step(model, riccati):
     """Error covariance at every node, shape (K+1, n, n), from Sigma = 0."""
     dt = model.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
-    P, PS, A = _closed_loop_stages(model, riccati)
+    P, PS, A = closed_loop_stages(model, riccati)
     W = model.Q + PS @ P
     Sig = np.empty_like(riccati.P)
     Sg = Sig[0] = np.zeros((model.n, model.n))

@@ -192,6 +192,15 @@ def test_filter_rejects_wrong_grid(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_filter_refuses_an_empty_observation_file(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, n_steps=20)
+    obs = tmp_path / "obs.csv"
+    obs.write_text("# comment only\n\n")
+    assert main(["filter", "--config", cfg, "--obs", str(obs),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{obs}: empty observation file" in capsys.readouterr().err
+
+
 def test_read_obs_keeps_the_bits_of_a_one_path_ensemble(default_cfg,
                                                          tmp_path):
     model = default_cfg.model

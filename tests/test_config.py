@@ -147,6 +147,27 @@ class TestErrors:
         with pytest.raises(ConfigError, match="\\$\\.model\\.F"):
             rk.scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, None, [], "$: expected a JSON object"),
+        ("grid", None, [2.0, 4], "$.grid: expected an object"),
+        ("grid", "T", "2.0", "$.grid.T: expected a number, got str"),
+        ("grid", "n_steps", 4.0, "$.grid.n_steps: expected an integer, got float"),
+        ("uncertainty", "mu", [1.0, 1.0],
+         "$.uncertainty.mu: expected a number or a vector of length 1"),
+    ], ids=["top-level-array", "grid-array", "string-T", "float-n_steps",
+            "mu-length"])
+    def test_wrong_json_types_name_the_path(self, section, key, value, message):
+        doc = base_doc()
+        if section is None:
+            doc = value
+        elif key is None:
+            doc[section] = value
+        else:
+            doc[section][key] = value
+        with pytest.raises(ConfigError) as info:
+            rk.scenario_from_dict(doc)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("section, key, value, path", [
         ("grid", "T", 10**400, "$.grid.T"),
         ("model", "F", 10**400, "$.model.F"),

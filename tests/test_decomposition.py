@@ -269,15 +269,15 @@ def test_one_sweep_builds_the_stages_once(monkeypatch):
     # The moments-n3 benchmark sweep, scaled down: every call shares one
     # closed loop, where each used to rebuild its stages.
     calls = []
-    build = rk.ode._closed_loop_stages
 
-    def counted(*args):
-        calls.append(1)
-        return build(*args)
+    class Counted(rk.ode._ClosedLoop):
+        def __init__(self, *args):
+            calls.append(1)
+            super().__init__(*args)
 
     # Wherever a module could bind the builder, so no caller goes uncounted.
     for module in (rk.ode, rk.decomposition, rk.minimax):
-        monkeypatch.setattr(module, "_closed_loop_stages", counted, raising=False)
+        monkeypatch.setattr(module, "_ClosedLoop", Counted, raising=False)
     model = _time_varying_n3_model()
     riccati = solve_riccati(model)
     zero = rk.zero_policy(model)

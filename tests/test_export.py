@@ -349,8 +349,9 @@ def test_split_ensemble_writer_keeps_the_bytes(tmp_path, monkeypatch, cpus,
 
 def test_failed_ensemble_writer_reaps_every_child(fast_model, tmp_path,
                                                   monkeypatch):
-    """A range that fails in a child raises OSError naming the range and the
-    exit status; one that fails in the parent raises its own exception.
+    """A range that fails in a child raises OSError naming the range, the
+    exit status and the child's exception; one that fails in the parent
+    raises its own exception.
     Either way no child is left, running or unreaped."""
     ens = rk.simulate_paths(fast_model, np.zeros((200, 1)), 4, master_seed=1)
     write = export._write_paths
@@ -367,7 +368,8 @@ def test_failed_ensemble_writer_reaps_every_child(fast_model, tmp_path,
         write_ensemble_csv(tmp_path / "whole.csv", ens)
         assert len(forks) == 3
         monkeypatch.setattr(export, "_write_paths", fail_on(2))
-        with pytest.raises(OSError, match=r"paths 2\.\.2 .* status 1$"):
+        with pytest.raises(OSError, match=r"paths 2\.\.2 .* status 1: "
+                                          r"RuntimeError: range 2 failed$"):
             write_ensemble_csv(tmp_path / "child.csv", ens)
         monkeypatch.setattr(export, "_write_paths", fail_on(0))
         with pytest.raises(RuntimeError, match="range 0 failed"):

@@ -356,6 +356,46 @@ def test_saddle_report_structure(default_model, default_riccati, default_bound):
     }
 
 
+def test_saddle_report_builds_one_game_core(default_model, default_riccati,
+                                            default_bound, monkeypatch):
+    # The robust drift is 0 by robust_theta_hat's proof, so the report
+    # integrates M_t once, for the worst case against it.
+    calls = []
+    build = minimax._game_core
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(minimax, "_game_core", counted)
+    report = saddle_report(default_model, default_bound, 1.0,
+                           riccati=default_riccati)
+    assert len(calls) == 1
+    policy, upper = robust_theta_hat(default_model, default_bound, 1.0,
+                                     riccati=default_riccati)
+    assert np.array_equal(report.theta_hat_star.theta, policy.theta)
+    assert report.upper_value == upper
+
+
+def test_a_missing_covariance_path_gives_the_same_bits(fast_model, fast_riccati):
+    bound = UncertaintyBound(1.0)
+    theta, zeros = constant_policy(fast_model, 0.5), zero_policy(fast_model)
+    outputs = []
+    for riccati in (None, fast_riccati):
+        mc = mse_monte_carlo(fast_model, theta, zeros, 1.0, 50, 3, riccati=riccati)
+        policy, value = robust_theta_hat(fast_model, bound, 1.0, riccati=riccati)
+        profile = g_profile(fast_model, bound, 1.0, n_points=5, riccati=riccati)
+        report = saddle_report(fast_model, bound, 1.0, riccati=riccati)
+        arrays = [np.array(mc), policy.theta, np.array(value),
+                  report.theta_hat_star.theta, report.theta_star.theta,
+                  np.array([getattr(report, key) for key in (
+                      "t", "upper_value", "lower_value", "duality_gap",
+                      "baseline_trace_p")])]
+        arrays += [a for _, values, gs in profile for a in (values, gs)]
+        outputs.append([a.tobytes() for a in arrays])
+    assert outputs[0] == outputs[1]
+
+
 def test_g_profile_is_convex_and_symmetric(fast_model, fast_riccati):
     profiles = g_profile(fast_model, UncertaintyBound(1.0), 1.0, n_points=11,
                          riccati=fast_riccati)

@@ -52,6 +52,16 @@ class TestTimeGrid:
         with pytest.raises(OutOfGrid):
             TimeGrid(2.0, 2000).index_of(t)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_from_step_rejects_a_bad_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            TimeGrid.from_step(dt, 4)
+
+    @pytest.mark.parametrize("n_steps", [0, 5])
+    def test_prefix_rejects_a_length_outside_the_grid(self, n_steps):
+        with pytest.raises(ValueError, match=f"prefix length {n_steps} outside 1..4"):
+            TimeGrid(2.0, 4).prefix(n_steps)
+
     @pytest.mark.parametrize("bad", [0, -3])
     def test_rejects_bad_steps(self, bad):
         with pytest.raises(ValueError):
@@ -107,6 +117,19 @@ class TestValidateModel:
         )
         with pytest.raises(DimensionMismatch):
             rk.validate_model(sched, grid)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("x0", np.zeros((1, 1)), r"x0: expected a 1-d vector, got shape \(1, 1\)"),
+        ("G", np.ones((3, 1)), r"G: expected a \(n_steps, m, n\) stack, "
+                               r"got shape \(3, 1\)"),
+    ])
+    def test_wrong_array_rank_rejected(self, name, value, message):
+        fields = dict(F=-np.ones((3, 1, 1)), f=np.zeros((3, 1)),
+                      G=np.ones((3, 1, 1)), g=np.zeros((3, 1)),
+                      Q=np.ones((3, 1, 1)), R=np.ones((3, 1, 1)), x0=np.zeros(1))
+        fields[name] = value
+        with pytest.raises(DimensionMismatch, match=message):
+            rk.validate_model(ModelSchedule(**fields), TimeGrid(1.0, 3))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
@@ -208,6 +231,10 @@ class TestUncertaintyBound:
         with pytest.raises(NonFinite):
             UncertaintyBound([np.inf])
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"mu: expected a 1-d vector"):
+            UncertaintyBound(np.ones((2, 2)))
+
 
 class TestDriftPolicy:
     def test_shape_checks(self):
@@ -227,6 +254,8 @@ class TestDriftPolicy:
         assert pol.within(UncertaintyBound(1.0))
         assert not pol.within(UncertaintyBound(0.5))
         assert pol.within(UncertaintyBound(0.5), slack=0.25)
+        with pytest.raises(DimensionMismatch, match="bound has dim 2, policy has dim 1"):
+            pol.within(UncertaintyBound([1.0, 1.0]))
 
     def test_constant_and_zero(self, fast_model):
         pol = rk.constant_policy(fast_model, 0.3)

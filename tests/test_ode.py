@@ -33,14 +33,13 @@ from robustkb import (
 )
 from robustkb.minimax import _game_core
 from robustkb.ode import (_RICCATI_BLOCK, _RICCATI_COND_MAX, _SIGMA_BLOCK, _UNFORCED,
-                          RiccatiPath, _closed_loop, _closed_loop_stages, _forward,
-                          _lyapunov_path, _propagate, _rk4_step, _stage_covariances,
-                          _sym)
+                          RiccatiPath, _closed_loop, _forward, _lyapunov_path,
+                          _propagate, _rk4_step, _stage_covariances, _sym)
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO, RICCATI_EXACT_TOL, riccati_exact
-from per_step import (RICCATI_FORM_TOL, forced_terms_per_stage, riccati_per_step,
-                      riccati_stages, sigma_per_step)
+from per_step import (RICCATI_FORM_TOL, closed_loop_stages, forced_terms_per_stage,
+                      riccati_per_step, riccati_stages, sigma_per_step)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +793,7 @@ def test_sigma_matches_the_per_step_loop(sigma_case):
         assert err <= 1e-13 * (1.0 + np.max(np.abs(riccati.P))), (k_steps, err)
         assert np.array_equal(a.Sigma, np.swapaxes(a.Sigma, 1, 2))
         assert a.Sigma.tobytes() == b.Sigma.tobytes()
-        A = _closed_loop_stages(model, riccati)[2]
+        A = closed_loop_stages(model, riccati)[2]
         th, th_hat = pairs[0]
         bias = _propagate(A, (th - th_hat)[:, :, None], model.grid.dt)[:, :, 0]
         assert a.bias.tobytes() == bias.tobytes()
@@ -859,7 +858,7 @@ def test_error_stats_memory_stays_near_the_stages():
     peaks = []
     tracemalloc.start()
     try:
-        for call in (lambda: _closed_loop_stages(model, riccati),
+        for call in (lambda: closed_loop_stages(model, riccati),
                      lambda: solve_error_stats(model, zeros, zeros, riccati)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -927,10 +926,10 @@ def test_memo_arrays_are_read_only(memo_case):
 def test_sigma_recomputes_the_stage_covariances_bitwise(memo_case):
     # The memo keeps no stage covariances; Sigma recomputes them with the
     # arithmetic of the stage arrays, so its bits are those of the Lyapunov
-    # path over _closed_loop_stages.
+    # path over freshly computed stages.
     model, riccati = memo_case
     loop = _closed_loop(model, _fresh(riccati))
-    want = _sym(_lyapunov_path(model.Q, *_closed_loop_stages(model, riccati),
+    want = _sym(_lyapunov_path(model.Q, *closed_loop_stages(model, riccati),
                                model.grid.dt))
     assert loop.sigma.tobytes() == want.tobytes()
     assert not {"P", "PS"} & set(vars(loop))

@@ -8,13 +8,16 @@ import pytest
 
 import robustkb as rk
 from robustkb.simulate import _TILT_EIG_FLOOR
+from robustkb import verification
 from robustkb.verification import (
     CheckResult,
     _matched_tilt,
     _probe_value,
     _published_term,
+    _within_band,
     check_determinism,
     check_girsanov,
+    check_matched_mse,
     check_printed_kernel,
     check_riccati_steady_state,
     check_saddle,
@@ -106,6 +109,33 @@ def test_riccati_check_needs_a_scalar_constant_model():
     assert not result.passed
 
 
+def test_riccati_check_needs_an_observed_state():
+    result = check_riccati_steady_state(_scalar_cfg(50, T=1.0, G=0.0), 0)
+    assert not result.applicable
+    assert result.detail == "needs G != 0"
+
+
+def test_matched_mse_falls_back_to_the_horizon():
+    # dt = 0.7 / 3: 0.5 is inside the horizon but no node, and 1 and 2 lie
+    # beyond it, so the horizon is the one node compared.
+    cfg = _scalar_cfg(3, T=0.7)
+    result = check_matched_mse(cfg, 0)
+    assert result.measured["t"] == [float(cfg.grid.times[-1])]
+    assert len(result.measured["mse_mc"]) == 1
+
+
+@pytest.mark.parametrize("gap, stderr, within", [
+    (3.0, 1.0, True), (-3.0, 1.0, True), (np.nextafter(3.0, 4.0), 1.0, False),
+    (0.0, 0.0, True), (5e-324, 0.0, False), (np.nan, 1.0, False),
+    (0.0, np.nan, True), (1.0, np.nan, False),
+])
+def test_band_is_three_standard_errors_and_exact_without_spread(gap, stderr,
+                                                                within):
+    assert bool(_within_band(gap, stderr)) is within
+    assert _within_band(np.array([gap, 0.0]), np.array([stderr, 1.0])).tolist() \
+        == [within, True]
+
+
 def test_girsanov_check_skips_singular_diffusion():
     cfg = _scalar_cfg(50, T=1.0, Q=0.0)
     result = check_girsanov(cfg, 0)
@@ -170,6 +200,39 @@ def test_saddle_gap_closes_without_uncertainty():
     assert abs(result.measured["duality_gap"]) <= 1e-12
     assert abs(result.measured["upper_value"]
                - result.measured["lower_value"]) <= 1e-12
+
+
+@pytest.mark.parametrize("mutant", ["shifted_lower_value", "scaled_covariance"])
+def test_saddle_lower_value_can_fail(monkeypatch, mutant):
+    """The lower value is held to the matched moment-ODE MSE, an integration
+    of its own: a report shifted by 1e-3 fails, and so does a covariance
+    path scaled by 1.01, whose trace the report and trace_p both read.  The
+    radius 0.5 keeps the frozen-value comparison of the default scenario out
+    of the check, so the lower-value test alone must see the mutant."""
+    cfg = _scalar_cfg(400, mu=0.5)
+    clean = check_saddle(cfg, 0)
+    assert clean.passed
+    assert abs(clean.measured["lower_value"]
+               - clean.measured["matched_mse_exact"]) <= 1e-12
+    if mutant == "shifted_lower_value":
+        report = verification.saddle_report
+        monkeypatch.setattr(verification, "saddle_report", lambda *a, **kw: (
+            dataclasses.replace(r := report(*a, **kw),
+                                lower_value=r.lower_value + 1e-3)))
+    else:
+        solve = verification.solve_riccati
+
+        def scaled(model):
+            path = solve(model)
+            return rk.RiccatiPath(path.grid, 1.01 * path.P, path.min_eigenvalue)
+
+        monkeypatch.setattr(verification, "solve_riccati", scaled)
+    result = check_saddle(cfg, 0)
+    gap = abs(result.measured["lower_value"] - result.measured["matched_mse_exact"])
+    assert gap > 1e-6
+    assert not result.passed
+    if mutant == "scaled_covariance":
+        assert result.measured["lower_value"] == result.measured["trace_p"]
 
 
 def test_check_result_ok_semantics():
