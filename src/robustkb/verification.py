@@ -60,7 +60,7 @@ _Z = 3.0
 def _within_band(gap, stderr):
     """Whether each |gap| is at most _Z standard errors; where a standard
     error is not positive (zero, or NaN), only an exact match passes."""
-    gap, stderr = np.abs(gap), np.asarray(stderr)
+    gap = np.abs(gap)
     return np.where(stderr > 0, gap <= _Z * stderr, gap == 0.0)
 
 
@@ -291,7 +291,7 @@ def check_error_oracle(config: ScenarioConfig, seed: int,
         exact = solve_error_stats(model, th_true, th_hat, riccati).mse[t_idx]
         mean, stderr = _mse_mc_multi(model, riccati, th_true, th_hat, [t_idx],
                                      n_paths, seed + 37 + i)
-        ok = bool(_within_band(float(mean[0]) - float(exact), float(stderr[0])))
+        ok = bool(_within_band(mean[0] - exact, stderr[0]))
         passed = passed and ok
         rows.append({"theta": tv, "theta_hat": hv, "exact": float(exact),
                      "mc": float(mean[0]), "stderr": float(stderr[0]),

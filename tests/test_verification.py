@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import robustkb as rk
-from robustkb.simulate import _TILT_EIG_FLOOR
 from robustkb import verification
+from robustkb.simulate import _TILT_EIG_FLOOR
 from robustkb.verification import (
     CheckResult,
     _matched_tilt,
@@ -216,9 +216,12 @@ def test_saddle_lower_value_can_fail(monkeypatch, mutant):
                - clean.measured["matched_mse_exact"]) <= 1e-12
     if mutant == "shifted_lower_value":
         report = verification.saddle_report
-        monkeypatch.setattr(verification, "saddle_report", lambda *a, **kw: (
-            dataclasses.replace(r := report(*a, **kw),
-                                lower_value=r.lower_value + 1e-3)))
+
+        def shifted(*args, **kwargs):
+            r = report(*args, **kwargs)
+            return dataclasses.replace(r, lower_value=r.lower_value + 1e-3)
+
+        monkeypatch.setattr(verification, "saddle_report", shifted)
     else:
         solve = verification.solve_riccati
 
