@@ -3,12 +3,11 @@
 bench/tracing.py skips a cross-layer name the package no longer has and
 matches its work sizers to functions by name, so a renamed or deleted
 function would drop a per-layer metric with no error.  This loads the
-benchmark's tracer and workloads by path and resolves every such name.
+benchmark's tracer and workloads by path, records the span names its own
+install gives, and checks every name the benchmark uses against them.
 """
 
-import importlib
 import importlib.util
-import inspect
 import os
 
 import pytest
@@ -35,43 +34,35 @@ def workloads():
     return _load("workloads")
 
 
-def _traced_keys(tracing):
-    """The span names Tracer.install gives: every public function of a
-    layer, every cross-layer name that resolves, and the trajectory method."""
-    keys = {"ode.TransitionCache.trajectory"}
-    for layer in tracing.LAYERS:
-        mod = importlib.import_module(f"robustkb.{layer}")
-        # One key per function, its last public name, as install wraps it.
-        named = {obj: f"{layer}.{name}" for name, obj in vars(mod).items()
-                 if inspect.isfunction(obj) and obj.__module__ == mod.__name__
-                 and not name.startswith("_")}
-        keys |= set(named.values())
-    for caller, names in tracing.CROSS_LAYER.items():
-        mod = importlib.import_module(f"robustkb.{caller}")
-        for name in names:
-            fn = getattr(mod, name, None)
-            if fn is not None:
-                keys.add(f"{fn.__module__.rsplit('.', 1)[1]}.{name}")
+@pytest.fixture(scope="module")
+def traced_keys(tracing):
+    """The span name of every function Tracer.install wraps."""
+    keys = set()
+
+    class Recording(tracing.Tracer):
+        def _wrap(self, fn, key, layer):
+            keys.add(key)
+            return super()._wrap(fn, key, layer)
+
+    tracer = Recording()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
     return keys
 
 
-def test_cross_layer_names_resolve(tracing):
-    for caller, names in tracing.CROSS_LAYER.items():
-        mod = importlib.import_module(f"robustkb.{caller}")
-        for name in names:
-            assert inspect.isfunction(getattr(mod, name, None)), f"{caller}.{name}"
+def test_cross_layer_names_are_traced(tracing, traced_keys):
+    # install wraps public names only, so a private last name comes from
+    # CROSS_LAYER, and install skips the ones the package no longer has.
+    last = {key.rsplit(".", 1)[1] for key in traced_keys}
+    for names in tracing.CROSS_LAYER.values():
+        assert set(names) <= last, sorted(set(names) - last)
 
 
-def test_sizer_and_after_keys_name_traced_functions(tracing):
-    keys = _traced_keys(tracing)
+def test_sizer_and_after_keys_name_traced_functions(tracing, traced_keys):
     for table in (tracing.SIZERS, tracing.AFTER):
-        assert set(table) <= keys, sorted(set(table) - keys)
-
-
-def test_transition_cache_trajectory_resolves():
-    from robustkb.ode import TransitionCache
-
-    assert inspect.isfunction(TransitionCache.trajectory)
+        assert set(table) <= traced_keys, sorted(set(table) - traced_keys)
 
 
 def test_benchmarked_checks_resolve(tracing, workloads):

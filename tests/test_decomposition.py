@@ -275,9 +275,9 @@ def test_one_sweep_builds_the_stages_once(monkeypatch):
             calls.append(1)
             super().__init__(*args)
 
-    # Wherever a module could bind the builder, so no caller goes uncounted.
-    for module in (rk.ode, rk.decomposition, rk.minimax):
-        monkeypatch.setattr(module, "_ClosedLoop", Counted, raising=False)
+    # Every build goes through ode._closed_loop; decomposition binds the
+    # class for an annotation only.
+    monkeypatch.setattr(rk.ode, "_ClosedLoop", Counted)
     model = _time_varying_n3_model()
     riccati = solve_riccati(model)
     zero = rk.zero_policy(model)
