@@ -12,10 +12,12 @@ X = Phi - int Psi P S Phi - Psi solves dX/ds = -X F with X(t,t) = 0, so X
 vanishes, and the RK4 scheme keeps the identity stage by stage.  Both kernels
 therefore chain the closed-loop step maps of ode.py, which the closed-loop
 memo of the covariance path (ode._closed_loop) builds once per model and
-path, with their input maps D_k: a kernel is a backward scan over a slice of
-the step maps, and a correction path only forms its forced terms D_k theta_k
-(D_k Q_k theta_k for the printed kernel) and scans forward, in about 2K
-batched products either way.
+path, with their input maps D_k.  A kernel is a backward scan over a slice
+of the step maps, about 2K batched products, and the memo keeps its ode rows
+per node, so correction_kernel and correction_term at one node share one
+scan.  A correction path only forms its forced terms D_k theta_k
+(D_k Q_k theta_k for the printed kernel) and scans forward on the memo's
+levels of the step maps, composing the forcing alone.
 """
 from __future__ import annotations
 
@@ -41,9 +43,10 @@ def _kernel_rows(model: ValidatedModel, loop: _ClosedLoop, t_idx: int,
     """One kernel as a function of s for fixed t, shape (t_idx+1, n, n).
 
     The ode rows Psi(t,s) are backward products of the first t_idx closed-loop
-    step maps; the printed rows are the ode rows times Q(s).
+    step maps, kept on the loop's memo; the printed rows are the ode rows
+    times Q(s).
     """
-    rows = _backward(loop.T[:t_idx], np.eye(model.n))
+    rows = loop.rows(t_idx, lambda k: _backward(loop.T[:k], np.eye(model.n)))
     return rows if kernel == "ode" else _printed_rows(model, rows)
 
 
@@ -70,8 +73,7 @@ def correction_kernel(model: ValidatedModel, riccati: RiccatiPath,
     t_idx = model.grid.index_of(t)
     ode_rows = _kernel_rows(model, _closed_loop(model, riccati), t_idx, "ode")
     printed_rows = _printed_rows(model, ode_rows)
-    for arr in (ode_rows, printed_rows):
-        arr.setflags(write=False)
+    printed_rows.setflags(write=False)
     return CorrectionKernel(t_index=t_idx, s_times=model.grid.times[: t_idx + 1],
                             ode=ode_rows, printed=printed_rows)
 
@@ -121,7 +123,7 @@ def correction_path(model: ValidatedModel, riccati: RiccatiPath, theta,
     th = _policy_array(theta, model, "theta")
     loop = _closed_loop(model, riccati)
     drive = th[:, :, None] if kernel == "ode" else model.Q @ th[:, :, None]
-    out = _response(loop.T, loop.D, drive)[:, :, 0]
+    out = _response(loop.T, loop.D, drive, loop.levels)[:, :, 0]
     out.setflags(write=False)
     return out
 

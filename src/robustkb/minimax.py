@@ -170,7 +170,8 @@ def _game_core(model: ValidatedModel, riccati: RiccatiPath, t: float) -> _GameCo
     """Integrate M_t, the closed-loop response to a unit constant drift."""
     t_idx = model.grid.index_of(t)
     loop = _closed_loop(model, riccati)
-    M = _response(loop.T[:t_idx], loop.D[:t_idx], np.eye(model.n))[-1]
+    M = _response(loop.T[:t_idx], loop.D[:t_idx], np.eye(model.n),
+                  loop.levels)[-1]
     return _GameCore(t_idx=t_idx, trace_p=float(np.trace(riccati.P[t_idx])), M=M)
 
 
@@ -223,7 +224,8 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
     core = _game_core(model, riccati, t)
     loop, k = _closed_loop(model, riccati), core.t_idx
     th_hat = _policy_array(theta_hat, model, "theta_hat")
-    c = _response(loop.T[:k], loop.D[:k], th_hat[:k, :, None])[-1, :, 0]
+    c = _response(loop.T[:k], loop.D[:k], th_hat[:k, :, None],
+                  loop.levels)[-1, :, 0]
 
     if adversary == "bang_bang" and not _closed_loop_is_diagonal(loop.A[:, :k]):
         warnings.warn(

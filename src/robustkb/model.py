@@ -124,7 +124,9 @@ class ValidatedModel:
 
     All arrays are read-only.  Rinv, R_chol, Q_sqrt and S = G^T R^-1 G are
     precomputed per interval; r_min records the smallest eigenvalue seen
-    across the R schedule.
+    across the R schedule.  R_chol_live and Q_sqrt_live mark the entries of
+    the noise factors that are nonzero on some interval of the full grid,
+    and truncate keeps them (see simulate._increments).
     """
 
     grid: TimeGrid
@@ -142,6 +144,8 @@ class ValidatedModel:
     R_chol: np.ndarray = field(repr=False, compare=False)
     Q_sqrt: np.ndarray = field(repr=False, compare=False)
     S: np.ndarray = field(repr=False, compare=False)
+    R_chol_live: np.ndarray = field(repr=False, compare=False)
+    Q_sqrt_live: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -170,6 +174,14 @@ class ValidatedModel:
             bool(np.all(a == a[0]))
             for a in (self.F, self.f, self.G, self.g, self.Q, self.R)
         )
+
+
+def _live_terms(factor: np.ndarray) -> np.ndarray:
+    """(d, d) mask of the entries of a (K, d, d) factor schedule that are
+    nonzero on some interval, read-only."""
+    live = np.any(factor != 0.0, axis=0)
+    live.setflags(write=False)
+    return live
 
 
 def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
@@ -262,6 +274,7 @@ def validate_model(schedule: ModelSchedule, grid: TimeGrid) -> ValidatedModel:
         r_min=float(r_eigs.min()),
         Rinv=_readonly(Rinv), R_chol=_readonly(R_chol),
         Q_sqrt=_readonly(Q_sqrt), S=_readonly(S),
+        R_chol_live=_live_terms(R_chol), Q_sqrt_live=_live_terms(Q_sqrt),
     )
 
 

@@ -9,7 +9,10 @@ interval k gives the forced term e_k = D_k u_k.  A forward sweep over them
 is a work-efficient scan, an up-sweep and a down-sweep of about 2K batched
 products, each row reading only its own prefix of the maps; a backward sweep
 is the same scan over the reversed, transposed maps, each row reading its
-own suffix.
+own suffix.  The up-sweep's composed maps, the levels, do not depend on the
+forcing, and level l of a prefix of length L is the first L >> l items of
+the full level, so _forward can take the levels of longer maps and compose
+only the forcing.
 
 solve_riccati integrates the covariance.  For n = 1 it steps the Riccati
 equation in a loop on Python floats.  For n > 1 it steps the linear
@@ -30,11 +33,15 @@ path is symmetrized once at the end.
 
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
-per model: the stage closed loops A_i, and, each built the first time it
-is read, the step maps T_k, the input maps D_k and the symmetrized Sigma
-path, which recomputes the stage covariances P_i that only it reads.  Every
-array in it is read-only, a LostPositivity is raised again on every call
-rather than cached, and the memo is freed with the path.
+per model, each part built the first time it is read: the step maps T_k
+and input maps D_k, built together from one transient array of stage
+closed loops A_i; the levels of T, which every forward scan over a prefix
+of T reads; the symmetrized Sigma path, which recomputes the stage
+covariances P_i and the A_i; and the kernel rows Psi(t, .) of the nodes t
+read most recently, at most 4K rows in all.  That is at most 8K n x n
+matrices, about 1.2 MB at n = 3 and K = 2000.  Every array in it is
+read-only, a LostPositivity is raised again on every call rather than
+cached, and the memo is freed with the path.
 A path's P must therefore not change once a moment, kernel or transition has
 been computed from it; solve_riccati returns P read-only.
 """
@@ -119,7 +126,20 @@ def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
     return Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _forward(T, y0, e=None) -> np.ndarray:
+def _levels(T) -> list:
+    """Up-sweep levels of the step maps T, level 0 being T itself: item i of
+    level l + 1 is item 2i + 1 times item 2i of level l, and an odd item left
+    over is not paired.  They do not depend on the forcing, and level l of a
+    prefix of length L is the first L >> l items of level l."""
+    levels = [np.asarray(T, dtype=float)]
+    while len(levels[-1]) > 1:
+        M = levels[-1]
+        h = len(M) // 2
+        levels.append(M[1 : 2 * h : 2] @ M[0 : 2 * h : 2])
+    return levels
+
+
+def _forward(T, y0, e=None, levels=None) -> np.ndarray:
     """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape.
 
     A work-efficient scan (Blelloch's up-sweep and down-sweep) of about 2K
@@ -130,21 +150,28 @@ def _forward(T, y0, e=None) -> np.ndarray:
     multiples of w from those at even multiples.  Node k's formula depends on
     k alone and reads T[:k] and e[:k] only, so a prefix of T gives a prefix of
     the output bitwise.
+
+    levels, if given, are the _levels of maps of which T is a prefix; the scan
+    reads the first len(T) >> l items of level l, with the bits of the levels
+    it would compose itself, and composes only the forcing.
     """
     if y0.ndim == 1:
-        return _forward(T, y0[:, None], None if e is None else e[..., None])[..., 0]
-    M, v = np.asarray(T, dtype=float), e
-    levels = [(M, v)]
-    while len(M) > 1:
-        h = len(M) // 2
-        if v is not None:
-            v = M[1 : 2 * h : 2] @ v[0 : 2 * h : 2] + v[1 : 2 * h : 2]
-        M = M[1 : 2 * h : 2] @ M[0 : 2 * h : 2]
-        levels.append((M, v))
-    out = np.empty((len(T) + 1,) + y0.shape)
+        return _forward(T, y0[:, None], None if e is None else e[..., None],
+                        levels)[..., 0]
+    k_steps = len(T)
+    if levels is None:
+        levels = _levels(T)
+    Ms = [M[: k_steps >> l]
+          for l, M in enumerate(levels[: max(1, k_steps.bit_length())])]
+    vs = [e]
+    for M in Ms[:-1]:
+        v, h = vs[-1], len(M) // 2
+        vs.append(None if v is None
+                  else M[1 : 2 * h : 2] @ v[0 : 2 * h : 2] + v[1 : 2 * h : 2])
+    out = np.empty((k_steps + 1,) + y0.shape)
     out[0] = y0
-    for level in range(len(levels) - 1, -1, -1):
-        M, v = levels[level]
+    for level in range(len(Ms) - 1, -1, -1):
+        M, v = Ms[level], vs[level]
         w = 2**level
         y = M[0::2] @ out[0 :: 2 * w][: (len(M) + 1) // 2]
         out[w :: 2 * w] = y if v is None else y + v[0::2]
@@ -169,12 +196,13 @@ def _input_maps(A, dt: float) -> np.ndarray:
     return _rk4_step(A, np.zeros_like(eye), (eye,) * 4, dt)
 
 
-def _response(T, D, U) -> np.ndarray:
+def _response(T, D, U, levels=None) -> np.ndarray:
     """Solution from y = 0, at every node, of the affine steps
     y -> T_k y + D_k U_k: the response of a linear ODE with step maps T_k and
-    input maps D_k to the input U_k held over interval k."""
+    input maps D_k to the input U_k held over interval k.  levels are passed
+    on to _forward."""
     e = D @ U
-    return _forward(T, np.zeros(e.shape[1:]), e)
+    return _forward(T, np.zeros(e.shape[1:]), e, levels)
 
 
 def _propagate(A, U, dt: float) -> np.ndarray:
@@ -245,37 +273,61 @@ def _readonly(*arrays: np.ndarray) -> None:
 
 class _ClosedLoop:
     """Policy-independent work of the closed loop F - P S of one model on one
-    covariance path: the stages A_i = F - P_i S, and the step maps, input
-    maps and Sigma built from them on first use.  Every array is read-only.
-    Only Sigma reads the stage covariances P_i, so it recomputes them rather
-    than the memo keeping them."""
+    covariance path, each part built on first use: the step maps T_k and
+    input maps D_k, the up-sweep levels of T, Sigma, and the kernel rows of
+    the nodes read most recently.  Every array is read-only.  The stage
+    closed loops A_i = F - P_i S and the stage covariances P_i are not kept:
+    T and D are built together from one A, and Sigma recomputes the stages.
+    Sigma is usually read first, and its peak then holds no T or D."""
 
     def __init__(self, model: ValidatedModel, riccati: RiccatiPath):
         self.model = model
         self.nodes = riccati.P
-        self.A = model.F - _stage_covariances(model, riccati.P) @ model.S
-        _readonly(self.A)
+        # Kernel rows per node, the node read least recently first.
+        self._rows: dict[int, np.ndarray] = {}
+
+    @property
+    def A(self) -> np.ndarray:
+        """Stage closed loops F - P_i S, shape (4, K, n, n), built again on
+        every read."""
+        A = self.model.F - _stage_covariances(self.model, self.nodes) @ self.model.S
+        _readonly(A)
+        return A
+
+    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """T and D from one A, both kept, whichever is read first."""
+        A, dt = self.A, self.model.grid.dt
+        T = _rk4_step(A, np.eye(self.model.n), _UNFORCED, dt)
+        D = _input_maps(A, dt)
+        _readonly(T, D)
+        vars(self).update(T=T, D=D)
+        return T, D
 
     @cached_property
     def T(self) -> np.ndarray:
         """Step maps T_k of the closed loop, shape (K, n, n)."""
-        T = _rk4_step(self.A, np.eye(self.model.n), _UNFORCED, self.model.grid.dt)
-        _readonly(T)
-        return T
+        return self._maps()[0]
 
     @cached_property
     def D(self) -> np.ndarray:
         """Input maps D_k of the closed loop, shape (K, n, n)."""
-        D = _input_maps(self.A, self.model.grid.dt)
-        _readonly(D)
-        return D
+        return self._maps()[1]
+
+    @cached_property
+    def levels(self) -> list:
+        """Up-sweep levels of T (see _levels), read by every forward scan
+        over a prefix of T."""
+        levels = _levels(self.T)
+        _readonly(*levels)
+        return levels
 
     @cached_property
     def sigma(self) -> np.ndarray:
         """Symmetrized error covariance at every node; LostPositivity is
         raised, and nothing is cached, if it is indefinite."""
         P = _stage_covariances(self.model, self.nodes)
-        Sig = _sym(_lyapunov_path(self.model.Q, P, P @ self.model.S, self.A,
+        PS = P @ self.model.S
+        Sig = _sym(_lyapunov_path(self.model.Q, P, PS, self.model.F - PS,
                                   self.model.grid.dt))
         bad = _first_below(np.linalg.eigvalsh(Sig), RICCATI_EIG_FLOOR)
         if bad is not None:
@@ -284,6 +336,22 @@ class _ClosedLoop:
             )
         _readonly(Sig)
         return Sig
+
+    def rows(self, t_idx: int, sweep) -> np.ndarray:
+        """Kernel rows Psi(t, s), s = 0..t_idx, of node t_idx, read-only.
+
+        sweep(t_idx) builds them when they are not kept.  The rows kept total
+        at most 4K: the nodes read least recently are dropped first.
+        """
+        rows = self._rows.pop(t_idx, None)
+        if rows is None:
+            rows = sweep(t_idx)
+            _readonly(rows)
+            kept = sum(map(len, self._rows.values()))
+            while self._rows and kept + len(rows) > 4 * self.model.n_steps:
+                kept -= len(self._rows.pop(next(iter(self._rows))))
+        self._rows[t_idx] = rows
+        return rows
 
 
 def _closed_loop(model: ValidatedModel, riccati: RiccatiPath) -> _ClosedLoop:
@@ -552,7 +620,8 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     th_hat = _policy_array(theta_hat, model, "theta_hat")
     loop = _closed_loop(model, riccati)
     Sig = loop.sigma
-    bias = _response(loop.T, loop.D, (th_true - th_hat)[:, :, None])[:, :, 0]
+    bias = _response(loop.T, loop.D, (th_true - th_hat)[:, :, None],
+                     loop.levels)[:, :, 0]
     mse = np.einsum("kii->k", Sig) + np.einsum("ki,ki->k", bias, bias)
     _readonly(bias, mse)
     return ErrorStats(grid=model.grid, bias=bias, Sigma=Sig, mse=mse)

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, GridMismatch, InvalidPathCount, InvalidSeed,
                      UnsupportedTilt)
-from .model import DriftPolicy, ValidatedModel, _first_below, _steps, _Steps
+from .model import (DriftPolicy, ValidatedModel, _first_below, _live_terms, _steps,
+                    _Steps)
 from .ode import _policy_array
 
 _SIGNAL_TAG = 0
@@ -200,7 +201,8 @@ def _path_major(a: np.ndarray) -> np.ndarray:
 
 
 def _increments(model: ValidatedModel, master_seed: int, first: int,
-                count: int, tag: int, factor: np.ndarray) -> np.ndarray:
+                count: int, tag: int, factor: np.ndarray,
+                live: np.ndarray | None = None) -> np.ndarray:
     """factor_k times the standard normals of stream tag, times sqrt(dt):
     time-major, component-major (K, d, count) increments of paths
     first..first+count-1.
@@ -209,17 +211,22 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     order by whole-array multiply-adds on the contiguous (K, count) planes
     of one (K, d, count) copy of the draws, then scaled by sqrt(dt).  The
     order is written out here, so neither the batch size nor the NumPy
-    build can change a bit.  A term whose factor entry is zero on every
-    interval is skipped, and a component with no other term stays 0.0: the
-    term would add a signed zero, and the final +0.0 clears the sign, so the
-    bits are those of the full sum.
+    build can change a bit.  Only the terms marked in live are added: a
+    (d, d) mask that marks at least every entry of factor nonzero on some
+    interval, by default exactly those.  The model's own factors pass the
+    masks validate_model made on the full grid, which a truncated model
+    keeps.  A term zero on every interval adds a signed zero, whether it is
+    added or left out, and a component with no term stays 0.0: the final
+    +0.0 clears the sign, so the bits are those of the full sum.
     """
     d = factor.shape[-1]
     xi = _time_major(_standard_normals(master_seed, first, count, tag,
                                        (model.n_steps, d)))
     out = np.zeros(xi.shape)
-    for i, live in enumerate(np.any(factor != 0.0, axis=0)):
-        terms = np.flatnonzero(live).tolist()
+    if live is None:
+        live = _live_terms(factor)
+    for i, row in enumerate(live):
+        terms = np.flatnonzero(row).tolist()
         acc = out[:, i]
         if terms:
             np.multiply(factor[:, i, terms[0], None], xi[:, terms[0]], out=acc)
@@ -236,7 +243,7 @@ def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
     as a path-major (count, K, n) view."""
     _count_work(model, count)
     return _path_major(_increments(model, master_seed, first, count,
-                                   _SIGNAL_TAG, model.Q_sqrt))
+                                   _SIGNAL_TAG, model.Q_sqrt, model.Q_sqrt_live))
 
 
 @dataclass(frozen=True)
@@ -379,8 +386,10 @@ def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
     """
     _count_work(model, count)
     first = path_offset + j0
-    dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG, model.Q_sqrt)
-    dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol)
+    dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG,
+                          model.Q_sqrt, model.Q_sqrt_live)
+    dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol,
+                     model.R_chol_live)
     return dw_tilt, dv, _euler_states(model, steps, theta, dw_tilt, dv)
 
 

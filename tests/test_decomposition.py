@@ -294,3 +294,93 @@ def test_one_sweep_builds_the_stages_once(monkeypatch):
     for s in (0, 100, 200, 300):
         cache.trajectory(s)
     assert len(calls) == 1
+
+
+def _fresh(riccati):
+    """The same covariance path with an empty closed-loop memo."""
+    return rk.RiccatiPath(riccati.grid, riccati.P, riccati.min_eigenvalue)
+
+
+def test_kernel_row_hits_match_misses_and_are_read_only():
+    model = _time_varying_n3_model()
+    riccati = solve_riccati(model)
+    theta = np.random.default_rng(23).uniform(-1.0, 1.0, (model.n_steps, 3))
+    for t in (0.5, 2.0):
+        cold = correction_kernel(model, _fresh(riccati), t)
+        terms = {kernel: correction_term(model, _fresh(riccati), theta, t, kernel)
+                 for kernel in rk.KERNELS}
+        for _ in range(2):
+            hot = correction_kernel(model, riccati, t)
+            assert hot.ode.tobytes() == cold.ode.tobytes()
+            assert hot.printed.tobytes() == cold.printed.tobytes()
+            for kernel, want in terms.items():
+                got = correction_term(model, riccati, theta, t, kernel)
+                assert got.tobytes() == want.tobytes(), kernel
+        loop = riccati._memo[id(model)]
+        assert loop._rows[hot.t_index] is hot.ode
+        assert correction_kernel(model, riccati, t).ode is hot.ode
+        for arr in (hot.ode, hot.printed):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
+def test_kernel_rows_evict_the_node_read_least_recently():
+    # K = 400 keeps at most 1600 rows, and node k has k + 1 of them.
+    model = _time_varying_n3_model()
+    riccati = solve_riccati(model)
+    times = model.grid.times
+    cold = {k: correction_kernel(model, _fresh(riccati), times[k]).ode
+            for k in (100, 397, 398, 399, 400)}
+    theta = np.zeros((model.n_steps, 3))
+    loop = rk.ode._closed_loop(model, riccati)
+    for k in (400, 399, 398, 397):
+        correction_kernel(model, riccati, times[k])
+    assert list(loop._rows) == [400, 399, 398, 397]  # 1598 rows
+    correction_term(model, riccati, theta, times[400])
+    assert list(loop._rows) == [399, 398, 397, 400]
+    correction_kernel(model, riccati, times[100])  # 101 rows do not fit
+    assert list(loop._rows) == [398, 397, 400, 100]
+    again = correction_kernel(model, riccati, times[399]).ode
+    assert list(loop._rows) == [397, 400, 100, 399]
+    assert again.tobytes() == cold[399].tobytes()
+    assert sum(map(len, loop._rows.values())) <= 4 * model.n_steps
+    for k, rows in loop._rows.items():
+        assert rows.tobytes() == cold[k].tobytes(), k
+
+
+def test_one_sweep_composes_the_levels_once_and_sweeps_each_node_once(monkeypatch):
+    # The moments-n3 policy and kernel sweep, scaled down, and the minimax
+    # responses: every forward scan over a prefix of T reads one level set,
+    # and each probe node is swept backward once.
+    model = _time_varying_n3_model()
+    riccati = solve_riccati(model)
+    T = rk.ode._closed_loop(model, riccati).T
+    start = T.__array_interface__["data"][0]
+    composed, sweeps = [], []
+    levels, backward = rk.ode._levels, rk.decomposition._backward
+
+    def counted_levels(M):
+        if M.__array_interface__["data"][0] == start and M.strides == T.strides:
+            composed.append(len(M))
+        return levels(M)
+
+    monkeypatch.setattr(rk.ode, "_levels", counted_levels)
+    monkeypatch.setattr(rk.decomposition, "_backward",
+                        lambda *args: sweeps.append(len(args[0])) or backward(*args))
+    zero = rk.zero_policy(model)
+    rng = np.random.default_rng(22)
+    times = (0.5, 1.0, 1.5, 2.0)
+    for i in range(8):
+        theta = rng.uniform(-1.0, 1.0, (model.n_steps, 3))
+        t = times[i % len(times)]
+        solve_error_stats(model, theta, zero, riccati)
+        correction_path(model, riccati, theta, "ode")
+        correction_path(model, riccati, theta, "printed")
+        correction_term(model, riccati, theta, t, "ode")
+    for t in times:
+        correction_kernel(model, riccati, t)
+    bound = rk.UncertaintyBound(np.full(3, 0.5))
+    rk.saddle_report(model, bound, 1.0, riccati=riccati)
+    rk.g_profile(model, bound, 1.0, n_points=3, riccati=riccati)
+    assert composed == [model.n_steps]
+    assert sweeps == [100, 200, 300, 400]

@@ -33,8 +33,9 @@ from robustkb import (
 )
 from robustkb.minimax import _game_core
 from robustkb.ode import (_RICCATI_BLOCK, _RICCATI_COND_MAX, _SIGMA_BLOCK, _UNFORCED,
-                          RiccatiPath, _closed_loop, _forward, _lyapunov_path,
-                          _propagate, _rk4_step, _stage_covariances, _sym)
+                          RiccatiPath, _closed_loop, _forward, _input_maps,
+                          _levels, _lyapunov_path, _propagate, _rk4_step,
+                          _stage_covariances, _sym)
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO, RICCATI_EXACT_TOL, riccati_exact
@@ -933,6 +934,54 @@ def test_sigma_recomputes_the_stage_covariances_bitwise(memo_case):
                                model.grid.dt))
     assert loop.sigma.tobytes() == want.tobytes()
     assert not {"P", "PS"} & set(vars(loop))
+
+
+def test_memo_keeps_no_stage_closed_loops(memo_case):
+    # T and D come from one A that is not kept; A reads as a fresh read-only
+    # array with the bits of F - P_i S.
+    model, riccati = memo_case
+    loop = _closed_loop(model, _fresh(riccati))
+    for name in ("T", "D", "levels", "sigma"):
+        getattr(loop, name)
+    assert "A" not in vars(loop)
+    want = closed_loop_stages(model, riccati)[2]
+    A = loop.A
+    assert A.tobytes() == want.tobytes()
+    assert not A.flags.writeable and loop.A is not A
+    dt = model.grid.dt
+    assert loop.T.tobytes() == _rk4_step(want, np.eye(model.n), _UNFORCED,
+                                         dt).tobytes()
+    assert loop.D.tobytes() == _input_maps(want, dt).tobytes()
+
+
+def test_memo_levels_are_those_of_the_step_maps(memo_case):
+    model, riccati = memo_case
+    loop = _closed_loop(model, _fresh(riccati))
+    levels = loop.levels
+    assert levels[0] is loop.T and loop.levels is levels
+    assert [M.tobytes() for M in levels] == [M.tobytes() for M in _levels(loop.T)]
+    for M in levels:
+        with pytest.raises(ValueError, match="read-only"):
+            M[...] = 0.0
+
+
+def test_memo_holds_at_most_eight_maps_per_interval():
+    # T, D, Sigma and the levels take about 4K matrices, and the kernel rows
+    # at most 4K more, however many nodes are read.
+    model = _moments_n3_model(400)
+    riccati = solve_riccati(model)
+    theta = np.full((model.n_steps, 3), 0.5)
+    solve_error_stats(model, theta, np.zeros_like(theta), riccati)
+    rk.correction_path(model, riccati, theta)
+    for k in range(20, model.n_steps + 1, 20):
+        rk.correction_kernel(model, riccati, model.grid.times[k])
+    loop = riccati._memo[id(model)]
+    kept = ([loop.T, loop.D, loop.sigma] + loop.levels[1:]
+            + list(loop._rows.values()))
+    matrix_bytes = model.n**2 * 8
+    # Nodes 340..400 fill 1484 of the 1600 rows; node 320 would not fit.
+    assert list(loop._rows) == [340, 360, 380, 400]
+    assert sum(a.nbytes for a in kept) <= 8 * model.n_steps * matrix_bytes
 
 
 def test_memo_keeps_one_closed_loop_per_model():

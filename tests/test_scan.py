@@ -1,11 +1,12 @@
 """The up-sweep/down-sweep scans ode._forward and ode._backward against the
-per-step sweeps they replace, and the prefix and suffix causality that lets a
-slice of the step maps give a slice of the output bit for bit."""
+per-step sweeps they replace, the prefix and suffix causality that lets a
+slice of the step maps give a slice of the output bit for bit, and the
+up-sweep levels of the longest maps serving a scan over any prefix."""
 
 import numpy as np
 import pytest
 
-from robustkb.ode import _backward, _forward
+from robustkb.ode import _backward, _forward, _levels
 
 from per_step import backward_per_step, forward_per_step
 
@@ -57,6 +58,37 @@ def test_forward_scan_matches_the_per_step_sweep(k_steps, shape):
     _close(_forward(T, np.zeros_like(y0), e),
            forward_per_step(T, np.zeros_like(y0), e))
     assert T.tobytes() == T_bytes and e.tobytes() == e_bytes
+
+
+def test_levels_of_a_prefix_are_prefixes_of_the_levels():
+    T = _maps(max(SIZES), seed=23)
+    levels = _levels(T)
+    assert levels[0] is T
+    assert [len(M) for M in levels] == [max(SIZES) >> l for l in range(len(levels))]
+    for k_steps in SIZES:
+        own = _levels(T[:k_steps])
+        assert len(own) == max(1, k_steps.bit_length()), k_steps
+        for l, M in enumerate(own):
+            assert M.tobytes() == levels[l][: k_steps >> l].tobytes(), (k_steps, l)
+
+
+@pytest.mark.parametrize("shape", sorted(Y_SHAPES))
+def test_forward_on_shared_levels_matches_its_own_levels(shape):
+    # One level set of the longest maps serves the scan over every prefix,
+    # with and without forcing, and is not written to.
+    k_full = max(SIZES)
+    T = _maps(k_full, seed=23)
+    levels = _levels(T)
+    for M in levels:
+        M.setflags(write=False)
+    rng = np.random.default_rng(24)
+    y0 = rng.standard_normal(Y_SHAPES[shape])
+    e = 0.01 * rng.standard_normal((k_full,) + Y_SHAPES[shape])
+    for k_steps in SIZES:
+        for forcing in (None, e[:k_steps]):
+            want = _forward(T[:k_steps], y0, forcing)
+            got = _forward(T[:k_steps], y0, forcing, levels)
+            assert got.tobytes() == want.tobytes(), (k_steps, forcing is None)
 
 
 @pytest.mark.parametrize("last_shape", [(N,), (N, N), (2, N)])

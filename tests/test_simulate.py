@@ -374,6 +374,36 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
     assert not got[..., d - 1].any()  # the dead row's component is 0.0
 
 
+def test_truncated_model_keeps_the_full_grid_noise_masks():
+    """A truncated model adds the terms that are zero on its own intervals
+    but live on the full grid: the same bits as the mask of the truncated
+    factor, for one path and for 400."""
+    n_steps, half = 40, 20
+    grid = TimeGrid(1.0, n_steps)
+    Q = np.tile(np.array([[1.0, 0.4, 0.2], [0.4, 2.0, 0.3], [0.2, 0.3, 1.5]]),
+                (n_steps, 1, 1))
+    Q[:half] = np.diag([1.0, 2.0, 0.0])
+    R = np.tile(np.array([[1.0, 0.3], [0.3, 2.0]]), (n_steps, 1, 1))
+    R[:half] = np.diag([1.0, 2.0])
+    model = validate_model(ModelSchedule(
+        F=np.tile(-np.eye(3), (n_steps, 1, 1)), f=np.zeros((n_steps, 3)),
+        G=np.tile([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], (n_steps, 1, 1)),
+        g=np.zeros((n_steps, 2)), Q=Q, R=R, x0=np.zeros(3)), grid)
+    sub = model.truncate(half)
+    for tag, factor, live in ((0, sub.Q_sqrt, sub.Q_sqrt_live),
+                              (1, sub.R_chol, sub.R_chol_live)):
+        own = np.any(factor != 0.0, axis=0)
+        assert live is getattr(model, "Q_sqrt_live" if tag == 0 else "R_chol_live")
+        # live marks every term of the truncated factor, and more.
+        assert (own <= live).all() and (live & ~own).any()
+        assert not live.flags.writeable
+        for count in (1, 400):
+            got = _increments(sub, 5, 3, count, tag, factor, live)
+            want = _increments(sub, 5, 3, count, tag, factor)
+            assert _same_bits(got, want), (tag, count)
+            assert not np.signbit(got[got == 0.0]).any()
+
+
 # ---------------------------------------------------------------------------
 # Exactness and law checks
 
