@@ -19,7 +19,9 @@ appends in path order; the bytes do not depend on the number of processes.
 A second process is used only when each gets _MIN_CELLS_PER_PROCESS cells
 or more, and where os.fork or os.sched_getaffinity is missing the calling
 process writes every path itself.  A child only formats floats and writes its file, so it takes
-no lock that another thread of the parent could hold.  On Python 3.12 and
+no lock that another thread of the parent could hold.  No thread of the
+simulation outlives its call (see simulate._on_blocks), so a writer forks a
+process that runs one Python thread.  On Python 3.12 and
 later, os.fork issues a DeprecationWarning in a process with several
 threads, such as one whose BLAS keeps a thread pool; it is not filtered.
 """
@@ -35,6 +37,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DimensionMismatch
+from .simulate import _usable_cpus
 
 _BLOCK_ROWS = 4096
 
@@ -146,10 +149,9 @@ def _write_paths(fh, ensemble, times, lo: int, hi: int) -> None:
 def _process_count(n_paths: int, cells: int) -> int:
     """Processes that format an ensemble: one per usable CPU, at most one per
     path and per _MIN_CELLS_PER_PROCESS cells, at least one."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not hasattr(os, "fork"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_paths,
-                      cells // _MIN_CELLS_PER_PROCESS))
+    return max(1, min(_usable_cpus(), n_paths, cells // _MIN_CELLS_PER_PROCESS))
 
 
 def _fork_writer(ensemble, times, lo: int, hi: int):

@@ -538,11 +538,15 @@ class TransitionCache:
         self.model = model
         self.generator = generator
         self.riccati = riccati
+        # The closed loop's memo, whose up-sweep levels the scan from node 0
+        # reads; the other scans compose their own.
+        self._loop = None
         if generator == "state":
             A = np.broadcast_to(model.F, (4,) + model.F.shape)
             self._maps = _rk4_step(A, np.eye(model.n), _UNFORCED, model.grid.dt)
         else:
-            self._maps = _closed_loop(model, riccati).T
+            self._loop = _closed_loop(model, riccati)
+            self._maps = self._loop.T
         self._rows: dict[int, np.ndarray] = {}
 
     def trajectory(self, s_index: int) -> np.ndarray:
@@ -551,8 +555,10 @@ class TransitionCache:
             raise OutOfGrid(f"start node {s_index} outside 0..{self.model.n_steps}")
         traj = self._rows.get(s_index)
         if traj is None:
+            levels = (self._loop.levels if s_index == 0 and self._loop is not None
+                      else None)
             traj = self._rows[s_index] = _forward(self._maps[s_index:],
-                                                  np.eye(self.model.n))
+                                                  np.eye(self.model.n), levels=levels)
             traj.setflags(write=False)
         return traj
 

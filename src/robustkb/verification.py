@@ -39,8 +39,8 @@ from .model import (
 )
 from .ode import (
     RiccatiPath,
-    _closed_loop,
     _propagate,
+    _stage_covariances,
     riccati_scalar_solution,
     solve_error_stats,
     solve_riccati,
@@ -134,10 +134,11 @@ def _rk4_rate(model: ValidatedModel, riccati: RiccatiPath, t_idx: int) -> float:
     """A bound, from Frobenius norms, on the norms of the Hamiltonian matrix
     [[-F', S], [Q, F]] and of the Lyapunov operator X -> A_i X + X A_i' on
     the first t_idx intervals."""
-    k = slice(0, t_idx)
-    ham = np.sqrt(sum(np.sum(a[k] ** 2, axis=(1, 2))
-                      for a in (model.F, model.F, model.S, model.Q)))
-    lyap = 2.0 * np.linalg.norm(_closed_loop(model, riccati).A[:, k], axis=(2, 3))
+    head = model.truncate(t_idx)
+    ham = np.sqrt(sum(np.sum(a ** 2, axis=(1, 2))
+                      for a in (head.F, head.F, head.S, head.Q)))
+    A = head.F - _stage_covariances(head, riccati.P[: t_idx + 1]) @ head.S
+    lyap = 2.0 * np.linalg.norm(A, axis=(2, 3))
     return float(max(ham.max(), lyap.max()))
 
 

@@ -965,6 +965,25 @@ def test_memo_levels_are_those_of_the_step_maps(memo_case):
             M[...] = 0.0
 
 
+def test_closed_loop_trajectory_from_node_0_reads_the_memo_levels(memo_case,
+                                                                   monkeypatch):
+    # The scan from node 0 composes no levels of its own and keeps the bits
+    # of one that does; a later start composes those of its suffix.
+    model, riccati = memo_case
+    riccati = _fresh(riccati)
+    loop = _closed_loop(model, riccati)
+    loop.levels
+    calls, levels = [], rk.ode._levels
+    monkeypatch.setattr(rk.ode, "_levels", lambda T: calls.append(len(T)) or levels(T))
+    cache = TransitionCache(model, "closed_loop", riccati)
+    traj = cache.trajectory(0)
+    assert calls == []
+    s = model.n_steps // 3
+    cache.trajectory(s)
+    assert calls == [model.n_steps - s]
+    assert traj.tobytes() == _forward(loop.T, np.eye(model.n)).tobytes()
+
+
 def test_memo_holds_at_most_eight_maps_per_interval():
     # T, D, Sigma and the levels take about 4K matrices, and the kernel rows
     # at most 4K more, however many nodes are read.

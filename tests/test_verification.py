@@ -14,6 +14,7 @@ from robustkb.verification import (
     _matched_tilt,
     _probe_value,
     _published_term,
+    _rk4_rate,
     _within_band,
     check_determinism,
     check_girsanov,
@@ -23,6 +24,8 @@ from robustkb.verification import (
     check_saddle,
     run_verification,
 )
+
+from per_step import closed_loop_stages
 
 
 def _scalar_cfg(n_steps, T=2.0, mu=1.0, **model_overrides):
@@ -234,6 +237,25 @@ def test_saddle_passes_on_coarse_and_large_covariance_n3(n_steps, q_scale,
     assert result.detail.startswith(f"lower-matched gap {gap:.2e} <= ")
     assert m["lower_value"] == m["trace_p"] <= m["upper_value"]
     assert m["convexity_defect"] <= 1e-9
+
+
+@pytest.mark.parametrize("t_idx", [1, 37, 200])
+def test_rk4_rate_reads_only_the_first_intervals(t_idx, monkeypatch):
+    """The rate has the bits of the Frobenius norms over the first t_idx
+    intervals of the whole grid's F, S, Q and stage closed loops F - P_i S,
+    and computes stages for those intervals only."""
+    model = _n3_cfg(200).model
+    riccati = rk.solve_riccati(model)
+    k = slice(0, t_idx)
+    ham = np.sqrt(sum(np.sum(a[k] ** 2, axis=(1, 2))
+                      for a in (model.F, model.F, model.S, model.Q)))
+    A = closed_loop_stages(model, riccati)[2][:, k]
+    want = max(ham.max(), 2.0 * np.linalg.norm(A, axis=(2, 3)).max())
+    nodes, stages = [], verification._stage_covariances
+    monkeypatch.setattr(verification, "_stage_covariances",
+                        lambda m, P: nodes.append(len(P)) or stages(m, P))
+    assert _rk4_rate(model, riccati, t_idx) == want
+    assert nodes == [t_idx + 1]
 
 
 @pytest.mark.parametrize("cfg", [_scalar_cfg(400, mu=0.5), _n3_cfg(200)],
