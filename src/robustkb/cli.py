@@ -290,8 +290,8 @@ def _common(sub: argparse.ArgumentParser) -> None:
                      help="scenario JSON (defaults to the bundled scenario)")
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; work runs on one "
-                          "thread and results never depend on this")
+                     help="accepted for compatibility and ignored; "
+                          "outputs never depend on it")
     sub.add_argument("--out", default=".", help="output directory")
 
 

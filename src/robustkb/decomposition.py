@@ -13,11 +13,12 @@ vanishes, and the RK4 scheme keeps the identity stage by stage.  Both kernels
 therefore chain the closed-loop step maps of ode.py, which the closed-loop
 memo of the covariance path (ode._closed_loop) builds once per model and
 path, with their input maps D_k.  A kernel is a backward scan over a slice
-of the step maps, about 2K batched products, and the memo keeps its ode rows
-per node, so correction_kernel and correction_term at one node share one
-scan.  A correction path only forms its forced terms D_k theta_k
-(D_k Q_k theta_k for the printed kernel) and scans forward on the memo's
-levels of the step maps, composing the forcing alone.
+of the step maps, about 2K batched products, which the memo runs and keeps
+per node (ode._ClosedLoop.rows), so correction_kernel and correction_term
+at one node share one scan; it keeps no stage arrays (see
+ode._ClosedLoop.stages).  A correction path only forms its forced terms
+D_k theta_k (D_k Q_k theta_k for the printed kernel) and scans forward on
+the memo's levels of the step maps, composing the forcing alone.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import GridMismatch
 from .model import ValidatedModel
-from .ode import (RiccatiPath, TransitionCache, _backward, _closed_loop,
-                  _ClosedLoop, _policy_array, _response)
+from .ode import (RiccatiPath, TransitionCache, _closed_loop, _policy_array,
+                  _response)
 
 KERNELS = ("ode", "printed")
 
@@ -36,18 +37,6 @@ KERNELS = ("ode", "printed")
 def _check_kernel(kernel: str) -> None:
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-
-
-def _kernel_rows(model: ValidatedModel, loop: _ClosedLoop, t_idx: int,
-                 kernel: str) -> np.ndarray:
-    """One kernel as a function of s for fixed t, shape (t_idx+1, n, n).
-
-    The ode rows Psi(t,s) are backward products of the first t_idx closed-loop
-    step maps, kept on the loop's memo; the printed rows are the ode rows
-    times Q(s).
-    """
-    rows = loop.rows(t_idx, lambda k: _backward(loop.T[:k], np.eye(model.n)))
-    return rows if kernel == "ode" else _printed_rows(model, rows)
 
 
 def _printed_rows(model: ValidatedModel, ode_rows: np.ndarray) -> np.ndarray:
@@ -71,7 +60,7 @@ def correction_kernel(model: ValidatedModel, riccati: RiccatiPath,
                       t: float) -> CorrectionKernel:
     """Evaluate both correction kernels at a grid time t."""
     t_idx = model.grid.index_of(t)
-    ode_rows = _kernel_rows(model, _closed_loop(model, riccati), t_idx, "ode")
+    ode_rows = _closed_loop(model, riccati).rows(t_idx)
     printed_rows = _printed_rows(model, ode_rows)
     printed_rows.setflags(write=False)
     return CorrectionKernel(t_index=t_idx, s_times=model.grid.times[: t_idx + 1],
@@ -97,9 +86,10 @@ def correction_term(model: ValidatedModel, riccati: RiccatiPath, theta,
     """Trapezoidal quadrature of int_0^t K(t,s) theta_s ds on the grid."""
     _check_kernel(kernel)
     th = _policy_array(theta, model, "theta")
-    t_idx = model.grid.index_of(t)
-    return _kernel_term(model, _kernel_rows(model, _closed_loop(model, riccati),
-                                            t_idx, kernel), th)
+    rows = _closed_loop(model, riccati).rows(model.grid.index_of(t))
+    if kernel == "printed":
+        rows = _printed_rows(model, rows)
+    return _kernel_term(model, rows, th)
 
 
 def _kernel_term(model: ValidatedModel, rows: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ with the gain frozen at the left endpoint of each interval; the classical
 filter is the zero-drift special case, so the two agree bitwise there.
 
 One interval of the recursion is `_filter_step`, applied to the contiguous
-component-major (n, batch) slices of time-major (K, n, batch) arrays, or to
-Python floats for one path of a scalar model (see `model._Steps`).
+component-major (n, batch) slices of time-major (K, n, batch) arrays, scalar
+models included, or to Python floats for one path of a scalar model (see
+`model._Steps`).
 `_filter_batch` (and so `run_robust_filter`) runs it over a whole path, and
 the Monte-Carlo MSE (`minimax._mse_mc_multi`) runs it in step with the
 simulation, so both estimate with the same code.
@@ -71,11 +72,10 @@ def _filter_batch(model: ValidatedModel, riccati: RiccatiPath, dm: np.ndarray,
     dm = steps.read(_time_major(dm))
     xhat = np.empty((k_steps + 1, n, batch))
     innov = np.empty((k_steps, m, batch))
-    xs, dis = steps.slices(xhat), steps.slices(innov)
-    xs[0] = x = _initial_state(steps, model.x0, batch)
+    xhat[0] = x = _initial_state(steps, model.x0, batch)
     for k in range(k_steps):
-        x, dis[k] = _filter_step(steps, k, x, dm[k], th[k], gains[k])
-        xs[k + 1] = x
+        x, innov[k] = _filter_step(steps, k, x, dm[k], th[k], gains[k])
+        xhat[k + 1] = x
     return _path_major(xhat), _path_major(innov)
 
 
@@ -136,7 +136,8 @@ def innovation_diagnostics(runs, max_lag: int = 10) -> WhitenessReport:
     correctly specified filter they are i.i.d. standard normal.
     Autocorrelations are computed per component with the pooled mean removed
     and never straddle run boundaries.  The raw increment covariance is
-    compared against the time-averaged R_k dt.
+    compared against the time-averaged R_k dt.  A max_lag below 1, or a run
+    shorter than 2 intervals, leaves no lag and raises ValueError.
     """
     if isinstance(runs, FilterRun):
         runs = [runs]
@@ -160,7 +161,12 @@ def innovation_diagnostics(runs, max_lag: int = 10) -> WhitenessReport:
     n_inc = pooled.shape[0]
     z_mean = pooled.mean(axis=0)
 
-    max_lag = min(max_lag, min(z.shape[0] for z in z_runs) - 1)
+    shortest = min(z.shape[0] for z in z_runs)
+    if min(max_lag, shortest - 1) < 1:
+        raise ValueError(f"no lag fits: max_lag = {max_lag} and runs of "
+                         f"{shortest} interval(s); needs max_lag >= 1 and "
+                         f"runs of at least 2")
+    max_lag = min(max_lag, shortest - 1)
     lags = np.arange(1, max_lag + 1)
     num = np.zeros((max_lag, m))
     den = np.sum((pooled - z_mean) ** 2, axis=0)

@@ -118,7 +118,6 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
         states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)[2]
         x_at = np.empty((idx.size, sub.n, count))
         xhat_at = np.empty_like(x_at)
-        xs_at, xh_at = steps.slices(x_at), steps.slices(xhat_at)
         for k, (xk, obs_k) in enumerate(states):
             if k == 0:
                 xhat = xk  # both start at x0; no slice is written in place
@@ -127,8 +126,8 @@ def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
                                        th_hat[k - 1], gains[k - 1])
             obs_prev = obs_k
             for pos in slots.get(k, ()):
-                xs_at[pos] = xk
-                xh_at[pos] = xhat
+                x_at[pos] = xk
+                xhat_at[pos] = xhat
         sq[j0:j0 + count] = _squared_errors(np.swapaxes(x_at, 1, 2),
                                             np.swapaxes(xhat_at, 1, 2))
     return _mc_moments(sq)
@@ -227,7 +226,8 @@ def worst_case_mse(model: ValidatedModel, bound: UncertaintyBound, theta_hat,
     c = _response(loop.T[:k], loop.D[:k], th_hat[:k, :, None],
                   loop.levels)[-1, :, 0]
 
-    if adversary == "bang_bang" and not _closed_loop_is_diagonal(loop.A[:, :k]):
+    if (adversary == "bang_bang"
+            and not _closed_loop_is_diagonal(loop.stages(k)[2])):
         warnings.warn(
             "bang-bang search needs a scalar or diagonal closed loop; "
             "falling back to the constant class",

@@ -375,20 +375,20 @@ def _per_interval(a: np.ndarray, scalar: bool):
 class _Steps:
     """Per-interval coefficients in the layout of the time-major step loops.
 
-    For n = m = 1 a state slice is a (batch,) array and every coefficient a
-    Python float, applied with *; otherwise slices are component-major
-    (n, batch) or (m, batch) arrays, vectors are (d, 1) columns that
-    broadcast along the contiguous batch axis, and a matrix a is applied as
-    a @ x.  A 1x1 product has a single term, so both give the bits of
-    F_k x_k.  One path of a scalar model steps on Python floats: the same
-    IEEE operations in the same order, without a NumPy call per operation
-    (see `read`).  NumPy takes a matrix-vector kernel, which can round
-    differently, when a has a single row or x a single column.  A path's
-    bits must not depend on its batch, so a one-column batch is multiplied
-    as the first column of a two-column one.  A matrix with one row (G for
-    m = 1, F and the gain for n = 1) is applied as the row-major product
-    x' a' of a (batch, d) layout, whose bits the matrix-vector kernel would
-    move; a one-row x' again as the first row of a two-row one.
+    A step slice is the component-major (n, batch) or (m, batch) slice [k]
+    of a time-major (K, d, batch) array, for every model.  For n = m = 1
+    every coefficient is a Python float, applied with *; otherwise vectors
+    are (d, 1) columns that broadcast along the contiguous batch axis, and a
+    matrix a is applied as a @ x.  A 1x1 product has a single term, so both
+    give the bits of F_k x_k.  One path of a scalar model steps on Python
+    floats: the same IEEE operations in the same order, without a NumPy call
+    per operation (see `read`).  NumPy takes a matrix-vector kernel, which
+    can round differently, when a has a single row or x a single column.  A
+    path's bits must not depend on its batch, so a one-column batch is
+    multiplied as the first column of a two-column one.  A matrix with one
+    row (G for m = 1, F and the gain for n = 1) is applied as the row-major
+    product x' a' of a (batch, d) layout, whose bits the matrix-vector
+    kernel would move; a one-row x' again as the first row of a two-row one.
     """
 
     scalar: bool
@@ -413,16 +413,12 @@ class _Steps:
     def per_interval(self, a: np.ndarray):
         return _per_interval(a, self.scalar)
 
-    def slices(self, a: np.ndarray) -> np.ndarray:
-        """View of a time-major (K, d, batch) array whose [k] is a step slice."""
-        return a[:, 0] if self.scalar else a
-
     def read(self, a: np.ndarray):
         """Per-step inputs of a time-major (K, d, batch) array: a list of
-        Python floats for one path of a scalar model, else `slices(a)`."""
+        Python floats for one path of a scalar model, else a itself."""
         if self.scalar and a.shape[2] == 1:
             return a[:, 0, 0].tolist()
-        return self.slices(a)
+        return a
 
 
 def _steps(model: ValidatedModel) -> _Steps:

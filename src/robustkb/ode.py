@@ -25,23 +25,24 @@ covariances P_i are recomputed from the nodes by RK4 on the symmetric form
 of the Riccati right-hand side, f(P) = Z + Z' + Q with Z = F P - (P S/2) P.
 For n = 1 these are the scalar loop's own stages; for n > 1 they belong to a
 scheme other than the Hamiltonian one, so that Sigma and P differ by O(dt^4).
-The error covariance Sigma is one such ODE in row-major vec form, with the
-n^2 x n^2 generators A_i (x) I + I (x) A_i and a forcing that differs by
-stage; its maps are built a block of intervals at a time and applied by a
-sequential loop, so that its bits do not depend on the block size, and the
-path is symmetrized once at the end.
+One method, _ClosedLoop.stages(k), forms P_i, P_i S and F - P_i S over the
+first k intervals.  The error covariance Sigma is one such ODE in row-major
+vec form, with the n^2 x n^2 generators A_i (x) I + I (x) A_i and a forcing
+that differs by stage; its maps are built a block of intervals at a time
+and applied by a sequential loop, so that its bits do not depend on the
+block size, and the path is symmetrized once at the end.
 
 Only the forcing depends on a drift policy.  The policy-independent work of
 one closed loop is therefore memoized on the RiccatiPath, one _ClosedLoop
 per model, each part built the first time it is read: the step maps T_k
-and input maps D_k, built together from one transient array of stage
-closed loops A_i; the levels of T, which every forward scan over a prefix
-of T reads; the symmetrized Sigma path, which recomputes the stage
-covariances P_i and the A_i; and the kernel rows Psi(t, .) of the nodes t
-read most recently, at most 4K rows in all.  That is at most 8K n x n
-matrices, about 1.2 MB at n = 3 and K = 2000.  Every array in it is
-read-only, a LostPositivity is raised again on every call rather than
-cached, and the memo is freed with the path.
+and input maps D_k, built together from one transient stages(); the levels
+of T, which every forward scan over a prefix of T reads; the symmetrized
+Sigma path, which builds its own stages(); and the kernel rows Psi(t, .) of
+the nodes t read most recently, at most 4K rows in all.  That is at most 8K
+n x n matrices, about 1.2 MB at n = 3 and K = 2000.  No stage array is
+kept: a reader of the first k intervals builds stages(k).  Every array in
+the memo is read-only, a LostPositivity is raised again on every call
+rather than cached, and the memo is freed with the path.
 A path's P must therefore not change once a moment, kernel or transition has
 been computed from it; solve_riccati returns P read-only.
 """
@@ -92,13 +93,14 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _stage_covariances(model: ValidatedModel, nodes: np.ndarray) -> np.ndarray:
-    """RK4 stage covariances P_i of every interval, shape (4, n_steps, n, n),
-    recomputed in one batched pass from the node covariances with RK4 on the
-    Riccati equation.  For n = 1 these are solve_riccati's stages bit for
-    bit; for n > 1 solve_riccati steps the Hamiltonian system instead, and
-    these stages belong to no step it takes."""
-    dt = model.grid.dt
-    F, H, Q = model.F, 0.5 * model.S, _sym(model.Q)
+    """RK4 stage covariances P_i of the first k = len(nodes) - 1 intervals,
+    shape (4, k, n, n), recomputed in one batched pass from the node
+    covariances with RK4 on the Riccati equation.  For n = 1 these are
+    solve_riccati's stages bit for bit; for n > 1 solve_riccati steps the
+    Hamiltonian system instead, and these stages belong to no step it takes.
+    Each interval's stages read its own node and coefficients alone."""
+    dt, k = model.grid.dt, len(nodes) - 1
+    F, H, Q = model.F[:k], 0.5 * model.S[:k], _sym(model.Q[:k])
 
     def rhs(P):
         Z = F @ P - P @ H @ P
@@ -276,8 +278,8 @@ class _ClosedLoop:
     covariance path, each part built on first use: the step maps T_k and
     input maps D_k, the up-sweep levels of T, Sigma, and the kernel rows of
     the nodes read most recently.  Every array is read-only.  The stage
-    closed loops A_i = F - P_i S and the stage covariances P_i are not kept:
-    T and D are built together from one A, and Sigma recomputes the stages.
+    arrays (see stages) are not kept: every reader builds those of the
+    intervals it needs, T and D together from one set, Sigma its own.
     Sigma is usually read first, and its peak then holds no T or D."""
 
     def __init__(self, model: ValidatedModel, riccati: RiccatiPath):
@@ -286,17 +288,23 @@ class _ClosedLoop:
         # Kernel rows per node, the node read least recently first.
         self._rows: dict[int, np.ndarray] = {}
 
-    @property
-    def A(self) -> np.ndarray:
-        """Stage closed loops F - P_i S, shape (4, K, n, n), built again on
-        every read."""
-        A = self.model.F - _stage_covariances(self.model, self.nodes) @ self.model.S
-        _readonly(A)
-        return A
+    def stages(self, k: int | None = None) -> tuple[np.ndarray, ...]:
+        """Stage covariances P_i, P_i S and stage closed loops F - P_i S of
+        the first k intervals (all by default), each (4, k, n, n) and
+        read-only, built on every call and never kept.  The first k
+        intervals of stages() have the same bits."""
+        model = self.model
+        k = model.n_steps if k is None else k
+        P = _stage_covariances(model, self.nodes[: k + 1])
+        PS = P @ model.S[:k]
+        A = model.F[:k] - PS
+        _readonly(P, PS, A)
+        return P, PS, A
 
     def _maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """T and D from one A, both kept, whichever is read first."""
-        A, dt = self.A, self.model.grid.dt
+        """T and D from one set of stage closed loops, both kept, whichever
+        is read first."""
+        A, dt = self.stages()[2], self.model.grid.dt
         T = _rk4_step(A, np.eye(self.model.n), _UNFORCED, dt)
         D = _input_maps(A, dt)
         _readonly(T, D)
@@ -325,9 +333,7 @@ class _ClosedLoop:
     def sigma(self) -> np.ndarray:
         """Symmetrized error covariance at every node; LostPositivity is
         raised, and nothing is cached, if it is indefinite."""
-        P = _stage_covariances(self.model, self.nodes)
-        PS = P @ self.model.S
-        Sig = _sym(_lyapunov_path(self.model.Q, P, PS, self.model.F - PS,
+        Sig = _sym(_lyapunov_path(self.model.Q, *self.stages(),
                                   self.model.grid.dt))
         bad = _first_below(np.linalg.eigvalsh(Sig), RICCATI_EIG_FLOOR)
         if bad is not None:
@@ -337,15 +343,16 @@ class _ClosedLoop:
         _readonly(Sig)
         return Sig
 
-    def rows(self, t_idx: int, sweep) -> np.ndarray:
-        """Kernel rows Psi(t, s), s = 0..t_idx, of node t_idx, read-only.
+    def rows(self, t_idx: int) -> np.ndarray:
+        """Kernel rows Psi(t, s), s = 0..t_idx, of node t_idx, read-only: the
+        backward products of the first t_idx step maps.
 
-        sweep(t_idx) builds them when they are not kept.  The rows kept total
-        at most 4K: the nodes read least recently are dropped first.
+        The rows kept total at most 4K: the nodes read least recently are
+        dropped first.
         """
         rows = self._rows.pop(t_idx, None)
         if rows is None:
-            rows = sweep(t_idx)
+            rows = _backward(self.T[:t_idx], np.eye(self.model.n))
             _readonly(rows)
             kept = sum(map(len, self._rows.values()))
             while self._rows and kept + len(rows) > 4 * self.model.n_steps:
@@ -614,7 +621,7 @@ def solve_error_stats(model: ValidatedModel, theta_true, theta_hat,
     The bias solves db = (F - PG'R^-1G) b + (theta_true - theta_hat);
     the second moment solves dSigma = A Sigma + Sigma A' + Q + PSP.  Both
     step through the RK4 stage covariances recomputed from the nodes (see
-    _stage_covariances).  For n = 1 these are solve_riccati's own stages, so
+    _ClosedLoop.stages).  For n = 1 these are solve_riccati's own stages, so
     the published identity Sigma = P holds to rounding; for n > 1 Sigma and P
     are two fourth-order schemes for one path, and their gap is O(dt^4).
     Sigma is its own integration, never read from the covariance path.  It

@@ -21,18 +21,18 @@ written out here, whatever the chunk, the batch size or the NumPy build: the
 increments are j-ordered multiply-adds over a time-major, component-major
 (K, d, count) copy of the draws, and the log density adds, per path and in
 k order, the j-ordered terms theta_k' L_k^-1 dw_k.  The Euler loop steps
-the contiguous (d, batch) slices of those increments through `_euler_step`:
-per-interval vectors are (d, 1) columns that broadcast along the batch
-axis, and its products F_k x_k are matmuls whose columns do not depend on
-the batch size from two columns on.  A one-path batch multiplies as the
-first column of a two-path one, and a matrix with one row keeps the
-row-major product of the path-major loops (see `model._Steps`).  One path
-of a scalar model steps on Python floats, with the same operations in the
-same order.  So a path's bits depend on its index alone, however the paths
-are chunked.  `simulate_paths` copies the increments and states back into
-the path-major arrays of `PathEnsemble`; the Monte-Carlo MSE
-(`minimax._mse_mc_multi`) consumes the states one step at a time and keeps
-only the nodes it reads.
+the contiguous (d, batch) slices of those increments through `_euler_step`,
+scalar models included: per-interval vectors are (d, 1) columns that
+broadcast along the batch axis, or Python floats for a scalar model, and
+its products F_k x_k are matmuls whose columns do not depend on the batch
+size from two columns on.  A one-path batch multiplies as the first column
+of a two-path one, and a matrix with one row keeps the row-major product of
+the path-major loops (see `model._Steps`).  One path of a scalar model
+steps on Python floats, with the same operations in the same order.  So a
+path's bits depend on its index alone, however the paths are chunked.
+`simulate_paths` copies the increments and states back into the path-major
+arrays of `PathEnsemble`; the Monte-Carlo MSE (`minimax._mse_mc_multi`)
+consumes the states one step at a time and keeps only the nodes it reads.
 """
 from __future__ import annotations
 
@@ -44,8 +44,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, GridMismatch, InvalidPathCount, InvalidSeed,
                      UnsupportedTilt)
-from .model import (DriftPolicy, ValidatedModel, _first_below, _live_terms, _steps,
-                    _Steps)
+from .model import DriftPolicy, ValidatedModel, _first_below, _steps, _Steps
 from .ode import _policy_array
 
 _SIGNAL_TAG = 0
@@ -248,15 +247,6 @@ def _fill_normals(out: np.ndarray, master_seed: int, first: int, tag: int) -> No
         gen.standard_normal(out=out[j])
 
 
-def _standard_normals(master_seed: int, first: int, count: int, tag: int,
-                      shape: tuple) -> np.ndarray:
-    """Standard normals of shape (count, *shape); row j holds the first
-    draws of ``default_rng(SeedSequence((master_seed, first + j, tag)))``."""
-    out = np.empty((count, *shape))
-    _fill_normals(out, master_seed, first, tag)
-    return out
-
-
 def _time_major(a: np.ndarray) -> np.ndarray:
     """A contiguous (K, d, count) copy of a path-major (count, K, d) array."""
     return np.ascontiguousarray(np.moveaxis(a, 0, -1))
@@ -286,7 +276,7 @@ def _transform(factor: np.ndarray, terms: list, xi: np.ndarray,
 
 def _increments(model: ValidatedModel, master_seed: int, first: int,
                 count: int, tag: int, factor: np.ndarray,
-                live: np.ndarray | None = None) -> np.ndarray:
+                live: np.ndarray) -> np.ndarray:
     """factor_k times the standard normals of stream tag, times sqrt(dt):
     time-major, component-major (K, d, count) increments of paths
     first..first+count-1.
@@ -297,11 +287,12 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     order is written out here, so neither the batch size nor the NumPy
     build can change a bit.  Only the terms marked in live are added: a
     (d, d) mask that marks at least every entry of factor nonzero on some
-    interval, by default exactly those.  The model's own factors pass the
-    masks validate_model made on the full grid, which a truncated model
-    keeps.  A term zero on every interval adds a signed zero, whether it is
-    added or left out, and a component with no term is 0.0: the final +0.0
-    clears the sign, so the bits are those of the full sum.
+    interval (model._live_terms marks exactly those).  The model's own
+    factors pass the masks validate_model made on the full grid, which a
+    truncated model keeps.  A term zero on every interval adds a signed
+    zero, whether it is added or left out, and a component with no term is
+    0.0: the final +0.0 clears the sign, so the bits are those of the full
+    sum.
 
     The draws, the copy and the transform are three stages, each split into
     the contiguous path blocks of `_path_blocks` and run by `_on_blocks`.
@@ -311,8 +302,6 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     path, so the bits do not depend on the blocks.
     """
     d = factor.shape[-1]
-    if live is None:
-        live = _live_terms(factor)
     terms = [np.flatnonzero(row).tolist() for row in live]
     bounds = _path_blocks(count, model.n_steps * d)
     draws = np.empty((count, model.n_steps, d))
@@ -522,10 +511,9 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
                                                 j0, count, path_offset)
         x_c = np.empty((k_steps + 1, n, count))
         obs_c = np.empty((k_steps + 1, m, count))
-        xs, ms = steps.slices(x_c), steps.slices(obs_c)
         for k, (xk, obs_k) in enumerate(states):
-            xs[k] = xk
-            ms[k] = obs_k
+            x_c[k] = xk
+            obs_c[k] = obs_k
         x[sl] = _path_major(x_c)
         obs[sl] = _path_major(obs_c)
         np.add(_path_major(dw_tilt), tilt, out=dw[sl])

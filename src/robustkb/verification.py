@@ -39,8 +39,8 @@ from .model import (
 )
 from .ode import (
     RiccatiPath,
+    _closed_loop,
     _propagate,
-    _stage_covariances,
     riccati_scalar_solution,
     solve_error_stats,
     solve_riccati,
@@ -134,10 +134,9 @@ def _rk4_rate(model: ValidatedModel, riccati: RiccatiPath, t_idx: int) -> float:
     """A bound, from Frobenius norms, on the norms of the Hamiltonian matrix
     [[-F', S], [Q, F]] and of the Lyapunov operator X -> A_i X + X A_i' on
     the first t_idx intervals."""
-    head = model.truncate(t_idx)
-    ham = np.sqrt(sum(np.sum(a ** 2, axis=(1, 2))
-                      for a in (head.F, head.F, head.S, head.Q)))
-    A = head.F - _stage_covariances(head, riccati.P[: t_idx + 1]) @ head.S
+    ham = np.sqrt(sum(np.sum(a[:t_idx] ** 2, axis=(1, 2))
+                      for a in (model.F, model.F, model.S, model.Q)))
+    A = _closed_loop(model, riccati).stages(t_idx)[2]
     lyap = 2.0 * np.linalg.norm(A, axis=(2, 3))
     return float(max(ham.max(), lyap.max()))
 
@@ -551,6 +550,8 @@ def check_whiteness(config: ScenarioConfig, seed: int,
     """Innovation increments of a matched run behave as white noise."""
     name = "innovation_whiteness"
     model, bound = config.model, config.bound
+    if model.n_steps < 2:
+        return CheckResult(name, False, False, "needs at least 2 intervals")
     riccati = solve_riccati(model)
     tilt = _matched_tilt(model, bound)
     theta = clamp_policy(constant_policy(model, tilt), bound)

@@ -17,10 +17,18 @@ import numpy as np
 
 from robustkb import ModelSchedule, TimeGrid, constant_model, validate_model
 from robustkb.filtering import filter_gains
-from robustkb.simulate import _standard_normals
+from robustkb.simulate import _fill_normals
 
 SIM_CHUNK = 2048
 MC_CHUNK = 1024
+
+
+def normals(seed, first, count, tag, shape):
+    """Standard normals of shape (count, *shape), row j from the stream of
+    path first + j."""
+    out = np.empty((count, *shape))
+    _fill_normals(out, seed, first, tag)
+    return out
 
 
 def rows(x, a):
@@ -39,8 +47,8 @@ def transform(factor, draws, dt):
 
 def _chunk(model, theta, seed, first, count):
     k_steps, dt = model.n_steps, model.grid.dt
-    xi = _standard_normals(seed, first, count, 0, (k_steps, model.n))
-    eta = _standard_normals(seed, first, count, 1, (k_steps, model.m))
+    xi = normals(seed, first, count, 0, (k_steps, model.n))
+    eta = normals(seed, first, count, 1, (k_steps, model.m))
     dw_tilt = transform(model.Q_sqrt, xi, dt)
     dv = transform(model.R_chol, eta, dt)
     x = np.empty((count, k_steps + 1, model.n))

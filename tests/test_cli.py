@@ -362,6 +362,28 @@ def test_verify_fails_on_a_coarse_grid(tmp_path, capsys):
     assert "riccati_transient" in names or "riccati_steady_state" in names
 
 
+def test_verify_reports_whiteness_not_applicable_on_one_interval(tmp_path,
+                                                                 capsys):
+    # One interval leaves no innovation lag to correlate; every check still
+    # reports, and the run ends with a report rather than a traceback.
+    cfg = _write_cfg(tmp_path, T=0.01, n_steps=1)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc in (0, 1)
+    assert "Traceback" not in captured.err
+    payload = json.loads((out / "verify_report.json").read_text())
+    assert len(payload["checks"]) == 10
+    white = next(c for c in payload["checks"]
+                 if c["name"] == "innovation_whiteness")
+    assert white["applicable"] is False and white["passed"] is False
+    assert white["detail"] == "needs at least 2 intervals"
+    line = next(ln for ln in captured.out.splitlines()
+                if ln.startswith("innovation_whiteness"))
+    assert line.split() == ["innovation_whiteness", "SKIP", "needs", "at",
+                            "least", "2", "intervals"]
+
+
 def test_verify_timings_sidecar_leaves_the_report_alone(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, T=2.0, n_steps=4)
     plain, timed = tmp_path / "plain", tmp_path / "timed"

@@ -275,8 +275,7 @@ def test_one_sweep_builds_the_stages_once(monkeypatch):
             calls.append(1)
             super().__init__(*args)
 
-    # Every build goes through ode._closed_loop; decomposition binds the
-    # class for an annotation only.
+    # Every build goes through ode._closed_loop.
     monkeypatch.setattr(rk.ode, "_ClosedLoop", Counted)
     model = _time_varying_n3_model()
     riccati = solve_riccati(model)
@@ -357,7 +356,7 @@ def test_one_sweep_composes_the_levels_once_and_sweeps_each_node_once(monkeypatc
     T = rk.ode._closed_loop(model, riccati).T
     start = T.__array_interface__["data"][0]
     composed, sweeps = [], []
-    levels, backward = rk.ode._levels, rk.decomposition._backward
+    levels, backward = rk.ode._levels, rk.ode._backward
 
     def counted_levels(M):
         if M.__array_interface__["data"][0] == start and M.strides == T.strides:
@@ -365,7 +364,7 @@ def test_one_sweep_composes_the_levels_once_and_sweeps_each_node_once(monkeypatc
         return levels(M)
 
     monkeypatch.setattr(rk.ode, "_levels", counted_levels)
-    monkeypatch.setattr(rk.decomposition, "_backward",
+    monkeypatch.setattr(rk.ode, "_backward",
                         lambda *args: sweeps.append(len(args[0])) or backward(*args))
     zero = rk.zero_policy(model)
     rng = np.random.default_rng(22)

@@ -177,6 +177,13 @@ def test_diagnostics_guards(fast_model, fast_riccati):
     run2 = run_classical_filter(other_model, other_riccati, ens2.m[0])
     with pytest.raises(GridMismatch):
         innovation_diagnostics([run, run2])
+    one = fast_model.truncate(1)
+    ens1 = simulate_paths(one, np.zeros((1, 1)), 1, master_seed=2)
+    run1 = run_classical_filter(one, solve_riccati(one), ens1.m[0])
+    with pytest.raises(ValueError, match="runs of 1 interval"):
+        innovation_diagnostics(run1)
+    with pytest.raises(ValueError, match="max_lag = 0 and runs of 200"):
+        innovation_diagnostics(run, max_lag=0)
 
 
 def test_filter_shape_guards(fast_model, fast_riccati):

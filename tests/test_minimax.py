@@ -468,6 +468,28 @@ def test_best_response_is_the_worst_case_vertex_n3(n3_game):
     assert np.array_equal(bang.theta, policy.theta)
 
 
+@pytest.mark.parametrize("t_idx", [1, 37, 200])
+def test_bang_bang_builds_stages_for_the_first_intervals_only(n3_game, t_idx,
+                                                              monkeypatch):
+    # The diagonality test reads the stage closed loops of the first t_idx
+    # intervals, built for those alone; the coupled loop falls back to the
+    # constant class with its value and policy bits.
+    model, bound, riccati = n3_game
+    theta_hat = constant_policy(model, [0.3, -0.2, 0.1])
+    t = model.grid.times[t_idx]
+    want_value, want_policy = worst_case_mse(model, bound, theta_hat, t,
+                                             riccati=riccati)
+    nodes, stages = [], rk.ode._stage_covariances
+    monkeypatch.setattr(rk.ode, "_stage_covariances",
+                        lambda m, P: nodes.append(len(P)) or stages(m, P))
+    with pytest.warns(UnsupportedClassWarning):
+        value, policy = worst_case_mse(model, bound, theta_hat, t,
+                                       adversary="bang_bang", riccati=riccati)
+    assert nodes == [t_idx + 1]
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert policy.theta.tobytes() == want_policy.theta.tobytes()
+
+
 def test_robust_drift_matches_vertex_oracle_n3(n3_game):
     model, bound, riccati = n3_game
     policy, upper = robust_theta_hat(model, bound, 1.0, riccati=riccati)

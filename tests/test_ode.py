@@ -806,7 +806,7 @@ def test_input_maps_match_the_per_stage_forcing(sigma_case):
     rng = np.random.default_rng(8)
     for shape in ((model.n, 1), (model.n, model.n)):
         U = rng.uniform(-1.0, 1.0, (model.n_steps,) + shape)
-        want = forced_terms_per_stage(loop.A, U, model.grid.dt)
+        want = forced_terms_per_stage(loop.stages()[2], U, model.grid.dt)
         err = np.max(np.abs(loop.D @ U - want))
         assert err <= 1e-14 * np.max(np.abs(want)), (shape, err)
 
@@ -915,8 +915,7 @@ def test_memo_hits_match_a_fresh_path(memo_case):
 def test_memo_arrays_are_read_only(memo_case):
     model, riccati = memo_case
     loop = _closed_loop(model, riccati)
-    for name in ("A", "T", "D", "sigma"):
-        arr = getattr(loop, name)
+    for arr in (*loop.stages(), loop.T, loop.D, loop.sigma):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     zeros = np.zeros((model.n_steps, model.n))
@@ -937,21 +936,38 @@ def test_sigma_recomputes_the_stage_covariances_bitwise(memo_case):
 
 
 def test_memo_keeps_no_stage_closed_loops(memo_case):
-    # T and D come from one A that is not kept; A reads as a fresh read-only
-    # array with the bits of F - P_i S.
+    # T and D come from one set of stages that is not kept; stages() builds
+    # fresh read-only arrays with the bits of P_i, P_i S and F - P_i S.
     model, riccati = memo_case
     loop = _closed_loop(model, _fresh(riccati))
     for name in ("T", "D", "levels", "sigma"):
         getattr(loop, name)
-    assert "A" not in vars(loop)
-    want = closed_loop_stages(model, riccati)[2]
-    A = loop.A
-    assert A.tobytes() == want.tobytes()
-    assert not A.flags.writeable and loop.A is not A
+    assert set(vars(loop)) == {"model", "nodes", "_rows", "T", "D", "levels",
+                               "sigma"}
+    want = closed_loop_stages(model, riccati)
+    stages = loop.stages()
+    for got, ref in zip(stages, want, strict=True):
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+    assert loop.stages()[2] is not stages[2]
     dt = model.grid.dt
-    assert loop.T.tobytes() == _rk4_step(want, np.eye(model.n), _UNFORCED,
+    assert loop.T.tobytes() == _rk4_step(want[2], np.eye(model.n), _UNFORCED,
                                          dt).tobytes()
-    assert loop.D.tobytes() == _input_maps(want, dt).tobytes()
+    assert loop.D.tobytes() == _input_maps(want[2], dt).tobytes()
+
+
+def test_stages_over_a_prefix_are_the_first_intervals_bitwise(memo_case):
+    # Each interval's stages read its own node and coefficients only, so the
+    # first k intervals of the whole grid's stages have the bits of stages(k).
+    model, riccati = memo_case
+    loop = _closed_loop(model, _fresh(riccati))
+    full = loop.stages()
+    for k in (1, 37, model.n_steps):
+        part = loop.stages(k)
+        for got, whole in zip(part, full, strict=True):
+            assert got.shape == (4, k, model.n, model.n)
+            assert got.tobytes() == whole[:, :k].tobytes(), k
+    assert set(vars(loop)) == {"model", "nodes", "_rows"}
 
 
 def test_memo_levels_are_those_of_the_step_maps(memo_case):
@@ -1014,7 +1030,8 @@ def test_memo_keeps_one_closed_loop_per_model():
     a, b = (solve_error_stats(m, th, zeros, riccati) for m in (first, second))
     assert set(riccati._memo) == {id(first), id(second)}
     assert riccati._memo[id(second)].model is second
-    assert not np.array_equal(riccati._memo[id(first)].A, riccati._memo[id(second)].A)
+    assert not np.array_equal(riccati._memo[id(first)].stages()[2],
+                              riccati._memo[id(second)].stages()[2])
     assert np.max(np.abs(a.bias - b.bias)) > 1e-3
     want = solve_error_stats(second, th, zeros, _fresh(riccati))
     for got, ref in ((b.bias, want.bias), (b.Sigma, want.Sigma), (b.mse, want.mse)):
@@ -1050,7 +1067,8 @@ def test_prefix_has_its_own_memo():
     stats = solve_error_stats(short, zeros[:120], zeros[:120], pre)
     loop = pre._memo[id(short)]
     assert riccati._memo == before
-    assert loop.A.shape == (4, 120, 3, 3) and loop.T.shape == (120, 3, 3)
+    assert loop.stages()[2].shape == (4, 120, 3, 3)
+    assert loop.T.shape == (120, 3, 3)
     assert loop.sigma.shape == stats.Sigma.shape == (121, 3, 3)
     full = riccati._memo[id(model)]
     assert loop.T.tobytes() == full.T[:120].tobytes()

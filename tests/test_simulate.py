@@ -27,6 +27,7 @@ from robustkb import (
 from robustkb import simulate
 from robustkb.filtering import _filter_batch
 from robustkb.minimax import _mse_mc_multi
+from robustkb.model import _live_terms
 from robustkb.simulate import _increments, _log_density_batch, _signal_noise
 
 import path_major
@@ -360,9 +361,11 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
     factor = rng.normal(size=(free_model.n_steps, d, d))
     factor[::3] = 0.0
     factor[1::3, :, 0] = 0.0
-    xi = rk.simulate._standard_normals(6, 2, 9, 1, (free_model.n_steps, d))
+    xi = np.empty((9, free_model.n_steps, d))
+    rk.simulate._fill_normals(xi, 6, 2, 1)
     # _increments returns (K, d, count); compare it as (count, K, d).
-    got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, factor), -1, 0)
+    got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, factor,
+                                  _live_terms(factor)), -1, 0)
     assert _same_bits(got, path_major.transform(factor, xi, free_model.grid.dt))
     assert not np.signbit(got[:, ::3]).any()
     if d <= 2:
@@ -373,7 +376,8 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
     dead_column[:, :, 0] = 0.0
     dead_row[:, d - 1] = 0.0
     for dead in (dead_column, dead_row):
-        got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, dead), -1, 0)
+        got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, dead,
+                                      _live_terms(dead)), -1, 0)
         assert _same_bits(got, path_major.transform(dead, xi, free_model.grid.dt))
         assert not np.signbit(got[got == 0.0]).any()
     assert not got[..., d - 1].any()  # the dead row's component is 0.0
@@ -404,7 +408,8 @@ def test_truncated_model_keeps_the_full_grid_noise_masks():
         assert not live.flags.writeable
         for count in (1, 400):
             got = _increments(sub, 5, 3, count, tag, factor, live)
-            want = _increments(sub, 5, 3, count, tag, factor)
+            want = _increments(sub, 5, 3, count, tag, factor,
+                               _live_terms(factor))
             assert _same_bits(got, want), (tag, count)
             assert not np.signbit(got[got == 0.0]).any()
 

@@ -201,8 +201,8 @@ def test_printed_kernel_audit_sweeps_each_model_once(default_cfg, monkeypatch):
     terms = {kernel: rk.correction_term(model, riccati, theta, t, kernel=kernel)
              for kernel in rk.KERNELS}
     sweeps = []
-    backward = rk.decomposition._backward
-    monkeypatch.setattr(rk.decomposition, "_backward",
+    backward = rk.ode._backward
+    monkeypatch.setattr(rk.ode, "_backward",
                         lambda *args: sweeps.append(1) or backward(*args))
     result = check_printed_kernel(default_cfg, 0)
     assert len(sweeps) == 3  # unit Q, doubled Q and doubled Q at dt / 2
@@ -251,8 +251,8 @@ def test_rk4_rate_reads_only_the_first_intervals(t_idx, monkeypatch):
                       for a in (model.F, model.F, model.S, model.Q)))
     A = closed_loop_stages(model, riccati)[2][:, k]
     want = max(ham.max(), 2.0 * np.linalg.norm(A, axis=(2, 3)).max())
-    nodes, stages = [], verification._stage_covariances
-    monkeypatch.setattr(verification, "_stage_covariances",
+    nodes, stages = [], rk.ode._stage_covariances
+    monkeypatch.setattr(rk.ode, "_stage_covariances",
                         lambda m, P: nodes.append(len(P)) or stages(m, P))
     assert _rk4_rate(model, riccati, t_idx) == want
     assert nodes == [t_idx + 1]
