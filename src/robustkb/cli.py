@@ -29,7 +29,7 @@ from .export import (
     write_json,
 )
 from .filtering import run_robust_filter
-from .minimax import g_profile, mse_monte_carlo, saddle_report
+from .minimax import _mse_mc_at, g_profile, saddle_report
 from .model import DriftPolicy, constant_policy, zero_policy
 from .ode import solve_riccati, steady_state_scalar
 from .simulate import simulate_paths
@@ -232,12 +232,11 @@ def cmd_minimax(args) -> int:
     payload["config_sha256"] = digest
     payload["seed"] = args.seed
     if args.paths > 0:
-        mc_upper = mse_monte_carlo(model, report.theta_star,
-                                   report.theta_hat_star, t, args.paths,
-                                   args.seed, riccati=riccati)
-        mc_lower = mse_monte_carlo(model, zero_policy(model),
-                                   zero_policy(model), t, args.paths,
-                                   args.seed + 1, riccati=riccati)
+        zero = zero_policy(model)
+        mc_upper, mc_lower = _mse_mc_at(model, [
+            (report.theta_star, report.theta_hat_star, t, args.paths,
+             args.seed),
+            (zero, zero, t, args.paths, args.seed + 1)], riccati)
         payload["monte_carlo"] = {
             "n_paths": args.paths,
             "upper": {"estimate": mc_upper[0], "stderr": mc_upper[1]},

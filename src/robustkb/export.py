@@ -18,26 +18,24 @@ a contiguous range of paths to its own temporary file, which the parent
 appends in path order; the bytes do not depend on the number of processes.
 A second process is used only when each gets _MIN_CELLS_PER_PROCESS cells
 or more, and where os.fork or os.sched_getaffinity is missing the calling
-process writes every path itself.  A child only formats floats and writes its file, so it takes
-no lock that another thread of the parent could hold.  No thread of the
-simulation outlives its call (see simulate._on_blocks), so a writer forks a
-process that runs one Python thread.  On Python 3.12 and
+process writes every path itself.  The fork, the reaping and the cleanup on
+error are simulate._on_processes, which the Monte-Carlo MSE also runs its
+chunks on.  A child only formats floats and writes its file, so it takes no
+lock that another thread of the parent could hold.  On Python 3.12 and
 later, os.fork issues a DeprecationWarning in a process with several
 threads, such as one whose BLAS keeps a thread pool; it is not filtered.
 """
 from __future__ import annotations
 
+import io
 import json
-import os
 import shutil
-import signal
-import tempfile
 from itertools import repeat
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .simulate import _usable_cpus
+from .simulate import _on_processes, _process_count
 
 _BLOCK_ROWS = 4096
 
@@ -146,92 +144,43 @@ def _write_paths(fh, ensemble, times, lo: int, hi: int) -> None:
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _process_count(n_paths: int, cells: int) -> int:
-    """Processes that format an ensemble: one per usable CPU, at most one per
-    path and per _MIN_CELLS_PER_PROCESS cells, at least one."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), n_paths, cells // _MIN_CELLS_PER_PROCESS))
-
-
-def _fork_writer(ensemble, times, lo: int, hi: int):
-    """Fork a child that writes paths lo..hi-1 to a new temporary file.
-
-    The child leaves only through os._exit, with status 0 once the file is
-    flushed and 1 on any exception, so it never returns into the caller's
-    stack or flushes a buffer it shares with the parent.  On an exception
-    the file's contents are replaced by "TypeName: message", written past
-    the buffer so that no formatted rows follow it.  Returns the child's pid
-    and the file, which the parent reads from offset 0.
-    """
-    part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-    try:
-        pid = os.fork()
-    except BaseException:
-        part.close()
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            _write_paths(part, ensemble, times, lo, hi)
-            part.flush()
-            status = 0
-        except BaseException as exc:
-            os.ftruncate(part.fileno(), 0)
-            os.pwrite(part.fileno(), f"{type(exc).__name__}: {exc}".encode(
-                "utf-8", "backslashreplace"), 0)
-        finally:
-            os._exit(status)
-    return pid, part
-
-
 def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
     """Long-format ensemble CSV (path, t, x_*, m_*, logw), with the same
     header and comment line as write_csv.
 
     The paths are split into contiguous ranges, one per process (see
-    _process_count).  Every child is forked before anything is written; each
-    writes its range to a temporary file.  The parent writes the comment,
-    the header and the first range, then waits for each child in path order
-    and appends its bytes.  Every process writes one path at a time, so none
-    holds more than one path's cells, and the bytes are the same for any
-    number of processes.  A child that fails raises OSError naming its path
-    range, exit status and exception; on any exception in the parent every
-    child not yet reaped is killed and reaped, so no process outlives the
-    call.
+    simulate._process_count), and run by simulate._on_processes: every child
+    is forked before anything is written and writes its range to a
+    temporary file; the parent writes the comment, the header and the first
+    range, then waits for each child in path order and appends its bytes.
+    Every process writes one path at a time, so none holds more than one
+    path's cells, and the bytes are the same for any number of processes.  A
+    child that fails raises OSError naming its path range, exit status and
+    exception; on any exception in the parent every child not yet reaped is
+    killed and reaped, so no process outlives the call.
     """
     n_paths, k, n = ensemble.x.shape
     columns = (["path", "t"] + vector_labels("x", n)
                + vector_labels("m", ensemble.m.shape[2]) + ["logw"])
     times = list(map(float.__repr__, ensemble.model.grid.times.tolist()))
-    count = _process_count(n_paths, n_paths * k * len(columns))
+    count = _process_count(n_paths, n_paths * k * len(columns),
+                           _MIN_CELLS_PER_PROCESS)
     bounds = [n_paths * i // count for i in range(count + 1)]
-    children = []
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append((*_fork_writer(ensemble, times, lo, hi), lo, hi))
+        def work(lo, hi, part):
+            if part is not None:
+                text = io.TextIOWrapper(part, encoding="utf-8", newline="\n")
+                _write_paths(text, ensemble, times, lo, hi)
+                text.detach()  # flushed, and part left open
+                return
             if comment is not None:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(columns) + "\n")
-            _write_paths(fh, ensemble, times, 0, bounds[1])
-            while children:
-                pid, part, lo, hi = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children.pop(0)
-                with part:
-                    part.seek(0)
-                    if status:
-                        # Status 1 is an exception, whose text the file holds.
-                        text = f": {part.read()}" if status == 1 else ""
-                        raise OSError(f"the process writing paths {lo}..{hi - 1} "
-                                      f"of the ensemble exited with status "
-                                      f"{status}{text}")
-                    fh.flush()
-                    shutil.copyfileobj(part.buffer, fh.buffer)
-        except BaseException:
-            for pid, part, _, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                part.close()
-            raise
+            _write_paths(fh, ensemble, times, lo, hi)
+
+        def take(lo, hi, part):
+            fh.flush()
+            shutil.copyfileobj(part, fh.buffer)
+
+        _on_processes(bounds, work, take, lambda lo, hi: (
+            f"writing paths {lo}..{hi - 1} of the ensemble"))

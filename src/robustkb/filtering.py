@@ -10,7 +10,7 @@ component-major (n, batch) slices of time-major (K, n, batch) arrays, scalar
 models included, or to Python floats for one path of a scalar model (see
 `model._Steps`).
 `_filter_batch` (and so `run_robust_filter`) runs it over a whole path, and
-the Monte-Carlo MSE (`minimax._mse_mc_multi`) runs it in step with the
+the Monte-Carlo MSE (`minimax._MCRun`) runs it in step with the
 simulation, so both estimate with the same code.
 """
 from __future__ import annotations

@@ -10,6 +10,11 @@ response.  The game has a closed form: the adversary's best reply is a box
 vertex, and the worst case is convex and even in theta_hat, so the robust
 filter drift is exactly 0.  The restriction to deterministic policies is
 deliberate; the duality gap it induces is reported, not hidden.
+
+The Monte-Carlo MSE runs independent runs together (`_mse_mc_runs`), each
+chunk of paths on one of up to one process per usable CPU, with the same
+bits for any number of processes; `_mse_mc_multi` is the one-run case, and
+`robustkb minimax` submits its two estimates in one call.
 """
 from __future__ import annotations
 
@@ -29,7 +34,8 @@ from .model import (
 )
 from .ode import (RiccatiPath, _closed_loop, _policy_array, _response,
                   solve_error_stats, solve_riccati)
-from .simulate import _check_n_paths, _check_seed, _simulate_chunk
+from .simulate import (_check_n_paths, _check_seed, _count_work,
+                       _on_processes, _process_count, _simulate_chunk)
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
 
@@ -42,6 +48,14 @@ _MC_CHUNK = 1024
 # squared errors kept take 80 MB per requested node at the limit, and the
 # largest Monte-Carlo run in this package (verification) uses 10^4 paths.
 _MAX_MC_PATHS = 10**7
+
+# A forked Monte-Carlo process costs a fork, a reap, a temporary file and
+# copy-on-write faults.  Two runs, serial against forked on a 2-core x86
+# machine (medians of 9): 10^4 path-steps in all went from 8.9 to 12.9 ms
+# (n = 1) and 7.4 to 13.3 ms (n = 3); 10^5 from 32 to 21 ms and 37 to 39
+# ms; 2 x 10^5 from 49 to 34 ms and 91 to 52 ms.  So a process takes at
+# least 10^5 path-steps.
+_MIN_PATH_STEPS_PER_PROCESS = 100_000
 
 
 def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
@@ -84,53 +98,120 @@ def _mc_moments(sq: np.ndarray):
     return mean, np.sqrt(np.maximum(var, 0.0) / n_paths)
 
 
-def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
-                  theta_hat, t_indices, n_paths: int, seed: int):
-    """Sample MSE at several grid nodes from one simulated ensemble.
+class _MCRun:
+    """One Monte-Carlo run on a shared model and covariance path: the
+    per-interval arrays its chunks read, built once in the calling process,
+    and the (n_paths, nodes) squared errors the chunks fill, in the layout
+    of _squared_errors."""
 
-    Paths are simulated in chunks of _MC_CHUNK, and their squared errors
-    reduced by _mc_moments.  Within a chunk the filter steps along with
-    the simulation on its (d, batch) step slices, fed obs_{k+1} - obs_k (the
-    bits of np.diff), and only the states at the requested nodes are kept,
-    in (nodes, n, count) arrays.
-    Returns (means, stderrs) over the requested nodes.
-    """
-    th_true = _policy_array(theta_true, model, "theta_true")
-    th_hat = _policy_array(theta_hat, model, "theta_hat")
-    idx = np.asarray(t_indices, dtype=int)
-    last = int(idx.max())
-    if last == 0:
-        # The initial state is known exactly; every path has zero error.
-        return _mc_moments(np.zeros((n_paths, idx.size)))
-    sub = model.truncate(last)
-    sub_ric = riccati.prefix(last) if last < model.n_steps else riccati
-    steps = _steps(sub)
-    th_true = steps.per_interval(th_true[:last])
-    th_hat = steps.per_interval(th_hat[:last])
-    gains = steps.per_interval(filter_gains(sub, sub_ric))
-    slots = {}
-    for pos, node in enumerate(idx.tolist()):
-        slots.setdefault(node, []).append(pos)
+    def __init__(self, model: ValidatedModel, riccati: RiccatiPath,
+                 theta_true, theta_hat, t_indices, n_paths: int, seed: int):
+        th_true = _policy_array(theta_true, model, "theta_true")
+        th_hat = _policy_array(theta_hat, model, "theta_hat")
+        idx = np.asarray(t_indices, dtype=int)
+        self.nodes, self.n_paths, self.seed = idx.size, n_paths, seed
+        self.last = last = int(idx.max())
+        # Zero where last is 0: the initial state is known exactly.
+        self.sq = np.zeros((idx.size, n_paths)).T
+        if last == 0:
+            return
+        self.sub = sub = model.truncate(last)
+        sub_ric = riccati.prefix(last) if last < model.n_steps else riccati
+        self.steps = steps = _steps(sub)
+        self.th_true = steps.per_interval(th_true[:last])
+        self.th_hat = steps.per_interval(th_hat[:last])
+        self.gains = steps.per_interval(filter_gains(sub, sub_ric))
+        self.slots = {}
+        for pos, node in enumerate(idx.tolist()):
+            self.slots.setdefault(node, []).append(pos)
 
-    sq = np.empty((idx.size, n_paths)).T  # _squared_errors' layout
-    for j0 in range(0, n_paths, _MC_CHUNK):
-        count = min(_MC_CHUNK, n_paths - j0)
-        states = _simulate_chunk(sub, steps, th_true, seed, j0, count, 0)[2]
-        x_at = np.empty((idx.size, sub.n, count))
+    def chunks(self) -> range:
+        """First path index of each chunk, none where last is 0."""
+        return range(0, self.n_paths, _MC_CHUNK) if self.last else range(0)
+
+    def squared_errors(self, j0: int) -> np.ndarray:
+        """(count, nodes) squared errors of the chunk of paths from j0.
+
+        The filter steps along with the simulation on its (d, batch) step
+        slices, fed obs_{k+1} - obs_k (the bits of np.diff), and only the
+        states at the requested nodes are kept, in (nodes, n, count) arrays.
+        """
+        sub, steps = self.sub, self.steps
+        count = min(_MC_CHUNK, self.n_paths - j0)
+        states = _simulate_chunk(sub, steps, self.th_true, self.seed, j0,
+                                 count, 0)[2]
+        x_at = np.empty((self.nodes, sub.n, count))
         xhat_at = np.empty_like(x_at)
         for k, (xk, obs_k) in enumerate(states):
             if k == 0:
                 xhat = xk  # both start at x0; no slice is written in place
             else:
                 xhat, _ = _filter_step(steps, k - 1, xhat, obs_k - obs_prev,
-                                       th_hat[k - 1], gains[k - 1])
+                                       self.th_hat[k - 1], self.gains[k - 1])
             obs_prev = obs_k
-            for pos in slots.get(k, ()):
+            for pos in self.slots.get(k, ()):
                 x_at[pos] = xk
                 xhat_at[pos] = xhat
-        sq[j0:j0 + count] = _squared_errors(np.swapaxes(x_at, 1, 2),
-                                            np.swapaxes(xhat_at, 1, 2))
-    return _mc_moments(sq)
+        return _squared_errors(np.swapaxes(x_at, 1, 2),
+                               np.swapaxes(xhat_at, 1, 2))
+
+
+def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
+    """Sample MSEs of several independent runs on one model and covariance
+    path, each run a tuple (theta_true, theta_hat, t_indices, n_paths,
+    seed) that simulates one ensemble and reads it at several grid nodes.
+    Returns one (means, stderrs) over the requested nodes per run.
+
+    A unit of work is one chunk of _MC_CHUNK paths of one run.  The units,
+    in run order, are split into contiguous slices, one per process (see
+    simulate._process_count, with a floor of _MIN_PATH_STEPS_PER_PROCESS),
+    and run by simulate._on_processes: the calling process takes the first
+    slice, and each forked child returns the (count, nodes) squared errors
+    of its chunks as raw float64 bytes, which the parent places in its
+    run's array.  A chunk's paths keep their absolute indices, so its bits
+    do not depend on the process that ran it, and each run is reduced by
+    _mc_moments in the calling process: the results are the same for any
+    number of processes.  The paths of a child's chunks are counted in the
+    parent's simulate._work once they are placed.
+    """
+    runs = [_MCRun(model, riccati, *run) for run in runs]
+    units = [(r, j0) for r, run in enumerate(runs) for j0 in run.chunks()]
+    work = sum(min(_MC_CHUNK, runs[r].n_paths - j0) * runs[r].last
+               for r, j0 in units)
+    count = _process_count(len(units), work, _MIN_PATH_STEPS_PER_PROCESS)
+    bounds = [len(units) * i // count for i in range(count + 1)]
+
+    def run_units(lo, hi, part):
+        for r, j0 in units[lo:hi]:
+            sq = runs[r].squared_errors(j0)
+            if part is None:
+                runs[r].sq[j0:j0 + len(sq)] = sq
+            else:
+                part.write(sq.tobytes())
+
+    def take(lo, hi, part):
+        for r, j0 in units[lo:hi]:
+            rows = runs[r].sq[j0:j0 + _MC_CHUNK]
+            rows[:] = np.frombuffer(part.read(rows.nbytes)).reshape(rows.shape)
+            _count_work(runs[r].sub, len(rows))
+
+    def name(lo, hi):
+        first, last = (f"run {r} chunk {j0 // _MC_CHUNK}"
+                       for r, j0 in (units[lo], units[hi - 1]))
+        return f"running Monte-Carlo {first}" + (
+            f" to {last}" if hi > lo + 1 else "")
+
+    _on_processes(bounds, run_units, take, name)
+    return [_mc_moments(run.sq) for run in runs]
+
+
+def _mse_mc_multi(model: ValidatedModel, riccati: RiccatiPath, theta_true,
+                  theta_hat, t_indices, n_paths: int, seed: int):
+    """Sample MSE at several grid nodes from one simulated ensemble: the
+    one-run case of _mse_mc_runs.  Returns (means, stderrs) over the
+    requested nodes."""
+    return _mse_mc_runs(model, riccati, [(theta_true, theta_hat, t_indices,
+                                          n_paths, seed)])[0]
 
 
 def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
@@ -146,14 +227,27 @@ def mse_monte_carlo(model: ValidatedModel, theta_true, theta_hat, t: float,
     before any work.  threads is accepted for compatibility and splits no
     work.
     """
-    seed = _check_seed("seed", seed)
-    n_paths = _check_n_paths(n_paths, _MAX_MC_PATHS, "the Monte-Carlo path cap")
+    return _mse_mc_at(model, [(theta_true, theta_hat, t, n_paths, seed)],
+                      riccati)[0]
+
+
+def _mse_mc_at(model: ValidatedModel, runs, riccati: RiccatiPath | None = None):
+    """(estimate, standard error) of each run (theta_true, theta_hat, t,
+    n_paths, seed) at its time t, as mse_monte_carlo gives them: every seed
+    and path count is checked before any work, then all the runs share one
+    _mse_mc_runs call."""
+    checked = []
+    for theta_true, theta_hat, t, n_paths, seed in runs:
+        seed = _check_seed("seed", seed)
+        n_paths = _check_n_paths(n_paths, _MAX_MC_PATHS,
+                                 "the Monte-Carlo path cap")
+        checked.append((theta_true, theta_hat, t, n_paths, seed))
     if riccati is None:
         riccati = solve_riccati(model)
-    t_idx = model.grid.index_of(t)
-    mean, stderr = _mse_mc_multi(model, riccati, theta_true, theta_hat,
-                                 [t_idx], n_paths, seed)
-    return float(mean[0]), float(stderr[0])
+    out = _mse_mc_runs(model, riccati, [
+        (theta_true, theta_hat, [model.grid.index_of(t)], n_paths, seed)
+        for theta_true, theta_hat, t, n_paths, seed in checked])
+    return [(float(mean[0]), float(stderr[0])) for mean, stderr in out]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,18 @@ never on chunking.  The streams are seeded a chunk at a time: `_seed_states`
 repeats NumPy's SeedSequence hash on uint32 arrays for a whole chunk of path
 indices, and one reused PCG64 generator is set to each path's starting state
 in turn, which gives the same bits as one SeedSequence and generator per
-stream.  The ``threads`` arguments are accepted but split no work; all
-chunks run in turn on the calling thread.  Within a chunk, the draws, their
-time-major copy and the noise transform of a long stream run on one
-short-lived thread per usable CPU, each on a contiguous block of paths (see
+stream.  The ``threads`` arguments are accepted but split no work;
+`simulate_paths` runs its chunks in turn on the calling thread, and the
+Monte-Carlo MSE (`minimax._mse_mc_runs`) spreads its chunks over forked
+processes through `_on_processes`, the package's one process path, which
+the ensemble writer (`export.write_ensemble_csv`) also takes.  Within a
+chunk, the draws, their time-major copy and the noise transform of a long
+stream run on one short-lived thread per usable CPU of the process's share
+(see `_usable_cpus`), each on a contiguous block of paths (see
 `_increments`); these are NumPy kernels that release the interpreter lock,
 every operation is elementwise per path, and each path keeps its stream, so
-no bit depends on the number of threads, and no thread outlives the call.
+no bit depends on the number of threads or processes, and no thread or
+process outlives the call.
 
 The noise transform and the log density each sum in one fixed order,
 written out here, whatever the chunk, the batch size or the NumPy build: the
@@ -31,12 +36,14 @@ the path-major loops (see `model._Steps`).  One path of a scalar model
 steps on Python floats, with the same operations in the same order.  So a
 path's bits depend on its index alone, however the paths are chunked.
 `simulate_paths` copies the increments and states back into the path-major
-arrays of `PathEnsemble`; the Monte-Carlo MSE (`minimax._mse_mc_multi`)
+arrays of `PathEnsemble`; the Monte-Carlo MSE (`minimax._MCRun`)
 consumes the states one step at a time and keeps only the nodes it reads.
 """
 from __future__ import annotations
 
 import os
+import signal
+import tempfile
 import threading
 from dataclasses import dataclass, field
 
@@ -57,14 +64,21 @@ _CHUNK = 2048
 # largest call in this package (verification's determinism check).
 _MAX_ENSEMBLE_BYTES = 4 << 30
 
-# Paths and path-steps simulated so far in this process; verification reads
-# the counts around each check for its timings sidecar.
+# Paths and path-steps simulated so far in this process, and in the forked
+# Monte-Carlo children whose results it took (minimax._mse_mc_runs counts
+# those); verification reads the counts around each check for its timings
+# sidecar.
 _work = {"paths": 0, "path_steps": 0}
 
 
 def _count_work(model: ValidatedModel, count: int) -> None:
     _work["paths"] += count
     _work["path_steps"] += count * model.n_steps
+
+# CPUs of this process's share while it runs a block of _on_processes, so
+# that the processes together start one noise thread per usable CPU; None
+# otherwise.  Only the thread count follows it: no CPU affinity is changed.
+_share = {"cpus": None}
 
 # The noise of a stream is split across threads only where the kernels that
 # release the interpreter lock dominate: each path's draw takes the lock back
@@ -187,7 +201,10 @@ def _seed_states(master_seed: int, first: int, count: int, tag: int) -> np.ndarr
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, 1 where os.sched_getaffinity is missing."""
+    """CPUs this process may run on, 1 where os.sched_getaffinity is missing;
+    while it runs a block of _on_processes, its share of them."""
+    if _share["cpus"] is not None:
+        return _share["cpus"]
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
@@ -228,6 +245,99 @@ def _on_blocks(bounds: list[int], work) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+def _process_count(blocks: int, work: int, floor: int) -> int:
+    """Processes that share blocks units of work: one per usable CPU, at
+    most one per block and per floor units of work, at least one; one where
+    os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), blocks, work // floor))
+
+
+def _fork(work, lo: int, hi: int, cpus: int):
+    """Fork a child that runs work(lo, hi, part) on a new binary temporary
+    file part, with cpus as its share of the usable CPUs; returns the
+    child's pid and part.
+
+    The child leaves only through os._exit, with status 0 once part is
+    flushed and 1 on any exception, so it never returns into the caller's
+    stack or flushes a buffer it shares with the parent.  On an exception
+    part's contents are replaced by "TypeName: message", written past the
+    buffer so that nothing written before follows it.
+    """
+    part = tempfile.TemporaryFile()
+    fd = part.fileno()
+    try:
+        pid = os.fork()
+    except BaseException:
+        part.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            _share["cpus"] = cpus
+            work(lo, hi, part)
+            part.flush()
+            status = 0
+        except BaseException as exc:
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, f"{type(exc).__name__}: {exc}".encode(
+                "utf-8", "backslashreplace"), 0)
+        finally:
+            os._exit(status)
+    return pid, part
+
+
+def _on_processes(bounds: list[int], work, take, what) -> None:
+    """work(lo, hi, part) on every block of bounds: a forked child takes each
+    block but the first, writing its results to its own temporary file part
+    (see _fork), and then the calling process takes the first, with part
+    None.  The children are then reaped in block order, and take(lo, hi,
+    part) reads each one's file from offset 0.  The usable CPUs are split
+    into contiguous shares, one per block, and while a process runs its
+    block _usable_cpus reads its share, so that its noise threads (see
+    _path_blocks) and those of the other processes do not outnumber the
+    CPUs.  The share ends with the block; CPU affinity is never changed.
+
+    A child that fails raises OSError naming what(lo, hi), its exit status
+    and its exception.  On any exception in the calling process every child
+    not yet reaped is killed and reaped, so no process outlives the call.
+    No thread started here outlives its call either (see _on_blocks), so a
+    child is forked from a process that runs one Python thread, unless the
+    caller runs others.
+    """
+    cpus, count = _usable_cpus(), len(bounds) - 1
+    shares = [cpus * (i + 1) // count - cpus * i // count for i in range(count)]
+    children = []
+    try:
+        for lo, hi, share in zip(bounds[1:-1], bounds[2:], shares[1:]):
+            children.append((*_fork(work, lo, hi, share), lo, hi))
+        outer, _share["cpus"] = _share["cpus"], shares[0]
+        try:
+            work(bounds[0], bounds[1], None)
+        finally:
+            _share["cpus"] = outer
+        while children:
+            pid, part, lo, hi = children[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            with part:
+                part.seek(0)
+                if status:
+                    # Status 1 is an exception, whose text the file holds.
+                    text = (": " + part.read().decode("utf-8")
+                            if status == 1 else "")
+                    raise OSError(f"the process {what(lo, hi)} exited with "
+                                  f"status {status}{text}")
+                take(lo, hi, part)
+    except BaseException:
+        for pid, part, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            part.close()
+        raise
 
 
 def _fill_normals(out: np.ndarray, master_seed: int, first: int, tag: int) -> None:

@@ -25,8 +25,8 @@ from .filtering import (
     innovation_diagnostics,
     run_robust_filter,
 )
-from .minimax import (_mc_moments, _mse_mc_multi, _squared_errors, g_profile,
-                      mse_exact, saddle_report)
+from .minimax import (_mc_moments, _mse_mc_multi, _mse_mc_runs, _squared_errors,
+                      g_profile, mse_exact, saddle_report)
 from .model import (
     ModelSchedule,
     TimeGrid,
@@ -46,14 +46,22 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_log_density_batch, _signal_noise, _tilt_factors,
-                       _work, simulate_paths)
+from .simulate import (_MIN_PATHS_PER_THREAD, _log_density_batch,
+                       _signal_noise, _tilt_factors, _usable_cpus, _work,
+                       simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
 # oracle (see tests for the companion constants).
 FROZEN_UPPER_VALUE = 0.690439283856479
 FROZEN_UPPER_TOL = 1e-4
+
+# Paths per block of check_girsanov, at least _MIN_PATHS_PER_THREAD per
+# usable CPU so that the noise threads still split a block.  Each of a
+# block's draws, time-major copy and increments takes 8 K n bytes a path:
+# on bench/minimax_n3.json, check_girsanov alone peaked at 369 MB with
+# blocks of 4096 paths and at 80 MB with 512, with the same bits.
+_GIRSANOV_BLOCK = 512
 
 # Standard errors within which a Monte-Carlo estimate agrees with its target.
 _Z = 3.0
@@ -296,14 +304,18 @@ def check_error_oracle(config: ScenarioConfig, seed: int,
     t_idx = model.grid.index_of(t)
     pairs = [(mu, np.zeros(model.n)), (-mu, np.zeros(model.n)), (mu, 0.5 * mu)]
     n_paths = 10_000
+    policies = [(clamp_policy(constant_policy(model, tv), bound),
+                 constant_policy(model, hv)) for tv, hv in pairs]
+    # The three runs share one _mse_mc_runs call, which spreads their
+    # chunks over the usable CPUs.
+    runs = _mse_mc_runs(model, riccati, [
+        (th_true, th_hat, [t_idx], n_paths, seed + 37 + i)
+        for i, (th_true, th_hat) in enumerate(policies)])
     rows = []
     passed = True
-    for i, (tv, hv) in enumerate(pairs):
-        th_true = clamp_policy(constant_policy(model, tv), bound)
-        th_hat = constant_policy(model, hv)
+    for (tv, hv), (th_true, th_hat), (mean, stderr) in zip(pairs, policies,
+                                                           runs):
         exact = solve_error_stats(model, th_true, th_hat, riccati).mse[t_idx]
-        mean, stderr = _mse_mc_multi(model, riccati, th_true, th_hat, [t_idx],
-                                     n_paths, seed + 37 + i)
         ok = bool(_within_band(mean[0] - exact, stderr[0]))
         passed = passed and ok
         rows.append({"theta": tv, "theta_hat": hv, "exact": float(exact),
@@ -338,7 +350,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
         return CheckResult(name, False, False, str(exc))
 
     n_paths = 100_000
-    block = 4096
+    block = max(_GIRSANOV_BLOCK, _MIN_PATHS_PER_THREAD * _usable_cpus())
     zetas = np.empty(n_paths)
     for j0 in range(0, n_paths, block):
         count = min(block, n_paths - j0)

@@ -161,6 +161,19 @@ def test_girsanov_check_skips_singular_diffusion():
     assert "singular" in result.detail
 
 
+def test_girsanov_measures_the_same_in_any_block(monkeypatch):
+    # A block's bits depend on its path indices only: 700-path blocks, which
+    # leave a remainder, measure what 4096-path blocks do.
+    cfg = _n3_cfg(20)
+    reports = []
+    for block in (4096, 700):
+        monkeypatch.setattr(verification, "_GIRSANOV_BLOCK", block)
+        result = check_girsanov(cfg, 2)
+        reports.append(rk.VerificationReport(2, (result,)).to_dict())
+    assert reports[0]["checks"][0]["measured"]["mean_weight"] != 1.0
+    assert reports[0] == reports[1]
+
+
 def test_tilt_floor_is_the_simulator_floor():
     # Just below the floor the simulator raises UnsupportedTilt; verification
     # must refuse the tilt there and keep it just above.
