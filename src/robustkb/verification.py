@@ -58,10 +58,14 @@ FROZEN_UPPER_TOL = 1e-4
 
 # Paths per block of check_girsanov, at least _MIN_PATHS_PER_THREAD per
 # usable CPU so that the noise threads still split a block.  Each of a
-# block's draws, time-major copy and increments takes 8 K n bytes a path:
-# on bench/minimax_n3.json, check_girsanov alone peaked at 369 MB with
-# blocks of 4096 paths and at 80 MB with 512, with the same bits.
-_GIRSANOV_BLOCK = 512
+# block's draws, time-major copy and increments takes 8 K n bytes a path.
+# On bench/minimax_n3.json (seed 3, 2-core x86 machine, alternating runs)
+# check_girsanov alone peaked at 369 MB in 8.3-10.1 s with blocks of 4096
+# paths, 204 MB in 9.2-9.5 s with 2048, 119 MB in 9.5-9.7 s with 1024 and
+# 80 MB in 9.4-11.1 s with 512, where the fixed cost of each block's log
+# density and thread starts shows; the bits were the same.  1024 keeps the
+# check under the peak of a Monte-Carlo chunk of that scenario (165 MB).
+_GIRSANOV_BLOCK = 1024
 
 # Standard errors within which a Monte-Carlo estimate agrees with its target.
 _Z = 3.0
