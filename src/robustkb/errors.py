@@ -38,8 +38,8 @@ class LostPositivity(RobustKBError):
 
 
 class IllConditionedStep(RobustKBError):
-    """One grid interval's covariance step is too ill-conditioned to take,
-    or gives a covariance that is not finite."""
+    """One grid interval's covariance step is singular, or gives a
+    covariance that is not finite."""
 
 
 class DegenerateG(RobustKBError):

@@ -15,11 +15,10 @@ the full level, so _forward can take the levels of longer maps and compose
 only the forcing.
 
 solve_riccati integrates the covariance.  For n = 1 it steps the Riccati
-equation in a loop on Python floats.  For n > 1 it steps the linear
-Hamiltonian system [X; Y]' = [[-F', S], [Q, F]] [X; Y], whose solution gives
-P = Y X^-1 (Davison and Maki, IEEE TAC 18(1), 1973): a forward scan over a
-block of intervals at a time, each started from [I; P] at its first node and
-ended early where X grows ill-conditioned, and every node symmetrized once.
+equation in a loop on Python floats.  For n > 1 it reads each RK4 step of the
+Hamiltonian system [X; Y]' = [[-F', S], [Q, F]] [X; Y] (Davison and Maki,
+IEEE TAC 18(1), 1973) as a linear-fractional map [I; P] -> P' = Y X^-1, and
+one forward scan composes those maps, every node symmetrized once.
 The other ODEs are driven by the stage closed loops F - P_i S, whose stage
 covariances P_i are recomputed from the nodes by RK4 on the symmetric form
 of the Riccati right-hand side, f(P) = Z + Z' + Q with Z = F P - (P S/2) P.
@@ -75,17 +74,6 @@ _SIGMA_BLOCK = 64
 # Stage forcing of the homogeneous step maps T_k.
 _UNFORCED = (0.0,) * 4
 
-# Intervals per block of the n > 1 Riccati scan, chosen by timing the
-# moments-n3 and bench/minimax_n3.json solves: each block is one _forward
-# over (block, 2n, 2n) step maps and one batched solve.  A block cut short
-# wastes the rest of its scan, so stiff models favour smaller blocks.
-_RICCATI_BLOCK = 64
-
-# A Riccati block ends before a node whose X has a larger 1-norm condition
-# number: the scan's rounding reaches P = Y X^-1 amplified by up to cond(X),
-# so this keeps it near 1e-12 relative at worst.
-_RICCATI_COND_MAX = 1e4
-
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
@@ -128,20 +116,20 @@ def _rk4_step(A, Y, U, dt: float) -> np.ndarray:
     return Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _levels(T) -> list:
+def _levels(T, pair=np.matmul) -> list:
     """Up-sweep levels of the step maps T, level 0 being T itself: item i of
-    level l + 1 is item 2i + 1 times item 2i of level l, and an odd item left
-    over is not paired.  They do not depend on the forcing, and level l of a
-    prefix of length L is the first L >> l items of level l."""
+    level l + 1 is pair(item 2i + 1, item 2i) of level l, their product by
+    default, and an odd item left over is not paired.  They do not depend on
+    the forcing; level l of a prefix of length L is its first L >> l items."""
     levels = [np.asarray(T, dtype=float)]
     while len(levels[-1]) > 1:
         M = levels[-1]
         h = len(M) // 2
-        levels.append(M[1 : 2 * h : 2] @ M[0 : 2 * h : 2])
+        levels.append(pair(M[1 : 2 * h : 2], M[0 : 2 * h : 2]))
     return levels
 
 
-def _forward(T, y0, e=None, levels=None) -> np.ndarray:
+def _forward(T, y0, e=None, levels=None, apply=np.matmul) -> np.ndarray:
     """y_{k+1} = T_k y_k + e_k from y0 at every node, shape (K+1,) + y0.shape.
 
     A work-efficient scan (Blelloch's up-sweep and down-sweep) of about 2K
@@ -155,11 +143,12 @@ def _forward(T, y0, e=None, levels=None) -> np.ndarray:
 
     levels, if given, are the _levels of maps of which T is a prefix; the scan
     reads the first len(T) >> l items of level l, with the bits of the levels
-    it would compose itself, and composes only the forcing.
+    it would compose itself, and composes only the forcing.  apply(M, y) takes
+    nodes y through level items M, M @ y by default.
     """
     if y0.ndim == 1:
         return _forward(T, y0[:, None], None if e is None else e[..., None],
-                        levels)[..., 0]
+                        levels, apply)[..., 0]
     k_steps = len(T)
     if levels is None:
         levels = _levels(T)
@@ -175,7 +164,7 @@ def _forward(T, y0, e=None, levels=None) -> np.ndarray:
     for level in range(len(Ms) - 1, -1, -1):
         M, v = Ms[level], vs[level]
         w = 2**level
-        y = M[0::2] @ out[0 :: 2 * w][: (len(M) + 1) // 2]
+        y = apply(M[0::2], out[0 :: 2 * w][: (len(M) + 1) // 2])
         out[w :: 2 * w] = y if v is None else y + v[0::2]
     return out
 
@@ -375,63 +364,74 @@ def _closed_loop(model: ValidatedModel, riccati: RiccatiPath) -> _ClosedLoop:
     return loop
 
 
-def _hamiltonian_blocks(model: ValidatedModel, path: np.ndarray) -> None:
-    """Fill path[1:] with the RK4 solution of the linear system
+def _solve(A, B) -> np.ndarray:
+    """np.linalg.solve over stacks, nan where a matrix of A is singular, so
+    that every node read through it fails solve_riccati's finite check.
+    slogdet's sign is 0 where the LU factors of solve have a zero pivot."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(A)[0] != 0
+        out = np.full(B.shape, np.nan)
+        out[ok] = np.linalg.solve(A[ok], B[ok])
+        return out
+
+
+def _hamiltonian_scan(model: ValidatedModel) -> np.ndarray:
+    """Every node, from P_0 = 0, of the RK4 solution of the linear system
     [X; Y]' = H_k [X; Y], H_k = [[-F_k', S_k], [Q_k, F_k]], read as P = Y X^-1.
 
-    The step maps of every interval are built at once, and _forward composes
-    them a block at a time, each block started from [I; P_s] at its first
-    node s.  A block ends after _RICCATI_BLOCK intervals, or before its first
-    node whose X has a 1-norm condition number above _RICCATI_COND_MAX or
-    that is not finite; the next block starts from the last node kept.
-    Where a node ends up depends only on the maps before it, so a prefix of
-    the grid gives a prefix of the path bitwise.  Raises IllConditionedStep,
-    naming the interval, if a block cannot keep even its first node.
+    Interval k's step map [[T11, T12], [T21, T22]] takes [I; P] to
+    P' = C + E P (I + J P)^-1 W, with W = T11^-1, J = W T12, C = T21 W and
+    E = T22 - C T12.  These elements [[W, J], [C, E]] compose associatively
+    (Redheffer's star product); a then b is
+    W = W_a (I + J_b C_a)^-1 W_b, J = J_a + W_a (I + J_b C_a)^-1 J_b E_a,
+    C = C_b + E_b (I + C_a J_b)^-1 C_a W_b, E = E_b (I + C_a J_b)^-1 E_a.
+    _forward pairs them by this rule and symmetrizes each node it reaches.
+    No product of step maps is inverted; node k reads the first k elements
+    alone.  A singular T11, I + J P or I + C J makes the later nodes nan.
     """
-    n, k_steps = model.n, model.n_steps
-    H = np.empty((k_steps, 2 * n, 2 * n))
-    H[:, :n, :n] = -np.swapaxes(model.F, 1, 2)
-    H[:, :n, n:] = model.S
-    H[:, n:, :n] = _sym(model.Q)
-    H[:, n:, n:] = model.F
+    n = model.n
+    eye = np.eye(n)
+
+    def pair(b, a):
+        Ca, Jb = a[:, n:, :n], b[:, :n, n:]
+        top = a[:, :n, :n] @ _solve(eye + Jb @ Ca, np.concatenate(
+            [b[:, :n, :n], Jb @ a[:, n:, n:]], axis=2))
+        low = b[:, n:, n:] @ _solve(eye + Ca @ Jb, np.concatenate(
+            [Ca @ b[:, :n, :n], a[:, n:, n:]], axis=2))
+        top[:, :, n:] += a[:, :n, n:]
+        low[:, :, :n] += b[:, n:, :n]
+        return np.concatenate([top, low], axis=1)
+
+    def apply(M, P):
+        step = _solve(eye + M[:, :n, n:] @ P, M[:, :n, :n])
+        return _sym(M[:, n:, :n] + M[:, n:, n:] @ P @ step)
+
+    H = np.block([[-np.swapaxes(model.F, 1, 2), model.S], [_sym(model.Q), model.F]])
     T = _rk4_step(np.broadcast_to(H, (4,) + H.shape), np.eye(2 * n), _UNFORCED,
                   model.grid.dt)
-    eye = np.eye(n)
-    s = 0
-    while s < k_steps:
-        Z = _forward(T[s : s + _RICCATI_BLOCK], np.concatenate([eye, path[s]]))[1:]
-        X, Y = Z[:, :n], Z[:, n:]
-        # cond is inf for a singular X; a node that overflowed counts as one.
-        cond = np.where(np.isfinite(Z).all(axis=(1, 2)), np.linalg.cond(X, 1), np.inf)
-        ok = cond <= _RICCATI_COND_MAX
-        kept = len(ok) if ok.all() else int(ok.argmin())
-        if kept == 0:
-            raise IllConditionedStep(
-                f"interval {s} (t = {model.grid.times[s]:.6g}): the covariance "
-                f"step has condition number {cond[0]:.3e}, above "
-                f"{_RICCATI_COND_MAX:.0e}")
-        # X' \ Y' is (Y X^-1)', and _sym gives the same bits for either.
-        path[s + 1 : s + 1 + kept] = _sym(np.linalg.solve(
-            np.swapaxes(X[:kept], 1, 2), np.swapaxes(Y[:kept], 1, 2)))
-        s += kept
+    W = _solve(T[:, :n, :n], np.broadcast_to(eye, model.F.shape))
+    C = T[:, n:, :n] @ W
+    el = np.block([[W, W @ T[:, :n, n:]], [C, T[:, n:, n:] - C @ T[:, :n, n:]]])
+    return _forward(el, np.zeros((n, n)), levels=_levels(el, pair), apply=apply)
 
 
 def solve_riccati(model: ValidatedModel) -> RiccatiPath:
     """Integrate dP = FP + PF' - PSP + Q from P(0) = 0.
 
     For n = 1, RK4 on the Riccati equation itself, on Python floats; for
-    n > 1, RK4 on its Hamiltonian linear system (see _hamiltonian_blocks),
-    each node symmetrized once.
+    n > 1, RK4 on its Hamiltonian linear system, composed as linear-fractional
+    elements in one scan (see _hamiltonian_scan), each node symmetrized once.
 
     Raises LostPositivity if any node covariance has an eigenvalue below
     -1e-9, naming the first such node and its own lowest eigenvalue.  Raises
-    IllConditionedStep, naming the interval, if one interval's step is too
-    ill-conditioned to read P from (n > 1) or gives a node that is not finite.
+    IllConditionedStep, naming the interval, if one interval's step is
+    singular (n > 1) or gives a node that is not finite.
     """
     n, k_steps, dt = model.n, model.n_steps, model.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
     Fs, Ss, Qs = model.F, model.S, model.Q
-    path = np.empty((k_steps + 1, n, n))
     if n == 1:
         # The RK4 arithmetic on Python floats, which gives the bits of the
         # symmetric form of _stage_covariances: scaling by 2 is exact, so
@@ -450,10 +450,9 @@ def solve_riccati(model: ValidatedModel) -> RiccatiPath:
             k4 = F * q + q * F - q * S * q + Q
             p = p + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             ps.append(p)
-        path[:, 0, 0] = ps
+        path = np.reshape(ps, (k_steps + 1, 1, 1))
     else:
-        path[0] = 0.0
-        _hamiltonian_blocks(model, path)
+        path = _hamiltonian_scan(model)
     # A nan node would pass the eigenvalue floor, so the floor is applied to
     # the finite prefix, and a non-finite node is reported only after it.
     finite = np.isfinite(path).all(axis=(1, 2))

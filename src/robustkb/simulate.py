@@ -463,44 +463,33 @@ class PathEnsemble:
         return self.x.shape[0]
 
 
-def _tilt_factors(theta: np.ndarray, model: ValidatedModel):
-    """Cholesky factors of Q on intervals where the tilt is active; raises
-    UnsupportedTilt for the first one where Q is below _TILT_EIG_FLOOR."""
+def _standardized_tilt(theta: np.ndarray, model: ValidatedModel):
+    """The tilt's active intervals (any theta_k != 0), theta on them, and
+    u_k = L_k^-T theta_k for the Cholesky factor L_k of Q_k, zero off them;
+    raises UnsupportedTilt for the first active interval where Q is below
+    _TILT_EIG_FLOOR."""
     active = np.flatnonzero(np.any(theta != 0.0, axis=1))
     if active.size == 0:
-        return active, None
+        return active, None, None
     Qa = model.Q[active]
     bad = _first_below(np.linalg.eigvalsh(Qa), _TILT_EIG_FLOOR)
     if bad is not None:
         raise UnsupportedTilt(
             f"interval {active[bad[0]]}: tilt is nonzero but Q is singular there"
         )
-    return active, np.linalg.cholesky(Qa)
+    th = theta[active]
+    u = np.zeros(theta.shape)
+    u[active] = np.linalg.solve(np.swapaxes(np.linalg.cholesky(Qa), -1, -2),
+                                th[..., None])[..., 0]
+    return active, th, u
 
 
-def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
-                       model: ValidatedModel) -> np.ndarray:
-    """Log likelihood ratio sum_k theta_k' dw_std_k - 0.5 sum_k |theta_k|^2 dt
-    of path-major increments dw (batch, K, n).
-
-    Increments are standardized by the Cholesky factor of Q per interval;
-    theta itself is read as a tilt of the standardized noise, which for
-    identity Q coincides with the state-equation drift.  Intervals with zero
-    tilt contribute exactly zero whatever Q is.
-
-    theta_k' L_k^-1 dw_k = u_k' dw_k with u_k = L_k^-T theta_k, one solve per
-    interval.  Each term u_k' dw_k is summed in j order, and each path adds
-    its terms in k order, one interval at a time; |theta_k|^2 is summed the
-    same way.  So a path's value depends on its own increments only, and
-    Q = I gives the bits of per-path solves.
-    """
-    active, chol = _tilt_factors(theta, model)
+def _tilt_log_density(tilt, dw: np.ndarray, dt: float) -> np.ndarray:
+    """_log_density_batch from the _standardized_tilt of theta."""
+    active, th, u = tilt
     out = np.zeros(dw.shape[0])
     if active.size == 0:
         return out
-    th = theta[active]
-    u = np.zeros(theta.shape)
-    u[active] = np.linalg.solve(np.swapaxes(chol, -1, -2), th[..., None])[..., 0]
     terms = u[:, 0] * dw[..., 0]
     norms = th[:, 0] * th[:, 0]
     for j in range(1, th.shape[1]):
@@ -517,8 +506,27 @@ def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
     total = 0.0
     for value in norms.tolist():
         total += value
-    out -= 0.5 * model.grid.dt * total
+    out -= 0.5 * dt * total
     return out
+
+
+def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
+                       model: ValidatedModel) -> np.ndarray:
+    """Log likelihood ratio sum_k theta_k' dw_std_k - 0.5 sum_k |theta_k|^2 dt
+    of path-major increments dw (batch, K, n).
+
+    Increments are standardized by the Cholesky factor of Q per interval;
+    theta itself is read as a tilt of the standardized noise, which for
+    identity Q coincides with the state-equation drift.  Intervals with zero
+    tilt contribute exactly zero whatever Q is.
+
+    theta_k' L_k^-1 dw_k = u_k' dw_k with u_k = L_k^-T theta_k, one solve per
+    interval (see _standardized_tilt).  Each term u_k' dw_k is summed in j
+    order, and each path adds its terms in k order, one interval at a time;
+    |theta_k|^2 is summed the same way.  So a path's value depends on its own
+    increments only, and Q = I gives the bits of per-path solves.
+    """
+    return _tilt_log_density(_standardized_tilt(theta, model), dw, model.grid.dt)
 
 
 def girsanov_log_density(theta, dw: np.ndarray, model: ValidatedModel) -> float:

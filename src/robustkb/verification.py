@@ -46,8 +46,8 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_MIN_PATHS_PER_THREAD, _log_density_batch,
-                       _signal_noise, _tilt_factors, _usable_cpus, _work,
+from .simulate import (_MIN_PATHS_PER_THREAD, _signal_noise,
+                       _standardized_tilt, _tilt_log_density, _usable_cpus, _work,
                        simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
@@ -164,10 +164,10 @@ def _probe_time(model: ValidatedModel, target: float = 1.0) -> float:
 
 def _matched_tilt(model: ValidatedModel, bound: UncertaintyBound) -> np.ndarray:
     """Componentwise min(0.5, mu), zeroed where the simulator cannot tilt
-    by it (see simulate._tilt_factors)."""
+    by it (see simulate._standardized_tilt)."""
     value = np.minimum(0.5, bound.mu)
     try:
-        _tilt_factors(np.tile(value, (model.n_steps, 1)), model)
+        _standardized_tilt(np.tile(value, (model.n_steps, 1)), model)
     except UnsupportedTilt:
         return np.zeros(model.n)
     return value
@@ -349,7 +349,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
     c = np.minimum(0.5, bound.mu)
     theta = np.tile(c, (sub.n_steps, 1))
     try:  # the simulator's refusal, before any path is drawn
-        _tilt_factors(theta, sub)
+        tilt = _standardized_tilt(theta, sub)
     except UnsupportedTilt as exc:
         return CheckResult(name, False, False, str(exc))
 
@@ -360,7 +360,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
         count = min(block, n_paths - j0)
         # Only the untilted signal streams: x, m and dv would go unused.
         dw = _signal_noise(sub, seed + 53, j0, count)
-        zetas[j0:j0 + count] = _log_density_batch(theta, dw, sub)
+        zetas[j0:j0 + count] = _tilt_log_density(tilt, dw, sub.grid.dt)
 
     w = np.exp(zetas)
     mean_w = float(w.mean())

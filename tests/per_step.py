@@ -7,6 +7,9 @@ float loop gives its bits.  For n > 1 the library steps the Hamiltonian
 system of P = Y X^-1 instead, another fourth-order scheme, so the n > 1
 tests hold both to the exact path of `oracles.riccati_exact` rather than to
 each other.
+`riccati_node_map` is the reference for the n > 1 scan of `solve_riccati`:
+the same RK4 step maps of the Hamiltonian system, applied to [I; P] one
+node at a time and read back as P = Y X^-1, symmetrized after every step.
 `riccati_stages` is the reference for `ode._stage_covariances`: the stage
 covariances as the library built them, batched with the same right-hand
 side.  The library now steps the symmetric form Z + Z' + Q with
@@ -42,6 +45,13 @@ from robustkb.ode import _rk4_step, _stage_covariances
 RICCATI_FORM_TOL = 1e-15
 
 
+# solve_riccati's n > 1 scan composes riccati_node_map's step maps and rounds
+# differently.  Measured gaps, times (1 + max|P|): 7.7e-16 on the n = 2 layout
+# model, 3.5e-15 on the n = 3 schedule, and 3.3e-14 and 1.6e-14 on the stiff
+# -500 and -1200 models from t = 1 on.
+RICCATI_NODE_MAP_TOL = 1e-13
+
+
 def _riccati_rhs(P, F, S, Q):
     """FP + PF' - PSP + Q, also for stacked matrices."""
     return F @ P + P @ np.swapaxes(F, -1, -2) - P @ S @ P + Q
@@ -60,6 +70,25 @@ def riccati_per_step(model):
         k3 = _riccati_rhs(P + half * k2, F, S, Q)
         k4 = _riccati_rhs(P + dt * k3, F, S, Q)
         step = P + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        P = path[k + 1] = 0.5 * (step + step.T)
+    return path
+
+
+def riccati_node_map(model):
+    """Error covariance at every node, shape (K+1, n, n), from P = 0, by
+    P_{k+1} = sym((T21 + T22 P_k)(T11 + T12 P_k)^-1) with the RK4 step map
+    T = [[T11, T12], [T21, T22]] of [X; Y]' = [[-F', S], [Q, F]] [X; Y]."""
+    n = model.n
+    H = np.block([[-np.swapaxes(model.F, 1, 2), model.S],
+                  [0.5 * (model.Q + np.swapaxes(model.Q, 1, 2)), model.F]])
+    T = _rk4_step(np.broadcast_to(H, (4,) + H.shape), np.eye(2 * n), (0.0,) * 4,
+                  model.grid.dt)
+    path = np.empty((model.n_steps + 1, n, n))
+    P = path[0] = np.zeros((n, n))
+    for k in range(model.n_steps):
+        X = T[k, :n, :n] + T[k, :n, n:] @ P
+        Y = T[k, n:, :n] + T[k, n:, n:] @ P
+        step = np.linalg.solve(X.T, Y.T).T
         P = path[k + 1] = 0.5 * (step + step.T)
     return path
 

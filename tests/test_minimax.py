@@ -94,9 +94,9 @@ def _moments_n3_schedule(seed=4242):
 
 
 def _stiff_n2_model():
-    """A fast mode whose Riccati blocks the conditioning cut shortens, as
-    tests/test_ode.py::test_riccati_cut_shortens_the_blocks_of_the_stiff_model
-    checks."""
+    """A fast mode that grows the Hamiltonian's X by up to e^(500 dt) per
+    step, where a prefix of the Riccati scan must still be a prefix of the
+    path bitwise."""
     return constant_model(np.array([[-500.0, 1.0], [0.0, -1.0]]), np.zeros(2),
                           np.array([[1.0, 0.0]]), np.zeros(1), np.eye(2), 1.0,
                           np.zeros(2), horizon=2.0, n_steps=2000)

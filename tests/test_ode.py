@@ -32,15 +32,15 @@ from robustkb import (
     validate_model,
 )
 from robustkb.minimax import _game_core
-from robustkb.ode import (_RICCATI_BLOCK, _RICCATI_COND_MAX, _SIGMA_BLOCK, _UNFORCED,
-                          RiccatiPath, _closed_loop, _forward, _input_maps,
-                          _levels, _lyapunov_path, _propagate, _rk4_step,
-                          _stage_covariances, _sym)
+from robustkb.ode import (_SIGMA_BLOCK, _UNFORCED, RiccatiPath, _closed_loop,
+                          _forward, _input_maps, _levels, _lyapunov_path,
+                          _propagate, _rk4_step, _stage_covariances, _sym)
 
 import path_major
 from oracles import J_ONE, P_HALF, P_INF, P_ONE, P_TWO, RICCATI_EXACT_TOL, riccati_exact
-from per_step import (RICCATI_FORM_TOL, closed_loop_stages, forced_terms_per_stage,
-                      riccati_per_step, riccati_stages, sigma_per_step)
+from per_step import (RICCATI_FORM_TOL, RICCATI_NODE_MAP_TOL, closed_loop_stages,
+                      forced_terms_per_stage, riccati_node_map, riccati_per_step,
+                      riccati_stages, sigma_per_step)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,14 @@ def test_riccati_matches_the_per_step_loop(riccati_case):
     assert np.array_equal(P, np.swapaxes(P, 1, 2))
 
 
+@pytest.mark.parametrize("riccati_case", ["n2", "n3"], indirect=True)
+def test_riccati_matches_the_node_map(riccati_case):
+    model, riccati = riccati_case
+    want = riccati_node_map(model)
+    err = np.max(np.abs(riccati.P - want))
+    assert err <= RICCATI_NODE_MAP_TOL * (1.0 + np.max(np.abs(want))), err
+
+
 def test_stage_covariances_match_the_four_product_stages(riccati_case):
     model, riccati = riccati_case
     got = _stage_covariances(model, riccati.P)
@@ -213,8 +221,8 @@ def _stiff_model(corner, n_steps=2000):
 @pytest.mark.parametrize("corner", [-500.0, -1200.0])
 def test_riccati_stiff_model_matches_the_exact_path(corner):
     # From t = 1 on, past the fast transient, the path is measured within
-    # 2.6e-14 times (1 + max|P|) of the exact one (the per-step loop: 1.7e-14
-    # and 9.2e-15).  With the cut raised to 1e16 it was 4.2e-11 and 4.4e-10.
+    # 5.5e-15 and 7.1e-15 times (1 + max|P|) of the exact one (the per-step
+    # loop: 1.7e-14 and 9.2e-15).
     model = _stiff_model(corner)
     P = solve_riccati(model).P
     exact = riccati_exact(model)
@@ -226,20 +234,27 @@ def test_riccati_stiff_model_matches_the_exact_path(corner):
     assert np.max(np.abs(P - exact)) <= np.max(np.abs(riccati_per_step(model) - exact))
 
 
-def test_riccati_cut_shortens_the_blocks_of_the_stiff_model():
-    # The first full block's last X is past the cut, so the -500 model's
-    # blocks end early (the truncation test in test_minimax relies on it).
-    model = _stiff_model(-500.0)
-    H = np.block([[-np.swapaxes(model.F, 1, 2), model.S], [model.Q, model.F]])
-    T = _rk4_step(np.broadcast_to(H, (4,) + H.shape), np.eye(4), _UNFORCED,
-                  model.grid.dt)
-    X = _forward(T[:_RICCATI_BLOCK], np.eye(4)[:, :2])[-1, :2]
-    assert np.linalg.cond(X, 1) > _RICCATI_COND_MAX
+@pytest.mark.parametrize("corner", [-500.0, -1200.0])
+def test_riccati_stiff_model_matches_the_node_map(corner):
+    model = _stiff_model(corner)
+    P = solve_riccati(model).P
+    want = riccati_node_map(model)
+    scale = 1.0 + np.max(np.abs(want))
+    late = model.grid.index_of(1.0)
+    err = np.max(np.abs(P[late:] - want[late:]))
+    assert err <= RICCATI_NODE_MAP_TOL * scale, err
+    # In the -1200 transient node 2 is 2.6e-11 (times 1 + max|P|) from the
+    # node map, which symmetrizes node 1 on the way; the scan composes the
+    # first two steps into one element.
+    err = np.max(np.abs(P - want))
+    assert err <= 1e-10 * scale, err
 
 
-def test_riccati_names_an_ill_conditioned_interval():
+def test_riccati_solves_a_step_whose_x_is_ill_conditioned():
     # With S = 0 the step maps scale X by the RK4 growth of -F' dt, whatever
-    # P is.  Interval 5 grows one axis by about 4e4 and the other not at all.
+    # P is.  Interval 5 grows one axis by about 4e4 and the other not at all,
+    # so its X has condition number 3.9e4; the element scan inverts no
+    # product of X and matches the node-by-node map to 5.6e-17.
     n_steps = 10
     F = np.zeros((n_steps, 2, 2))
     F[:, 0, 0] = -1.0
@@ -249,11 +264,10 @@ def test_riccati_names_an_ill_conditioned_interval():
                              Q=np.broadcast_to(np.eye(2), (n_steps, 2, 2)),
                              R=np.ones((n_steps, 1, 1)), x0=np.zeros(2))
     model = validate_model(schedule, TimeGrid(1.0, n_steps))
-    for _ in range(2):
-        with pytest.raises(IllConditionedStep, match=r"^interval 5 \(t = 0.5\)"):
-            solve_riccati(model)
-    # The prefix before it is solved.
-    assert solve_riccati(model.truncate(5)).P.shape == (6, 2, 2)
+    P = solve_riccati(model).P
+    want = riccati_node_map(model)
+    assert np.max(np.abs(P - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+    assert P[:6].tobytes() == solve_riccati(model.truncate(5)).P.tobytes()
 
 
 def test_riccati_refuses_an_overflowing_step():
@@ -263,8 +277,27 @@ def test_riccati_refuses_an_overflowing_step():
                            8e307 * np.eye(2), 1.0, np.zeros(2),
                            horizon=10.0, n_steps=10)
     with np.errstate(all="ignore"):
-        with pytest.raises(IllConditionedStep, match=r"^interval 0 .* inf, above"):
+        with pytest.raises(IllConditionedStep, match=r"^interval 0 "):
             solve_riccati(model)
+
+
+def test_riccati_names_the_interval_of_a_singular_element():
+    # F = 1e5 on every entry over interval 3 of a dt = 0.25 grid, with S = 0:
+    # T11 = I + c U, U the all-ones matrix and c = (p(-5e4) - 1) / 2 = 1.3e17
+    # for the RK4 polynomial p.  c > 2^53, so the I rounds away, T11's rows
+    # are equal and its inverse W does not exist.
+    n_steps = 8
+    F = np.broadcast_to(-np.eye(2), (n_steps, 2, 2)).copy()
+    F[3] = 1e5
+    schedule = ModelSchedule(F=F, f=np.zeros((n_steps, 2)),
+                             G=np.zeros((n_steps, 1, 2)), g=np.zeros((n_steps, 1)),
+                             Q=np.broadcast_to(np.eye(2), (n_steps, 2, 2)),
+                             R=np.ones((n_steps, 1, 1)), x0=np.zeros(2))
+    model = validate_model(schedule, TimeGrid(2.0, n_steps))
+    with pytest.raises(IllConditionedStep,
+                       match=r"^interval 3 \(t = 0.75\): .* not finite"):
+        solve_riccati(model)
+    assert np.isfinite(solve_riccati(model.truncate(3)).P).all()
 
 
 def test_scalar_riccati_refuses_an_overflowing_step():
