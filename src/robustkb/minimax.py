@@ -34,6 +34,7 @@ from .model import (
 )
 from .ode import (RiccatiPath, _closed_loop, _policy_array, _response,
                   solve_error_stats, solve_riccati)
+from . import simulate
 from .simulate import (_check_n_paths, _check_seed, _count_work,
                        _on_processes, _process_count, _simulate_chunk)
 
@@ -48,14 +49,6 @@ _MC_CHUNK = 1024
 # squared errors kept take 80 MB per requested node at the limit, and the
 # largest Monte-Carlo run in this package (verification) uses 10^4 paths.
 _MAX_MC_PATHS = 10**7
-
-# A forked Monte-Carlo process costs a fork, a reap, a temporary file and
-# copy-on-write faults.  Two runs, serial against forked on a 2-core x86
-# machine (medians of 9): 10^4 path-steps in all went from 8.9 to 12.9 ms
-# (n = 1) and 7.4 to 13.3 ms (n = 3); 10^5 from 32 to 21 ms and 37 to 39
-# ms; 2 x 10^5 from 49 to 34 ms and 91 to 52 ms.  So a process takes at
-# least 10^5 path-steps.
-_MIN_PATH_STEPS_PER_PROCESS = 100_000
 
 
 def mse_exact(model: ValidatedModel, theta_true, theta_hat, t: float,
@@ -164,11 +157,12 @@ def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
 
     A unit of work is one chunk of _MC_CHUNK paths of one run.  The units,
     in run order, are split into contiguous slices, one per process (see
-    simulate._process_count, with a floor of _MIN_PATH_STEPS_PER_PROCESS),
-    and run by simulate._on_processes: the calling process takes the first
-    slice, and each forked child returns the (count, nodes) squared errors
-    of its chunks as raw float64 bytes, which the parent places in its
-    run's array.  A chunk's paths keep their absolute indices, so its bits
+    simulate._process_count, with a floor of
+    simulate._MIN_PATH_STEPS_PER_PROCESS), and run by
+    simulate._on_processes: the calling process takes the first slice, and
+    each forked child returns the (count, nodes) squared errors of its
+    chunks as raw float64 bytes, which the parent places in its run's
+    array.  A chunk's paths keep their absolute indices, so its bits
     do not depend on the process that ran it, and each run is reduced by
     _mc_moments in the calling process: the results are the same for any
     number of processes.  The paths of a child's chunks are counted in the
@@ -178,7 +172,8 @@ def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
     units = [(r, j0) for r, run in enumerate(runs) for j0 in run.chunks()]
     work = sum(min(_MC_CHUNK, runs[r].n_paths - j0) * runs[r].last
                for r, j0 in units)
-    count = _process_count(len(units), work, _MIN_PATH_STEPS_PER_PROCESS)
+    count = _process_count(len(units), work,
+                           simulate._MIN_PATH_STEPS_PER_PROCESS)
     bounds = [len(units) * i // count for i in range(count + 1)]
 
     def run_units(lo, hi, part):

@@ -9,17 +9,17 @@ repeats NumPy's SeedSequence hash on uint32 arrays for a whole chunk of path
 indices, and one reused PCG64 generator is set to each path's starting state
 in turn, which gives the same bits as one SeedSequence and generator per
 stream.  The ``threads`` arguments are accepted but split no work;
-`simulate_paths` runs its chunks in turn on the calling thread, and the
-Monte-Carlo MSE (`minimax._mse_mc_runs`) spreads its chunks over forked
-processes through `_on_processes`, the package's one process path, which
-the ensemble writer (`export.write_ensemble_csv`) also takes.  Within a
-chunk, the draws, their time-major copy and the noise transform of a long
-stream run on one short-lived thread per usable CPU of the process's share
-(see `_usable_cpus`), each on a contiguous block of paths (see
-`_increments`); these are NumPy kernels that release the interpreter lock,
-every operation is elementwise per path, and each path keeps its stream, so
-no bit depends on the number of threads or processes, and no thread or
-process outlives the call.
+`simulate_paths` splits its paths into contiguous blocks, one per process,
+the Monte-Carlo MSE (`minimax._mse_mc_runs`) its chunks, and both run them
+on forked processes through `_on_processes`, the package's one process
+path, which the ensemble writer (`export.write_ensemble_csv`) also takes.
+Within a chunk, the draws, their time-major copy and the noise transform
+of a long stream run on one short-lived thread per usable CPU of the
+process's share (see `_usable_cpus`), each on a contiguous block of paths
+(see `_increments`); these are NumPy kernels that release the interpreter
+lock, every operation is elementwise per path, and each path keeps its
+stream, so no bit depends on the number of threads or processes, and no
+thread or process outlives the call.
 
 The noise transform and the log density each sum in one fixed order,
 written out here, whatever the chunk, the batch size or the NumPy build: the
@@ -36,8 +36,9 @@ the path-major loops (see `model._Steps`).  One path of a scalar model
 steps on Python floats, with the same operations in the same order.  So a
 path's bits depend on its index alone, however the paths are chunked.
 `simulate_paths` copies the increments and states back into the path-major
-arrays of `PathEnsemble`; the Monte-Carlo MSE (`minimax._MCRun`)
-consumes the states one step at a time and keeps only the nodes it reads.
+arrays of `PathEnsemble`, a forked child's rows through its temporary file;
+the Monte-Carlo MSE (`minimax._MCRun`) consumes the states one step at a
+time and keeps only the nodes it reads.
 """
 from __future__ import annotations
 
@@ -65,9 +66,9 @@ _CHUNK = 2048
 _MAX_ENSEMBLE_BYTES = 4 << 30
 
 # Paths and path-steps simulated so far in this process, and in the forked
-# Monte-Carlo children whose results it took (minimax._mse_mc_runs counts
-# those); verification reads the counts around each check for its timings
-# sidecar.
+# children whose results it took (simulate_paths and minimax._mse_mc_runs
+# count those); verification reads the counts around each check for its
+# timings sidecar.
 _work = {"paths": 0, "path_steps": 0}
 
 
@@ -245,6 +246,27 @@ def _on_blocks(bounds: list[int], work) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+# A forked process costs a fork, a reap, a temporary file and copy-on-write
+# faults.  Two Monte-Carlo runs, serial against forked on a 2-core x86
+# machine (medians of 9): 10^4 path-steps in all went from 8.9 to 12.9 ms
+# (n = 1) and 7.4 to 13.3 ms (n = 3); 10^5 from 32 to 21 ms and 37 to 39
+# ms; 2 x 10^5 from 49 to 34 ms and 91 to 52 ms.  So a process takes at
+# least 10^5 path-steps.
+_MIN_PATH_STEPS_PER_PROCESS = 100_000
+
+# The Euler loop costs a Python step per interval whatever the batch, and
+# that cost does not split across processes, so a block of simulate_paths
+# also takes at least this many paths.  Two processes against one on a
+# 2-core x86 machine (NumPy 2.4.6), medians of 6 to 12 alternated calls,
+# the range over repeated sweeps, the same bits in every case: n = 1, 200
+# steps, 3000 paths 0.74-0.84, 1500 paths 0.76-0.97, 800 paths 0.77, 600
+# paths 1.07-1.30 and 512 paths 0.84; n = 1, 2000 steps, 100 paths
+# 1.06-1.43, 200 paths 0.85-1.04, 256 paths 0.86-0.96 and 800 paths 0.80;
+# n = 3, 1000 steps, 256 paths 0.75-1.08, 400 paths 0.83-1.03 and 800
+# paths 0.77; n = 3, 200 steps, 3000 paths 0.71-0.76 and 512 paths 0.98.
+_MIN_PATHS_PER_PROCESS = 256
 
 
 def _process_count(blocks: int, work: int, floor: int) -> int:
@@ -596,13 +618,20 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
                    path_offset: int = 0, threads: int = 1) -> PathEnsemble:
     """Simulate n_paths signal/observation paths under the drift tilt theta.
 
-    Paths are generated in fixed chunks; path_offset shifts the absolute
-    path indices so a large run can be split across calls and still match a
-    monolithic run bitwise.  threads is accepted for compatibility and does
-    not change the work or the result.  n_paths must be a positive integer
-    whose ensemble fits in 4 GiB, else InvalidPathCount is raised before
-    any allocation; the bound is a fixed policy limit that does not depend
-    on the memory available.
+    path_offset shifts the absolute path indices so a large run can be
+    split across calls and still match a monolithic run bitwise.  The paths
+    are split into contiguous blocks, one per process (see _process_count,
+    with at least _MIN_PATHS_PER_PROCESS paths and
+    _MIN_PATH_STEPS_PER_PROCESS path-steps a block), and run by
+    _on_processes: each process runs its block in chunks of _CHUNK paths
+    from the block's start, the calling process into the returned arrays
+    and each forked child into its temporary file, which the parent reads
+    straight into its rows.  A path's bits depend on its absolute index
+    alone, so neither the blocks nor the chunks move any.  threads is
+    accepted for compatibility and does not change the work or the result.
+    n_paths must be a positive integer whose ensemble fits in 4 GiB, else
+    InvalidPathCount is raised before any allocation; the bound is a fixed
+    policy limit that does not depend on the memory available.
     """
     master_seed = _check_seed("master_seed", master_seed)
     path_offset = _check_seed("path_offset", path_offset)
@@ -622,23 +651,40 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     dw = np.empty((n_paths, k_steps, n))
     dv = np.empty((n_paths, k_steps, m))
     logw = np.empty(n_paths)
-    for j0 in range(0, n_paths, _CHUNK):
-        count = min(_CHUNK, n_paths - j0)
-        sl = slice(j0, j0 + count)
-        dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps, master_seed,
-                                                j0, count, path_offset)
-        x_c = np.empty((k_steps + 1, n, count))
-        obs_c = np.empty((k_steps + 1, m, count))
-        for k, (xk, obs_k) in enumerate(states):
-            x_c[k] = xk
-            obs_c[k] = obs_k
-        x[sl] = _path_major(x_c)
-        obs[sl] = _path_major(obs_c)
-        np.add(_path_major(dw_tilt), tilt, out=dw[sl])
-        dv[sl] = _path_major(dv_c)
-        logw[sl] = _log_density_batch(th, dw[sl], model)
+    arrays = (x, obs, dw, dv, logw)
 
-    for arr in (x, obs, dw, dv, logw):
+    def run_block(lo, hi, part):
+        for j0 in range(lo, hi, _CHUNK):
+            count = min(_CHUNK, hi - j0)
+            sl = slice(j0, j0 + count)
+            dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps,
+                                                    master_seed, j0, count,
+                                                    path_offset)
+            x_c = np.empty((k_steps + 1, n, count))
+            obs_c = np.empty((k_steps + 1, m, count))
+            for k, (xk, obs_k) in enumerate(states):
+                x_c[k] = xk
+                obs_c[k] = obs_k
+            x[sl] = _path_major(x_c)
+            obs[sl] = _path_major(obs_c)
+            np.add(_path_major(dw_tilt), tilt, out=dw[sl])
+            dv[sl] = _path_major(dv_c)
+            logw[sl] = _log_density_batch(th, dw[sl], model)
+        if part is not None:
+            for arr in arrays:
+                part.write(arr[lo:hi])
+
+    def take(lo, hi, part):
+        for arr in arrays:
+            part.readinto(arr[lo:hi])
+        _count_work(model, hi - lo)
+
+    procs = _process_count(n_paths // _MIN_PATHS_PER_PROCESS, n_paths * k_steps,
+                           _MIN_PATH_STEPS_PER_PROCESS)
+    _on_processes([n_paths * i // procs for i in range(procs + 1)], run_block,
+                  take, lambda lo, hi: (f"simulating paths {path_offset + lo}.."
+                                        f"{path_offset + hi - 1}"))
+    for arr in arrays:
         arr.setflags(write=False)
     return PathEnsemble(model=model, policy=policy, master_seed=master_seed,
                         path_offset=path_offset, x=x, m=obs, dw=dw, dv=dv,

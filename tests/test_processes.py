@@ -1,5 +1,6 @@
-"""Monte-Carlo chunks on forked processes: the same bits on any usable CPU
-set, path counts kept in the calling process, and no child left behind."""
+"""Monte-Carlo chunks and simulate_paths blocks on forked processes: the
+same bits on any usable CPU set, path counts kept in the calling process,
+and no child left behind."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from robustkb import minimax, simulate, solve_riccati
 from robustkb.cli import main
+from robustkb.errors import InvalidPathCount
 
 import path_major
 
@@ -17,10 +19,11 @@ CPU_SETS = (1, 2, 3, 4)
 
 
 def _use_cpus(monkeypatch, cpus: int) -> list:
-    """cpus usable CPUs and no work floor, so that every chunk may get a
-    process of its own; returns a list that gains an entry per fork."""
+    """cpus usable CPUs and no work floor, so that every chunk or path may
+    get a process of its own; returns a list that gains an entry per fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(minimax, "_MIN_PATH_STEPS_PER_PROCESS", 1)
+    monkeypatch.setattr(simulate, "_MIN_PATH_STEPS_PER_PROCESS", 1)
+    monkeypatch.setattr(simulate, "_MIN_PATHS_PER_PROCESS", 1)
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -74,10 +77,10 @@ def test_small_runs_stay_in_the_calling_process(monkeypatch):
     riccati = solve_riccati(model)
     with monkeypatch.context() as patch:
         forks = _use_cpus(patch, 4)
-        patch.setattr(minimax, "_MIN_PATH_STEPS_PER_PROCESS", 100_000)
+        patch.setattr(simulate, "_MIN_PATH_STEPS_PER_PROCESS", 100_000)
         minimax._mse_mc_runs(model, riccati, _runs(model))  # 131 000 in all
         assert forks == []
-        patch.setattr(minimax, "_MIN_PATH_STEPS_PER_PROCESS", 60_000)
+        patch.setattr(simulate, "_MIN_PATH_STEPS_PER_PROCESS", 60_000)
         minimax._mse_mc_runs(model, riccati, _runs(model))
         assert len(forks) == 1
 
@@ -101,7 +104,7 @@ def test_processes_share_the_noise_threads(monkeypatch):
     split = minimax._mse_mc_runs(model, riccati, runs)
     assert len(forks) == 1 and starts == []
     assert simulate._share["cpus"] is None
-    monkeypatch.setattr(minimax, "_MIN_PATH_STEPS_PER_PROCESS", 10**9)
+    monkeypatch.setattr(simulate, "_MIN_PATH_STEPS_PER_PROCESS", 10**9)
     whole = minimax._mse_mc_runs(model, riccati, runs)
     assert len(forks) == 1 and len(starts) == 2 * 2 * 3  # 2 runs, 2 tags
     for a, b in zip(split, whole):
@@ -141,6 +144,90 @@ def test_failed_chunk_reaps_every_child(monkeypatch):
     _no_child_left()
 
 
+def _ensemble_arrays(ens):
+    return (ens.x, ens.m, ens.dw, ens.dv, ens.log_density)
+
+
+@pytest.mark.parametrize("name", ["n1", "n3"])
+@pytest.mark.parametrize("n_paths, offset", [(2049, 0), (4100, 37), (3, 5)])
+def test_simulate_paths_keeps_its_bits_on_any_cpu_set(name, n_paths, offset,
+                                                      monkeypatch):
+    """Blocks of any size, their chunks straddling _CHUNK, on 1 to 4
+    processes give the five arrays of one process, read-only."""
+    model = path_major.layout_models(12)[name]
+    tilt = 0.4 * np.cos(np.arange(12)[:, None] + np.arange(model.n)) - 0.1
+    want = []
+    for cpus in CPU_SETS:
+        with monkeypatch.context() as patch:
+            forks = _use_cpus(patch, cpus)
+            ens = simulate.simulate_paths(model, tilt, n_paths, 9,
+                                          path_offset=offset)
+        assert len(forks) == min(cpus, n_paths) - 1
+        got = [a.tobytes() for a in _ensemble_arrays(ens)]
+        want = want or got
+        assert got == want, cpus
+        assert not any(a.flags.writeable for a in _ensemble_arrays(ens))
+    assert np.all(ens.log_density != 0.0)
+    _no_child_left()
+
+
+def test_one_scalar_path_steps_on_floats_in_the_calling_process(monkeypatch):
+    """One path of a scalar model keeps its Python-float loop and forks
+    nothing, however many CPUs are usable."""
+    model = path_major.layout_models(12)["n1"]
+    states, step = [], simulate._euler_step
+
+    def recorded(steps, k, x, *rest):
+        states.append(type(x))
+        return step(steps, k, x, *rest)
+
+    monkeypatch.setattr(simulate, "_euler_step", recorded)
+    forks = _use_cpus(monkeypatch, 4)
+    ens = simulate.simulate_paths(model, np.full((12, 1), 0.3), 1, 9,
+                                  path_offset=2)
+    assert forks == [] and states == [float] * 12
+    assert ens.log_density[0] != 0.0
+
+
+def test_failed_block_reaps_every_child(monkeypatch):
+    """A chunk that fails in a child raises OSError naming its absolute
+    paths, the exit status and the child's exception; one that fails in
+    the calling process raises its own exception.  Either way no child is
+    left and no CPU share outlives the call."""
+    model = path_major.layout_models(12)["n1"]
+    real = simulate._simulate_chunk
+
+    def fail_at(path):
+        def simulate_chunk(model, steps, theta, seed, j0, count, offset):
+            if j0 <= path < j0 + count:
+                raise RuntimeError(f"path {offset + path} failed")
+            return real(model, steps, theta, seed, j0, count, offset)
+        return simulate_chunk
+
+    forks = _use_cpus(monkeypatch, 4)  # blocks 0, 512, 1024 and 1536
+    monkeypatch.setattr(simulate, "_simulate_chunk", fail_at(1100))
+    with pytest.raises(OSError, match=r"^the process simulating paths "
+                                      r"1034\.\.1545 exited with status 1: "
+                                      r"RuntimeError: path 1110 failed$"):
+        simulate.simulate_paths(model, np.zeros((12, 1)), 2049, 3,
+                                path_offset=10)
+    assert len(forks) == 3
+    monkeypatch.setattr(simulate, "_simulate_chunk", fail_at(100))
+    with pytest.raises(RuntimeError, match="^path 110 failed$"):
+        simulate.simulate_paths(model, np.zeros((12, 1)), 2049, 3,
+                                path_offset=10)
+    assert simulate._share["cpus"] is None
+    _no_child_left()
+
+
+def test_oversized_ensemble_forks_nothing(monkeypatch):
+    forks = _use_cpus(monkeypatch, 4)
+    with pytest.raises(InvalidPathCount, match="fits in 4 GiB"):
+        simulate.simulate_paths(path_major.layout_models(12)["n1"],
+                                np.zeros((12, 1)), 10**9, 3)
+    assert forks == []
+
+
 def test_minimax_report_is_the_same_on_any_cpu_set(tmp_path, monkeypatch,
                                                    capsys):
     """minimax --paths 400 runs its two estimates on min(cpus, 2)
@@ -161,17 +248,27 @@ def test_minimax_report_is_the_same_on_any_cpu_set(tmp_path, monkeypatch,
 
 def test_bundled_verify_report_is_the_same_on_any_cpu_set(tmp_path,
                                                           monkeypatch, capsys):
-    reports, outputs = [], []
+    """The same report and stdout on 1 to 4 CPUs, and timings that count
+    the paths of simulate_paths blocks run by forked children."""
+    reports, outputs, counts = [], [], []
     for cpus in CPU_SETS:
         out = tmp_path / str(cpus)
         with monkeypatch.context() as patch:
             forks = _use_cpus(patch, cpus)
-            assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+            assert main(["verify", "--seed", "0", "--out", str(out),
+                         "--timings", str(out / "timings.json")]) == 0
         assert bool(forks) == (cpus > 1)
         reports.append((out / "verify_report.json").read_bytes())
         outputs.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        counts.append({c["name"]: (c["paths"], c["path_steps"]) for c in
+                       json.loads((out / "timings.json").read_text())["checks"]})
     assert reports[1:] == reports[:-1]
     assert outputs[1:] == outputs[:-1]
+    assert counts[1:] == counts[:-1]
+    # 3000 paths twice, 1500 twice and a 3000-path Monte-Carlo run on 200
+    # steps; 100 paths on the bundled 2000 steps.
+    assert counts[0]["determinism"] == (12_000, 2_400_000)
+    assert counts[0]["reduction_identity"] == (100, 200_000)
 
 
 def test_verify_timings_count_the_paths_of_every_process(tmp_path,
