@@ -19,9 +19,9 @@ appends in path order; the bytes do not depend on the number of processes.
 A second process is used only when each gets _MIN_CELLS_PER_PROCESS cells
 or more, and where os.fork or os.sched_getaffinity is missing the calling
 process writes every path itself.  The fork, the reaping and the cleanup on
-error are simulate._on_processes, which the Monte-Carlo MSE also runs its
-chunks on.  A child only formats floats and writes its file, so it takes no
-lock that another thread of the parent could hold.  On Python 3.12 and
+error are simulate._on_processes, the package's one parallel path.  A
+child only formats floats and writes its file, so it takes no lock that
+another thread of the parent could hold.  On Python 3.12 and
 later, os.fork issues a DeprecationWarning in a process with several
 threads, such as one whose BLAS keeps a thread pool; it is not filtered.
 """

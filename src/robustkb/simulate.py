@@ -10,16 +10,12 @@ indices, and one reused PCG64 generator is set to each path's starting state
 in turn, which gives the same bits as one SeedSequence and generator per
 stream.  The ``threads`` arguments are accepted but split no work;
 `simulate_paths` splits its paths into contiguous blocks, one per process,
-the Monte-Carlo MSE (`minimax._mse_mc_runs`) its chunks, and both run them
-on forked processes through `_on_processes`, the package's one process
-path, which the ensemble writer (`export.write_ensemble_csv`) also takes.
-Within a chunk, the draws, their time-major copy and the noise transform
-of a long stream run on one short-lived thread per usable CPU of the
-process's share (see `_usable_cpus`), each on a contiguous block of paths
-(see `_increments`); these are NumPy kernels that release the interpreter
-lock, every operation is elementwise per path, and each path keeps its
-stream, so no bit depends on the number of threads or processes, and no
-thread or process outlives the call.
+the Monte-Carlo MSE (`minimax._mse_mc_runs`) its chunks and the Girsanov
+check (`verification.check_girsanov`) its blocks, and all three run them on
+forked processes through `_on_processes`, the package's one parallel path,
+which the ensemble writer (`export.write_ensemble_csv`) also takes.  Each
+path keeps its stream, so no bit depends on the number of processes, and
+no process outlives the call.
 
 The noise transform and the log density each sum in one fixed order,
 written out here, whatever the chunk, the batch size or the NumPy build: the
@@ -45,7 +41,6 @@ from __future__ import annotations
 import os
 import signal
 import tempfile
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,21 +70,6 @@ _work = {"paths": 0, "path_steps": 0}
 def _count_work(model: ValidatedModel, count: int) -> None:
     _work["paths"] += count
     _work["path_steps"] += count * model.n_steps
-
-# CPUs of this process's share while it runs a block of _on_processes, so
-# that the processes together start one noise thread per usable CPU; None
-# otherwise.  Only the thread count follows it: no CPU affinity is changed.
-_share = {"cpus": None}
-
-# The noise of a stream is split across threads only where the kernels that
-# release the interpreter lock dominate: each path's draw takes the lock back
-# once, so a short stream mostly hands it between threads.  Interleaved
-# medians of the draws on a 2-core x86 machine (NumPy 2.4.6), one thread
-# against two, paths x values per stream: 2048 x 200 went from 16 to 26 ms,
-# 100 x 2000 from 5.3 to 4.7 ms, 256 x 1000 from 7.5 to 6.1 ms, 400 x 2000
-# from 20 to 14 ms and 400 x 3000 from 30 to 20 ms.
-_MIN_STREAM_VALUES = 1000
-_MIN_PATHS_PER_THREAD = 128
 
 # Signal-noise directions with variance below this carry no tilt.
 _TILT_EIG_FLOOR = 1e-10
@@ -202,50 +182,10 @@ def _seed_states(master_seed: int, first: int, count: int, tag: int) -> np.ndarr
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, 1 where os.sched_getaffinity is missing;
-    while it runs a block of _on_processes, its share of them."""
-    if _share["cpus"] is not None:
-        return _share["cpus"]
+    """CPUs this process may run on, 1 where os.sched_getaffinity is missing."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _path_blocks(count: int, stream_values: int) -> list[int]:
-    """Bounds of the contiguous blocks of count paths, one per thread, that
-    split the noise of streams of stream_values values each: one thread per
-    usable CPU, at most one per _MIN_PATHS_PER_THREAD paths, and one alone
-    below _MIN_STREAM_VALUES values."""
-    threads = 1
-    if stream_values >= _MIN_STREAM_VALUES:
-        threads = max(1, min(_usable_cpus(), count // _MIN_PATHS_PER_THREAD))
-    return [count * i // threads for i in range(threads + 1)]
-
-
-def _on_blocks(bounds: list[int], work) -> None:
-    """work(lo, hi) on every block of bounds: the calling thread takes the
-    first, a new thread each of the others.  Every thread started is joined
-    before this returns or raises; a worker's exception is then raised here."""
-    errors = []
-
-    def run(lo: int, hi: int) -> None:
-        try:
-            work(lo, hi)
-        except BaseException as exc:  # raised in the caller once all are joined
-            errors.append(exc)
-
-    started = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=run, args=(lo, hi))
-            thread.start()
-            started.append(thread)
-        work(bounds[0], bounds[1])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 # A forked process costs a fork, a reap, a temporary file and copy-on-write
@@ -278,10 +218,9 @@ def _process_count(blocks: int, work: int, floor: int) -> int:
     return max(1, min(_usable_cpus(), blocks, work // floor))
 
 
-def _fork(work, lo: int, hi: int, cpus: int):
+def _fork(work, lo: int, hi: int):
     """Fork a child that runs work(lo, hi, part) on a new binary temporary
-    file part, with cpus as its share of the usable CPUs; returns the
-    child's pid and part.
+    file part; returns the child's pid and part.
 
     The child leaves only through os._exit, with status 0 once part is
     flushed and 1 on any exception, so it never returns into the caller's
@@ -299,7 +238,6 @@ def _fork(work, lo: int, hi: int, cpus: int):
     if pid == 0:
         status = 1
         try:
-            _share["cpus"] = cpus
             work(lo, hi, part)
             part.flush()
             status = 0
@@ -317,30 +255,17 @@ def _on_processes(bounds: list[int], work, take, what) -> None:
     block but the first, writing its results to its own temporary file part
     (see _fork), and then the calling process takes the first, with part
     None.  The children are then reaped in block order, and take(lo, hi,
-    part) reads each one's file from offset 0.  The usable CPUs are split
-    into contiguous shares, one per block, and while a process runs its
-    block _usable_cpus reads its share, so that its noise threads (see
-    _path_blocks) and those of the other processes do not outnumber the
-    CPUs.  The share ends with the block; CPU affinity is never changed.
+    part) reads each one's file from offset 0.
 
     A child that fails raises OSError naming what(lo, hi), its exit status
     and its exception.  On any exception in the calling process every child
     not yet reaped is killed and reaped, so no process outlives the call.
-    No thread started here outlives its call either (see _on_blocks), so a
-    child is forked from a process that runs one Python thread, unless the
-    caller runs others.
     """
-    cpus, count = _usable_cpus(), len(bounds) - 1
-    shares = [cpus * (i + 1) // count - cpus * i // count for i in range(count)]
     children = []
     try:
-        for lo, hi, share in zip(bounds[1:-1], bounds[2:], shares[1:]):
-            children.append((*_fork(work, lo, hi, share), lo, hi))
-        outer, _share["cpus"] = _share["cpus"], shares[0]
-        try:
-            work(bounds[0], bounds[1], None)
-        finally:
-            _share["cpus"] = outer
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork(work, lo, hi), lo, hi))
+        work(bounds[0], bounds[1], None)
         while children:
             pid, part, lo, hi = children[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -389,12 +314,14 @@ def _path_major(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, -1, 0)
 
 
-def _transform(factor: np.ndarray, terms: list, xi: np.ndarray,
-               out: np.ndarray, scale) -> None:
-    """out = scale (factor_k xi_k) on (K, d, b) views of one block of paths:
-    component i adds the terms j of terms[i] in j order, and one with no
+def _transform(factor: np.ndarray, live: np.ndarray, xi: np.ndarray,
+               scale) -> np.ndarray:
+    """scale (factor_k xi_k) of time-major (K, d, count) draws xi: component
+    i adds the terms j marked in row i of live in j order, and one with no
     term is 0.0."""
-    for i, row in enumerate(terms):
+    out = np.empty(xi.shape)
+    for i, mask in enumerate(live):
+        row = np.flatnonzero(mask).tolist()
         acc = out[:, i]
         if not row:
             acc.fill(0.0)
@@ -404,6 +331,7 @@ def _transform(factor: np.ndarray, terms: list, xi: np.ndarray,
             acc += factor[:, i, j, None] * xi[:, j]
     out += 0.0  # the sum starts from +0.0: no -0.0 entries
     out *= scale
+    return out
 
 
 def _increments(model: ValidatedModel, master_seed: int, first: int,
@@ -426,28 +354,14 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     0.0: the final +0.0 clears the sign, so the bits are those of the full
     sum.
 
-    The draws, the copy and the transform are three stages, each split into
-    the contiguous path blocks of `_path_blocks` and run by `_on_blocks`.
-    The calling thread allocates each stage's array before its threads
-    start, and the draws are dropped before the output is allocated, so the
-    threads only fill their columns.  Every operation is elementwise per
-    path, so the bits do not depend on the blocks.
+    The path-major draws are dropped once copied, before the output is
+    allocated.
     """
-    d = factor.shape[-1]
-    terms = [np.flatnonzero(row).tolist() for row in live]
-    bounds = _path_blocks(count, model.n_steps * d)
-    draws = np.empty((count, model.n_steps, d))
-    _on_blocks(bounds, lambda lo, hi: _fill_normals(draws[lo:hi], master_seed,
-                                                    first + lo, tag))
-    xi = np.empty((model.n_steps, d, count))
-    _on_blocks(bounds, lambda lo, hi: np.copyto(xi[..., lo:hi],
-                                                np.moveaxis(draws[lo:hi], 0, -1)))
+    draws = np.empty((count, model.n_steps, factor.shape[-1]))
+    _fill_normals(draws, master_seed, first, tag)
+    xi = _time_major(draws)
     del draws
-    out = np.empty(xi.shape)
-    scale = np.sqrt(model.grid.dt)
-    _on_blocks(bounds, lambda lo, hi: _transform(factor, terms, xi[..., lo:hi],
-                                                 out[..., lo:hi], scale))
-    return out
+    return _transform(factor, live, xi, np.sqrt(model.grid.dt))
 
 
 def _signal_noise(model: ValidatedModel, master_seed: int, first: int,

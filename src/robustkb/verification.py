@@ -46,9 +46,9 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_MIN_PATHS_PER_THREAD, _signal_noise,
-                       _standardized_tilt, _tilt_log_density, _usable_cpus, _work,
-                       simulate_paths)
+from .simulate import (_MIN_PATH_STEPS_PER_PROCESS, _count_work, _on_processes,
+                       _process_count, _signal_noise, _standardized_tilt,
+                       _tilt_log_density, _work, simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
@@ -56,15 +56,14 @@ from .simulate import (_MIN_PATHS_PER_THREAD, _signal_noise,
 FROZEN_UPPER_VALUE = 0.690439283856479
 FROZEN_UPPER_TOL = 1e-4
 
-# Paths per block of check_girsanov, at least _MIN_PATHS_PER_THREAD per
-# usable CPU so that the noise threads still split a block.  Each of a
-# block's draws, time-major copy and increments takes 8 K n bytes a path.
-# On bench/minimax_n3.json (seed 3, 2-core x86 machine, alternating runs)
-# check_girsanov alone peaked at 369 MB in 8.3-10.1 s with blocks of 4096
-# paths, 204 MB in 9.2-9.5 s with 2048, 119 MB in 9.5-9.7 s with 1024 and
-# 80 MB in 9.4-11.1 s with 512, where the fixed cost of each block's log
-# density and thread starts shows; the bits were the same.  1024 keeps the
-# check under the peak of a Monte-Carlo chunk of that scenario (165 MB).
+# Paths per block of check_girsanov.  Each of a block's draws, time-major
+# copy and increments takes 8 K n bytes a path.  On bench/minimax_n3.json
+# (seed 3, 2-core x86 machine, alternating runs) check_girsanov alone peaked
+# at 369 MB in 8.3-10.1 s with blocks of 4096 paths, 204 MB in 9.2-9.5 s
+# with 2048, 119 MB in 9.5-9.7 s with 1024 and 80 MB in 9.4-11.1 s with
+# 512, where the fixed cost of each block's log density shows; the bits
+# were the same.  1024 keeps the check under the peak of a Monte-Carlo
+# chunk of that scenario (165 MB).
 _GIRSANOV_BLOCK = 1024
 
 # Standard errors within which a Monte-Carlo estimate agrees with its target.
@@ -334,6 +333,42 @@ def check_error_oracle(config: ScenarioConfig, seed: int,
                        {"t": float(t), "n_paths": n_paths, "pairs": rows})
 
 
+def _girsanov_zetas(model: ValidatedModel, tilt, seed: int,
+                    n_paths: int) -> np.ndarray:
+    """The tilt's log density on paths 0..n_paths-1 of the untilted signal
+    streams of seed; x, m and dv would go unused, so none is simulated.
+
+    The paths run in blocks of _GIRSANOV_BLOCK, split into contiguous
+    slices of blocks, one per process (see simulate._process_count, with a
+    floor of simulate._MIN_PATH_STEPS_PER_PROCESS), and run by
+    simulate._on_processes: each forked child returns its paths' log
+    densities as raw float64 bytes, which the parent reads into place and
+    counts in simulate._work.  A path's bits depend on its index alone, so
+    the result is the same for any number of processes.
+    """
+    zetas = np.empty(n_paths)
+    starts = list(range(0, n_paths, _GIRSANOV_BLOCK)) + [n_paths]
+    procs = _process_count(len(starts) - 1, n_paths * model.n_steps,
+                           _MIN_PATH_STEPS_PER_PROCESS)
+    bounds = [starts[(len(starts) - 1) * i // procs] for i in range(procs + 1)]
+
+    def run_blocks(lo, hi, part):
+        for j0 in range(lo, hi, _GIRSANOV_BLOCK):
+            count = min(_GIRSANOV_BLOCK, hi - j0)
+            dw = _signal_noise(model, seed, j0, count)
+            zetas[j0:j0 + count] = _tilt_log_density(tilt, dw, model.grid.dt)
+        if part is not None:
+            part.write(zetas[lo:hi])
+
+    def take(lo, hi, part):
+        part.readinto(zetas[lo:hi])
+        _count_work(model, hi - lo)
+
+    _on_processes(bounds, run_blocks, take, lambda lo, hi: (
+        f"weighting paths {lo}..{hi - 1}"))
+    return zetas
+
+
 def check_girsanov(config: ScenarioConfig, seed: int,
                    threads: int = 1) -> CheckResult:
     """Density normalization E[exp(zeta)] = 1 and the exponential-moment
@@ -354,13 +389,7 @@ def check_girsanov(config: ScenarioConfig, seed: int,
         return CheckResult(name, False, False, str(exc))
 
     n_paths = 100_000
-    block = max(_GIRSANOV_BLOCK, _MIN_PATHS_PER_THREAD * _usable_cpus())
-    zetas = np.empty(n_paths)
-    for j0 in range(0, n_paths, block):
-        count = min(block, n_paths - j0)
-        # Only the untilted signal streams: x, m and dv would go unused.
-        dw = _signal_noise(sub, seed + 53, j0, count)
-        zetas[j0:j0 + count] = _tilt_log_density(tilt, dw, sub.grid.dt)
+    zetas = _girsanov_zetas(sub, tilt, seed + 53, n_paths)
 
     w = np.exp(zetas)
     mean_w = float(w.mean())

@@ -46,12 +46,14 @@ def _fake_runner(byte_compare, change_of=None):
 
 def test_commands_cover_the_three_scenarios(byte_compare):
     cmds = dict(byte_compare.commands())
-    assert len(cmds) == 3 * 7 + 2
+    assert len(cmds) == 3 * 8
     assert cmds["bundled-s5-simulate"][:3] == ["simulate", "--seed", "5"]
     assert cmds["minimax_n3-s3-bang_bang"][:6] == [
         "minimax", "--config", os.path.join("bench", "minimax_n3.json"),
         "--seed", "3", "--class"]
-    assert "minimax_n3-s3-verify" not in cmds
+    assert cmds["minimax_n3-s3-verify"][:5] == [
+        "verify", "--config", os.path.join("bench", "minimax_n3.json"),
+        "--seed", "3"]
     assert cmds["bundled-s0-verify"][0] == "verify"
     obs = cmds["bundled-s0-filter"][cmds["bundled-s0-filter"].index("--obs") + 1]
     assert obs == os.path.join(byte_compare.OUT, "bundled-s0-simulate1",

@@ -1,15 +1,15 @@
-"""Monte-Carlo chunks and simulate_paths blocks on forked processes: the
-same bits on any usable CPU set, path counts kept in the calling process,
-and no child left behind."""
+"""Monte-Carlo chunks, simulate_paths blocks and check_girsanov blocks on
+forked processes: the same bits on any usable CPU set, path counts kept in
+the calling process, and no child left behind."""
 
 import json
 import os
-import threading
 
 import numpy as np
 import pytest
 
-from robustkb import minimax, simulate, solve_riccati
+from robustkb import (ScenarioConfig, UncertaintyBound, minimax, simulate,
+                      solve_riccati, verification)
 from robustkb.cli import main
 from robustkb.errors import InvalidPathCount
 
@@ -85,37 +85,11 @@ def test_small_runs_stay_in_the_calling_process(monkeypatch):
         assert len(forks) == 1
 
 
-def test_processes_share_the_noise_threads(monkeypatch):
-    """Two processes on 2 CPUs take one CPU each, so the calling process
-    draws its long streams on its own thread; the share ends with the call,
-    and the same chunk on one process starts threads again."""
-    model = path_major.layout_models(1200)["n1"]  # 1200-value streams
-    riccati = solve_riccati(model)
-    runs = [(np.zeros((1200, 1)), np.zeros((1200, 1)), [1200], 256, seed)
-            for seed in (1, 2)]
-    starts, start = [], threading.Thread.start
-
-    def counted(self):
-        starts.append(self)
-        return start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    forks = _use_cpus(monkeypatch, 2)
-    split = minimax._mse_mc_runs(model, riccati, runs)
-    assert len(forks) == 1 and starts == []
-    assert simulate._share["cpus"] is None
-    monkeypatch.setattr(simulate, "_MIN_PATH_STEPS_PER_PROCESS", 10**9)
-    whole = minimax._mse_mc_runs(model, riccati, runs)
-    assert len(forks) == 1 and len(starts) == 2 * 2 * 3  # 2 runs, 2 tags
-    for a, b in zip(split, whole):
-        assert a[0].tobytes() == b[0].tobytes()
-
-
 def test_failed_chunk_reaps_every_child(monkeypatch):
     """A chunk that fails in a child raises OSError naming its run and
     chunk, the exit status and the child's exception; one that fails in
     the calling process raises its own exception.  Either way no child is
-    left, running or unreaped, and no CPU share outlives the call."""
+    left, running or unreaped."""
     model = path_major.layout_models(40)["n1"]
     riccati = solve_riccati(model)
     tilt = np.zeros((40, 1))
@@ -140,7 +114,6 @@ def test_failed_chunk_reaps_every_child(monkeypatch):
     monkeypatch.setattr(minimax._MCRun, "squared_errors", fail_on(1, 0))
     with pytest.raises(RuntimeError, match="chunk of seed 1 failed"):
         minimax._mse_mc_runs(model, riccati, runs)
-    assert simulate._share["cpus"] is None
     _no_child_left()
 
 
@@ -193,7 +166,7 @@ def test_failed_block_reaps_every_child(monkeypatch):
     """A chunk that fails in a child raises OSError naming its absolute
     paths, the exit status and the child's exception; one that fails in
     the calling process raises its own exception.  Either way no child is
-    left and no CPU share outlives the call."""
+    left."""
     model = path_major.layout_models(12)["n1"]
     real = simulate._simulate_chunk
 
@@ -216,7 +189,6 @@ def test_failed_block_reaps_every_child(monkeypatch):
     with pytest.raises(RuntimeError, match="^path 110 failed$"):
         simulate.simulate_paths(model, np.zeros((12, 1)), 2049, 3,
                                 path_offset=10)
-    assert simulate._share["cpus"] is None
     _no_child_left()
 
 
@@ -226,6 +198,65 @@ def test_oversized_ensemble_forks_nothing(monkeypatch):
         simulate.simulate_paths(path_major.layout_models(12)["n1"],
                                 np.zeros((12, 1)), 10**9, 3)
     assert forks == []
+
+
+def _n3_config():
+    """The n = 3 layout model on 20 intervals, all of girsanov's support."""
+    model = path_major.layout_models(20)["n3"]
+    return ScenarioConfig(model.grid, model, UncertaintyBound([1.0, 0.5, 0.8]))
+
+
+def test_girsanov_measures_the_same_on_any_cpu_set(monkeypatch):
+    """check_girsanov's 98 blocks on 1 to 4 processes give every path the
+    log density, and the check the measurements, of one process."""
+    config = _n3_config()
+    zetas, real = [], verification._girsanov_zetas
+
+    def recorded(*args):
+        zetas.append(real(*args))
+        return zetas[-1]
+
+    monkeypatch.setattr(verification, "_girsanov_zetas", recorded)
+    want = None
+    for cpus in CPU_SETS:
+        with monkeypatch.context() as patch:
+            forks = _use_cpus(patch, cpus)
+            result = verification.check_girsanov(config, 2)
+        assert len(forks) == cpus - 1
+        assert zetas[-1].tobytes() == zetas[0].tobytes(), cpus
+        got = json.dumps(verification.VerificationReport(
+            2, (result,)).to_dict()["checks"][0]["measured"])
+        want = want or got
+        assert got == want, cpus
+    assert json.loads(want)["mean_weight"] != 1.0
+    _no_child_left()
+
+
+def test_failed_girsanov_block_reaps_every_child(monkeypatch):
+    """A block that fails in a child raises OSError naming the child's
+    paths, the exit status and the exception; one that fails in the calling
+    process raises its own exception.  Either way no child is left."""
+    config = _n3_config()
+    real = verification._signal_noise
+
+    def fail_at(path):
+        def signal_noise(model, seed, first, count):
+            if first <= path < first + count:
+                raise RuntimeError(f"path {path} failed")
+            return real(model, seed, first, count)
+        return signal_noise
+
+    forks = _use_cpus(monkeypatch, 4)  # 24, 25, 24 and 25 blocks
+    monkeypatch.setattr(verification, "_signal_noise", fail_at(60_000))
+    with pytest.raises(OSError, match=r"^the process weighting paths "
+                                      r"50176\.\.74751 exited with status 1: "
+                                      r"RuntimeError: path 60000 failed$"):
+        verification.check_girsanov(config, 2)
+    assert len(forks) == 3
+    monkeypatch.setattr(verification, "_signal_noise", fail_at(100))
+    with pytest.raises(RuntimeError, match="^path 100 failed$"):
+        verification.check_girsanov(config, 2)
+    _no_child_left()
 
 
 def test_minimax_report_is_the_same_on_any_cpu_set(tmp_path, monkeypatch,
@@ -274,7 +305,8 @@ def test_bundled_verify_report_is_the_same_on_any_cpu_set(tmp_path,
 def test_verify_timings_count_the_paths_of_every_process(tmp_path,
                                                          monkeypatch, capsys):
     """The sidecar's paths and path-steps include those simulated by forked
-    children: they are the same on 1 and 2 CPUs."""
+    children, girsanov_martingale's blocks among them: they are the same on
+    1 and 2 CPUs."""
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({
         "grid": {"T": 2.0, "n_steps": 40},
@@ -296,3 +328,4 @@ def test_verify_timings_count_the_paths_of_every_process(tmp_path,
     by_name = {name: (paths, steps) for name, paths, steps in counts[1]}
     assert by_name["matched_mse"] == (10_000, 400_000)
     assert by_name["error_oracle_agreement"] == (30_000, 600_000)
+    assert by_name["girsanov_martingale"] == (100_000, 2_000_000)

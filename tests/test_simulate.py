@@ -24,9 +24,8 @@ from robustkb import (
     simulate_paths,
     validate_model,
 )
-from robustkb import simulate
 from robustkb.filtering import _filter_batch
-from robustkb.minimax import _mse_mc_multi
+from robustkb.minimax import _mse_mc_runs
 from robustkb.model import _live_terms
 from robustkb.simulate import _increments, _log_density_batch, _signal_noise
 
@@ -415,7 +414,26 @@ def test_truncated_model_keeps_the_full_grid_noise_masks():
 
 
 # ---------------------------------------------------------------------------
-# The noise of long streams split across threads
+# No noise thread
+
+
+def test_no_thread_is_started(default_cfg, monkeypatch):
+    """On 4 usable CPUs at the package's process floors, long noise streams
+    of simulate_paths, the Monte-Carlo MSE and check_girsanov start no
+    thread, in the calling process or in a forked child: a start fails the
+    call."""
+    model = path_major.layout_models(1200)["n1"]  # 1200-value streams
+    theta = _layout_tilt(model)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    def refused(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    simulate_paths(model, theta, 600, master_seed=4)
+    _mse_mc_runs(model, rk.solve_riccati(model),
+                 [(theta, 0.5 * theta, [1200], 600, seed) for seed in (1, 2)])
+    assert rk.verification.check_girsanov(default_cfg, 3).passed
 
 
 def _use_cpus(monkeypatch, cpus: int) -> None:
@@ -436,15 +454,14 @@ def _count_thread_starts(monkeypatch) -> list:
 
 # (model, intervals): n = 1 with streams of 200 and 1200 values, and n = 3,
 # m = 2 with signal streams of 600 and 1200 values (observation streams of
-# 400 and 800).  The path counts leave remainders for 2, 3 and 4 threads;
-# 255 paths is under two blocks of _MIN_PATHS_PER_THREAD.
+# 400 and 800).  The path counts leave remainders for 2, 3 and 4 blocks.
 THREAD_CASES = [("n1", 200), ("n1", 1200), ("n3", 200), ("n3", 400)]
 THREAD_PATHS = (255, 300, 517)
 
 
 def _noise_outputs(model, riccati):
-    """Every output of simulate_paths, _signal_noise and _mse_mc_multi at
-    THREAD_PATHS paths, as one list of arrays."""
+    """Every output of simulate_paths, _signal_noise and the Monte-Carlo MSE
+    at THREAD_PATHS paths, as one list of arrays."""
     theta = _layout_tilt(model)
     out = []
     for count in THREAD_PATHS:
@@ -452,25 +469,23 @@ def _noise_outputs(model, riccati):
         out += [getattr(ens, f) for f in ("x", "m", "dw", "dv", "log_density")]
         out.append(_signal_noise(model, 13, 7, count))
     t_idx = [model.n_steps // 2, model.n_steps]
-    out += _mse_mc_multi(model, riccati, theta, 0.5 * theta, t_idx, 517, 5)
+    out += _mse_mc_runs(model, riccati,
+                        [(theta, 0.5 * theta, t_idx, 517, 5)])[0]
     return out
 
 
 @pytest.mark.parametrize("name,k_steps", THREAD_CASES)
 def test_noise_threads_keep_the_bits_of_one_cpu(name, k_steps, monkeypatch):
     """With 2, 3 or 4 usable CPUs the simulated paths, the signal noise and
-    the Monte-Carlo MSE have the bits of a 1-CPU run.  Streams of 1000
-    values or more start threads when each gets 128 paths; none is alive
-    after a call returns."""
+    the Monte-Carlo MSE have the bits of a 1-CPU run, and no noise thread is
+    started at any CPU count."""
     model = path_major.layout_models(k_steps)[name]
     riccati = rk.solve_riccati(model)
-    baseline = threading.active_count()
     with monkeypatch.context() as patch:
         _use_cpus(patch, 1)
         starts = _count_thread_starts(patch)
         want = _noise_outputs(model, riccati)
         assert not starts
-    split = model.n_steps * model.n >= simulate._MIN_STREAM_VALUES
     for cpus in (2, 3, 4):
         with monkeypatch.context() as patch:
             _use_cpus(patch, cpus)
@@ -479,54 +494,7 @@ def test_noise_threads_keep_the_bits_of_one_cpu(name, k_steps, monkeypatch):
         assert len(got) == len(want)
         for i, (a, b) in enumerate(zip(got, want)):
             assert _same_bits(a, b), (cpus, i)
-        assert bool(starts) == split, cpus
-        assert threading.active_count() == baseline
-
-
-@pytest.mark.parametrize("count,threads", [(255, 1), (256, 2), (383, 2),
-                                           (384, 3), (640, 4)])
-def test_noise_threads_follow_the_path_blocks(count, threads, monkeypatch):
-    """One thread per 128 paths, at most one per usable CPU (4 here), and the
-    calling thread takes one block: threads - 1 starts per stage."""
-    model = path_major.layout_models(1000)["n1"]
-    _use_cpus(monkeypatch, 4)
-    starts = _count_thread_starts(monkeypatch)
-    _signal_noise(model, 2, 0, count)
-    assert len(starts) == 3 * (threads - 1)
-
-
-def test_short_streams_start_no_thread(monkeypatch):
-    """Streams under 1000 values stay on the calling thread, whatever the
-    path count and the CPUs."""
-    model = path_major.layout_models(333)["n3"]  # 999 values per signal stream
-    _use_cpus(monkeypatch, 4)
-    starts = _count_thread_starts(monkeypatch)
-    simulate_paths(model, _layout_tilt(model), 1024, master_seed=1)
-    _signal_noise(model, 1, 0, 1024)
-    assert starts == []
-
-
-@pytest.mark.parametrize("stage", ["_fill_normals", "_transform"])
-@pytest.mark.parametrize("where", ["worker", "caller"])
-def test_a_failed_noise_block_raises_after_every_thread_joins(stage, where,
-                                                              monkeypatch):
-    """An exception in a worker's block reaches the caller, as does one in
-    the caller's own block, and no thread is left running."""
-    model = path_major.layout_models(1000)["n1"]
-    baseline = threading.active_count()
-    _use_cpus(monkeypatch, 4)
-    real = getattr(simulate, stage)
-
-    def failing(*args):
-        worker = threading.current_thread() is not threading.main_thread()
-        if worker == (where == "worker"):
-            raise RuntimeError(f"{where} block failed")
-        return real(*args)
-
-    monkeypatch.setattr(simulate, stage, failing)
-    with pytest.raises(RuntimeError, match=f"^{where} block failed$"):
-        simulate_paths(model, _layout_tilt(model), 600, master_seed=4)
-    assert threading.active_count() == baseline
+        assert not starts, cpus
 
 
 # ---------------------------------------------------------------------------

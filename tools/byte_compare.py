@@ -10,11 +10,10 @@ with the tree as working directory and its ``src`` on ``PYTHONPATH``: for the
 bundled scenario at seeds 0 and 5 and for ``bench/minimax_n3.json`` at seed 3,
 ``simulate --paths 200 --theta 0.5``, ``simulate --paths 1`` and ``filter``
 on that path with ``--theta-hat 0.5``, ``riccati``, ``decompose --theta
-1.0``, ``minimax --paths 400`` and ``minimax --class bang_bang``, and
-``verify`` on the bundled scenario.  Every command writes to its own
-directory under ``byte_compare_out``.  The exit code, stdout, stderr and
-every output file of each command must be equal byte for byte on both
-sides.  Before stdout and stderr are compared, the tree's own path is
+1.0``, ``minimax --paths 400``, ``minimax --class bang_bang`` and the full
+``verify``.  Every command writes to its own directory under
+``byte_compare_out``.  The exit code, stdout, stderr and every output file
+of each command must be equal byte for byte on both sides.  Before stdout and stderr are compared, the tree's own path is
 replaced by ``<tree>`` and the line number of a source location inside it
 (a warning's ``file.py:N:``, a traceback's ``file.py", line N``) by ``N``:
 those name the checkout and the edit, not the output.  Every difference is
@@ -61,8 +60,7 @@ def commands() -> list[tuple[str, list[str]]]:
         add("decompose", "decompose", "--theta", "1.0")
         add("minimax", "minimax", "--paths", "400")
         add("bang_bang", "minimax", "--class", "bang_bang")
-        if config is None:
-            add("verify", "verify")
+        add("verify", "verify")
     return out
 
 
