@@ -14,18 +14,18 @@ from robustkb.verification import (
     _matched_tilt,
     _probe_value,
     _published_term,
-    _rk4_rate,
+    _richardson,
     _within_band,
+    check_decomposition_identity,
     check_determinism,
     check_girsanov,
     check_matched_mse,
     check_printed_kernel,
+    check_reduction_identity,
     check_riccati_steady_state,
     check_saddle,
     run_verification,
 )
-
-from per_step import closed_loop_stages
 
 
 def _scalar_cfg(n_steps, T=2.0, mu=1.0, **model_overrides):
@@ -186,21 +186,32 @@ def test_tilt_floor_is_the_simulator_floor():
         rk.simulate_paths(below.model, rk.constant_policy(below.model, 0.5), 1, 0)
 
 
-@pytest.mark.parametrize("mutant", ["drop_q", "double_q"])
+@pytest.mark.parametrize("mutant", ["drop_q", "double_q", "ode_published_term"])
 def test_printed_kernel_audit_catches_a_wrong_printed_kernel(default_cfg,
                                                              monkeypatch, mutant):
     # The audit evaluates the published integral itself, so a library
-    # printed kernel that loses Q (printed = ode) or doubles it must fail.
+    # printed kernel that loses Q (printed = ode) or doubles it must fail,
+    # and so must a published integral that is the ode term, whose doubled-Q
+    # gap, and so its limit, is zero.
     assert check_printed_kernel(default_cfg, 0).passed
-    right = rk.decomposition._printed_rows
-    wrong = {"drop_q": lambda model, ode_rows: ode_rows,
-             "double_q": lambda model, ode_rows: 2.0 * right(model, ode_rows)}
-    monkeypatch.setattr(rk.decomposition, "_printed_rows", wrong[mutant])
+    if mutant == "ode_published_term":
+        def ode_term(model, riccati, theta, psi):
+            return rk.decomposition._kernel_term(model, psi, theta.theta)
+
+        monkeypatch.setattr(verification, "_published_term", ode_term)
+    else:
+        right = rk.decomposition._printed_rows
+        wrong = {"drop_q": lambda model, ode_rows: ode_rows,
+                 "double_q": lambda model, ode_rows: 2.0 * right(model, ode_rows)}
+        monkeypatch.setattr(rk.decomposition, "_printed_rows", wrong[mutant])
     result = check_printed_kernel(default_cfg, 0)
     assert result.applicable
     assert not result.passed
     errs = result.measured["printed_err"]
     assert max(errs.values()) > 10.0 * result.measured["printed_bound"]
+    if mutant == "ode_published_term":
+        assert result.measured["doubled_q_gap"] == 0.0
+        assert result.measured["limit_nonzero"] is False
 
 
 def test_printed_kernel_audit_sweeps_each_model_once(default_cfg, monkeypatch):
@@ -224,6 +235,22 @@ def test_printed_kernel_audit_sweeps_each_model_once(default_cfg, monkeypatch):
         np.max(np.abs(pub - terms["printed"])))
 
 
+@pytest.mark.parametrize("T, n_steps", [(0.01, 1), (0.02, 20), (0.1, 3),
+                                        (0.3, 5), (1.0, 10), (2.0, 200)])
+@pytest.mark.parametrize("make_cfg", [_scalar_cfg, _n3_cfg], ids=["n1", "n3"])
+def test_seed_free_checks_pass_on_any_grid(make_cfg, T, n_steps):
+    """The grid-dependent gates follow the grid: on the bundled and the n = 3
+    coefficients, from one interval to 200, every seed-free check passes or
+    is not applicable.  riccati_steady_state is left out: its transient
+    clause holds RK4 to the closed form at 1e-6, which coarse grids fail
+    (test_coarse_grid_fails_the_transient_comparison)."""
+    cfg = make_cfg(n_steps, T=T)
+    for check in (check_reduction_identity, check_decomposition_identity,
+                  check_printed_kernel, check_saddle, check_determinism):
+        result = check(cfg, 0)
+        assert result.ok, (result.name, result.detail)
+
+
 def test_saddle_gap_closes_without_uncertainty():
     cfg = _scalar_cfg(200, mu=0.0)
     result = check_saddle(cfg, 0)
@@ -239,53 +266,59 @@ def test_saddle_passes_on_coarse_and_large_covariance_n3(n_steps, q_scale,
                                                         r_scale):
     """For n > 1 the lower value, the trace of the Hamiltonian-scan P, and the
     matched MSE, an RK4 Lyapunov integration, differ by truncation: above
-    1e-6 here, on a 10-step grid and with max|P| near 500.  The gate scales
-    with the truncation error, and the check passes."""
+    1e-6 here, on a 10-step grid and with max|P| near 500.  The 10-step gap
+    is above the tolerance 1e-6 (1 + max|P|), so the check judges its p = 4
+    limit from dt/2, and names both; with max|P| near 500 the tolerance
+    holds the gap itself."""
     cfg = _n3_cfg(n_steps, q_scale=q_scale, r_scale=r_scale)
     result = check_saddle(cfg, 0)
     m = result.measured
     gap = abs(m["lower_value"] - m["matched_mse_exact"])
     assert gap > 1e-6
     assert result.passed
-    assert result.detail.startswith(f"lower-matched gap {gap:.2e} <= ")
+    if n_steps == 10:
+        limit = m["lower_limit"]
+        assert abs(limit) < gap / 10.0
+        assert result.detail.startswith(
+            f"lower-matched gap {gap:.2e}, p=4 limit {limit:.1e} <= ")
+    else:
+        assert "lower_limit" not in m
+        assert result.detail.startswith(f"lower-matched gap {gap:.2e} <= ")
     assert m["lower_value"] == m["trace_p"] <= m["upper_value"]
     assert m["convexity_defect"] <= 1e-9
 
 
-@pytest.mark.parametrize("t_idx", [1, 37, 200])
-def test_rk4_rate_reads_only_the_first_intervals(t_idx, monkeypatch):
-    """The rate has the bits of the Frobenius norms over the first t_idx
-    intervals of the whole grid's F, S, Q and stage closed loops F - P_i S,
-    and computes stages for those intervals only."""
-    model = _n3_cfg(200).model
-    riccati = rk.solve_riccati(model)
-    k = slice(0, t_idx)
-    ham = np.sqrt(sum(np.sum(a[k] ** 2, axis=(1, 2))
-                      for a in (model.F, model.F, model.S, model.Q)))
-    A = closed_loop_stages(model, riccati)[2][:, k]
-    want = max(ham.max(), 2.0 * np.linalg.norm(A, axis=(2, 3)).max())
-    nodes, stages = [], rk.ode._stage_covariances
-    monkeypatch.setattr(rk.ode, "_stage_covariances",
-                        lambda m, P: nodes.append(len(P)) or stages(m, P))
-    assert _rk4_rate(model, riccati, t_idx) == want
-    assert nodes == [t_idx + 1]
+@pytest.mark.parametrize("p", [1, 4])
+def test_richardson_recovers_the_limit_of_an_order_p_gap(p):
+    # Gaps d(h) = 0.25 + 3 h^p at h = 0.1 and 0.05: the limit is 0.25, and
+    # the parts above it halve by 2^p.
+    d0, d1 = 0.25 + 3.0 * 0.1**p, 0.25 + 3.0 * 0.05**p
+    limit, ratio = _richardson(d0, d1, p)
+    assert limit == pytest.approx(0.25, rel=1e-12)
+    assert ratio == d0 / d1
+    assert _richardson(d0 - 0.25, d1 - 0.25, p)[1] == pytest.approx(2.0**p)
+    assert _richardson(1.0, 0.0, p)[1] == np.inf
 
 
-@pytest.mark.parametrize("cfg", [_scalar_cfg(400, mu=0.5), _n3_cfg(200)],
-                         ids=["scalar", "n3"])
+@pytest.mark.parametrize("cfg", [
+    _scalar_cfg(400, mu=0.5), _n3_cfg(200), _n3_cfg(10),
+    _n3_cfg(100, q_scale=1e3, r_scale=1e2)],
+    ids=["scalar", "n3", "n3_coarse", "n3_large_q"])
 @pytest.mark.parametrize("mutant", ["shifted_lower_value", "scaled_covariance"])
 def test_saddle_lower_value_can_fail(monkeypatch, cfg, mutant):
     """The lower value is held to the matched moment-ODE MSE, an integration
     of its own: a report shifted by 1e-3 fails, and so does a covariance
-    path scaled by 1.01, whose trace the report and trace_p both read.  The
-    scalar radius 0.5 keeps the frozen-value comparison of the default
-    scenario out of the check, and the shift leaves the lower value below
-    the upper one, so the lower-value test alone must see the mutant."""
+    path scaled by 1.01, whose trace the report and trace_p both read, also
+    on a 10-step grid, whose clean gap is judged by its limit, and with
+    max|P| near 500.  The scalar radius 0.5 keeps the frozen-value
+    comparison of the default scenario out of the check, and the shift
+    leaves the lower value below the upper one, so the lower-value test
+    alone must see the mutant."""
     clean = check_saddle(cfg, 0)
     assert clean.passed
-    tol = 1e-12 if cfg.model.n == 1 else 1e-6
-    assert abs(clean.measured["lower_value"]
-               - clean.measured["matched_mse_exact"]) <= tol
+    m = clean.measured
+    tol = 1e-12 if cfg.model.n == 1 else 1e-6 * (1.0 + m["trace_p"])
+    assert abs(m.get("lower_limit", m["lower_value"] - m["matched_mse_exact"])) <= tol
     if mutant == "shifted_lower_value":
         report = verification.saddle_report
 
