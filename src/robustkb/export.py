@@ -14,8 +14,10 @@ path id and logw once per path, and only x and m once per row.  Its bytes are
 those write_csv gives for the same table with int path ids.
 
 The ensemble is formatted by one forked process per usable CPU, each writing
-a contiguous range of paths to its own temporary file, which the parent
-appends in path order; the bytes do not depend on the number of processes.
+a contiguous range of paths to a temporary file opened for it before the
+fork, which the parent appends in path order; the bytes do not depend on
+the number of processes.  It is the package's one forked writer of text:
+every other forked result goes into an array from simulate._shared.
 A second process is used only when each gets _MIN_CELLS_PER_PROCESS cells
 or more, and where os.fork or os.sched_getaffinity is missing the calling
 process writes every path itself.  The fork, the reaping and the cleanup on
@@ -30,12 +32,13 @@ from __future__ import annotations
 import io
 import json
 import shutil
+import tempfile
 from itertools import repeat
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .simulate import _on_processes, _process_count
+from .simulate import _bounds, _on_processes
 
 _BLOCK_ROWS = 4096
 
@@ -149,38 +152,46 @@ def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
     header and comment line as write_csv.
 
     The paths are split into contiguous ranges, one per process (see
-    simulate._process_count), and run by simulate._on_processes: every child
-    is forked before anything is written and writes its range to a
-    temporary file; the parent writes the comment, the header and the first
-    range, then waits for each child in path order and appends its bytes.
-    Every process writes one path at a time, so none holds more than one
-    path's cells, and the bytes are the same for any number of processes.  A
-    child that fails raises OSError naming its path range, exit status and
-    exception; on any exception in the parent every child not yet reaped is
-    killed and reaped, so no process outlives the call.
+    simulate._bounds), and run by simulate._on_processes: one temporary
+    file is opened per child's range, every child is forked before
+    anything is written and writes its range to its file; the parent writes
+    the comment, the header and the first range, then, once every child is
+    reaped, appends the files in path order, and closes them however the
+    call ends.  Every process writes one path at a time, so none holds more
+    than one path's cells, and the bytes are the same for any number of
+    processes.  A child that fails raises OSError naming its path range,
+    exit status and exception; on any exception in the parent every child
+    not yet reaped is killed and reaped, so no process outlives the call.
     """
     n_paths, k, n = ensemble.x.shape
     columns = (["path", "t"] + vector_labels("x", n)
                + vector_labels("m", ensemble.m.shape[2]) + ["logw"])
     times = list(map(float.__repr__, ensemble.model.grid.times.tolist()))
-    count = _process_count(n_paths, n_paths * k * len(columns),
-                           _MIN_CELLS_PER_PROCESS)
-    bounds = [n_paths * i // count for i in range(count + 1)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        def work(lo, hi, part):
-            if part is not None:
-                text = io.TextIOWrapper(part, encoding="utf-8", newline="\n")
-                _write_paths(text, ensemble, times, lo, hi)
-                text.detach()  # flushed, and part left open
-                return
-            if comment is not None:
-                fh.write(f"# {comment}\n")
-            fh.write(",".join(columns) + "\n")
-            _write_paths(fh, ensemble, times, lo, hi)
+    bounds = _bounds(n_paths, n_paths, n_paths * k * len(columns),
+                     _MIN_CELLS_PER_PROCESS)
+    parts = {}
+    try:
+        for lo in bounds[1:-1]:
+            parts[lo] = tempfile.TemporaryFile()
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            def work(lo, hi):
+                if lo in parts:
+                    text = io.TextIOWrapper(parts[lo], encoding="utf-8",
+                                            newline="\n")
+                    _write_paths(text, ensemble, times, lo, hi)
+                    text.detach()  # flushed, and the file left open
+                    return
+                if comment is not None:
+                    fh.write(f"# {comment}\n")
+                fh.write(",".join(columns) + "\n")
+                _write_paths(fh, ensemble, times, lo, hi)
 
-        def take(lo, hi, part):
+            _on_processes(bounds, work, lambda lo, hi: (
+                f"writing paths {lo}..{hi - 1} of the ensemble"))
             fh.flush()
-            shutil.copyfileobj(part, fh.buffer)
-
-        _on_processes(bounds, work, take, lambda lo, hi: (
-            f"writing paths {lo}..{hi - 1} of the ensemble"))
+            for part in parts.values():
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+    finally:
+        for part in parts.values():
+            part.close()

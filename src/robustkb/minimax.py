@@ -35,8 +35,8 @@ from .model import (
 from .ode import (RiccatiPath, _closed_loop, _policy_array, _response,
                   solve_error_stats, solve_riccati)
 from . import simulate
-from .simulate import (_check_n_paths, _check_seed, _count_work,
-                       _on_processes, _process_count, _simulate_chunk)
+from .simulate import (_bounds, _check_n_paths, _check_seed, _count_work,
+                       _on_processes, _shared, _simulate_chunk)
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
 
@@ -95,7 +95,7 @@ class _MCRun:
     """One Monte-Carlo run on a shared model and covariance path: the
     per-interval arrays its chunks read, built once in the calling process,
     and the (n_paths, nodes) squared errors the chunks fill, in the layout
-    of _squared_errors."""
+    of _squared_errors, on a _shared mapping that forked children write."""
 
     def __init__(self, model: ValidatedModel, riccati: RiccatiPath,
                  theta_true, theta_hat, t_indices, n_paths: int, seed: int):
@@ -105,7 +105,7 @@ class _MCRun:
         self.nodes, self.n_paths, self.seed = idx.size, n_paths, seed
         self.last = last = int(idx.max())
         # Zero where last is 0: the initial state is known exactly.
-        self.sq = np.zeros((idx.size, n_paths)).T
+        self.sq = _shared((idx.size, n_paths)).T
         if last == 0:
             return
         self.sub = sub = model.truncate(last)
@@ -157,38 +157,24 @@ def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
 
     A unit of work is one chunk of _MC_CHUNK paths of one run.  The units,
     in run order, are split into contiguous slices, one per process (see
-    simulate._process_count, with a floor of
-    simulate._MIN_PATH_STEPS_PER_PROCESS), and run by
-    simulate._on_processes: the calling process takes the first slice, and
-    each forked child returns the (count, nodes) squared errors of its
-    chunks as raw float64 bytes, which the parent places in its run's
-    array.  A chunk's paths keep their absolute indices, so its bits
-    do not depend on the process that ran it, and each run is reduced by
-    _mc_moments in the calling process: the results are the same for any
-    number of processes.  The paths of a child's chunks are counted in the
-    parent's simulate._work once they are placed.
+    simulate._bounds, with a floor of simulate._MIN_PATH_STEPS_PER_PROCESS),
+    and run by simulate._on_processes: the calling process takes the first
+    slice, and every process writes the (count, nodes) squared errors of
+    its chunks straight into its run's array.  A chunk's paths keep their
+    absolute indices, so its bits do not depend on the process that ran
+    it, and each run is reduced by _mc_moments in the calling process: the
+    results are the same for any number of processes.  The calling process
+    counts the paths of each run that has chunks in simulate._work.
     """
     runs = [_MCRun(model, riccati, *run) for run in runs]
     units = [(r, j0) for r, run in enumerate(runs) for j0 in run.chunks()]
     work = sum(min(_MC_CHUNK, runs[r].n_paths - j0) * runs[r].last
                for r, j0 in units)
-    count = _process_count(len(units), work,
-                           simulate._MIN_PATH_STEPS_PER_PROCESS)
-    bounds = [len(units) * i // count for i in range(count + 1)]
 
-    def run_units(lo, hi, part):
+    def run_units(lo, hi):
         for r, j0 in units[lo:hi]:
             sq = runs[r].squared_errors(j0)
-            if part is None:
-                runs[r].sq[j0:j0 + len(sq)] = sq
-            else:
-                part.write(sq.tobytes())
-
-    def take(lo, hi, part):
-        for r, j0 in units[lo:hi]:
-            rows = runs[r].sq[j0:j0 + _MC_CHUNK]
-            rows[:] = np.frombuffer(part.read(rows.nbytes)).reshape(rows.shape)
-            _count_work(runs[r].sub, len(rows))
+            runs[r].sq[j0:j0 + len(sq)] = sq
 
     def name(lo, hi):
         first, last = (f"run {r} chunk {j0 // _MC_CHUNK}"
@@ -196,7 +182,12 @@ def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
         return f"running Monte-Carlo {first}" + (
             f" to {last}" if hi > lo + 1 else "")
 
-    _on_processes(bounds, run_units, take, name)
+    _on_processes(_bounds(len(units), len(units), work,
+                          simulate._MIN_PATH_STEPS_PER_PROCESS),
+                  run_units, name)
+    for run in runs:
+        if run.last:
+            _count_work(run.sub, run.n_paths)
     return [_mc_moments(run.sq) for run in runs]
 
 

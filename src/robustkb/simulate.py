@@ -32,12 +32,15 @@ the path-major loops (see `model._Steps`).  One path of a scalar model
 steps on Python floats, with the same operations in the same order.  So a
 path's bits depend on its index alone, however the paths are chunked.
 `simulate_paths` copies the increments and states back into the path-major
-arrays of `PathEnsemble`, a forked child's rows through its temporary file;
-the Monte-Carlo MSE (`minimax._MCRun`) consumes the states one step at a
-time and keeps only the nodes it reads.
+arrays of `PathEnsemble`; the Monte-Carlo MSE (`minimax._MCRun`) consumes
+the states one step at a time and keeps only the nodes it reads.  Every
+array a forked child fills comes from `_shared`, so the child writes its
+rows where the parent reads them, and no result crosses a file.
 """
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import signal
 import tempfile
@@ -60,10 +63,9 @@ _CHUNK = 2048
 # largest call in this package (verification's determinism check).
 _MAX_ENSEMBLE_BYTES = 4 << 30
 
-# Paths and path-steps simulated so far in this process, and in the forked
-# children whose results it took (simulate_paths and minimax._mse_mc_runs
-# count those); verification reads the counts around each check for its
-# timings sidecar.
+# Paths and path-steps simulated so far, counted once per call in the
+# calling process, whichever process ran them; verification reads the
+# counts around each check for its timings sidecar.
 _work = {"paths": 0, "path_steps": 0}
 
 
@@ -209,53 +211,56 @@ _MIN_PATH_STEPS_PER_PROCESS = 100_000
 _MIN_PATHS_PER_PROCESS = 256
 
 
-def _process_count(blocks: int, work: int, floor: int) -> int:
-    """Processes that share blocks units of work: one per usable CPU, at
-    most one per block and per floor units of work, at least one; one where
-    os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), blocks, work // floor))
+def _bounds(units: int, most: int, work: int, floor: int) -> list[int]:
+    """Bounds of contiguous blocks of units, one per process: one per
+    usable CPU, at most `most` and one per floor units of work, at least
+    one; one where os.fork is missing."""
+    count = 1
+    if hasattr(os, "fork"):
+        count = max(1, min(_usable_cpus(), most, work // floor))
+    return [units * i // count for i in range(count + 1)]
+
+
+def _shared(shape) -> np.ndarray:
+    """A zero-filled float64 array on an anonymous shared mapping: a child
+    forked after the call writes into the array its parent reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _fork(work, lo: int, hi: int):
-    """Fork a child that runs work(lo, hi, part) on a new binary temporary
-    file part; returns the child's pid and part.
+    """Fork a child that runs work(lo, hi); returns the child's pid and a
+    new binary temporary file err, which holds the child's exception text.
 
-    The child leaves only through os._exit, with status 0 once part is
-    flushed and 1 on any exception, so it never returns into the caller's
-    stack or flushes a buffer it shares with the parent.  On an exception
-    part's contents are replaced by "TypeName: message", written past the
-    buffer so that nothing written before follows it.
+    The child leaves only through os._exit, with status 0 once work returns
+    and 1 on any exception, whose "TypeName: message" it writes to err, so
+    it never returns into the caller's stack or flushes a buffer it shares
+    with the parent.
     """
-    part = tempfile.TemporaryFile()
-    fd = part.fileno()
+    err = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except BaseException:
-        part.close()
+        err.close()
         raise
     if pid == 0:
         status = 1
         try:
-            work(lo, hi, part)
-            part.flush()
+            work(lo, hi)
             status = 0
         except BaseException as exc:
-            os.ftruncate(fd, 0)
-            os.pwrite(fd, f"{type(exc).__name__}: {exc}".encode(
-                "utf-8", "backslashreplace"), 0)
+            os.write(err.fileno(), f"{type(exc).__name__}: {exc}".encode(
+                "utf-8", "backslashreplace"))
         finally:
             os._exit(status)
-    return pid, part
+    return pid, err
 
 
-def _on_processes(bounds: list[int], work, take, what) -> None:
-    """work(lo, hi, part) on every block of bounds: a forked child takes each
-    block but the first, writing its results to its own temporary file part
-    (see _fork), and then the calling process takes the first, with part
-    None.  The children are then reaped in block order, and take(lo, hi,
-    part) reads each one's file from offset 0.
+def _on_processes(bounds: list[int], work, what) -> None:
+    """work(lo, hi) on every block of bounds: a forked child takes each
+    block but the first (see _fork), and then the calling process takes the
+    first.  Every work writes its own results, a child's into arrays from
+    _shared or files opened before the call.  The children are then reaped
+    in block order.
 
     A child that fails raises OSError naming what(lo, hi), its exit status
     and its exception.  On any exception in the calling process every child
@@ -265,25 +270,24 @@ def _on_processes(bounds: list[int], work, take, what) -> None:
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             children.append((*_fork(work, lo, hi), lo, hi))
-        work(bounds[0], bounds[1], None)
+        work(bounds[0], bounds[1])
         while children:
-            pid, part, lo, hi = children[0]
+            pid, err, lo, hi = children[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            with part:
-                part.seek(0)
+            with err:
                 if status:
-                    # Status 1 is an exception, whose text the file holds.
-                    text = (": " + part.read().decode("utf-8")
+                    # Status 1 is an exception, whose text err holds.
+                    err.seek(0)
+                    text = (": " + err.read().decode("utf-8")
                             if status == 1 else "")
                     raise OSError(f"the process {what(lo, hi)} exited with "
                                   f"status {status}{text}")
-                take(lo, hi, part)
     except BaseException:
-        for pid, part, _, _ in children:
+        for pid, err, _, _ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            part.close()
+            err.close()
         raise
 
 
@@ -368,7 +372,6 @@ def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
                   count: int) -> np.ndarray:
     """Untilted signal increments Q^(1/2) dB of paths first..first+count-1,
     as a path-major (count, K, n) view."""
-    _count_work(model, count)
     return _path_major(_increments(model, master_seed, first, count,
                                    _SIGNAL_TAG, model.Q_sqrt, model.Q_sqrt_live))
 
@@ -519,7 +522,6 @@ def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
     the observation increments (K, m, count), time-major, and a generator of
     the states (x_k, obs_k), k = 0..K, as step slices.
     """
-    _count_work(model, count)
     first = path_offset + j0
     dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG,
                           model.Q_sqrt, model.Q_sqrt_live)
@@ -534,15 +536,15 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
 
     path_offset shifts the absolute path indices so a large run can be
     split across calls and still match a monolithic run bitwise.  The paths
-    are split into contiguous blocks, one per process (see _process_count,
-    with at least _MIN_PATHS_PER_PROCESS paths and
-    _MIN_PATH_STEPS_PER_PROCESS path-steps a block), and run by
-    _on_processes: each process runs its block in chunks of _CHUNK paths
-    from the block's start, the calling process into the returned arrays
-    and each forked child into its temporary file, which the parent reads
-    straight into its rows.  A path's bits depend on its absolute index
-    alone, so neither the blocks nor the chunks move any.  threads is
-    accepted for compatibility and does not change the work or the result.
+    are split into contiguous blocks, one per process (see _bounds, with at
+    least _MIN_PATHS_PER_PROCESS paths and _MIN_PATH_STEPS_PER_PROCESS
+    path-steps a block), and run by _on_processes: each process runs its
+    block in chunks of _CHUNK paths from the block's start, straight into
+    its rows of the returned arrays, which come from _shared.  The calling
+    process counts the n_paths paths in _work once every block is in.  A
+    path's bits depend on its absolute index alone, so neither the blocks
+    nor the chunks move any.  threads is accepted for compatibility and
+    does not change the work or the result.
     n_paths must be a positive integer whose ensemble fits in 4 GiB, else
     InvalidPathCount is raised before any allocation; the bound is a fixed
     policy limit that does not depend on the memory available.
@@ -560,14 +562,13 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     th_steps = steps.per_interval(th)
     tilt = th * model.grid.dt
 
-    x = np.empty((n_paths, k_steps + 1, n))
-    obs = np.empty((n_paths, k_steps + 1, m))
-    dw = np.empty((n_paths, k_steps, n))
-    dv = np.empty((n_paths, k_steps, m))
-    logw = np.empty(n_paths)
-    arrays = (x, obs, dw, dv, logw)
+    x = _shared((n_paths, k_steps + 1, n))
+    obs = _shared((n_paths, k_steps + 1, m))
+    dw = _shared((n_paths, k_steps, n))
+    dv = _shared((n_paths, k_steps, m))
+    logw = _shared((n_paths,))
 
-    def run_block(lo, hi, part):
+    def run_block(lo, hi):
         for j0 in range(lo, hi, _CHUNK):
             count = min(_CHUNK, hi - j0)
             sl = slice(j0, j0 + count)
@@ -584,21 +585,13 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
             np.add(_path_major(dw_tilt), tilt, out=dw[sl])
             dv[sl] = _path_major(dv_c)
             logw[sl] = _log_density_batch(th, dw[sl], model)
-        if part is not None:
-            for arr in arrays:
-                part.write(arr[lo:hi])
 
-    def take(lo, hi, part):
-        for arr in arrays:
-            part.readinto(arr[lo:hi])
-        _count_work(model, hi - lo)
-
-    procs = _process_count(n_paths // _MIN_PATHS_PER_PROCESS, n_paths * k_steps,
-                           _MIN_PATH_STEPS_PER_PROCESS)
-    _on_processes([n_paths * i // procs for i in range(procs + 1)], run_block,
-                  take, lambda lo, hi: (f"simulating paths {path_offset + lo}.."
-                                        f"{path_offset + hi - 1}"))
-    for arr in arrays:
+    bounds = _bounds(n_paths, n_paths // _MIN_PATHS_PER_PROCESS,
+                     n_paths * k_steps, _MIN_PATH_STEPS_PER_PROCESS)
+    _on_processes(bounds, run_block, lambda lo, hi: (
+        f"simulating paths {path_offset + lo}..{path_offset + hi - 1}"))
+    _count_work(model, n_paths)
+    for arr in (x, obs, dw, dv, logw):
         arr.setflags(write=False)
     return PathEnsemble(model=model, policy=policy, master_seed=master_seed,
                         path_offset=path_offset, x=x, m=obs, dw=dw, dv=dv,

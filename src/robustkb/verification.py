@@ -25,8 +25,8 @@ from .filtering import (
     innovation_diagnostics,
     run_robust_filter,
 )
-from .minimax import (_mc_moments, _mse_mc_multi, _mse_mc_runs, _squared_errors,
-                      g_profile, mse_exact, saddle_report)
+from .minimax import (_MC_CHUNK, _mc_moments, _mse_mc_multi, _mse_mc_runs,
+                      _squared_errors, g_profile, mse_exact, saddle_report)
 from .model import (
     ModelSchedule,
     TimeGrid,
@@ -44,9 +44,10 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_MIN_PATH_STEPS_PER_PROCESS, _count_work, _on_processes,
-                       _process_count, _signal_noise, _standardized_tilt,
-                       _tilt_log_density, _work, simulate_paths)
+from .simulate import (_MIN_PATH_STEPS_PER_PROCESS, _bounds, _count_work,
+                       _on_processes, _shared, _signal_noise,
+                       _standardized_tilt, _tilt_log_density, _work,
+                       simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
@@ -54,18 +55,14 @@ from .simulate import (_MIN_PATH_STEPS_PER_PROCESS, _count_work, _on_processes,
 FROZEN_UPPER_VALUE = 0.690439283856479
 FROZEN_UPPER_TOL = 1e-4
 
-# Paths per block of check_girsanov.  Each of a block's draws, time-major
-# copy and increments takes 8 K n bytes a path.  On bench/minimax_n3.json
-# (seed 3, 2-core x86 machine, alternating runs) check_girsanov alone peaked
-# at 369 MB in 8.3-10.1 s with blocks of 4096 paths, 204 MB in 9.2-9.5 s
-# with 2048, 119 MB in 9.5-9.7 s with 1024 and 80 MB in 9.4-11.1 s with
-# 512, where the fixed cost of each block's log density shows; the bits
-# were the same.  1024 keeps the check under the peak of a Monte-Carlo
-# chunk of that scenario (165 MB).
-_GIRSANOV_BLOCK = 1024
-
 # Standard errors within which a Monte-Carlo estimate agrees with its target.
 _Z = 3.0
+
+
+def _sign(ok) -> str:
+    """The relation a detail prints between a value and its bound: "<=" if
+    the clause holds, ">" if it fails."""
+    return "<=" if ok else ">"
 
 
 def _within_band(gap, stderr):
@@ -332,34 +329,29 @@ def _girsanov_zetas(model: ValidatedModel, tilt, seed: int,
     """The tilt's log density on paths 0..n_paths-1 of the untilted signal
     streams of seed; x, m and dv would go unused, so none is simulated.
 
-    The paths run in blocks of _GIRSANOV_BLOCK, split into contiguous
-    slices of blocks, one per process (see simulate._process_count, with a
-    floor of simulate._MIN_PATH_STEPS_PER_PROCESS), and run by
-    simulate._on_processes: each forked child returns its paths' log
-    densities as raw float64 bytes, which the parent reads into place and
-    counts in simulate._work.  A path's bits depend on its index alone, so
-    the result is the same for any number of processes.
+    The paths run in blocks of _MC_CHUNK, split into contiguous slices of
+    blocks, one per process (see simulate._bounds, with a floor of
+    simulate._MIN_PATH_STEPS_PER_PROCESS), and run by
+    simulate._on_processes: every process writes its paths' log densities
+    straight into the returned array, which comes from simulate._shared,
+    and the calling process counts the n_paths paths in simulate._work.  A
+    path's bits depend on its index alone, so the result is the same for
+    any number of processes.
     """
-    zetas = np.empty(n_paths)
-    starts = list(range(0, n_paths, _GIRSANOV_BLOCK)) + [n_paths]
-    procs = _process_count(len(starts) - 1, n_paths * model.n_steps,
-                           _MIN_PATH_STEPS_PER_PROCESS)
-    bounds = [starts[(len(starts) - 1) * i // procs] for i in range(procs + 1)]
+    zetas = _shared((n_paths,))
+    blocks = -(-n_paths // _MC_CHUNK)
 
-    def run_blocks(lo, hi, part):
-        for j0 in range(lo, hi, _GIRSANOV_BLOCK):
-            count = min(_GIRSANOV_BLOCK, hi - j0)
-            dw = _signal_noise(model, seed, j0, count)
-            zetas[j0:j0 + count] = _tilt_log_density(tilt, dw, model.grid.dt)
-        if part is not None:
-            part.write(zetas[lo:hi])
+    def run_blocks(lo, hi):
+        for j0 in range(lo * _MC_CHUNK, min(hi * _MC_CHUNK, n_paths),
+                        _MC_CHUNK):
+            dw = _signal_noise(model, seed, j0, min(_MC_CHUNK, n_paths - j0))
+            zetas[j0:j0 + len(dw)] = _tilt_log_density(tilt, dw, model.grid.dt)
 
-    def take(lo, hi, part):
-        part.readinto(zetas[lo:hi])
-        _count_work(model, hi - lo)
-
-    _on_processes(bounds, run_blocks, take, lambda lo, hi: (
-        f"weighting paths {lo}..{hi - 1}"))
+    bounds = _bounds(blocks, blocks, n_paths * model.n_steps,
+                     _MIN_PATH_STEPS_PER_PROCESS)
+    _on_processes(bounds, run_blocks, lambda lo, hi: (
+        f"weighting paths {lo * _MC_CHUNK}..{min(hi * _MC_CHUNK, n_paths) - 1}"))
+    _count_work(model, n_paths)
     return zetas
 
 
@@ -436,8 +428,10 @@ def check_decomposition_identity(config: ScenarioConfig, seed: int,
     gap = _decomposition_gap(model, value, seed + 67)
     gap_half = _decomposition_gap(_refined(model), value, seed + 67)
     ratio = _richardson(gap, gap_half, 1)[1]
-    passed = bool(gap <= 10.0 * dt and 1.7 <= ratio <= 2.3)
-    detail = f"sup gap = {gap:.3e} (<= {10 * dt:.1e}), halving ratio = {ratio:.3f}"
+    ok_gap = gap <= 10.0 * dt
+    passed = bool(ok_gap and 1.7 <= ratio <= 2.3)
+    detail = (f"sup gap = {gap:.3e} ({_sign(ok_gap)} {10 * dt:.1e}), "
+              f"halving ratio = {ratio:.3f}")
     return CheckResult(name, passed, True, detail, {
         "sup_gap": gap, "sup_gap_half_dt": gap_half, "ratio": ratio,
         "bound": 10.0 * dt, "theta": value,
@@ -497,8 +491,9 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
     g0, g1 = gap["doubled_q"], gap["doubled_q_half_dt"]
     limit = _richardson(g0, g1, 1)[0]
     nonzero = limit > 10.0 * max(abs(g1 - g0), gap["unit_q"])
-    passed = (nonzero and gap["unit_q"] <= bound
-              and max(err.values()) <= bound)
+    ok_unit = gap["unit_q"] <= bound
+    ok_printed = max(err.values()) <= bound
+    passed = nonzero and ok_unit and ok_printed
     measured = {
         "t": float(t), "unit_q_gap": gap["unit_q"], "unit_q_bound": bound,
         "doubled_q_gap": g0, "doubled_q_gap_half_dt": g1,
@@ -506,11 +501,11 @@ def check_printed_kernel(config: ScenarioConfig, seed: int,
         "limit_nonzero": bool(nonzero),
         "printed_err": err, "printed_bound": bound,
     }
-    details = [f"unit-Q gap {gap['unit_q']:.3e} <= {bound:.1e}",
+    details = [f"unit-Q gap {gap['unit_q']:.3e} {_sign(ok_unit)} {bound:.1e}",
                f"doubled-Q gap {g0:.4f} -> {g1:.4f} under halving "
                f"(nonzero limit: {bool(nonzero)})",
                f"library printed vs published {max(err.values()):.1e} "
-               f"<= {bound:.1e}"]
+               f"{_sign(ok_printed)} {bound:.1e}"]
     return CheckResult(name, bool(passed), True, "; ".join(details), measured)
 
 
@@ -569,7 +564,7 @@ def check_saddle(config: ScenarioConfig, seed: int,
         lower_detail += f", p=4 limit {lower_err:.1e}"
     ok_lower = abs(lower_err) <= lower_tol
     passed = bool(ok_lower and ok_chain and ok_box and ok_convex)
-    details = [f"{lower_detail} <= {lower_tol:.1e}",
+    details = [f"{lower_detail} {_sign(ok_lower)} {lower_tol:.1e}",
                f"convexity defect {defect:.2e}"]
 
     consts = _scalar_constants(model)

@@ -144,6 +144,16 @@ def test_monte_carlo_single_path_has_nan_stderr(fast_model, fast_riccati):
     assert est >= 0.0
 
 
+def test_monte_carlo_at_time_zero_is_exactly_zero(fast_model, fast_riccati):
+    # The initial state is known exactly: no path is simulated or counted,
+    # and the zero-filled squared errors give a zero mean and stderr.
+    theta = np.full((200, 1), 0.3)
+    before = dict(rk.simulate._work)
+    assert mse_monte_carlo(fast_model, theta, 0.5 * theta, 0.0, n_paths=500,
+                           seed=9, riccati=fast_riccati) == (0.0, 0.0)
+    assert rk.simulate._work == before
+
+
 def test_monte_carlo_is_deterministic(fast_model, fast_riccati):
     theta = np.full((200, 1), 0.3)
     a = mse_monte_carlo(fast_model, theta, theta, 1.0, n_paths=500, seed=9,

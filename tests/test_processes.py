@@ -85,6 +85,33 @@ def test_small_runs_stay_in_the_calling_process(monkeypatch):
         assert len(forks) == 1
 
 
+def test_no_result_crosses_a_file(monkeypatch):
+    """Forked children write their results into shared arrays: every
+    temporary file the fork layer opens, for a child's exception text
+    only, stays empty."""
+    model = path_major.layout_models(40)["n1"]
+    riccati = solve_riccati(model)
+    files, opened = [], simulate.tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        fh = opened(*args, **kwargs)
+        files.append(os.dup(fh.fileno()))
+        return fh
+
+    forks = _use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(simulate.tempfile, "TemporaryFile", recorded)
+    try:
+        simulate.simulate_paths(model, np.zeros((40, 1)), 2049, 3)
+        minimax._mse_mc_runs(model, riccati, _runs(model))
+        verification.check_girsanov(_n3_config(), 2)
+        assert len(files) == len(forks) == 9
+        assert [os.fstat(fd).st_size for fd in files] == [0] * 9
+    finally:
+        for fd in files:
+            os.close(fd)
+    _no_child_left()
+
+
 def test_failed_chunk_reaps_every_child(monkeypatch):
     """A chunk that fails in a child raises OSError naming its run and
     chunk, the exit status and the child's exception; one that fails in

@@ -167,7 +167,7 @@ def test_girsanov_measures_the_same_in_any_block(monkeypatch):
     cfg = _n3_cfg(20)
     reports = []
     for block in (4096, 700):
-        monkeypatch.setattr(verification, "_GIRSANOV_BLOCK", block)
+        monkeypatch.setattr(verification, "_MC_CHUNK", block)
         result = check_girsanov(cfg, 2)
         reports.append(rk.VerificationReport(2, (result,)).to_dict())
     assert reports[0]["checks"][0]["measured"]["mean_weight"] != 1.0
@@ -209,6 +209,8 @@ def test_printed_kernel_audit_catches_a_wrong_printed_kernel(default_cfg,
     assert not result.passed
     errs = result.measured["printed_err"]
     assert max(errs.values()) > 10.0 * result.measured["printed_bound"]
+    assert (f"printed vs published {max(errs.values()):.1e} > "
+            f"{result.measured['printed_bound']:.1e}") in result.detail
     if mutant == "ode_published_term":
         assert result.measured["doubled_q_gap"] == 0.0
         assert result.measured["limit_nonzero"] is False
@@ -316,6 +318,7 @@ def test_saddle_lower_value_can_fail(monkeypatch, cfg, mutant):
     alone must see the mutant."""
     clean = check_saddle(cfg, 0)
     assert clean.passed
+    assert " <= " in clean.detail.split("; ")[0]
     m = clean.measured
     tol = 1e-12 if cfg.model.n == 1 else 1e-6 * (1.0 + m["trace_p"])
     assert abs(m.get("lower_limit", m["lower_value"] - m["matched_mse_exact"])) <= tol
@@ -340,6 +343,7 @@ def test_saddle_lower_value_can_fail(monkeypatch, cfg, mutant):
     assert gap > 1e-6
     assert result.measured["lower_value"] <= result.measured["upper_value"]
     assert not result.passed
+    assert " > " in result.detail.split("; ")[0]
     if mutant == "scaled_covariance":
         assert result.measured["lower_value"] == result.measured["trace_p"]
 
