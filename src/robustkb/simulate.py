@@ -19,9 +19,13 @@ no process outlives the call.
 
 The noise transform and the log density each sum in one fixed order,
 written out here, whatever the chunk, the batch size or the NumPy build: the
-increments are j-ordered multiply-adds over a time-major, component-major
-(K, d, count) copy of the draws, and the log density adds, per path and in
-k order, the j-ordered terms theta_k' L_k^-1 dw_k.  The Euler loop steps
+increments are j-ordered multiply-adds, made in place on the time-major,
+component-major (K, d, count) draws a block of time steps at a time, and
+the log density adds, per path and in k order, the j-ordered terms
+theta_k' L_k^-1 dw_k.  The (K, d, count) increments are the one array of
+their size that `_increments` holds, on a private mapping (`_mapped`) that
+the OS takes back when it is freed: the draws and each transformed block
+pass through one stage of at most `_STAGE_BYTES`.  The Euler loop steps
 the contiguous (d, batch) slices of those increments through `_euler_step`,
 scalar models included: per-interval vectors are (d, 1) columns that
 broadcast along the batch axis, or Python floats for a scalar model, and
@@ -31,8 +35,9 @@ of a two-path one, and a matrix with one row keeps the row-major product of
 the path-major loops (see `model._Steps`).  One path of a scalar model
 steps on Python floats, with the same operations in the same order.  So a
 path's bits depend on its index alone, however the paths are chunked.
-`simulate_paths` copies the increments and states back into the path-major
-arrays of `PathEnsemble`; the Monte-Carlo MSE (`minimax._MCRun`) consumes
+`simulate_paths` copies the increments into the path-major arrays of
+`PathEnsemble`, and the states through a stage of a block of time steps;
+the Monte-Carlo MSE (`minimax._MCRun`) consumes
 the states one step at a time and keeps only the nodes it reads.  Every
 array a forked child fills comes from `_shared`, so the child writes its
 rows where the parent reads them, and no result crosses a file.
@@ -56,6 +61,14 @@ from .ode import _policy_array
 _SIGNAL_TAG = 0
 _OBS_TAG = 1
 _CHUNK = 2048
+
+# Bytes of each staging buffer: a group of paths' draws and a time block of
+# the noise transform in _increments, a time block of Euler states in
+# simulate_paths.  On a 2-core x86 machine (NumPy 2.4.6), 400 x 1000 x 3
+# increments took 34.7 ms of CPU with 128 KiB stages, 31.2-31.6 ms with 256
+# KiB, 30.5-30.6 ms with 1 MiB and 31.1-31.6 ms with 4 MiB (medians of 21,
+# two sweeps); the draws alone take about 20 ms.
+_STAGE_BYTES = 1 << 20
 
 # Largest ensemble simulate_paths returns: x, m, dw, dv and log_density.  A
 # fixed policy limit, not a reading of the machine's memory: it turns a
@@ -227,6 +240,23 @@ def _shared(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
+def _mapped(shape) -> np.ndarray:
+    """An uninitialized float64 array on a private anonymous mapping of its
+    own, advised to take huge pages as NumPy advises its large arrays; the
+    OS takes the pages back once the array is freed.  From malloc, a freed
+    array of the noise's size stays resident: glibc raises its mmap
+    threshold to the size of a block it unmaps, up to 32 MiB, and its trim
+    threshold to twice that, so after the Monte-Carlo checks of verify on
+    bench/minimax_n3.json the calling process kept 48 MB of free heap, which
+    the shared ensembles of the next checks cannot use.  Where mmap has no
+    MADV_HUGEPAGE (outside Linux) this is np.empty."""
+    if not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(shape)
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf).reshape(shape)
+
+
 def _fork(work, lo: int, hi: int):
     """Fork a child that runs work(lo, hi); returns the child's pid and a
     new binary temporary file err, which holds the child's exception text.
@@ -291,21 +321,34 @@ def _on_processes(bounds: list[int], work, what) -> None:
         raise
 
 
-def _fill_normals(out: np.ndarray, master_seed: int, first: int, tag: int) -> None:
-    """Fill row j of out with the first draws of
-    ``default_rng(SeedSequence((master_seed, first + j, tag)))``."""
+def _draw_groups(stage: np.ndarray, master_seed: int, first: int, count: int,
+                 tag: int):
+    """Draw paths first..first+count-1 of stream tag into stage, len(stage)
+    paths at a time: yield (j0, group) once row r of group holds the first
+    draws of ``default_rng(SeedSequence((master_seed, first + j0 + r,
+    tag)))``.  The next group overwrites the stage."""
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    rows = _seed_states(master_seed, first, len(out), tag).tolist()
-    for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(rows):
-        # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps around
-        # adding the initial state.
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        seeded = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        state["state"] = {"state": seeded, "inc": inc}
-        bitgen.state = state
-        gen.standard_normal(out=out[j])
+    states = _seed_states(master_seed, first, count, tag)
+    for j0 in range(0, count, len(stage)):
+        group = stage[:min(len(stage), count - j0)]
+        rows = states[j0:j0 + len(group)].tolist()
+        for out, (s_hi, s_lo, i_hi, i_lo) in zip(group, rows):
+            # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps around
+            # adding the initial state.
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            seeded = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            state["state"] = {"state": seeded, "inc": inc}
+            bitgen.state = state
+            gen.standard_normal(out=out)
+        yield j0, group
+
+
+def _stage_rows(row_bytes: int, rows: int) -> int:
+    """How many of rows rows of row_bytes each a stage holds: as many as
+    fit in _STAGE_BYTES, at least one and at most rows."""
+    return max(1, min(rows, _STAGE_BYTES // row_bytes))
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -318,26 +361,6 @@ def _path_major(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, -1, 0)
 
 
-def _transform(factor: np.ndarray, live: np.ndarray, xi: np.ndarray,
-               scale) -> np.ndarray:
-    """scale (factor_k xi_k) of time-major (K, d, count) draws xi: component
-    i adds the terms j marked in row i of live in j order, and one with no
-    term is 0.0."""
-    out = np.empty(xi.shape)
-    for i, mask in enumerate(live):
-        row = np.flatnonzero(mask).tolist()
-        acc = out[:, i]
-        if not row:
-            acc.fill(0.0)
-            continue
-        np.multiply(factor[:, i, row[0], None], xi[:, row[0]], out=acc)
-        for j in row[1:]:
-            acc += factor[:, i, j, None] * xi[:, j]
-    out += 0.0  # the sum starts from +0.0: no -0.0 entries
-    out *= scale
-    return out
-
-
 def _increments(model: ValidatedModel, master_seed: int, first: int,
                 count: int, tag: int, factor: np.ndarray,
                 live: np.ndarray) -> np.ndarray:
@@ -345,27 +368,55 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     time-major, component-major (K, d, count) increments of paths
     first..first+count-1.
 
-    Component i is 0 + factor_ki0 xi_0 + factor_ki1 xi_1 + ..., added in j
-    order by whole-array multiply-adds on the contiguous (K, count) planes
-    of one (K, d, count) copy of the draws, then scaled by sqrt(dt).  The
-    order is written out here, so neither the batch size nor the NumPy
-    build can change a bit.  Only the terms marked in live are added: a
-    (d, d) mask that marks at least every entry of factor nonzero on some
-    interval (model._live_terms marks exactly those).  The model's own
-    factors pass the masks validate_model made on the full grid, which a
-    truncated model keeps.  A term zero on every interval adds a signed
-    zero, whether it is added or left out, and a component with no term is
-    0.0: the final +0.0 clears the sign, so the bits are those of the full
-    sum.
-
-    The path-major draws are dropped once copied, before the output is
-    allocated.
+    The output, from _mapped, is the only array of the call's size.  One
+    stage of at most _STAGE_BYTES, allocated once, carries everything else
+    (one path or one step where that is larger).  The draws are made into
+    it a group of paths at a time and copied, transposed, into the output.
+    The output is then transformed in place a block of time steps at a
+    time: the block's draws are copied into the stage, and component i is
+    written back as 0 + factor_ki0 xi_0 + factor_ki1 xi_1 + ..., added in j
+    order by multiply-adds on the block's contiguous (steps, count) planes,
+    each product made in the stage's last plane, then scaled by sqrt(dt).
+    The order is written out here, so neither the batch size, the stage nor
+    the NumPy build can change a bit.
+    Only the terms marked in live are added: a (d, d) mask that marks at
+    least every entry of factor nonzero on some interval
+    (model._live_terms marks exactly those).  The model's own factors pass
+    the masks validate_model made on the full grid, which a truncated model
+    keeps.  A term zero on every interval adds a signed zero, whether it is
+    added or left out, and a component with no term is 0.0: the final +0.0
+    clears the sign, so the bits are those of the full sum.
     """
-    draws = np.empty((count, model.n_steps, factor.shape[-1]))
-    _fill_normals(draws, master_seed, first, tag)
-    xi = _time_major(draws)
-    del draws
-    return _transform(factor, live, xi, np.sqrt(model.grid.dt))
+    k_steps, d = model.n_steps, factor.shape[-1]
+    out = _mapped((k_steps, d, count))
+    group = _stage_rows(8 * k_steps * d, count)
+    span = _stage_rows(8 * (d + 1) * count, k_steps)
+    stage = np.empty(max(group * k_steps * d, span * (d + 1) * count))
+    for j0, drawn in _draw_groups(stage[:group * k_steps * d].reshape(
+            group, k_steps, d), master_seed, first, count, tag):
+        out[..., j0:j0 + len(drawn)] = np.moveaxis(drawn, 0, -1)
+
+    rows = [np.flatnonzero(mask).tolist() for mask in live]
+    scale = np.sqrt(model.grid.dt)
+    block = stage[:span * d * count].reshape(span, d, count)
+    product = stage[span * d * count:span * (d + 1) * count].reshape(span, count)
+    for k0 in range(0, k_steps, span):
+        part = out[k0:k0 + span]
+        xi, term = block[:len(part)], product[:len(part)]
+        np.copyto(xi, part)
+        weights = factor[k0:k0 + span, :, :, None]
+        for i, row in enumerate(rows):
+            acc = part[:, i]
+            if not row:
+                acc.fill(0.0)
+                continue
+            np.multiply(weights[:, i, row[0]], xi[:, row[0]], out=acc)
+            for j in row[1:]:
+                np.multiply(weights[:, i, j], xi[:, j], out=term)
+                acc += term
+        part += 0.0  # the sum starts from +0.0: no -0.0 entries
+        part *= scale
+    return out
 
 
 def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
@@ -575,13 +626,18 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
             dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps,
                                                     master_seed, j0, count,
                                                     path_offset)
-            x_c = np.empty((k_steps + 1, n, count))
-            obs_c = np.empty((k_steps + 1, m, count))
+            # The states pass through a stage of `span` steps, which is
+            # copied into their path-major rows each time it fills.
+            span = _stage_rows(8 * (n + m) * count, k_steps + 1)
+            x_c = np.empty((span, n, count))
+            obs_c = np.empty((span, m, count))
             for k, (xk, obs_k) in enumerate(states):
-                x_c[k] = xk
-                obs_c[k] = obs_k
-            x[sl] = _path_major(x_c)
-            obs[sl] = _path_major(obs_c)
+                r = k % span
+                x_c[r] = xk
+                obs_c[r] = obs_k
+                if r == span - 1 or k == k_steps:
+                    x[sl, k - r:k + 1] = _path_major(x_c[:r + 1])
+                    obs[sl, k - r:k + 1] = _path_major(obs_c[:r + 1])
             np.add(_path_major(dw_tilt), tilt, out=dw[sl])
             dv[sl] = _path_major(dv_c)
             logw[sl] = _log_density_batch(th, dw[sl], model)

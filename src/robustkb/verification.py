@@ -44,10 +44,10 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_MIN_PATH_STEPS_PER_PROCESS, _bounds, _count_work,
-                       _on_processes, _shared, _signal_noise,
-                       _standardized_tilt, _tilt_log_density, _work,
-                       simulate_paths)
+from . import simulate
+from .simulate import (_bounds, _count_work, _on_processes, _shared,
+                       _signal_noise, _standardized_tilt, _tilt_log_density,
+                       _work, simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
@@ -348,7 +348,7 @@ def _girsanov_zetas(model: ValidatedModel, tilt, seed: int,
             zetas[j0:j0 + len(dw)] = _tilt_log_density(tilt, dw, model.grid.dt)
 
     bounds = _bounds(blocks, blocks, n_paths * model.n_steps,
-                     _MIN_PATH_STEPS_PER_PROCESS)
+                     simulate._MIN_PATH_STEPS_PER_PROCESS)
     _on_processes(bounds, run_blocks, lambda lo, hi: (
         f"weighting paths {lo * _MC_CHUNK}..{min(hi * _MC_CHUNK, n_paths) - 1}"))
     _count_work(model, n_paths)
@@ -648,9 +648,9 @@ def check_determinism(config: ScenarioConfig, seed: int,
     n_paths = 3000
     base = simulate_paths(sub, theta, n_paths, seed + 97)
     ok_rerun = same_bits([simulate_paths(sub, theta, n_paths, seed + 97)], base)
-    split = [simulate_paths(sub, theta, 1500, seed + 97, path_offset=off)
-             for off in (0, 1500)]
-    ok_split = same_bits(split, base)
+    ok_split = same_bits([simulate_paths(sub, theta, 1500, seed + 97,
+                                         path_offset=off)
+                          for off in (0, 1500)], base)
 
     # The Monte-Carlo MSE filters in step with its simulation; the batch
     # filter on base's observations must give its squared errors bit for
@@ -686,8 +686,11 @@ def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
     """Run every check against one scenario.
 
     If timings is a list, one dict per check is appended to it: the check's
-    name, its wall time in seconds, and the paths and path-steps it
-    simulated.  None of it enters the report.
+    name, its wall time in seconds, the paths and path-steps it simulated,
+    and, once it has run, the largest resident set so far of the calling
+    process and of any one of its reaped children, in MiB (ru_maxrss of
+    RUSAGE_SELF and RUSAGE_CHILDREN, which Linux counts in KiB).  None of it
+    enters the report.
     """
     results = []
     for chk in ALL_CHECKS:
@@ -695,8 +698,14 @@ def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
         start = time.perf_counter()
         results.append(chk(config, seed))
         if timings is not None:
-            timings.append({"name": results[-1].name,
-                            "wall_s": time.perf_counter() - start,
-                            "paths": _work["paths"] - paths,
-                            "path_steps": _work["path_steps"] - path_steps})
+            import resource
+            timings.append({
+                "name": results[-1].name,
+                "wall_s": time.perf_counter() - start,
+                "paths": _work["paths"] - paths,
+                "path_steps": _work["path_steps"] - path_steps,
+                "max_rss_mb": resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "children_max_rss_mb": resource.getrusage(
+                    resource.RUSAGE_CHILDREN).ru_maxrss / 1024})
     return VerificationReport(seed=int(seed), results=tuple(results))

@@ -17,7 +17,7 @@ import numpy as np
 
 from robustkb import ModelSchedule, TimeGrid, constant_model, validate_model
 from robustkb.filtering import filter_gains
-from robustkb.simulate import _fill_normals
+from robustkb.simulate import _draw_groups
 
 SIM_CHUNK = 2048
 MC_CHUNK = 1024
@@ -25,9 +25,10 @@ MC_CHUNK = 1024
 
 def normals(seed, first, count, tag, shape):
     """Standard normals of shape (count, *shape), row j from the stream of
-    path first + j."""
+    path first + j, drawn as one group."""
     out = np.empty((count, *shape))
-    _fill_normals(out, seed, first, tag)
+    for _ in _draw_groups(out, seed, first, count, tag):
+        pass
     return out
 
 

@@ -405,6 +405,11 @@ def test_verify_timings_sidecar_leaves_the_report_alone(tmp_path, capsys):
     assert (by_name["matched_mse"]["paths"], by_name["matched_mse"]["path_steps"]) \
         == (10_000, 40_000)
     assert by_name["riccati_steady_state"]["paths"] == 0
+    # Running maxima of this process and of its reaped children, in MiB.
+    for key in ("max_rss_mb", "children_max_rss_mb"):
+        values = [c[key] for c in checks]
+        assert values == sorted(values), key
+    assert checks[0]["max_rss_mb"] > 0.0
 
 
 # ---------------------------------------------------------------------------

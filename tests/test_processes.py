@@ -85,6 +85,15 @@ def test_small_runs_stay_in_the_calling_process(monkeypatch):
         assert len(forks) == 1
 
 
+def test_girsanov_reads_the_simulate_floor(monkeypatch):
+    """check_girsanov reads simulate._MIN_PATH_STEPS_PER_PROCESS when it
+    runs: a floor above its 2 x 10^6 path-steps forks no child on 2 CPUs."""
+    forks = _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "_MIN_PATH_STEPS_PER_PROCESS", 2_000_001)
+    verification.check_girsanov(_n3_config(), 2)
+    assert forks == []
+
+
 def test_no_result_crosses_a_file(monkeypatch):
     """Forked children write their results into shared arrays: every
     temporary file the fork layer opens, for a child's exception text

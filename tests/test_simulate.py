@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,8 +361,7 @@ def test_noise_increments_sum_in_einsum_order(free_model, d):
     factor = rng.normal(size=(free_model.n_steps, d, d))
     factor[::3] = 0.0
     factor[1::3, :, 0] = 0.0
-    xi = np.empty((9, free_model.n_steps, d))
-    rk.simulate._fill_normals(xi, 6, 2, 1)
+    xi = path_major.normals(6, 2, 9, 1, (free_model.n_steps, d))
     # _increments returns (K, d, count); compare it as (count, K, d).
     got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, factor,
                                   _live_terms(factor)), -1, 0)
@@ -411,6 +411,83 @@ def test_truncated_model_keeps_the_full_grid_noise_masks():
                                _live_terms(factor))
             assert _same_bits(got, want), (tag, count)
             assert not np.signbit(got[got == 0.0]).any()
+
+
+# With 9 paths of 50 steps, a 1-byte stage holds one path's draws and one
+# step's block at a time; 1600 d bytes hold 4 paths and blocks of 11, 14 and
+# 16 steps for d = 1, 2 and 3, neither a divisor; 2**40 bytes hold all 9
+# paths and all 50 steps.
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("stage", ["one", "part", "all"])
+def test_staged_increments_keep_their_bits(free_model, monkeypatch, d, stage):
+    """Whatever the stage, the increments are the bits of the whole-array
+    draws put through the j-ordered loop, dead rows and columns included."""
+    monkeypatch.setattr(rk.simulate, "_STAGE_BYTES",
+                        {"one": 1, "part": 1600 * d, "all": 1 << 40}[stage])
+    rng = np.random.default_rng(d)
+    factor = rng.normal(size=(free_model.n_steps, d, d))
+    factor[::3] = 0.0
+    factor[1::3, :, 0] = 0.0
+    dead_column, dead_row = factor.copy(), factor.copy()
+    dead_column[:, :, 0] = 0.0
+    dead_row[:, d - 1] = 0.0
+    xi = path_major.normals(6, 2, 9, 1, (free_model.n_steps, d))
+    for f in (factor, dead_column, dead_row):
+        got = np.moveaxis(_increments(free_model, 6, 2, 9, 1, f,
+                                      _live_terms(f)), -1, 0)
+        assert _same_bits(got, path_major.transform(f, xi, free_model.grid.dt))
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+@pytest.mark.parametrize("n_paths", [1, 7])
+@pytest.mark.parametrize("span", [1, 5, None])
+def test_staged_states_keep_their_bits(monkeypatch, name, n_paths, span):
+    """simulate_paths gives the bits of the unstaged path-major loop with
+    its Euler states staged one step, 5 steps (not a divisor of the 13
+    states) or all K + 1 steps at a time."""
+    model = LAYOUT_MODELS[name]
+    monkeypatch.setattr(rk.simulate, "_STAGE_BYTES", 1 << 40 if span is None
+                        else 8 * (model.n + model.m) * n_paths * span)
+    theta = _layout_tilt(model)
+    ens = simulate_paths(model, theta, n_paths, master_seed=21)
+    want = path_major.simulate(model, theta, n_paths, 21)
+    for field, ref in zip(("x", "m", "dw", "dv", "log_density"), want):
+        assert _same_bits(getattr(ens, field), ref), field
+
+
+def _traced_peak(call) -> int:
+    """Bytes a second call() allocated at its peak, beyond what was traced
+    before it; the first call makes NumPy's one-time allocations."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_noise_is_held_once(monkeypatch):
+    """The traced peak of _increments is its (K, d, count) output and one
+    stage, and that of an n = 3 Monte-Carlo chunk its two noise arrays and
+    one stage, each with 512 KiB to spare (the seeding takes about 200 KiB):
+    a whole-chunk copy of the draws, or one (K, count) product, would not
+    fit.  The outputs come from np.empty here, which tracemalloc sees, and
+    not from the mappings of _mapped, which it does not."""
+    monkeypatch.setattr(rk.simulate, "_mapped", np.empty)
+    model = path_major.layout_models(500)["n3"]
+    stage, slack = rk.simulate._STAGE_BYTES, 512 << 10
+    signal = 8 * model.n_steps * model.n * 1024
+    peak = _traced_peak(lambda: _increments(model, 3, 0, 1024, 0, model.Q_sqrt,
+                                            model.Q_sqrt_live))
+    assert peak <= signal + stage + slack, peak - signal
+    run = rk.minimax._MCRun(model, rk.solve_riccati(model), _layout_tilt(model),
+                            np.zeros((model.n_steps, model.n)), [model.n_steps],
+                            1024, 3)
+    noise = signal + 8 * model.n_steps * model.m * 1024
+    peak = _traced_peak(lambda: run.squared_errors(0))
+    assert peak <= noise + stage + slack, peak - noise
 
 
 # ---------------------------------------------------------------------------
