@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, _read_bytes, scenario_from_bytes
 from .decomposition import correction_path
-from .errors import ConfigError, RobustKBError
+from .errors import ConfigError, InvalidPathCount, RobustKBError
 from .export import (
     filter_run_rows,
     riccati_rows,
@@ -222,6 +222,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_minimax(args) -> int:
+    if args.paths < 0:
+        raise InvalidPathCount(f"--paths must be >= 0, got {args.paths}")
     cfg, digest = _load_config(args)
     model, bound = cfg.model, cfg.bound
     t = _probe_time(model) if args.t is None else args.t

@@ -2,10 +2,12 @@
 
 Layout is gnuplot-friendly: t first, then value columns.  Floats are written
 with repr, which round-trips exactly; reruns with the same inputs produce
-byte-identical files.  The CSV writer streams blocks of _BLOCK_ROWS rows and
-formats each block column by column, with one map per column: float.__repr__
-or int.__repr__ where every value of the column has that exact type, _cell
-otherwise.  The bytes are those of _cell applied to every value in turn.
+byte-identical files.  The JSON writer is strict: a non-finite float, such
+as the NaN standard error of a one-path Monte-Carlo estimate, is null.  The
+CSV writer streams blocks of _BLOCK_ROWS rows and formats each block column
+by column, with one map per column: float.__repr__ or int.__repr__ where
+every value of the column has that exact type, _cell otherwise.  The bytes
+are those of _cell applied to every value in turn.
 
 The long-format ensemble (path, t, x_*, m_*, logw) has its own writer,
 write_ensemble_csv, which reads the ensemble's float arrays directly and
@@ -20,7 +22,8 @@ the number of processes.  It is the package's one forked writer of text:
 every other forked result goes into an array from simulate._shared.
 A second process is used only when each gets _MIN_CELLS_PER_PROCESS cells
 or more, and where os.fork or os.sched_getaffinity is missing the calling
-process writes every path itself.  The fork, the reaping and the cleanup on
+process writes every path itself: a floor in cells, not the path floors of
+simulate._on_paths.  The fork, the reaping and the cleanup on
 error are simulate._on_processes, the package's one parallel path.  A
 child only formats floats and writes its file, so it takes no lock that
 another thread of the parent could hold.  On Python 3.12 and
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import shutil
 import tempfile
 from itertools import repeat
@@ -103,9 +107,20 @@ def write_csv(path, columns, rows, comment: str | None = None) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _json_value(obj):
+    """obj with every non-finite float, which JSON cannot hold, as None."""
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_json_value, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(path, obj) -> None:
+    """Strict JSON: sorted keys, and a non-finite float written as null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -151,17 +166,13 @@ def write_ensemble_csv(path, ensemble, comment: str | None = None) -> None:
     """Long-format ensemble CSV (path, t, x_*, m_*, logw), with the same
     header and comment line as write_csv.
 
-    The paths are split into contiguous ranges, one per process (see
-    simulate._bounds), and run by simulate._on_processes: one temporary
-    file is opened per child's range, every child is forked before
-    anything is written and writes its range to its file; the parent writes
-    the comment, the header and the first range, then, once every child is
-    reaped, appends the files in path order, and closes them however the
-    call ends.  Every process writes one path at a time, so none holds more
-    than one path's cells, and the bytes are the same for any number of
-    processes.  A child that fails raises OSError naming its path range,
-    exit status and exception; on any exception in the parent every child
-    not yet reaped is killed and reaped, so no process outlives the call.
+    Every child is forked before anything is written and writes its range
+    of paths to its own temporary file; the parent writes the comment, the
+    header and the first range, then appends the files in path order once
+    every child is reaped, and closes them however the call ends.  Every
+    process writes one path at a time, so none holds more than one path's
+    cells.  A child that fails raises OSError naming its path range, exit
+    status and exception (see simulate._on_processes).
     """
     n_paths, k, n = ensemble.x.shape
     columns = (["path", "t"] + vector_labels("x", n)

@@ -11,10 +11,10 @@ vertex, and the worst case is convex and even in theta_hat, so the robust
 filter drift is exactly 0.  The restriction to deterministic policies is
 deliberate; the duality gap it induces is reported, not hidden.
 
-The Monte-Carlo MSE runs independent runs together (`_mse_mc_runs`), each
-chunk of paths on one of up to one process per usable CPU, with the same
-bits for any number of processes; `_mse_mc_multi` is the one-run case, and
-`robustkb minimax` submits its two estimates in one call.
+The Monte-Carlo MSE runs independent runs together (`_mse_mc_runs`), one
+job each of simulate._on_paths, which splits their paths over forked
+processes with the same bits for any number of them; `_mse_mc_multi` is the
+one-run case, and `robustkb minimax` submits its two estimates in one call.
 """
 from __future__ import annotations
 
@@ -34,20 +34,20 @@ from .model import (
 )
 from .ode import (RiccatiPath, _closed_loop, _policy_array, _response,
                   solve_error_stats, solve_riccati)
-from . import simulate
-from .simulate import (_bounds, _check_n_paths, _check_seed, _count_work,
-                       _on_processes, _shared, _simulate_chunk)
+from .simulate import (_check_n_paths, _check_seed, _on_paths, _shared,
+                       _simulate_chunk)
 
 ADVERSARY_CLASSES = ("constant", "bang_bang")
 
 # Most components with a positive radius whose 2^k box vertices are enumerated.
 _MAX_VERTEX_COMPONENTS = 20
 
+# Paths per partial sum of _mc_moments, which fix the reduction's bits.
 _MC_CHUNK = 1024
-# Most paths mse_monte_carlo runs: 10^4 chunks.  A fixed policy limit, not a
-# reading of the machine: a chunk's memory does not grow with n_paths, the
-# squared errors kept take 80 MB per requested node at the limit, and the
-# largest Monte-Carlo run in this package (verification) uses 10^4 paths.
+# Most paths mse_monte_carlo runs.  A fixed policy limit, not a reading of
+# the machine: a chunk's memory does not grow with n_paths, the squared
+# errors kept take 80 MB per requested node at the limit, and the largest
+# Monte-Carlo run in this package (verification) uses 10^4 paths.
 _MAX_MC_PATHS = 10**7
 
 
@@ -118,19 +118,14 @@ class _MCRun:
         for pos, node in enumerate(idx.tolist()):
             self.slots.setdefault(node, []).append(pos)
 
-    def chunks(self) -> range:
-        """First path index of each chunk, none where last is 0."""
-        return range(0, self.n_paths, _MC_CHUNK) if self.last else range(0)
-
-    def squared_errors(self, j0: int) -> np.ndarray:
-        """(count, nodes) squared errors of the chunk of paths from j0.
+    def fill(self, j0: int, count: int) -> None:
+        """The squared errors of paths j0..j0+count-1, into their rows of sq.
 
         The filter steps along with the simulation on its (d, batch) step
         slices, fed obs_{k+1} - obs_k (the bits of np.diff), and only the
         states at the requested nodes are kept, in (nodes, n, count) arrays.
         """
         sub, steps = self.sub, self.steps
-        count = min(_MC_CHUNK, self.n_paths - j0)
         states = _simulate_chunk(sub, steps, self.th_true, self.seed, j0,
                                  count, 0)[2]
         x_at = np.empty((self.nodes, sub.n, count))
@@ -145,8 +140,8 @@ class _MCRun:
             for pos in self.slots.get(k, ()):
                 x_at[pos] = xk
                 xhat_at[pos] = xhat
-        return _squared_errors(np.swapaxes(x_at, 1, 2),
-                               np.swapaxes(xhat_at, 1, 2))
+        self.sq[j0:j0 + count] = _squared_errors(np.swapaxes(x_at, 1, 2),
+                                                 np.swapaxes(xhat_at, 1, 2))
 
 
 def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
@@ -155,39 +150,17 @@ def _mse_mc_runs(model: ValidatedModel, riccati: RiccatiPath, runs):
     seed) that simulates one ensemble and reads it at several grid nodes.
     Returns one (means, stderrs) over the requested nodes per run.
 
-    A unit of work is one chunk of _MC_CHUNK paths of one run.  The units,
-    in run order, are split into contiguous slices, one per process (see
-    simulate._bounds, with a floor of simulate._MIN_PATH_STEPS_PER_PROCESS),
-    and run by simulate._on_processes: the calling process takes the first
-    slice, and every process writes the (count, nodes) squared errors of
-    its chunks straight into its run's array.  A chunk's paths keep their
-    absolute indices, so its bits do not depend on the process that ran
+    Every run past node 0 is one job of simulate._on_paths, whose
+    processes write its squared errors straight into the run's array.  A
+    path keeps its index, so its bits do not depend on the process that ran
     it, and each run is reduced by _mc_moments in the calling process: the
-    results are the same for any number of processes.  The calling process
-    counts the paths of each run that has chunks in simulate._work.
+    results are the same for any number of processes.
     """
     runs = [_MCRun(model, riccati, *run) for run in runs]
-    units = [(r, j0) for r, run in enumerate(runs) for j0 in run.chunks()]
-    work = sum(min(_MC_CHUNK, runs[r].n_paths - j0) * runs[r].last
-               for r, j0 in units)
-
-    def run_units(lo, hi):
-        for r, j0 in units[lo:hi]:
-            sq = runs[r].squared_errors(j0)
-            runs[r].sq[j0:j0 + len(sq)] = sq
-
-    def name(lo, hi):
-        first, last = (f"run {r} chunk {j0 // _MC_CHUNK}"
-                       for r, j0 in (units[lo], units[hi - 1]))
-        return f"running Monte-Carlo {first}" + (
-            f" to {last}" if hi > lo + 1 else "")
-
-    _on_processes(_bounds(len(units), len(units), work,
-                          simulate._MIN_PATH_STEPS_PER_PROCESS),
-                  run_units, name)
-    for run in runs:
-        if run.last:
-            _count_work(run.sub, run.n_paths)
+    live = [r for r, run in enumerate(runs) if run.last]
+    _on_paths([(runs[r].sub, runs[r].n_paths, runs[r].fill) for r in live],
+              lambda j, first, last: (f"running Monte-Carlo run {live[j]} "
+                                      f"paths {first}..{last}"))
     return [_mc_moments(run.sq) for run in runs]
 
 

@@ -8,14 +8,14 @@ never on chunking.  The streams are seeded a chunk at a time: `_seed_states`
 repeats NumPy's SeedSequence hash on uint32 arrays for a whole chunk of path
 indices, and one reused PCG64 generator is set to each path's starting state
 in turn, which gives the same bits as one SeedSequence and generator per
-stream.  The ``threads`` arguments are accepted but split no work;
-`simulate_paths` splits its paths into contiguous blocks, one per process,
-the Monte-Carlo MSE (`minimax._mse_mc_runs`) its chunks and the Girsanov
-check (`verification.check_girsanov`) its blocks, and all three run them on
-forked processes through `_on_processes`, the package's one parallel path,
-which the ensemble writer (`export.write_ensemble_csv`) also takes.  Each
-path keeps its stream, so no bit depends on the number of processes, and
-no process outlives the call.
+stream.  The ``threads`` arguments are accepted but split no work.
+`simulate_paths`, the Monte-Carlo MSE (`minimax._mse_mc_runs`) and the
+Girsanov weights (`verification._girsanov_zetas`) run their paths through
+one runner, `_on_paths`: one split rule over forked processes and one chunk
+size, `_CHUNK` paths.  It forks through `_on_processes`, the package's one
+parallel path, which the ensemble writer (`export.write_ensemble_csv`) also
+takes.  Each path keeps its stream, so no bit depends on the number of
+processes, and no process outlives the call.
 
 The noise transform and the log density each sum in one fixed order,
 written out here, whatever the chunk, the batch size or the NumPy build: the
@@ -50,6 +50,7 @@ import os
 import signal
 import tempfile
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,7 +61,10 @@ from .ode import _policy_array
 
 _SIGNAL_TAG = 0
 _OBS_TAG = 1
-_CHUNK = 2048
+
+# Paths a process runs at once (see _on_paths).  The Euler loop pays its
+# per-step Python cost once per chunk, and a chunk holds its whole noise.
+_CHUNK = 1024
 
 # Bytes of each staging buffer: a group of paths' draws and a time block of
 # the noise transform in _increments, a time block of Euler states in
@@ -76,15 +80,10 @@ _STAGE_BYTES = 1 << 20
 # largest call in this package (verification's determinism check).
 _MAX_ENSEMBLE_BYTES = 4 << 30
 
-# Paths and path-steps simulated so far, counted once per call in the
-# calling process, whichever process ran them; verification reads the
-# counts around each check for its timings sidecar.
+# Paths and path-steps run by _on_paths so far, counted in the calling
+# process, whichever process ran them; verification reads the counts around
+# each check for its timings sidecar.
 _work = {"paths": 0, "path_steps": 0}
-
-
-def _count_work(model: ValidatedModel, count: int) -> None:
-    _work["paths"] += count
-    _work["path_steps"] += count * model.n_steps
 
 # Signal-noise directions with variance below this carry no tilt.
 _TILT_EIG_FLOOR = 1e-10
@@ -212,8 +211,8 @@ def _usable_cpus() -> int:
 _MIN_PATH_STEPS_PER_PROCESS = 100_000
 
 # The Euler loop costs a Python step per interval whatever the batch, and
-# that cost does not split across processes, so a block of simulate_paths
-# also takes at least this many paths.  Two processes against one on a
+# that cost does not split across processes, so each job of _on_paths adds
+# a process only per this many of its paths.  Two processes against one on a
 # 2-core x86 machine (NumPy 2.4.6), medians of 6 to 12 alternated calls,
 # the range over repeated sweeps, the same bits in every case: n = 1, 200
 # steps, 3000 paths 0.74-0.84, 1500 paths 0.76-0.97, 800 paths 0.77, 600
@@ -319,6 +318,41 @@ def _on_processes(bounds: list[int], work, what) -> None:
             os.waitpid(pid, 0)
             err.close()
         raise
+
+
+def _on_paths(jobs, what) -> None:
+    """Run every job's paths on forked processes and count them in _work.
+    A job is (model, n_paths, fill); fill(j0, count) writes paths
+    j0..j0+count-1 of the job into arrays from _shared.  The jobs' paths,
+    laid end to end, are cut into balanced contiguous blocks (see _bounds):
+    at most one per usable CPU, one per _MIN_PATH_STEPS_PER_PROCESS
+    path-steps and, summed over jobs, max(1, n_paths //
+    _MIN_PATHS_PER_PROCESS).  Each process fills its part of every job in
+    chunks of _CHUNK paths; what(j, first, last) names paths first..last of
+    job j for a failing block.  A path's bits depend on its job and index
+    alone, so neither the blocks nor the chunks move any."""
+    starts = [0, *accumulate(n_paths for _, n_paths, _ in jobs)]
+    bounds = _bounds(starts[-1],
+                     sum(max(1, n // _MIN_PATHS_PER_PROCESS) for _, n, _ in jobs),
+                     sum(n * model.n_steps for model, n, _ in jobs),
+                     _MIN_PATH_STEPS_PER_PROCESS)
+
+    def parts(lo, hi):
+        """(job, first, stop) of each job's paths among paths lo..hi-1."""
+        for j, (first, stop) in enumerate(zip(starts, starts[1:])):
+            if max(lo, first) < min(hi, stop):
+                yield j, max(lo, first) - first, min(hi, stop) - first
+
+    def run_block(lo, hi):
+        for j, first, stop in parts(lo, hi):
+            for j0 in range(first, stop, _CHUNK):
+                jobs[j][2](j0, min(_CHUNK, stop - j0))
+
+    _on_processes(bounds, run_block, lambda lo, hi: " and ".join(
+        what(j, first, stop - 1) for j, first, stop in parts(lo, hi)))
+    for model, n_paths, _ in jobs:
+        _work["paths"] += n_paths
+        _work["path_steps"] += n_paths * model.n_steps
 
 
 def _draw_groups(stage: np.ndarray, master_seed: int, first: int, count: int,
@@ -587,15 +621,11 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
 
     path_offset shifts the absolute path indices so a large run can be
     split across calls and still match a monolithic run bitwise.  The paths
-    are split into contiguous blocks, one per process (see _bounds, with at
-    least _MIN_PATHS_PER_PROCESS paths and _MIN_PATH_STEPS_PER_PROCESS
-    path-steps a block), and run by _on_processes: each process runs its
-    block in chunks of _CHUNK paths from the block's start, straight into
-    its rows of the returned arrays, which come from _shared.  The calling
-    process counts the n_paths paths in _work once every block is in.  A
-    path's bits depend on its absolute index alone, so neither the blocks
-    nor the chunks move any.  threads is accepted for compatibility and
-    does not change the work or the result.
+    are one job of _on_paths, whose processes write them straight into the
+    returned arrays, which come from _shared.  A path's bits depend on its
+    absolute index alone, so neither the processes nor the chunks move any.
+    threads is accepted for compatibility and does not change the work or
+    the result.
     n_paths must be a positive integer whose ensemble fits in 4 GiB, else
     InvalidPathCount is raised before any allocation; the bound is a fixed
     policy limit that does not depend on the memory available.
@@ -619,34 +649,29 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     dv = _shared((n_paths, k_steps, m))
     logw = _shared((n_paths,))
 
-    def run_block(lo, hi):
-        for j0 in range(lo, hi, _CHUNK):
-            count = min(_CHUNK, hi - j0)
-            sl = slice(j0, j0 + count)
-            dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps,
-                                                    master_seed, j0, count,
-                                                    path_offset)
-            # The states pass through a stage of `span` steps, which is
-            # copied into their path-major rows each time it fills.
-            span = _stage_rows(8 * (n + m) * count, k_steps + 1)
-            x_c = np.empty((span, n, count))
-            obs_c = np.empty((span, m, count))
-            for k, (xk, obs_k) in enumerate(states):
-                r = k % span
-                x_c[r] = xk
-                obs_c[r] = obs_k
-                if r == span - 1 or k == k_steps:
-                    x[sl, k - r:k + 1] = _path_major(x_c[:r + 1])
-                    obs[sl, k - r:k + 1] = _path_major(obs_c[:r + 1])
-            np.add(_path_major(dw_tilt), tilt, out=dw[sl])
-            dv[sl] = _path_major(dv_c)
-            logw[sl] = _log_density_batch(th, dw[sl], model)
+    def fill(j0, count):
+        sl = slice(j0, j0 + count)
+        dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps,
+                                                master_seed, j0, count,
+                                                path_offset)
+        # The states pass through a stage of `span` steps, which is copied
+        # into their path-major rows each time it fills.
+        span = _stage_rows(8 * (n + m) * count, k_steps + 1)
+        x_c = np.empty((span, n, count))
+        obs_c = np.empty((span, m, count))
+        for k, (xk, obs_k) in enumerate(states):
+            r = k % span
+            x_c[r] = xk
+            obs_c[r] = obs_k
+            if r == span - 1 or k == k_steps:
+                x[sl, k - r:k + 1] = _path_major(x_c[:r + 1])
+                obs[sl, k - r:k + 1] = _path_major(obs_c[:r + 1])
+        np.add(_path_major(dw_tilt), tilt, out=dw[sl])
+        dv[sl] = _path_major(dv_c)
+        logw[sl] = _log_density_batch(th, dw[sl], model)
 
-    bounds = _bounds(n_paths, n_paths // _MIN_PATHS_PER_PROCESS,
-                     n_paths * k_steps, _MIN_PATH_STEPS_PER_PROCESS)
-    _on_processes(bounds, run_block, lambda lo, hi: (
-        f"simulating paths {path_offset + lo}..{path_offset + hi - 1}"))
-    _count_work(model, n_paths)
+    _on_paths([(model, n_paths, fill)], lambda _, first, last: (
+        f"simulating paths {path_offset + first}..{path_offset + last}"))
     for arr in (x, obs, dw, dv, logw):
         arr.setflags(write=False)
     return PathEnsemble(model=model, policy=policy, master_seed=master_seed,

@@ -7,7 +7,10 @@ carry the drift tilt) report themselves as not applicable rather than
 failing.  Reports contain no timings or thread counts, so rerunning with the
 same seed gives byte-identical output files.
 Every check takes a third argument, threads, and run_verification a threads
-keyword; both are accepted for compatibility and split no work.
+keyword; both are accepted for compatibility and split no work.  The paths
+the checks simulate, the Monte-Carlo runs and the Girsanov weights all run
+through the one path runner, simulate._on_paths, which chooses the
+processes; no check splits paths itself.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .filtering import (
     innovation_diagnostics,
     run_robust_filter,
 )
-from .minimax import (_MC_CHUNK, _mc_moments, _mse_mc_multi, _mse_mc_runs,
+from .minimax import (_mc_moments, _mse_mc_multi, _mse_mc_runs,
                       _squared_errors, g_profile, mse_exact, saddle_report)
 from .model import (
     ModelSchedule,
@@ -44,10 +47,8 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from . import simulate
-from .simulate import (_bounds, _count_work, _on_processes, _shared,
-                       _signal_noise, _standardized_tilt, _tilt_log_density,
-                       _work, simulate_paths)
+from .simulate import (_on_paths, _shared, _signal_noise, _standardized_tilt,
+                       _tilt_log_density, _work, simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
 # closed-loop response; frozen from an independent pre-build quadrature
@@ -327,31 +328,17 @@ def check_error_oracle(config: ScenarioConfig, seed: int,
 def _girsanov_zetas(model: ValidatedModel, tilt, seed: int,
                     n_paths: int) -> np.ndarray:
     """The tilt's log density on paths 0..n_paths-1 of the untilted signal
-    streams of seed; x, m and dv would go unused, so none is simulated.
-
-    The paths run in blocks of _MC_CHUNK, split into contiguous slices of
-    blocks, one per process (see simulate._bounds, with a floor of
-    simulate._MIN_PATH_STEPS_PER_PROCESS), and run by
-    simulate._on_processes: every process writes its paths' log densities
-    straight into the returned array, which comes from simulate._shared,
-    and the calling process counts the n_paths paths in simulate._work.  A
-    path's bits depend on its index alone, so the result is the same for
-    any number of processes.
+    streams of seed, in an array from simulate._shared, as one job of
+    simulate._on_paths; x, m and dv would go unused, so none is simulated.
     """
     zetas = _shared((n_paths,))
-    blocks = -(-n_paths // _MC_CHUNK)
 
-    def run_blocks(lo, hi):
-        for j0 in range(lo * _MC_CHUNK, min(hi * _MC_CHUNK, n_paths),
-                        _MC_CHUNK):
-            dw = _signal_noise(model, seed, j0, min(_MC_CHUNK, n_paths - j0))
-            zetas[j0:j0 + len(dw)] = _tilt_log_density(tilt, dw, model.grid.dt)
+    def fill(j0, count):
+        dw = _signal_noise(model, seed, j0, count)
+        zetas[j0:j0 + count] = _tilt_log_density(tilt, dw, model.grid.dt)
 
-    bounds = _bounds(blocks, blocks, n_paths * model.n_steps,
-                     simulate._MIN_PATH_STEPS_PER_PROCESS)
-    _on_processes(bounds, run_blocks, lambda lo, hi: (
-        f"weighting paths {lo * _MC_CHUNK}..{min(hi * _MC_CHUNK, n_paths) - 1}"))
-    _count_work(model, n_paths)
+    _on_paths([(model, n_paths, fill)],
+              lambda _, first, last: f"weighting paths {first}..{last}")
     return zetas
 
 

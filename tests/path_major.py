@@ -19,8 +19,7 @@ from robustkb import ModelSchedule, TimeGrid, constant_model, validate_model
 from robustkb.filtering import filter_gains
 from robustkb.simulate import _draw_groups
 
-SIM_CHUNK = 2048
-MC_CHUNK = 1024
+CHUNK = 1024
 
 
 def normals(seed, first, count, tag, shape):
@@ -91,8 +90,8 @@ def log_density(theta, dw, model):
 
 def simulate(model, theta, n_paths, seed, offset=0):
     """(x, m, dw, dv, log_density) as simulate_paths returns them."""
-    parts = [_chunk(model, theta, seed, offset + j0, min(SIM_CHUNK, n_paths - j0))
-             for j0 in range(0, n_paths, SIM_CHUNK)]
+    parts = [_chunk(model, theta, seed, offset + j0, min(CHUNK, n_paths - j0))
+             for j0 in range(0, n_paths, CHUNK)]
     x, obs, dw, dv = (np.concatenate(a) for a in zip(*parts))
     logw = np.concatenate([log_density(theta, p[2], model) for p in parts])
     return x, obs, dw, dv, logw
@@ -123,11 +122,11 @@ def mse_mc(model, riccati, theta_true, theta_hat, t_indices, n_paths, seed):
         return zeros, (zeros.copy() if n_paths > 1 else np.full(idx.size, np.nan))
     sub = model.truncate(last) if last < model.n_steps else model
     sub_ric = riccati.prefix(last) if last < model.n_steps else riccati
-    starts = range(0, n_paths, MC_CHUNK)
+    starts = range(0, n_paths, CHUNK)
     sq_sum = np.zeros((len(starts), idx.size))
     sq_sumsq = np.zeros((len(starts), idx.size))
     for ci, j0 in enumerate(starts):
-        count = min(MC_CHUNK, n_paths - j0)
+        count = min(CHUNK, n_paths - j0)
         x, obs, _, _ = _chunk(sub, theta_true[:last], seed, j0, count)
         xhat, _ = filter_paths(sub, sub_ric, np.diff(obs, axis=1), theta_hat[:last])
         err = x[:, idx] - xhat[:, idx]

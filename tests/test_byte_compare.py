@@ -4,6 +4,7 @@ canned runs."""
 import importlib.util
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +25,7 @@ def _fake_runner(byte_compare, change_of=None):
     change_of(name, files, out, err, code) may alter what it writes."""
     ran = []
 
-    def fake_run(tree, argv):
+    def fake_run(tree, argv, one_cpu=False):
         out_dir = argv[argv.index("--out") + 1]
         name = os.path.basename(out_dir)
         ran.append((os.path.basename(tree), name))
@@ -99,11 +100,12 @@ def test_main_exports_both_revisions_and_passes_on_equal_outputs(
         pytest.skip("not a git checkout")
     fake_run, ran = _fake_runner(byte_compare)
     trees = []
-    monkeypatch.setattr(byte_compare, "_run", lambda tree, argv: trees.append(
-        os.path.isfile(os.path.join(tree, "BENCHMARK.json"))) or fake_run(tree, argv))
+    monkeypatch.setattr(byte_compare, "_run", lambda tree, argv, one_cpu=False: (
+        trees.append(os.path.isfile(os.path.join(tree, "BENCHMARK.json")))
+        or fake_run(tree, argv, one_cpu)))
     assert byte_compare.main(["HEAD"]) == 0
-    assert all(trees) and len(trees) == 2 * len(byte_compare.commands())
-    assert "0 differences" in capsys.readouterr().out
+    assert all(trees) and len(trees) == 2 * len(byte_compare.commands()) + 9
+    assert "9 one-CPU reruns: 0 differences" in capsys.readouterr().out
 
     def differ(name, files, out, err, code):
         return files, out + b"!", err, code
@@ -111,3 +113,44 @@ def test_main_exports_both_revisions_and_passes_on_equal_outputs(
     fake_run, _ = _fake_runner(byte_compare, differ)
     monkeypatch.setattr(byte_compare, "_run", fake_run)
     assert byte_compare.main(["HEAD"]) == 1
+
+
+def test_one_cpu_reruns_must_match_the_all_cpu_runs(byte_compare, monkeypatch,
+                                                    tmp_path):
+    """The simulate --paths 200, minimax --paths 400 and verify commands run
+    again on one CPU, into emptied output directories, and every difference
+    from their all-CPU runs is named."""
+    fake_run, ran = _fake_runner(byte_compare)
+    pinned = []
+
+    def run(tree, argv, one_cpu=False):
+        if one_cpu:
+            pinned.append(argv[0])
+        code, out, err = fake_run(tree, argv, one_cpu)
+        return code, out + (b"!" if one_cpu and argv[0] == "minimax" else b""), err
+
+    monkeypatch.setattr(byte_compare, "_run", run)
+    tree = str(tmp_path / "change")
+    every = byte_compare.run_commands(tree)
+    one = byte_compare.run_commands(tree, one_cpu=True)
+    assert sorted(one) == sorted(
+        f"{prefix}-{name}" for prefix in ("bundled-s0", "bundled-s5",
+                                          "minimax_n3-s3")
+        for name in ("simulate", "minimax", "verify"))
+    assert sorted(pinned) == ["minimax"] * 3 + ["simulate"] * 3 + ["verify"] * 3
+    assert byte_compare.differences(one, every) == [
+        "bundled-s0-minimax: stdout differs", "bundled-s5-minimax: stdout differs",
+        "minimax_n3-s3-minimax: stdout differs"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_pinned_child_sees_one_cpu(byte_compare):
+    """_pin_one_cpu, run in the child before it starts, leaves that child one
+    usable CPU and the calling process all of its own."""
+    before = os.sched_getaffinity(0)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os; print(len(os.sched_getaffinity(0)))"],
+        preexec_fn=byte_compare._pin_one_cpu, capture_output=True, text=True)
+    assert proc.stdout == "1\n"
+    assert os.sched_getaffinity(0) == before

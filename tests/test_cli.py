@@ -324,6 +324,31 @@ def test_minimax_monte_carlo_block(tmp_path):
         assert abs(est - anchor) <= 4.0 * se + 0.05
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+def test_one_path_minimax_report_is_strict_json(tmp_path):
+    """One Monte-Carlo path has no standard error: the report writes it as
+    null, which a strict parser reads, and not as NaN."""
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["minimax", "--config", cfg, "--t", "1.0", "--paths", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "saddle_report.json").read_text(),
+                         parse_constant=_refuse)
+    for side in ("upper", "lower"):
+        assert payload["monte_carlo"][side]["stderr"] is None
+        assert math.isfinite(payload["monte_carlo"][side]["estimate"])
+
+
+def test_minimax_refuses_negative_paths(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["minimax", "--paths", "-5", "--out", str(out)]) == 2
+    assert "error: --paths must be >= 0, got -5" in capsys.readouterr().err
+    assert not (out / "saddle_report.json").exists()
+
+
 def test_minimax_defaults_to_horizon_when_one_is_off_grid(tmp_path):
     cfg = _write_cfg(tmp_path, T=0.75, n_steps=75)
     out = tmp_path / "out"

@@ -75,6 +75,18 @@ def test_json_is_sorted_and_newline_terminated(tmp_path):
     assert json.loads(text) == {"b": 1, "a": [1.5, None]}
 
 
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "r.json"
+    write_json(path, {"a": (np.float64(np.nan), 1.0), "b": {"c": -np.inf},
+                      "d": float("inf"), "e": 2})
+
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON token")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": [None, 1.0], "b": {"c": None}, "d": None, "e": 2}
+
+
 def test_riccati_rows_shape(fast_model, fast_riccati):
     cols, rows = riccati_rows(fast_riccati)
     assert cols == ["t", "P_00"]

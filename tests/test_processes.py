@@ -1,6 +1,7 @@
-"""Monte-Carlo chunks, simulate_paths blocks and check_girsanov blocks on
-forked processes: the same bits on any usable CPU set, path counts kept in
-the calling process, and no child left behind."""
+"""The path runner's jobs, Monte-Carlo runs, simulate_paths and
+check_girsanov's weights, on forked processes: the same bits on any usable
+CPU set, path counts kept in the calling process, and no child left
+behind."""
 
 import json
 import os
@@ -70,6 +71,52 @@ def test_monte_carlo_runs_keep_their_bits_on_any_cpu_set(name, monkeypatch):
     _no_child_left()
 
 
+@pytest.mark.parametrize("sizes, blocks", [([255], 1), ([600], 2),
+                                           ([300, 300], 2), ([2000], 4),
+                                           ([100, 100, 100, 100], 4)])
+def test_each_job_adds_a_process_per_256_of_its_paths(sizes, blocks,
+                                                      monkeypatch):
+    """On 4 CPUs with no path-step floor, the runner takes one block per
+    _MIN_PATHS_PER_PROCESS paths of each job, and at least one per job; it
+    fills every path once, in chunks of at most _CHUNK, and counts them."""
+    forks = _use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(simulate, "_MIN_PATHS_PER_PROCESS", 256)
+    model = path_major.layout_models(12)["n1"]
+    filled = [simulate._shared((n,)) for n in sizes]
+
+    def fill(j):
+        def write(j0, count):
+            assert 1 <= count <= simulate._CHUNK
+            filled[j][j0:j0 + count] += 1.0
+        return write
+
+    work = dict(simulate._work)
+    simulate._on_paths([(model, n, fill(j)) for j, n in enumerate(sizes)],
+                       lambda j, first, last: f"job {j}")
+    assert len(forks) == blocks - 1
+    assert all(np.all(f == 1.0) for f in filled)
+    assert simulate._work == {"paths": work["paths"] + sum(sizes),
+                              "path_steps": work["path_steps"] + 12 * sum(sizes)}
+    _no_child_left()
+
+
+def test_a_block_across_jobs_is_named_by_its_parts(monkeypatch):
+    """Paths 0..3 of job 0 and 0..1 of job 1 on 2 processes: the child takes
+    path 3 of job 0 and both paths of job 1, and its failure names both."""
+    _use_cpus(monkeypatch, 2)
+    model = path_major.layout_models(12)["n1"]
+
+    def fail(j0, count):
+        raise RuntimeError("job 1 failed")
+
+    with pytest.raises(OSError, match=r"^the process job 0 paths 3\.\.3 and "
+                                      r"job 1 paths 0\.\.1 exited with status "
+                                      r"1: RuntimeError: job 1 failed$"):
+        simulate._on_paths([(model, 4, lambda j0, count: None), (model, 2, fail)],
+                           lambda j, first, last: f"job {j} paths {first}..{last}")
+    _no_child_left()
+
+
 def test_small_runs_stay_in_the_calling_process(monkeypatch):
     """Below _MIN_PATH_STEPS_PER_PROCESS path-steps a process no child is
     forked, however many CPUs are usable."""
@@ -130,24 +177,24 @@ def test_failed_chunk_reaps_every_child(monkeypatch):
     riccati = solve_riccati(model)
     tilt = np.zeros((40, 1))
     runs = [(tilt, tilt, [40], 2048, seed) for seed in (1, 2)]  # 4 chunks
-    real = minimax._MCRun.squared_errors
+    real = minimax._MCRun.fill
 
     def fail_on(seed, j0):
-        def squared_errors(self, first):
+        def fill(self, first, count):
             if (self.seed, first) == (seed, j0):
                 raise RuntimeError(f"chunk of seed {seed} failed")
-            return real(self, first)
-        return squared_errors
+            return real(self, first, count)
+        return fill
 
     forks = _use_cpus(monkeypatch, 4)
     minimax._mse_mc_runs(model, riccati, runs)
     assert len(forks) == 3
-    monkeypatch.setattr(minimax._MCRun, "squared_errors", fail_on(2, 1024))
-    with pytest.raises(OSError, match=r"running Monte-Carlo run 1 chunk 1 "
-                                      r"exited with status 1: RuntimeError: "
-                                      r"chunk of seed 2 failed$"):
+    monkeypatch.setattr(minimax._MCRun, "fill", fail_on(2, 1024))
+    with pytest.raises(OSError, match=r"running Monte-Carlo run 1 paths "
+                                      r"1024\.\.2047 exited with status 1: "
+                                      r"RuntimeError: chunk of seed 2 failed$"):
         minimax._mse_mc_runs(model, riccati, runs)
-    monkeypatch.setattr(minimax._MCRun, "squared_errors", fail_on(1, 0))
+    monkeypatch.setattr(minimax._MCRun, "fill", fail_on(1, 0))
     with pytest.raises(RuntimeError, match="chunk of seed 1 failed"):
         minimax._mse_mc_runs(model, riccati, runs)
     _no_child_left()
@@ -282,10 +329,10 @@ def test_failed_girsanov_block_reaps_every_child(monkeypatch):
             return real(model, seed, first, count)
         return signal_noise
 
-    forks = _use_cpus(monkeypatch, 4)  # 24, 25, 24 and 25 blocks
+    forks = _use_cpus(monkeypatch, 4)  # 25 000 paths each
     monkeypatch.setattr(verification, "_signal_noise", fail_at(60_000))
     with pytest.raises(OSError, match=r"^the process weighting paths "
-                                      r"50176\.\.74751 exited with status 1: "
+                                      r"50000\.\.74999 exited with status 1: "
                                       r"RuntimeError: path 60000 failed$"):
         verification.check_girsanov(config, 2)
     assert len(forks) == 3
@@ -297,8 +344,9 @@ def test_failed_girsanov_block_reaps_every_child(monkeypatch):
 
 def test_minimax_report_is_the_same_on_any_cpu_set(tmp_path, monkeypatch,
                                                    capsys):
-    """minimax --paths 400 runs its two estimates on min(cpus, 2)
-    processes and writes the same saddle_report.json bytes."""
+    """minimax --paths 400 runs its two estimates on one process per CPU
+    when no floor holds it back, and writes the same saddle_report.json
+    bytes."""
     reports = []
     for cpus in CPU_SETS:
         out = tmp_path / str(cpus)
@@ -306,7 +354,7 @@ def test_minimax_report_is_the_same_on_any_cpu_set(tmp_path, monkeypatch,
             forks = _use_cpus(patch, cpus)
             assert main(["minimax", "--paths", "400", "--seed", "2",
                          "--out", str(out)]) == 0
-        assert len(forks) == min(cpus, 2) - 1
+        assert len(forks) == cpus - 1
         reports.append((out / "saddle_report.json").read_bytes())
         capsys.readouterr()
     assert reports[1:] == reports[:-1]

@@ -486,7 +486,7 @@ def test_noise_is_held_once(monkeypatch):
                             np.zeros((model.n_steps, model.n)), [model.n_steps],
                             1024, 3)
     noise = signal + 8 * model.n_steps * model.m * 1024
-    peak = _traced_peak(lambda: run.squared_errors(0))
+    peak = _traced_peak(lambda: run.fill(0, 1024))
     assert peak <= noise + stage + slack, peak - noise
 
 

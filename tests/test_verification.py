@@ -162,12 +162,12 @@ def test_girsanov_check_skips_singular_diffusion():
 
 
 def test_girsanov_measures_the_same_in_any_block(monkeypatch):
-    # A block's bits depend on its path indices only: 700-path blocks, which
-    # leave a remainder, measure what 4096-path blocks do.
+    # A chunk's bits depend on its path indices only: 700-path chunks, which
+    # leave a remainder, measure what 4096-path chunks do.
     cfg = _n3_cfg(20)
     reports = []
     for block in (4096, 700):
-        monkeypatch.setattr(verification, "_MC_CHUNK", block)
+        monkeypatch.setattr(rk.simulate, "_CHUNK", block)
         result = check_girsanov(cfg, 2)
         reports.append(rk.VerificationReport(2, (result,)).to_dict())
     assert reports[0]["checks"][0]["measured"]["mean_weight"] != 1.0
@@ -184,6 +184,45 @@ def test_tilt_floor_is_the_simulator_floor():
     assert not check_girsanov(below, 0).applicable
     with pytest.raises(rk.UnsupportedTilt):
         rk.simulate_paths(below.model, rk.constant_policy(below.model, 0.5), 1, 0)
+
+
+def test_reduction_identity_catches_a_next_interval_gain(default_cfg,
+                                                        monkeypatch):
+    # A batch filter that steps interval k with the gain of interval k + 1
+    # leaves the written-out classical recursion and the one-path filter.
+    assert check_reduction_identity(default_cfg, 0).passed
+    real_batch, real_gains = verification._filter_batch, rk.filtering.filter_gains
+
+    def next_gains(model, riccati):
+        gains = real_gains(model, riccati)
+        return np.concatenate([gains[1:], gains[-1:]])
+
+    def next_gain_batch(model, riccati, dm, theta):
+        with monkeypatch.context() as patch:
+            patch.setattr(rk.filtering, "filter_gains", next_gains)
+            return real_batch(model, riccati, dm, theta)
+
+    monkeypatch.setattr(verification, "_filter_batch", next_gain_batch)
+    result = check_reduction_identity(default_cfg, 0)
+    assert result.applicable
+    assert not result.passed
+    assert result.measured["equal"] is False
+    assert result.measured["single_path_equal"] is False
+
+
+def test_decomposition_identity_catches_a_scaled_correction(default_cfg,
+                                                            monkeypatch):
+    # A correction 1% too large leaves a gap that does not shrink with dt.
+    # On the bundled grid the gap (6.6e-3) stays below its bound 10 dt; the
+    # halving ratio, near 1 instead of 2, fails the check.
+    assert check_decomposition_identity(default_cfg, 0).passed
+    real = verification.correction_path
+    monkeypatch.setattr(verification, "correction_path",
+                        lambda *args, **kwargs: 1.01 * real(*args, **kwargs))
+    result = check_decomposition_identity(default_cfg, 0)
+    assert result.applicable
+    assert not result.passed
+    assert result.measured["ratio"] < 1.7
 
 
 @pytest.mark.parametrize("mutant", ["drop_q", "double_q", "ode_published_term"])

@@ -13,7 +13,11 @@ on that path with ``--theta-hat 0.5``, ``riccati``, ``decompose --theta
 1.0``, ``minimax --paths 400``, ``minimax --class bang_bang`` and the full
 ``verify``.  Every command writes to its own directory under
 ``byte_compare_out``.  The exit code, stdout, stderr and every output file
-of each command must be equal byte for byte on both sides.  Before stdout and stderr are compared, the tree's own path is
+of each command must be equal byte for byte on both sides.  The commands
+that fork, ``simulate --paths 200``, ``minimax --paths 400`` and
+``verify`` (``ONE_CPU``), then run again in HEAD's tree with the child
+process pinned to one CPU, and must give the bytes of their runs on every
+usable CPU.  Before stdout and stderr are compared, the tree's own path is
 replaced by ``<tree>`` and the line number of a source location inside it
 (a warning's ``file.py:N:``, a traceback's ``file.py", line N``) by ``N``:
 those name the checkout and the edit, not the output.  Every difference is
@@ -33,6 +37,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_compare import _git, export  # noqa: E402
 
 OUT = "byte_compare_out"
+
+# The commands, by the last part of their name, that run again on one CPU.
+ONE_CPU = ("simulate", "minimax", "verify")
 
 # (label, --config or None for the bundled scenario, seed)
 SCENARIOS = (("bundled", None, 0), ("bundled", None, 5),
@@ -64,11 +71,19 @@ def commands() -> list[tuple[str, list[str]]]:
     return out
 
 
-def _run(tree: str, argv: list[str]) -> tuple[int, bytes, bytes]:
-    """(exit code, stdout, stderr) of one CLI command run in tree."""
+def _pin_one_cpu() -> None:
+    """Pin the calling process to the lowest of its usable CPUs."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _run(tree: str, argv: list[str],
+         one_cpu: bool = False) -> tuple[int, bytes, bytes]:
+    """(exit code, stdout, stderr) of one CLI command run in tree; with
+    one_cpu, the command's process is pinned to one CPU before it starts."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-m", "robustkb.cli", *argv],
-                          cwd=tree, env=env, capture_output=True)
+                          cwd=tree, env=env, capture_output=True,
+                          preexec_fn=_pin_one_cpu if one_cpu else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -91,13 +106,19 @@ def _files(directory: str) -> dict[str, bytes]:
     return found
 
 
-def run_commands(tree: str) -> dict[str, dict]:
+def run_commands(tree: str, one_cpu: bool = False) -> dict[str, dict]:
     """Exit code, normalized stdout and stderr, and output files of every
-    command of commands(), run in tree."""
+    command of commands(), run in tree; with one_cpu, of the commands of
+    ONE_CPU only, each pinned to one CPU.  A command's output directory is
+    emptied before it runs."""
     results = {}
     for name, argv in commands():
-        code, stdout, stderr = _run(tree, argv)
-        print(f"{os.path.basename(tree)} {name}: exit {code}", file=sys.stderr)
+        if one_cpu and name.rsplit("-", 1)[1] not in ONE_CPU:
+            continue
+        shutil.rmtree(os.path.join(tree, OUT, name), ignore_errors=True)
+        code, stdout, stderr = _run(tree, argv, one_cpu)
+        print(f"{os.path.basename(tree)} {name}: exit {code}"
+              + (" on one CPU" if one_cpu else ""), file=sys.stderr)
         results[name] = {"exit": code, "stdout": _normalize(stdout, tree),
                          "stderr": _normalize(stderr, tree),
                          "files": _files(os.path.join(tree, OUT, name))}
@@ -136,15 +157,18 @@ def main(argv=None) -> int:
             tree = os.path.join(tmp_root, side)
             export(sha, tree)
             results[side] = run_commands(tree)
+        pinned = run_commands(os.path.join(tmp_root, "change"), one_cpu=True)
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
     found = differences(results["parent"], results["change"])
+    found += [f"one CPU: {line}"
+              for line in differences(pinned, results["change"])]
     for line in found:
         print(line)
     n_files = sum(len(r["files"]) for r in results["change"].values())
-    print(f"{len(results['change'])} commands, {n_files} files: "
-          f"{len(found)} differences between {shas['parent'][:12]} and "
-          f"{shas['change'][:12]}")
+    print(f"{len(results['change'])} commands, {n_files} files and "
+          f"{len(pinned)} one-CPU reruns: {len(found)} differences between "
+          f"{shas['parent'][:12]} and {shas['change'][:12]}")
     return 1 if found else 0
 
 
