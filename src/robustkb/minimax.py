@@ -127,7 +127,7 @@ class _MCRun:
         """
         sub, steps = self.sub, self.steps
         states = _simulate_chunk(sub, steps, self.th_true, self.seed, j0,
-                                 count, 0)[2]
+                                 count)
         x_at = np.empty((self.nodes, sub.n, count))
         xhat_at = np.empty_like(x_at)
         for k, (xk, obs_k) in enumerate(states):

@@ -6,9 +6,10 @@ path i is ``np.random.default_rng(SeedSequence((master_seed, i, tag)))``.
 Results therefore depend only on the master seed and absolute path indices,
 never on chunking.  The streams are seeded a chunk at a time: `_seed_states`
 repeats NumPy's SeedSequence hash on uint32 arrays for a whole chunk of path
-indices, and one reused PCG64 generator is set to each path's starting state
-in turn, which gives the same bits as one SeedSequence and generator per
-stream.  The ``threads`` arguments are accepted but split no work.
+indices, and each path gets a PCG64 generator of its own, which NumPy seeds
+from that path's state words (`_generators`), so the bits are those of one
+SeedSequence and generator per stream.  The ``threads`` arguments are
+accepted but split no work.
 `simulate_paths`, the Monte-Carlo MSE (`minimax._mse_mc_runs`) and the
 Girsanov weights (`verification._girsanov_zetas`) run their paths through
 one runner, `_on_paths`: one split rule over forked processes and one chunk
@@ -18,32 +19,36 @@ takes.  Each path keeps its stream, so no bit depends on the number of
 processes, and no process outlives the call.
 
 The noise transform and the log density each sum in one fixed order,
-written out here, whatever the chunk, the batch size or the NumPy build: the
-increments are j-ordered multiply-adds, made in place on the time-major,
-component-major (K, d, count) draws a block of time steps at a time, and
-the log density adds, per path and in k order, the j-ordered terms
-theta_k' L_k^-1 dw_k.  The (K, d, count) increments are the one array of
-their size that `_increments` holds, on a private mapping (`_mapped`) that
-the OS takes back when it is freed: the draws and each transformed block
-pass through one stage of at most `_STAGE_BYTES`.  The Euler loop steps
-the contiguous (d, batch) slices of those increments through `_euler_step`,
-scalar models included: per-interval vectors are (d, 1) columns that
-broadcast along the batch axis, or Python floats for a scalar model, and
-its products F_k x_k are matmuls whose columns do not depend on the batch
-size from two columns on.  A one-path batch multiplies as the first column
-of a two-path one, and a matrix with one row keeps the row-major product of
-the path-major loops (see `model._Steps`).  One path of a scalar model
-steps on Python floats, with the same operations in the same order.  So a
-path's bits depend on its index alone, however the paths are chunked.
-`simulate_paths` copies the increments into the path-major arrays of
-`PathEnsemble`, and the states through a stage of a block of time steps;
-the Monte-Carlo MSE (`minimax._MCRun`) consumes
-the states one step at a time and keeps only the nodes it reads.  Every
-array a forked child fills comes from `_shared`, so the child writes its
-rows where the parent reads them, and no result crosses a file.
+written out here, whatever the chunk, the slab, the batch size or the NumPy
+build: the increments are j-ordered multiply-adds, made in place on the
+time-major, component-major (L, d, count) draws a block of time steps at a
+time, and the log density adds, per path and in k order, the j-ordered
+terms theta_k' L_k^-1 dw_k.  A chunk never holds more than one slab of L
+time steps of each noise stream (`_slabs`): each path's generator draws the
+slab's values of its stream, which carries on into the next slab, and one
+stage of at most `_STAGE_BYTES` carries the draws and each transformed
+block.  L comes from one byte budget for both streams, `_SLAB_BYTES`, so a
+chunk's memory does not grow with the grid.  The Euler loop consumes the
+slabs in k order and steps their contiguous (d, batch) slices through
+`_euler_step`, scalar models included: per-interval vectors are (d, 1)
+columns that broadcast along the batch axis, or Python floats for a scalar
+model, and its products F_k x_k are matmuls whose columns do not depend on
+the batch size from two columns on.  A one-path batch multiplies as the
+first column of a two-path one, and a matrix with one row keeps the
+row-major product of the path-major loops (see `model._Steps`).  One path
+of a scalar model steps on Python floats, with the same operations in the
+same order.  So a path's bits depend on its index alone, however the paths
+are chunked or the steps slabbed.  `simulate_paths` copies each slab into
+the path-major arrays of `PathEnsemble`, and the states through a stage of
+a block of time steps; the Monte-Carlo MSE (`minimax._MCRun`) consumes the
+states one step at a time and keeps only the nodes it reads, and the
+Girsanov weights add each slab's terms as it comes.  Every array a forked
+child fills comes from `_shared`, so the child writes its rows where the
+parent reads them, and no result crosses a file.
 """
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -63,11 +68,20 @@ _SIGNAL_TAG = 0
 _OBS_TAG = 1
 
 # Paths a process runs at once (see _on_paths).  The Euler loop pays its
-# per-step Python cost once per chunk, and a chunk holds its whole noise.
+# per-step Python cost once per chunk.
 _CHUNK = 1024
 
+# Bytes of one slab of each noise stream of a chunk, both streams together
+# (see _slab_steps): a slab of L steps of count paths takes 8 (n + m) count L
+# bytes.  Each slab costs a draw call per path and stream.  On a 2-core x86
+# machine (NumPy 2.4.6), budgets of 1, 2, 4 and 8 MiB gave a minimax-n3
+# peak RSS of 48.9, 48.9, 50.1 and 54.1 MB (bench/run.py, medians of 4),
+# and one n = 3 Monte-Carlo chunk of 1024 paths and 2000 steps took 0.46,
+# 0.37-0.40, 0.34-0.36 and 0.33-0.36 s of CPU (medians of 5, two sweeps).
+_SLAB_BYTES = 4 << 20
+
 # Bytes of each staging buffer: a group of paths' draws and a time block of
-# the noise transform in _increments, a time block of Euler states in
+# the noise transform in _slabs, a time block of Euler states in
 # simulate_paths.  On a 2-core x86 machine (NumPy 2.4.6), 400 x 1000 x 3
 # increments took 34.7 ms of CPU with 128 KiB stages, 31.2-31.6 ms with 256
 # KiB, 30.5-30.6 ms with 1 MiB and 31.1-31.6 ms with 4 MiB (medians of 21,
@@ -88,15 +102,13 @@ _work = {"paths": 0, "path_steps": 0}
 # Signal-noise directions with variance below this carry no tilt.
 _TILT_EIG_FLOOR = 1e-10
 
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 multiplier; NumPy's stream-compatibility policy fixes both.
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
+# NumPy's stream-compatibility policy fixes them.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _check_seed(name: str, value) -> int:
@@ -195,6 +207,36 @@ def _seed_states(master_seed: int, first: int, count: int, tag: int) -> np.ndarr
     return out
 
 
+@functools.cache
+def _seed_state() -> type:
+    """The seed sequence type of one stream, as PCG64 reads it: its
+    generate_state returns the stream's _seed_states row, which PCG64 asks
+    for as 4 uint64 words and NumPy's own pcg64_set_seed turns into the
+    stream's starting state.  PCG64 takes only a subclass of NumPy's
+    ISeedSequence, which is built here on first use, not with the module:
+    NumPy loads numpy.random lazily, and its import takes about 18 ms that
+    a command without simulation would pay at start-up."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedState
+
+
+def _generators(master_seed: int, first: int, count: int,
+                tag: int) -> list[np.random.Generator]:
+    """One generator per path first..first+count-1 of stream tag, each with
+    the bits of ``default_rng(SeedSequence((master_seed, path, tag)))``."""
+    seed_state = _seed_state()
+    return [np.random.Generator(np.random.PCG64(seed_state(words)))
+            for words in _seed_states(master_seed, first, count, tag)]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on, 1 where os.sched_getaffinity is missing."""
     if not hasattr(os, "sched_getaffinity"):
@@ -237,23 +279,6 @@ def _shared(shape) -> np.ndarray:
     """A zero-filled float64 array on an anonymous shared mapping: a child
     forked after the call writes into the array its parent reads."""
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-
-
-def _mapped(shape) -> np.ndarray:
-    """An uninitialized float64 array on a private anonymous mapping of its
-    own, advised to take huge pages as NumPy advises its large arrays; the
-    OS takes the pages back once the array is freed.  From malloc, a freed
-    array of the noise's size stays resident: glibc raises its mmap
-    threshold to the size of a block it unmaps, up to 32 MiB, and its trim
-    threshold to twice that, so after the Monte-Carlo checks of verify on
-    bench/minimax_n3.json the calling process kept 48 MB of free heap, which
-    the shared ensembles of the next checks cannot use.  Where mmap has no
-    MADV_HUGEPAGE (outside Linux) this is np.empty."""
-    if not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty(shape)
-    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
-    buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf).reshape(shape)
 
 
 def _fork(work, lo: int, hi: int):
@@ -355,34 +380,10 @@ def _on_paths(jobs, what) -> None:
         _work["path_steps"] += n_paths * model.n_steps
 
 
-def _draw_groups(stage: np.ndarray, master_seed: int, first: int, count: int,
-                 tag: int):
-    """Draw paths first..first+count-1 of stream tag into stage, len(stage)
-    paths at a time: yield (j0, group) once row r of group holds the first
-    draws of ``default_rng(SeedSequence((master_seed, first + j0 + r,
-    tag)))``.  The next group overwrites the stage."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    states = _seed_states(master_seed, first, count, tag)
-    for j0 in range(0, count, len(stage)):
-        group = stage[:min(len(stage), count - j0)]
-        rows = states[j0:j0 + len(group)].tolist()
-        for out, (s_hi, s_lo, i_hi, i_lo) in zip(group, rows):
-            # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps around
-            # adding the initial state.
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            seeded = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            state["state"] = {"state": seeded, "inc": inc}
-            bitgen.state = state
-            gen.standard_normal(out=out)
-        yield j0, group
-
-
-def _stage_rows(row_bytes: int, rows: int) -> int:
-    """How many of rows rows of row_bytes each a stage holds: as many as
-    fit in _STAGE_BYTES, at least one and at most rows."""
-    return max(1, min(rows, _STAGE_BYTES // row_bytes))
+def _fit(nbytes: int, row_bytes: int, rows: int) -> int:
+    """How many of rows rows of row_bytes each a buffer of nbytes holds: as
+    many as fit, at least one and at most rows."""
+    return max(1, min(rows, nbytes // row_bytes))
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -395,24 +396,40 @@ def _path_major(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, -1, 0)
 
 
-def _increments(model: ValidatedModel, master_seed: int, first: int,
-                count: int, tag: int, factor: np.ndarray,
-                live: np.ndarray) -> np.ndarray:
-    """factor_k times the standard normals of stream tag, times sqrt(dt):
-    time-major, component-major (K, d, count) increments of paths
-    first..first+count-1.
+def _slab_steps(model: ValidatedModel, count: int) -> int:
+    """Steps L of the noise slabs of a chunk of count paths: as many as one
+    slab of each stream holds in _SLAB_BYTES, at least one and at most K."""
+    return _fit(_SLAB_BYTES, 8 * (model.n + model.m) * count, model.n_steps)
 
-    The output, from _mapped, is the only array of the call's size.  One
-    stage of at most _STAGE_BYTES, allocated once, carries everything else
-    (one path or one step where that is larger).  The draws are made into
-    it a group of paths at a time and copied, transposed, into the output.
-    The output is then transformed in place a block of time steps at a
-    time: the block's draws are copied into the stage, and component i is
-    written back as 0 + factor_ki0 xi_0 + factor_ki1 xi_1 + ..., added in j
-    order by multiply-adds on the block's contiguous (steps, count) planes,
-    each product made in the stage's last plane, then scaled by sqrt(dt).
-    The order is written out here, so neither the batch size, the stage nor
-    the NumPy build can change a bit.
+
+def _stage(span: int, d: int, count: int) -> np.ndarray:
+    """The staging buffer of _slabs for slabs of span steps of count paths
+    and at most d components: the draws of as many paths, and a transform
+    block of as many steps, as fit in _STAGE_BYTES, at least one of each."""
+    return np.empty(max(_fit(_STAGE_BYTES, 8 * span * d, count) * span * d,
+                        _fit(_STAGE_BYTES, 8 * (d + 1) * count, span)
+                        * (d + 1) * count))
+
+
+def _slabs(model: ValidatedModel, gens: list, factor: np.ndarray,
+           live: np.ndarray, span: int, stage: np.ndarray):
+    """Yield factor_k times the standard normals of the generators gens,
+    one per path, times sqrt(dt): the time-major, component-major
+    (L, d, count) increments of steps k0..k0+L-1 for k0 = 0, span, 2 span,
+    ..., L = span but for a shorter last slab.  Every slab is the same
+    buffer, which the next one overwrites.
+
+    Each generator draws its path's L d values of the slab, so it carries
+    its stream on from slab to slab, and the values are those of one draw
+    of the whole stream.  stage (see _stage) carries everything else: the
+    draws are made into it a group of paths at a time and copied,
+    transposed, into the slab, which is then transformed in place a block
+    of time steps at a time: the block's draws are copied into the stage,
+    and component i is written back as 0 + factor_ki0 xi_0 + factor_ki1
+    xi_1 + ..., added in j order by multiply-adds on the block's contiguous
+    (steps, count) planes, each product made in the stage's last plane, then
+    scaled by sqrt(dt).  The order is written out here, so neither the batch
+    size, the slab, the stage nor the NumPy build can change a bit.
     Only the terms marked in live are added: a (d, d) mask that marks at
     least every entry of factor nonzero on some interval
     (model._live_terms marks exactly those).  The model's own factors pass
@@ -421,44 +438,65 @@ def _increments(model: ValidatedModel, master_seed: int, first: int,
     added or left out, and a component with no term is 0.0: the final +0.0
     clears the sign, so the bits are those of the full sum.
     """
-    k_steps, d = model.n_steps, factor.shape[-1]
-    out = _mapped((k_steps, d, count))
-    group = _stage_rows(8 * k_steps * d, count)
-    span = _stage_rows(8 * (d + 1) * count, k_steps)
-    stage = np.empty(max(group * k_steps * d, span * (d + 1) * count))
-    for j0, drawn in _draw_groups(stage[:group * k_steps * d].reshape(
-            group, k_steps, d), master_seed, first, count, tag):
-        out[..., j0:j0 + len(drawn)] = np.moveaxis(drawn, 0, -1)
-
+    k_steps, d, count = model.n_steps, factor.shape[-1], len(gens)
+    out = np.empty((span, d, count))
+    group = _fit(stage.nbytes, 8 * span * d, count)
+    block = _fit(stage.nbytes, 8 * (d + 1) * count, span)
     rows = [np.flatnonzero(mask).tolist() for mask in live]
     scale = np.sqrt(model.grid.dt)
-    block = stage[:span * d * count].reshape(span, d, count)
-    product = stage[span * d * count:span * (d + 1) * count].reshape(span, count)
+    held = stage[:block * d * count].reshape(block, d, count)
+    product = stage[block * d * count:block * (d + 1) * count].reshape(block, count)
     for k0 in range(0, k_steps, span):
-        part = out[k0:k0 + span]
-        xi, term = block[:len(part)], product[:len(part)]
-        np.copyto(xi, part)
-        weights = factor[k0:k0 + span, :, :, None]
-        for i, row in enumerate(rows):
-            acc = part[:, i]
-            if not row:
-                acc.fill(0.0)
-                continue
-            np.multiply(weights[:, i, row[0]], xi[:, row[0]], out=acc)
-            for j in row[1:]:
-                np.multiply(weights[:, i, j], xi[:, j], out=term)
-                acc += term
-        part += 0.0  # the sum starts from +0.0: no -0.0 entries
-        part *= scale
-    return out
+        slab = out[:min(span, k_steps - k0)]
+        drawn = stage[:group * len(slab) * d].reshape(group, len(slab), d)
+        for j0 in range(0, count, group):
+            part = drawn[:min(group, count - j0)]
+            for gen, values in zip(gens[j0:j0 + len(part)], part):
+                gen.standard_normal(out=values)
+            slab[..., j0:j0 + len(part)] = np.moveaxis(part, 0, -1)
+        for b0 in range(0, len(slab), block):
+            part = slab[b0:b0 + block]
+            xi, term = held[:len(part)], product[:len(part)]
+            np.copyto(xi, part)
+            weights = factor[k0 + b0:k0 + b0 + len(part), :, :, None]
+            for i, row in enumerate(rows):
+                acc = part[:, i]
+                if not row:
+                    acc.fill(0.0)
+                    continue
+                np.multiply(weights[:, i, row[0]], xi[:, row[0]], out=acc)
+                for j in row[1:]:
+                    np.multiply(weights[:, i, j], xi[:, j], out=term)
+                    acc += term
+        slab += 0.0  # the sum starts from +0.0: no -0.0 entries
+        slab *= scale
+        yield slab
 
 
-def _signal_noise(model: ValidatedModel, master_seed: int, first: int,
-                  count: int) -> np.ndarray:
-    """Untilted signal increments Q^(1/2) dB of paths first..first+count-1,
-    as a path-major (count, K, n) view."""
-    return _path_major(_increments(model, master_seed, first, count,
-                                   _SIGNAL_TAG, model.Q_sqrt, model.Q_sqrt_live))
+def _noise(model: ValidatedModel, master_seed: int, first: int, count: int):
+    """Pairs (dw_tilt, dv) of slabs of the untilted signal increments
+    Q^(1/2) dB and the observation increments R^(1/2) dV of paths
+    first..first+count-1, (L, n, count) and (L, m, count), in k order (see
+    _slabs): one slab of each stream at a time, _slab_steps steps long,
+    through one stage."""
+    span = _slab_steps(model, count)
+    stage = _stage(span, max(model.n, model.m), count)
+    signal = _slabs(model, _generators(master_seed, first, count, _SIGNAL_TAG),
+                    model.Q_sqrt, model.Q_sqrt_live, span, stage)
+    obs = _slabs(model, _generators(master_seed, first, count, _OBS_TAG),
+                 model.R_chol, model.R_chol_live, span, stage)
+    return zip(signal, obs)
+
+
+def _signal_slabs(model: ValidatedModel, master_seed: int, first: int,
+                  count: int):
+    """The slabs of untilted signal increments Q^(1/2) dB of paths
+    first..first+count-1, as _noise yields them, without the observation
+    stream."""
+    span = _slab_steps(model, count)
+    return _slabs(model, _generators(master_seed, first, count, _SIGNAL_TAG),
+                  model.Q_sqrt, model.Q_sqrt_live, span,
+                  _stage(span, model.n, count))
 
 
 @dataclass(frozen=True)
@@ -508,25 +546,37 @@ def _standardized_tilt(theta: np.ndarray, model: ValidatedModel):
     return active, th, u
 
 
-def _tilt_log_density(tilt, dw: np.ndarray, dt: float) -> np.ndarray:
-    """_log_density_batch from the _standardized_tilt of theta."""
+def _tilt_log_density(tilt, slabs, count: int, dt: float) -> np.ndarray:
+    """_log_density_batch from the _standardized_tilt of theta, on count
+    paths whose signal increments come as time-major (L, n, count) slabs in
+    k order: each slab's terms are added as it comes, and the |theta_k|^2
+    sum is subtracted once at the end."""
     active, th, u = tilt
-    out = np.zeros(dw.shape[0])
+    out = np.zeros(count)
     if active.size == 0:
         return out
-    terms = u[:, 0] * dw[..., 0]
+    on = np.zeros(len(u), dtype=bool)
+    on[active] = True
+    total, k0 = 0.0, 0
+    for slab in slabs:
+        k1 = k0 + len(slab)
+        weights = u[k0:k1, :, None]
+        terms = weights[:, 0] * slab[:, 0]
+        for j in range(1, slab.shape[1]):
+            terms += weights[:, j] * slab[:, j]
+        steps = np.flatnonzero(on[k0:k1])
+        if count == 1:  # one path: the same k-ordered sum on Python floats
+            for value in terms[steps, 0].tolist():
+                total += value
+        else:
+            for k in steps.tolist():
+                out += terms[k]
+        k0 = k1
+    if count == 1:
+        out[0] = total
     norms = th[:, 0] * th[:, 0]
     for j in range(1, th.shape[1]):
-        terms += u[:, j] * dw[..., j]
         norms += th[:, j] * th[:, j]
-    if len(out) == 1:  # one path: the same k-ordered sum on Python floats
-        total = 0.0
-        for value in terms[0, active].tolist():
-            total += value
-        out[0] = total
-    else:
-        for k in active.tolist():
-            out += terms[:, k]
     total = 0.0
     for value in norms.tolist():
         total += value
@@ -550,7 +600,8 @@ def _log_density_batch(theta: np.ndarray, dw: np.ndarray,
     |theta_k|^2 is summed the same way.  So a path's value depends on its own
     increments only, and Q = I gives the bits of per-path solves.
     """
-    return _tilt_log_density(_standardized_tilt(theta, model), dw, model.grid.dt)
+    return _tilt_log_density(_standardized_tilt(theta, model),
+                             [np.moveaxis(dw, 0, -1)], len(dw), model.grid.dt)
 
 
 def girsanov_log_density(theta, dw: np.ndarray, model: ValidatedModel) -> float:
@@ -580,39 +631,44 @@ def _initial_state(steps: _Steps, value: np.ndarray, count: int):
     return steps.read(out)[0]
 
 
-def _euler_states(model: ValidatedModel, steps: _Steps, theta,
-                  dw_tilt: np.ndarray, dv: np.ndarray):
-    """Yield the states (x_k, obs_k), k = 0..K, driven by the time-major
-    (K, d, count) increments dw_tilt and dv, as fresh step slices (Python
-    floats for one path of a scalar model); theta is the tilt as
-    `steps.per_interval` lays it out."""
-    count = dw_tilt.shape[-1]
+def _euler_states(model: ValidatedModel, steps: _Steps, theta, count: int,
+                  slabs):
+    """Yield the states (x_k, obs_k), k = 0..K, of count paths driven by
+    slabs, pairs of time-major (L, d, count) increments dw_tilt and dv in k
+    order, as fresh step slices (Python floats for one path of a scalar
+    model); theta is the tilt as `steps.per_interval` lays it out."""
     x = _initial_state(steps, model.x0, count)
     obs = _initial_state(steps, np.zeros(model.m), count)
     yield x, obs
-    dw_tilt, dv = steps.read(dw_tilt), steps.read(dv)
-    for k in range(model.n_steps):
-        x, obs = _euler_step(steps, k, x, obs, theta[k], dw_tilt[k], dv[k])
-        yield x, obs
+    k = 0
+    for dw_tilt, dv in slabs:
+        for dw_k, dv_k in zip(steps.read(dw_tilt), steps.read(dv)):
+            x, obs = _euler_step(steps, k, x, obs, theta[k], dw_k, dv_k)
+            k += 1
+            yield x, obs
 
 
 def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
-                    master_seed: int, j0: int, count: int, path_offset: int):
-    """Noise and Euler states of the paths with absolute indices
-    path_offset + j0 .. path_offset + j0 + count - 1.
+                    master_seed: int, first: int, count: int, tap=None):
+    """The Euler states (x_k, obs_k), k = 0..K, of the paths with absolute
+    indices first..first+count-1, as a generator of step slices.
 
     steps is `_steps(model)` and theta the tilt laid out by its
-    `per_interval`, both built once per call of the caller.  Returns
-    (dw_tilt, dv, states): the untilted signal increments (K, n, count) and
-    the observation increments (K, m, count), time-major, and a generator of
-    the states (x_k, obs_k), k = 0..K, as step slices.
+    `per_interval`, both built once per call of the caller.  The noise
+    comes one slab of each stream at a time (see _noise); tap(k0, dw_tilt,
+    dv), where given, sees each pair of slabs, steps k0..k0+L-1, before the
+    Euler loop reads it, and must not keep them: the next pair overwrites
+    them.
     """
-    first = path_offset + j0
-    dw_tilt = _increments(model, master_seed, first, count, _SIGNAL_TAG,
-                          model.Q_sqrt, model.Q_sqrt_live)
-    dv = _increments(model, master_seed, first, count, _OBS_TAG, model.R_chol,
-                     model.R_chol_live)
-    return dw_tilt, dv, _euler_states(model, steps, theta, dw_tilt, dv)
+    def slabs():
+        k0 = 0
+        for dw_tilt, dv in _noise(model, master_seed, first, count):
+            if tap is not None:
+                tap(k0, dw_tilt, dv)
+            yield dw_tilt, dv
+            k0 += len(dw_tilt)
+
+    return _euler_states(model, steps, theta, count, slabs())
 
 
 def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
@@ -622,7 +678,8 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     path_offset shifts the absolute path indices so a large run can be
     split across calls and still match a monolithic run bitwise.  The paths
     are one job of _on_paths, whose processes write them straight into the
-    returned arrays, which come from _shared.  A path's bits depend on its
+    returned arrays, which come from _shared: each chunk's noise a slab at a
+    time, as the Euler loop reads it.  A path's bits depend on its
     absolute index alone, so neither the processes nor the chunks move any.
     threads is accepted for compatibility and does not change the work or
     the result.
@@ -651,12 +708,17 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
 
     def fill(j0, count):
         sl = slice(j0, j0 + count)
-        dw_tilt, dv_c, states = _simulate_chunk(model, steps, th_steps,
-                                                master_seed, j0, count,
-                                                path_offset)
+
+        def copy(k0, dw_tilt, dv_c):
+            k1 = k0 + len(dw_tilt)
+            np.add(_path_major(dw_tilt), tilt[k0:k1], out=dw[sl, k0:k1])
+            dv[sl, k0:k1] = _path_major(dv_c)
+
+        states = _simulate_chunk(model, steps, th_steps, master_seed,
+                                 path_offset + j0, count, copy)
         # The states pass through a stage of `span` steps, which is copied
         # into their path-major rows each time it fills.
-        span = _stage_rows(8 * (n + m) * count, k_steps + 1)
+        span = _fit(_STAGE_BYTES, 8 * (n + m) * count, k_steps + 1)
         x_c = np.empty((span, n, count))
         obs_c = np.empty((span, m, count))
         for k, (xk, obs_k) in enumerate(states):
@@ -666,8 +728,6 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
             if r == span - 1 or k == k_steps:
                 x[sl, k - r:k + 1] = _path_major(x_c[:r + 1])
                 obs[sl, k - r:k + 1] = _path_major(obs_c[:r + 1])
-        np.add(_path_major(dw_tilt), tilt, out=dw[sl])
-        dv[sl] = _path_major(dv_c)
         logw[sl] = _log_density_batch(th, dw[sl], model)
 
     _on_paths([(model, n_paths, fill)], lambda _, first, last: (

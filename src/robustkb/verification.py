@@ -47,7 +47,7 @@ from .ode import (
     solve_riccati,
     steady_state_scalar,
 )
-from .simulate import (_on_paths, _shared, _signal_noise, _standardized_tilt,
+from .simulate import (_on_paths, _shared, _signal_slabs, _standardized_tilt,
                        _tilt_log_density, _work, simulate_paths)
 
 # Scalar default saddle value P(1) + (mu * J)^2 with J the integrated
@@ -330,12 +330,14 @@ def _girsanov_zetas(model: ValidatedModel, tilt, seed: int,
     """The tilt's log density on paths 0..n_paths-1 of the untilted signal
     streams of seed, in an array from simulate._shared, as one job of
     simulate._on_paths; x, m and dv would go unused, so none is simulated.
+    A chunk's terms are added a slab of its signal streams at a time
+    (simulate._signal_slabs), in the k order of the whole-path sum.
     """
     zetas = _shared((n_paths,))
 
     def fill(j0, count):
-        dw = _signal_noise(model, seed, j0, count)
-        zetas[j0:j0 + count] = _tilt_log_density(tilt, dw, model.grid.dt)
+        zetas[j0:j0 + count] = _tilt_log_density(
+            tilt, _signal_slabs(model, seed, j0, count), count, model.grid.dt)
 
     _on_paths([(model, n_paths, fill)],
               lambda _, first, last: f"weighting paths {first}..{last}")

@@ -3,32 +3,32 @@ bitwise references for the library's time-major, component-major code,
 which steps contiguous (d, batch) slices of (K, d, batch) arrays.
 
 Each function repeats the loop the library ran on (paths, K+1, d) arrays,
-strided column by column, with the same chunk sizes; only the stream draws
-come from the library, whose bits are pinned to NumPy's SeedSequence
-elsewhere.  The noise transform and the log density are explicit loops in
-the order the library promises: j order within a term, k order along a
-path.  Every product is the row-major x @ a' of a (paths, d) slice, a
-one-row x taken as the first row of a two-row batch; the library's a @ x
-on (d, batch) slices must give the same bits, and for a matrix a with one
-row it takes this row-major product itself.
+strided column by column, with the same chunk sizes, whole paths at a time
+where the library streams a chunk's noise in time slabs.  The stream draws
+share no code with the library: each path's comes from NumPy's own
+``default_rng(SeedSequence((seed, path, tag)))``.  The noise transform and
+the log density are explicit loops in the order the library promises: j
+order within a term, k order along a path.  Every product is the row-major
+x @ a' of a (paths, d) slice, a one-row x taken as the first row of a
+two-row batch; the library's a @ x on (d, batch) slices must give the same
+bits, and for a matrix a with one row it takes this row-major product
+itself.
 """
 
 import numpy as np
 
 from robustkb import ModelSchedule, TimeGrid, constant_model, validate_model
 from robustkb.filtering import filter_gains
-from robustkb.simulate import _draw_groups
 
 CHUNK = 1024
 
 
 def normals(seed, first, count, tag, shape):
-    """Standard normals of shape (count, *shape), row j from the stream of
-    path first + j, drawn as one group."""
-    out = np.empty((count, *shape))
-    for _ in _draw_groups(out, seed, first, count, tag):
-        pass
-    return out
+    """Standard normals of shape (count, *shape), row j drawn at once from
+    the stream of path first + j."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence((seed, first + j, tag)))
+        .standard_normal(shape) for j in range(count)]).reshape(count, *shape)
 
 
 def rows(x, a):

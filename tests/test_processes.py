@@ -254,21 +254,21 @@ def test_failed_block_reaps_every_child(monkeypatch):
     real = simulate._simulate_chunk
 
     def fail_at(path):
-        def simulate_chunk(model, steps, theta, seed, j0, count, offset):
-            if j0 <= path < j0 + count:
-                raise RuntimeError(f"path {offset + path} failed")
-            return real(model, steps, theta, seed, j0, count, offset)
+        def simulate_chunk(model, steps, theta, seed, first, count, tap=None):
+            if first <= path < first + count:
+                raise RuntimeError(f"path {path} failed")
+            return real(model, steps, theta, seed, first, count, tap)
         return simulate_chunk
 
     forks = _use_cpus(monkeypatch, 4)  # blocks 0, 512, 1024 and 1536
-    monkeypatch.setattr(simulate, "_simulate_chunk", fail_at(1100))
+    monkeypatch.setattr(simulate, "_simulate_chunk", fail_at(1110))
     with pytest.raises(OSError, match=r"^the process simulating paths "
                                       r"1034\.\.1545 exited with status 1: "
                                       r"RuntimeError: path 1110 failed$"):
         simulate.simulate_paths(model, np.zeros((12, 1)), 2049, 3,
                                 path_offset=10)
     assert len(forks) == 3
-    monkeypatch.setattr(simulate, "_simulate_chunk", fail_at(100))
+    monkeypatch.setattr(simulate, "_simulate_chunk", fail_at(110))
     with pytest.raises(RuntimeError, match="^path 110 failed$"):
         simulate.simulate_paths(model, np.zeros((12, 1)), 2049, 3,
                                 path_offset=10)
@@ -320,23 +320,23 @@ def test_failed_girsanov_block_reaps_every_child(monkeypatch):
     paths, the exit status and the exception; one that fails in the calling
     process raises its own exception.  Either way no child is left."""
     config = _n3_config()
-    real = verification._signal_noise
+    real = verification._signal_slabs
 
     def fail_at(path):
-        def signal_noise(model, seed, first, count):
+        def signal_slabs(model, seed, first, count):
             if first <= path < first + count:
                 raise RuntimeError(f"path {path} failed")
             return real(model, seed, first, count)
-        return signal_noise
+        return signal_slabs
 
     forks = _use_cpus(monkeypatch, 4)  # 25 000 paths each
-    monkeypatch.setattr(verification, "_signal_noise", fail_at(60_000))
+    monkeypatch.setattr(verification, "_signal_slabs", fail_at(60_000))
     with pytest.raises(OSError, match=r"^the process weighting paths "
                                       r"50000\.\.74999 exited with status 1: "
                                       r"RuntimeError: path 60000 failed$"):
         verification.check_girsanov(config, 2)
     assert len(forks) == 3
-    monkeypatch.setattr(verification, "_signal_noise", fail_at(100))
+    monkeypatch.setattr(verification, "_signal_slabs", fail_at(100))
     with pytest.raises(RuntimeError, match="^path 100 failed$"):
         verification.check_girsanov(config, 2)
     _no_child_left()

@@ -1,8 +1,12 @@
 """Path simulation, seeding discipline and measure-change weights."""
 
+import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -28,7 +32,9 @@ from robustkb import (
 from robustkb.filtering import _filter_batch
 from robustkb.minimax import _mse_mc_runs
 from robustkb.model import _live_terms
-from robustkb.simulate import _increments, _log_density_batch, _signal_noise
+from robustkb.simulate import (_generators, _log_density_batch, _signal_slabs,
+                               _slab_steps, _slabs, _stage, _standardized_tilt)
+from robustkb.verification import _girsanov_zetas
 
 import path_major
 
@@ -42,6 +48,15 @@ def free_model():
 
 def _const_theta(model, value):
     return np.full((model.n_steps, model.n), value)
+
+
+def _increments(model, seed, first, count, tag, factor, live):
+    """The (K, d, count) increments of paths first..first+count-1 of stream
+    tag: the slabs of _slabs, _slab_steps long, joined."""
+    span = _slab_steps(model, count)
+    return np.concatenate([slab.copy() for slab in _slabs(
+        model, _generators(seed, first, count, tag), factor, live, span,
+        _stage(span, factor.shape[-1], count))])
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +147,8 @@ def _reference_noise(model, theta, n_paths, seed, offset):
     return dw, dv
 
 
-def _assert_streams_match(seed, offset, n_paths):
-    model = _coupled_model()
+def _assert_streams_match(seed, offset, n_paths, n_steps=6):
+    model = _coupled_model(n_steps)
     theta = np.tile([0.3, -0.2], (model.n_steps, 1))
     ens = simulate_paths(model, theta, n_paths, master_seed=seed,
                          path_offset=offset)
@@ -159,10 +174,31 @@ def test_streams_match_numpy_seed_sequence_random(seed, offset, n_paths):
     _assert_streams_match(seed, offset, n_paths)
 
 
-def test_signal_noise_is_the_untilted_dw(free_model):
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**70 + 3])
+@pytest.mark.parametrize("offset", [0, 2**32 - 3, 2**64 - 2])
+def test_streams_carry_on_across_slabs(seed, offset):
+    """Each path's generator carries its stream from slab to slab: 600
+    paths of 1200 steps, in chunks of at most 600 and at least 300 paths
+    on any CPU count, take three slabs or more, and still give the bits of
+    one SeedSequence and generator per stream, for path indices of one, two
+    and three 32-bit words."""
+    assert 1200 > 2 * _slab_steps(_coupled_model(1200), 300)
+    _assert_streams_match(seed, offset, 600, 1200)
+
+
+def test_signal_noise_is_the_untilted_dw(free_model, monkeypatch):
+    """The Girsanov weights, added a slab of 3 steps at a time (not a
+    divisor of the 50 steps), have the bits of the log density of
+    simulate_paths' untilted dw."""
+    monkeypatch.setattr(rk.simulate, "_SLAB_BYTES", 8 * 2 * 7 * 3)
+    assert _slab_steps(free_model, 7) == 3
     ens = simulate_paths(free_model, _const_theta(free_model, 0.0), 7,
-                         master_seed=4, path_offset=3)
-    assert np.array_equal(_signal_noise(free_model, 4, 3, 7), ens.dw)
+                         master_seed=4)
+    theta = np.linspace(-0.4, 0.6, free_model.n_steps)[:, None]
+    theta[::7] = 0.0
+    zetas = _girsanov_zetas(free_model, _standardized_tilt(theta, free_model),
+                            4, 7)
+    assert _same_bits(zetas, _log_density_batch(theta, ens.dw, free_model))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -227,7 +263,7 @@ def test_path_count_cap_is_the_ensemble_size(free_model):
 
 def test_signal_streams_reject_a_negative_seed(free_model):
     with pytest.raises(InvalidSeed):
-        _signal_noise(free_model, -7, 0, 2)
+        _signal_slabs(free_model, -7, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +491,40 @@ def test_staged_states_keep_their_bits(monkeypatch, name, n_paths, span):
         assert _same_bits(getattr(ens, field), ref), field
 
 
+@pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+@pytest.mark.parametrize("n_paths", [1, 7])
+@pytest.mark.parametrize("slab", [1, 5, None])
+def test_slabs_keep_their_bits(monkeypatch, name, n_paths, slab):
+    """With the noise in slabs of one step, 5 steps (not a divisor of the
+    12 steps) or all K steps, simulate_paths, the Monte-Carlo squared
+    errors and the Girsanov weights give the bits of the whole-path loops."""
+    model = LAYOUT_MODELS[name]
+    monkeypatch.setattr(rk.simulate, "_SLAB_BYTES", 1 << 40 if slab is None
+                        else 8 * (model.n + model.m) * n_paths * slab)
+    assert _slab_steps(model, n_paths) == (slab or model.n_steps)
+    theta = _layout_tilt(model)
+    ens = simulate_paths(model, theta, n_paths, master_seed=21)
+    want = path_major.simulate(model, theta, n_paths, 21)
+    for field, ref in zip(("x", "m", "dw", "dv", "log_density"), want):
+        assert _same_bits(getattr(ens, field), ref), field
+
+    riccati = rk.solve_riccati(model)
+    nodes = [model.n_steps // 2, model.n_steps]
+    run = rk.minimax._MCRun(model, riccati, theta, 0.5 * theta, nodes,
+                            n_paths, 21)
+    run.fill(0, n_paths)
+    x, obs = want[:2]
+    xhat, _ = path_major.filter_paths(model, riccati, np.diff(obs, axis=1),
+                                      0.5 * theta)
+    err = x[:, nodes] - xhat[:, nodes]
+    assert _same_bits(run.sq, np.einsum("bki,bki->bk", err, err))
+
+    untilted = path_major.simulate(model, np.zeros_like(theta), n_paths, 21)[2]
+    zetas = _girsanov_zetas(model, _standardized_tilt(theta, model), 21,
+                            n_paths)
+    assert _same_bits(zetas, path_major.log_density(theta, untilted, model))
+
+
 def _traced_peak(call) -> int:
     """Bytes a second call() allocated at its peak, beyond what was traced
     before it; the first call makes NumPy's one-time allocations."""
@@ -468,26 +538,69 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_noise_is_held_once(monkeypatch):
-    """The traced peak of _increments is its (K, d, count) output and one
-    stage, and that of an n = 3 Monte-Carlo chunk its two noise arrays and
-    one stage, each with 512 KiB to spare (the seeding takes about 200 KiB):
-    a whole-chunk copy of the draws, or one (K, count) product, would not
-    fit.  The outputs come from np.empty here, which tracemalloc sees, and
-    not from the mappings of _mapped, which it does not."""
-    monkeypatch.setattr(rk.simulate, "_mapped", np.empty)
-    model = path_major.layout_models(500)["n3"]
-    stage, slack = rk.simulate._STAGE_BYTES, 512 << 10
-    signal = 8 * model.n_steps * model.n * 1024
-    peak = _traced_peak(lambda: _increments(model, 3, 0, 1024, 0, model.Q_sqrt,
-                                            model.Q_sqrt_live))
-    assert peak <= signal + stage + slack, peak - signal
-    run = rk.minimax._MCRun(model, rk.solve_riccati(model), _layout_tilt(model),
-                            np.zeros((model.n_steps, model.n)), [model.n_steps],
-                            1024, 3)
-    noise = signal + 8 * model.n_steps * model.m * 1024
-    peak = _traced_peak(lambda: run.fill(0, 1024))
-    assert peak <= noise + stage + slack, peak - noise
+# Bytes a traced PCG64 Generator takes with its bit generator and seed
+# state: about 630 on CPython 3.11 with NumPy 2.4.
+_GENERATOR_BYTES = 1 << 10
+
+
+def test_noise_is_held_once():
+    """The traced peak of an n = 3 Monte-Carlo chunk of 1024 paths is two
+    noise slabs, which _SLAB_BYTES bounds together, one stage, the chunk's
+    2048 generators and 512 KiB to spare, at 500 steps and at 5000: the
+    chunk's whole noise, 20 MB at 500 steps and 205 MB at 5000, would not
+    fit."""
+    bound = (rk.simulate._SLAB_BYTES + rk.simulate._STAGE_BYTES
+             + 2 * 1024 * _GENERATOR_BYTES + (512 << 10))
+    for k_steps in (500, 5000):
+        model = path_major.layout_models(k_steps)["n3"]
+        run = rk.minimax._MCRun(model, rk.solve_riccati(model),
+                                _layout_tilt(model),
+                                np.zeros((model.n_steps, model.n)),
+                                [model.n_steps], 1024, 3)
+        peak = _traced_peak(lambda: run.fill(0, 1024))
+        assert peak <= bound, (k_steps, peak, bound)
+
+
+# Runs the CLI on sys.argv[1:] in a process forked from a fresh interpreter
+# and prints its exit code, then its own and its children's max RSS.  Linux
+# keeps the peak RSS of the memory an exec replaces, so a process exec'd
+# from the test process would count the test process's peak as its own; a
+# forked process starts its count afresh.
+_MEASURED_CLI = """
+import os, resource, sys
+pid = os.fork()
+if pid == 0:
+    from robustkb.cli import main
+    code = main(sys.argv[1:])
+    print(code, *(resource.getrusage(who).ru_maxrss for who in
+                  (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)), flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_long_grid_minimax_stays_small(tmp_path):
+    """robustkb minimax --t 20 --paths 400 on the bundled coefficients at
+    20000 steps peaks below 100 MB in the calling process and in its
+    forked child: the chunks hold a slab of their noise at a time, where
+    whole-chunk noise took 173 and 164 MB."""
+    blob = (resources.files("robustkb") / "data" / "default_scenario.json").read_bytes()
+    scenario = json.loads(blob)
+    scenario["grid"] = {"T": 20.0, "n_steps": 20000}
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps(scenario))
+    src = os.path.dirname(os.path.dirname(rk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURED_CLI, "minimax", "--config", str(config),
+         "--t", "20", "--paths", "400", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, own, children = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    # ru_maxrss is in KiB on Linux.
+    assert own < 100 * 1024 and children < 100 * 1024, (own, children)
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +650,15 @@ THREAD_PATHS = (255, 300, 517)
 
 
 def _noise_outputs(model, riccati):
-    """Every output of simulate_paths, _signal_noise and the Monte-Carlo MSE
-    at THREAD_PATHS paths, as one list of arrays."""
+    """Every output of simulate_paths, the Girsanov weights and the
+    Monte-Carlo MSE at THREAD_PATHS paths, as one list of arrays."""
     theta = _layout_tilt(model)
+    tilt = _standardized_tilt(theta, model)
     out = []
     for count in THREAD_PATHS:
         ens = simulate_paths(model, theta, count, master_seed=13, path_offset=3)
         out += [getattr(ens, f) for f in ("x", "m", "dw", "dv", "log_density")]
-        out.append(_signal_noise(model, 13, 7, count))
+        out.append(_girsanov_zetas(model, tilt, 13, count))
     t_idx = [model.n_steps // 2, model.n_steps]
     out += _mse_mc_runs(model, riccati,
                         [(theta, 0.5 * theta, t_idx, 517, 5)])[0]
@@ -553,8 +667,8 @@ def _noise_outputs(model, riccati):
 
 @pytest.mark.parametrize("name,k_steps", THREAD_CASES)
 def test_noise_threads_keep_the_bits_of_one_cpu(name, k_steps, monkeypatch):
-    """With 2, 3 or 4 usable CPUs the simulated paths, the signal noise and
-    the Monte-Carlo MSE have the bits of a 1-CPU run, and no noise thread is
+    """With 2, 3 or 4 usable CPUs the simulated paths, the Girsanov weights
+    and the Monte-Carlo MSE have the bits of a 1-CPU run, and no noise thread is
     started at any CPU count."""
     model = path_major.layout_models(k_steps)[name]
     riccati = rk.solve_riccati(model)
