@@ -38,13 +38,13 @@ first column of a two-path one, and a matrix with one row keeps the
 row-major product of the path-major loops (see `model._Steps`).  One path
 of a scalar model steps on Python floats, with the same operations in the
 same order.  So a path's bits depend on its index alone, however the paths
-are chunked or the steps slabbed.  `simulate_paths` copies each slab into
-the path-major arrays of `PathEnsemble`, and the states through a stage of
-a block of time steps; the Monte-Carlo MSE (`minimax._MCRun`) consumes the
-states one step at a time and keeps only the nodes it reads, and the
-Girsanov weights add each slab's terms as it comes.  Every array a forked
-child fills comes from `_shared`, so the child writes its rows where the
-parent reads them, and no result crosses a file.
+are chunked or the steps slabbed.  `simulate_paths` keeps its arrays in
+the same time-major layout and writes each slab and each Euler state
+straight into the chunk's columns; the Monte-Carlo MSE (`minimax._MCRun`)
+consumes the states one step at a time and keeps only the nodes it reads,
+and the Girsanov weights add each slab's terms as it comes.  Every array a
+forked child fills comes from `_shared`, so the child writes its columns
+where the parent reads them, and no result crosses a file.
 """
 from __future__ import annotations
 
@@ -80,12 +80,11 @@ _CHUNK = 1024
 # 0.37-0.40, 0.34-0.36 and 0.33-0.36 s of CPU (medians of 5, two sweeps).
 _SLAB_BYTES = 4 << 20
 
-# Bytes of each staging buffer: a group of paths' draws and a time block of
-# the noise transform in _slabs, a time block of Euler states in
-# simulate_paths.  On a 2-core x86 machine (NumPy 2.4.6), 400 x 1000 x 3
-# increments took 34.7 ms of CPU with 128 KiB stages, 31.2-31.6 ms with 256
-# KiB, 30.5-30.6 ms with 1 MiB and 31.1-31.6 ms with 4 MiB (medians of 21,
-# two sweeps); the draws alone take about 20 ms.
+# Bytes of the stage of _slabs, which holds a group of paths' draws and then
+# a time block of the noise transform.  On a 2-core x86 machine (NumPy
+# 2.4.6), 400 x 1000 x 3 increments took 34.7 ms of CPU with 128 KiB stages,
+# 31.2-31.6 ms with 256 KiB, 30.5-30.6 ms with 1 MiB and 31.1-31.6 ms with 4
+# MiB (medians of 21, two sweeps); the draws alone take about 20 ms.
 _STAGE_BYTES = 1 << 20
 
 # Largest ensemble simulate_paths returns: x, m, dw, dv and log_density.  A
@@ -507,7 +506,9 @@ class PathEnsemble:
     m[:, 0] = 0.  dw holds reference-measure signal increments (the tilted
     increments plus theta*dt), dv the observation noise increments.
     log_density is the log likelihood ratio of the simulation tilt on each
-    path.
+    path.  x, m, dw and dv are read-only path-major views of time-major
+    (K, d, n_paths) storage, as `FilterRun`'s arrays are: the values and
+    shapes of path-major arrays, with other strides.
     """
 
     model: ValidatedModel = field(repr=False)
@@ -631,27 +632,10 @@ def _initial_state(steps: _Steps, value: np.ndarray, count: int):
     return steps.read(out)[0]
 
 
-def _euler_states(model: ValidatedModel, steps: _Steps, theta, count: int,
-                  slabs):
-    """Yield the states (x_k, obs_k), k = 0..K, of count paths driven by
-    slabs, pairs of time-major (L, d, count) increments dw_tilt and dv in k
-    order, as fresh step slices (Python floats for one path of a scalar
-    model); theta is the tilt as `steps.per_interval` lays it out."""
-    x = _initial_state(steps, model.x0, count)
-    obs = _initial_state(steps, np.zeros(model.m), count)
-    yield x, obs
-    k = 0
-    for dw_tilt, dv in slabs:
-        for dw_k, dv_k in zip(steps.read(dw_tilt), steps.read(dv)):
-            x, obs = _euler_step(steps, k, x, obs, theta[k], dw_k, dv_k)
-            k += 1
-            yield x, obs
-
-
 def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
                     master_seed: int, first: int, count: int, tap=None):
     """The Euler states (x_k, obs_k), k = 0..K, of the paths with absolute
-    indices first..first+count-1, as a generator of step slices.
+    indices first..first+count-1, as a generator of fresh step slices.
 
     steps is `_steps(model)` and theta the tilt laid out by its
     `per_interval`, both built once per call of the caller.  The noise
@@ -660,15 +644,17 @@ def _simulate_chunk(model: ValidatedModel, steps: _Steps, theta,
     Euler loop reads it, and must not keep them: the next pair overwrites
     them.
     """
-    def slabs():
-        k0 = 0
-        for dw_tilt, dv in _noise(model, master_seed, first, count):
-            if tap is not None:
-                tap(k0, dw_tilt, dv)
-            yield dw_tilt, dv
-            k0 += len(dw_tilt)
-
-    return _euler_states(model, steps, theta, count, slabs())
+    x = _initial_state(steps, model.x0, count)
+    obs = _initial_state(steps, np.zeros(model.m), count)
+    yield x, obs
+    k = 0
+    for dw_tilt, dv in _noise(model, master_seed, first, count):
+        if tap is not None:
+            tap(k, dw_tilt, dv)
+        for dw_k, dv_k in zip(steps.read(dw_tilt), steps.read(dv)):
+            x, obs = _euler_step(steps, k, x, obs, theta[k], dw_k, dv_k)
+            k += 1
+            yield x, obs
 
 
 def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
@@ -677,15 +663,17 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
 
     path_offset shifts the absolute path indices so a large run can be
     split across calls and still match a monolithic run bitwise.  The paths
-    are one job of _on_paths, whose processes write them straight into the
-    returned arrays, which come from _shared: each chunk's noise a slab at a
-    time, as the Euler loop reads it.  A path's bits depend on its
-    absolute index alone, so neither the processes nor the chunks move any.
+    are one job of _on_paths, whose chunks write their slabs and states
+    straight into their columns of time-major arrays from _shared, then add
+    their log density from the stored increments a slab's steps at a time.
+    A path's bits depend on its absolute index alone, so neither the
+    processes nor the chunks move any.
     threads is accepted for compatibility and does not change the work or
     the result.
     n_paths must be a positive integer whose ensemble fits in 4 GiB, else
     InvalidPathCount is raised before any allocation; the bound is a fixed
-    policy limit that does not depend on the memory available.
+    policy limit that does not depend on the memory available.  So is
+    UnsupportedTilt, for a tilt nonzero where Q is singular.
     """
     master_seed = _check_seed("master_seed", master_seed)
     path_offset = _check_seed("path_offset", path_offset)
@@ -696,44 +684,41 @@ def simulate_paths(model: ValidatedModel, theta, n_paths: int, master_seed: int,
     n_paths = _check_n_paths(n_paths, _MAX_ENSEMBLE_BYTES // path_bytes,
                              f"the most whose ensemble fits in "
                              f"{_MAX_ENSEMBLE_BYTES >> 30} GiB")
+    tilt = _standardized_tilt(th, model)
     steps = _steps(model)
     th_steps = steps.per_interval(th)
-    tilt = th * model.grid.dt
+    drift = (th * model.grid.dt)[..., None]
 
-    x = _shared((n_paths, k_steps + 1, n))
-    obs = _shared((n_paths, k_steps + 1, m))
-    dw = _shared((n_paths, k_steps, n))
-    dv = _shared((n_paths, k_steps, m))
+    x = _shared((k_steps + 1, n, n_paths))
+    obs = _shared((k_steps + 1, m, n_paths))
+    dw = _shared((k_steps, n, n_paths))
+    dv = _shared((k_steps, m, n_paths))
     logw = _shared((n_paths,))
 
     def fill(j0, count):
         sl = slice(j0, j0 + count)
+        x_c, obs_c, dw_c, dv_c = x[..., sl], obs[..., sl], dw[..., sl], dv[..., sl]
 
-        def copy(k0, dw_tilt, dv_c):
+        def store(k0, dw_tilt, dv_slab):
             k1 = k0 + len(dw_tilt)
-            np.add(_path_major(dw_tilt), tilt[k0:k1], out=dw[sl, k0:k1])
-            dv[sl, k0:k1] = _path_major(dv_c)
+            np.add(dw_tilt, drift[k0:k1], out=dw_c[k0:k1])
+            dv_c[k0:k1] = dv_slab
 
-        states = _simulate_chunk(model, steps, th_steps, master_seed,
-                                 path_offset + j0, count, copy)
-        # The states pass through a stage of `span` steps, which is copied
-        # into their path-major rows each time it fills.
-        span = _fit(_STAGE_BYTES, 8 * (n + m) * count, k_steps + 1)
-        x_c = np.empty((span, n, count))
-        obs_c = np.empty((span, m, count))
-        for k, (xk, obs_k) in enumerate(states):
-            r = k % span
-            x_c[r] = xk
-            obs_c[r] = obs_k
-            if r == span - 1 or k == k_steps:
-                x[sl, k - r:k + 1] = _path_major(x_c[:r + 1])
-                obs[sl, k - r:k + 1] = _path_major(obs_c[:r + 1])
-        logw[sl] = _log_density_batch(th, dw[sl], model)
+        for k, (xk, obs_k) in enumerate(_simulate_chunk(
+                model, steps, th_steps, master_seed, path_offset + j0, count,
+                store)):
+            x_c[k] = xk
+            obs_c[k] = obs_k
+        span = _slab_steps(model, count)
+        logw[sl] = _tilt_log_density(
+            tilt, (dw_c[k0:k0 + span] for k0 in range(0, k_steps, span)),
+            count, model.grid.dt)
 
     _on_paths([(model, n_paths, fill)], lambda _, first, last: (
         f"simulating paths {path_offset + first}..{path_offset + last}"))
     for arr in (x, obs, dw, dv, logw):
         arr.setflags(write=False)
+    x, obs, dw, dv = map(_path_major, (x, obs, dw, dv))
     return PathEnsemble(model=model, policy=policy, master_seed=master_seed,
                         path_offset=path_offset, x=x, m=obs, dw=dw, dv=dv,
                         log_density=logw)

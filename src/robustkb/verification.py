@@ -670,6 +670,19 @@ ALL_CHECKS = (
 )
 
 
+def _peak_rss_mb() -> float:
+    """Largest resident set of this process so far, in MiB: VmHWM of
+    /proc/self/status, which an exec starts afresh where Linux's ru_maxrss
+    keeps the launcher's peak, or ru_maxrss where that file is missing."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
                      timings: list | None = None) -> VerificationReport:
     """Run every check against one scenario.
@@ -677,8 +690,8 @@ def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
     If timings is a list, one dict per check is appended to it: the check's
     name, its wall time in seconds, the paths and path-steps it simulated,
     and, once it has run, the largest resident set so far of the calling
-    process and of any one of its reaped children, in MiB (ru_maxrss of
-    RUSAGE_SELF and RUSAGE_CHILDREN, which Linux counts in KiB).  None of it
+    process (see _peak_rss_mb) and of any one of its reaped children
+    (ru_maxrss of RUSAGE_CHILDREN), in MiB from Linux's KiB.  None of it
     enters the report.
     """
     results = []
@@ -693,8 +706,7 @@ def run_verification(config: ScenarioConfig, seed: int, threads: int = 1,
                 "wall_s": time.perf_counter() - start,
                 "paths": _work["paths"] - paths,
                 "path_steps": _work["path_steps"] - path_steps,
-                "max_rss_mb": resource.getrusage(
-                    resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "max_rss_mb": _peak_rss_mb(),
                 "children_max_rss_mb": resource.getrusage(
                     resource.RUSAGE_CHILDREN).ru_maxrss / 1024})
     return VerificationReport(seed=int(seed), results=tuple(results))

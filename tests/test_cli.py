@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -435,6 +438,34 @@ def test_verify_timings_sidecar_leaves_the_report_alone(tmp_path, capsys):
         values = [c[key] for c in checks]
         assert values == sorted(values), key
     assert checks[0]["max_rss_mb"] > 0.0
+
+
+# Touches about 300 MB, then execs the CLI on sys.argv[1:] in a fresh
+# interpreter, which Linux lets keep the 300 MB peak in its ru_maxrss.
+_CLI_AFTER_300_MB = """
+import os, sys
+held = b"x" * (300 << 20)
+os.execv(sys.executable, [sys.executable, "-c",
+         "import sys; from robustkb.cli import main; sys.exit(main(sys.argv[1:]))",
+         *sys.argv[1:]])
+"""
+
+
+def test_verify_timings_report_the_verify_process_peak(tmp_path):
+    # verify exec'd from a process that held 300 MB reports its own peak,
+    # far below that, not its launcher's.
+    cfg = _write_cfg(tmp_path, T=2.0, n_steps=4)
+    sidecar = tmp_path / "timings.json"
+    src = os.path.dirname(os.path.dirname(rk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_AFTER_300_MB, "verify", "--config", cfg,
+         "--out", str(tmp_path / "out"), "--timings", str(sidecar)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    peaks = [c["max_rss_mb"] for c in json.loads(sidecar.read_text())["checks"]]
+    assert len(peaks) == 10 and 0.0 < max(peaks) < 300.0, peaks
 
 
 # ---------------------------------------------------------------------------

@@ -561,6 +561,41 @@ def test_noise_is_held_once():
         assert peak <= bound, (k_steps, peak, bound)
 
 
+def _model_on(blob: bytes, n_steps: int) -> rk.ValidatedModel:
+    """The model of a scenario file's text on n_steps steps of its horizon."""
+    scenario = json.loads(blob)
+    scenario["grid"]["n_steps"] = n_steps
+    return rk.scenario_from_dict(scenario).model
+
+
+def test_simulated_paths_hold_one_slab(monkeypatch):
+    """The traced peak of a one-CPU simulate_paths call of 256 tilted paths,
+    on the bundled scalar coefficients and on bench/minimax_n3.json's, at
+    500 steps and at 5000, is at most two noise slabs, which _SLAB_BYTES
+    bounds together, one stage, the log density's two (L, 256) arrays of
+    one slab and 1 KiB per generator.  tracemalloc does not see the _shared
+    arrays that take the ensemble; a copy of the whole grid's noise or
+    states, or a log density over the whole grid, would not fit at 5000
+    steps."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "bench", "minimax_n3.json")
+    blobs = [(resources.files("robustkb") / "data"
+              / "default_scenario.json").read_bytes()]
+    with open(bench, "rb") as f:
+        blobs.append(f.read())
+    for blob in blobs:
+        for k_steps in (500, 5000):
+            model = _model_on(blob, k_steps)
+            theta = _const_theta(model, 0.5)
+            span = _slab_steps(model, 256)
+            bound = (rk.simulate._SLAB_BYTES + rk.simulate._STAGE_BYTES
+                     + 2 * 8 * span * 256 + 2 * 256 * _GENERATOR_BYTES)
+            peak = _traced_peak(lambda: simulate_paths(model, theta, 256,
+                                                       master_seed=3))
+            assert peak <= bound, (model.n, k_steps, peak, bound)
+
+
 # Runs the CLI on sys.argv[1:] in a process forked from a fresh interpreter
 # and prints its exit code, then its own and its children's max RSS.  Linux
 # keeps the peak RSS of the memory an exec replaces, so a process exec'd
@@ -800,6 +835,19 @@ def test_singular_diffusion_rejects_active_tilt():
         simulate_paths(model, _const_theta(model, 0.5), 2, master_seed=1)
     ens = simulate_paths(model, _const_theta(model, 0.0), 2, master_seed=1)
     assert np.array_equal(ens.log_density, np.zeros(2))
+
+
+def test_unsupported_tilt_raises_before_any_path(monkeypatch):
+    """A tilt nonzero where Q = 0 is refused before _on_paths runs a path."""
+    model = constant_model(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0,
+                           horizon=1.0, n_steps=16)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("paths were run before the tilt was checked")
+
+    monkeypatch.setattr(rk.simulate, "_on_paths", no_work)
+    with pytest.raises(UnsupportedTilt, match="interval 0"):
+        simulate_paths(model, _const_theta(model, 0.5), 3000, master_seed=1)
 
 
 def test_tilt_active_only_where_diffusion_lives():

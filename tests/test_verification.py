@@ -422,14 +422,14 @@ def test_determinism_sees_a_chunk_dependent_log_density(monkeypatch):
     # run's chunks (2048 + 952) disagree.  Under the zero tilt every log
     # density is 0 and the dependence cannot show.
     cfg = _scalar_cfg(50)
-    log_density = rk.simulate._log_density_batch
+    log_density = rk.simulate._tilt_log_density
 
-    def by_batch_size(theta, dw, model):
-        got = log_density(theta, dw, model)
-        return got + got * (len(dw) * 2.0**-60)
+    def by_batch_size(tilt, slabs, count, dt):
+        got = log_density(tilt, slabs, count, dt)
+        return got + got * (count * 2.0**-60)
 
     assert check_determinism(cfg, 0).passed
-    monkeypatch.setattr(rk.simulate, "_log_density_batch", by_batch_size)
+    monkeypatch.setattr(rk.simulate, "_tilt_log_density", by_batch_size)
     res = check_determinism(cfg, 0)
     assert not res.passed
     assert res.measured["split_equal"] is False
